@@ -38,12 +38,20 @@ def binom_eval(mu: MultiIndex, ct: MultiIndex) -> int:
 
 
 @lru_cache(maxsize=None)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """S(n, 0), ..., S(n, n), one row at a time from S(0, 0) = 1 by
+    S(m, j) = j * S(m-1, j) + S(m-1, j-1)."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+    return tuple(row)
+
+
 def _stirling2(n: int, k: int) -> int:
-    if n == k:
-        return 1
-    if k == 0 or k > n:
+    """Stirling number of the second kind S(n, k)."""
+    if not 0 <= k <= n:
         return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+    return _stirling2_row(n)[k]
 
 
 class CharPoly:

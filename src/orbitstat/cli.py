@@ -73,6 +73,12 @@ def _ctx(args):
     return parse_field_spec(spec)
 
 
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
+
+
 def _stat(args) -> CharPoly:
     if args.mu is not None:
         return CharPoly.binom(MultiIndex.parse(args.mu))
@@ -176,7 +182,7 @@ def cmd_ensemble(args):
     P = _stat(args)
     predicate = parse_predicate(args.filter)
     total, count = ensemble_sum(
-        args.d, ctx, P, predicate, cap=args.cap_enum, threads=args.threads
+        args.d, ctx, P, predicate, cap=args.cap_enum, threads=_threads(args)
     )
     scaled = Fraction(total) / ctx.q ** args.d
     lines = [
@@ -209,10 +215,11 @@ def cmd_ensemble(args):
 
 def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
+    threads = _threads(args)
     lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {spec.order_h()}"]
     payload = {"blocks": str(spec), "n": spec.n, "order_h": spec.order_h()}
     if args.histogram:
-        hist = coset_histogram(spec, args.cap_group, args.threads)
+        hist = coset_histogram(spec, args.cap_group, threads)
         payload["histogram"] = []
         for ct in sorted(hist):
             lines.append(f"{ct}  {hist[ct]}")
@@ -227,7 +234,7 @@ def cmd_young(args):
     if args.method in ("formula", "both"):
         values["formula"] = expected_binom_on_coset(spec, mu)
     if args.method in ("oracle", "both"):
-        values["oracle"] = coset_bruteforce(spec, mu, args.cap_group, args.threads)[0]
+        values["oracle"] = coset_bruteforce(spec, mu, args.cap_group, threads)[0]
     payload["values"] = {}
     for name, val in values.items():
         lines.append(f"{name} = {_frac_text(val)}")

@@ -103,8 +103,8 @@ class SymbolSum:
         if len(self.terms) * len(other.terms) > term_cap:
             raise CapExceeded(
                 f"symbolic product would touch {len(self.terms) * len(other.terms)} "
-                f"term pairs (cap {term_cap}); for coset statistics use the "
-                "factored evaluator in frobenius_stats instead"
+                f"term pairs (cap {term_cap}); raise it with --cap-terms, or for "
+                "coset statistics use the factored evaluator in frobenius_stats"
             )
         out: dict[Poly, Fraction] = {}
         for g, c in self.terms.items():

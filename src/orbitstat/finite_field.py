@@ -1,4 +1,4 @@
-"""Finite fields F_q at desk scale.
+"""Finite fields F_q at desk scale, with elements coded as integers.
 
 A FieldCtx describes F_q with q = p^e: the prime p, the extension degree e
 and, for e > 1, a monic irreducible modulus of degree e over F_p.  When no
@@ -6,10 +6,20 @@ modulus is supplied, the lexicographically smallest irreducible one is chosen
 (coefficient vectors compared constant term first), so identical parameters
 always produce identical fields.
 
-Elements are immutable vectors of e residues mod p (constant coefficient
-first) tied to their context.  The usual operators do exact field arithmetic;
-mixing elements of different fields raises ValueError, while contexts with
-equal (p, e, modulus) compare equal and interoperate.
+The element c0 + c1*t + ... is coded as its index c0 + c1*p + c2*p^2 + ...
+in 0..q-1 (constant digit fastest), the order of enumerate_elements, and
+FieldCtx.add, sub, neg, mul, inv and power work on such indices.  Prime
+fields use native % and pow.  An extension builds, on first use and never at
+import, exp/log tables of its primitive element of smallest index; addition
+is XOR of indices in characteristic 2 and goes through a Zech table in odd
+characteristic (Lidl and Niederreiter, Finite Fields).  The tables hold fewer
+than 3q ints.
+
+FieldElement, the public element type, is an immutable vector of e residues
+mod p (constant coefficient first) tied to its context; its operators
+delegate to the index arithmetic.  Mixing elements of different fields raises
+ValueError, while contexts with equal (p, e, modulus) compare equal and
+interoperate.
 
 Construction enforces q <= 2**16: larger fields are out of scope for the
 exhaustive enumerations this package is built around.
@@ -18,7 +28,7 @@ exhaustive enumerations this package is built around.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 Q_LIMIT = 1 << 16
@@ -72,135 +82,6 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic on F_p coefficient tuples (ascending order, no trailing zeros).
-# Internal: used for modulus selection/validation and extension-field element
-# arithmetic, so FieldElement never has to nest.
-# ---------------------------------------------------------------------------
-
-def _trim(c: Sequence[int]) -> tuple[int, ...]:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-        for i in range(n)
-    )
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim(
-        ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-        for i in range(n)
-    )
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(v % p for v in out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    if len(a) < len(b):
-        return (), _trim(a)
-    quot = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % p
-        if c:
-            quot[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _trim(quot), _trim(a)
-
-
-def _fp_mod(a, b, p):
-    return _fp_divmod(a, b, p)[1]
-
-
-def _fp_gcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _fp_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _fp_invmod(a, m, p):
-    """Inverse of a modulo m over F_p (extended Euclid)."""
-    r0, r1 = _trim(m), _trim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        quot, rem = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(quot, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv_c = pow(r0[0], p - 2, p)
-    return tuple((c * inv_c) % p for c in s0)
-
-
-def _fp_powmod(base, exp, mod, p):
-    result = _fp_mod((1,), mod, p)
-    base = _fp_mod(base, mod, p)
-    while exp > 0:
-        if exp & 1:
-            result = _fp_mod(_fp_mul(result, base, p), mod, p)
-        base = _fp_mod(_fp_mul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Frobenius fixed-point criterion for a polynomial over F_p."""
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = _fp_mod((0, 1), f, p)
-    frob = [x]
-    s = x
-    for _ in range(d):
-        s = _fp_powmod(s, p, f, p)
-        frob.append(s)
-    if _fp_sub(frob[d], x, p):
-        return False
-    for ell in prime_factors(d):
-        g = _fp_gcd(_fp_sub(frob[d // ell], x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree e over F_p.
-
-    Candidates are compared by their coefficient vector (c0, ..., c_{e-1}),
-    constant term first, in lexicographic order.
-    """
-    for lower in itertools.product(range(p), repeat=e):
-        cand = tuple(lower) + (1,)
-        if _fp_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible modulus of degree %d over F_%d" % (e, p))
-
-
-# ---------------------------------------------------------------------------
 # Field contexts and elements
 # ---------------------------------------------------------------------------
 
@@ -212,6 +93,8 @@ class FieldCtx:
     e: int
     q: int
     modulus: Optional[tuple[int, ...]]
+    # (exp, log, zech) of an extension field, filled in by tables()
+    _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __repr__(self):
         if self.e == 1:
@@ -254,6 +137,126 @@ class FieldCtx:
             coeffs.append(rem)
         return FieldElement(self, tuple(coeffs))
 
+    # -- arithmetic on element indices --------------------------------------
+
+    def tables(self) -> tuple:
+        """(exp, log, zech) of an extension field, built on first use."""
+        tabs = self._tables
+        if tabs is None:
+            tabs = _build_tables(self)
+            object.__setattr__(self, "_tables", tabs)
+        return tabs
+
+    def add(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        exp, log, zech = self.tables()
+        n = self.q - 1
+        z = zech[(log[b] - log[a]) % n]  # a + b = a * (1 + b/a)
+        return 0 if z < 0 else exp[(log[a] + z) % n]
+
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)  # the index of -1 is p - 1
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        exp, log, _ = self.tables()
+        return exp[(log[a] + log[b]) % (self.q - 1)]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return self.power(a, self.q - 2)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def power(self, a: int, k: int) -> int:
+        """a**k for k >= 0, with 0**0 = 1."""
+        if self.e == 1:
+            return pow(a, k, self.p)
+        if not a:
+            return 0 if k else 1
+        exp, log, _ = self.tables()
+        return exp[log[a] * k % (self.q - 1)]
+
+
+def _build_tables(ctx: FieldCtx) -> tuple:
+    """exp, log and Zech tables of an extension field.
+
+    g is the primitive element of smallest index.  exp[k] is the index of g^k
+    for 0 <= k < q-1 and log inverts it (log[0] is unused).  In odd
+    characteristic zech[k] is log(1 + g^k), or -1 where 1 + g^k = 0; in
+    characteristic 2 addition is XOR and zech is None.  The products that
+    build the tables are shift-and-add over F_p on the indices themselves.
+    """
+    p, e, q = ctx.p, ctx.e, ctx.q
+    n = q - 1
+    top = q // p  # weight of the t^(e-1) digit
+    low = 0  # index of t^e - modulus, the reduction of t^e
+    for c in reversed(ctx.modulus[:-1]):
+        low = low * p + (-c) % p
+
+    def scaled_sum(a: int, c: int, b: int) -> int:
+        """Index of a + c*b for c in F_p."""
+        if not c:
+            return a
+        if p == 2:
+            return a ^ b
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + c * y) % p * w
+            w *= p
+        return out
+
+    def times(a: int, b: int) -> int:
+        out = 0
+        while True:
+            b, c = divmod(b, p)
+            out = scaled_sum(out, c, a)
+            if not b:
+                return out
+            hi, a = divmod(a, top)
+            a = scaled_sum(a * p, hi, low)  # a*t, with t^e reduced
+
+    def power(a: int, k: int) -> int:
+        out = 1
+        while k:
+            if k & 1:
+                out = times(out, a)
+            a = times(a, a)
+            k >>= 1
+        return out
+
+    primes = prime_factors(n)
+    g = next(a for a in range(p, q) if all(power(a, n // r) != 1 for r in primes))
+    exp = [0] * n
+    log = [0] * q
+    x = 1
+    for k in range(n):
+        exp[k] = x
+        log[x] = k
+        x = times(x, g)
+    if p == 2:
+        return exp, log, None
+    zech = [0] * n
+    for k, x in enumerate(exp):
+        y = x - x % p + (x + 1) % p  # 1 + x: only the constant digit moves
+        zech[k] = log[y] if y else -1
+    return exp, log, zech
+
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -275,86 +278,78 @@ class FieldElement:
             return self.ctx.from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-x) % p for x in self.coeffs))
-
-    def __mul__(self, other):
+    def _binary(self, other, op, swap=False):
+        """op on the element indices of self and other (swapped if asked)."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         ctx = self.ctx
-        if ctx.e == 1:
-            return FieldElement(ctx, ((self.coeffs[0] * other.coeffs[0]) % ctx.p,))
-        prod = _fp_mul(self.coeffs, other.coeffs, ctx.p)
-        return ctx.element(_fp_mod(prod, ctx.modulus, ctx.p))
+        a, b = ctx.element_index(self), ctx.element_index(other)
+        return ctx.element_from_index(op(b, a) if swap else op(a, b))
+
+    def __add__(self, other):
+        return self._binary(other, self.ctx.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binary(other, self.ctx.sub)
+
+    def __rsub__(self, other):
+        return self._binary(other, self.ctx.sub, swap=True)
+
+    def __neg__(self):
+        ctx = self.ctx
+        return ctx.element_from_index(ctx.neg(ctx.element_index(self)))
+
+    def __mul__(self, other):
+        return self._binary(other, self.ctx.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self._binary(other, self.ctx.div)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self._binary(other, self.ctx.div, swap=True)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("negative exponent; use inverse() explicitly")
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        ctx = self.ctx
+        return ctx.element_from_index(ctx.power(ctx.element_index(self), n))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
-        if ctx.e == 1:
-            return FieldElement(ctx, (pow(self.coeffs[0], ctx.p - 2, ctx.p),))
-        return ctx.element(_fp_invmod(_trim(self.coeffs), ctx.modulus, ctx.p))
+        return ctx.element_from_index(ctx.inv(ctx.element_index(self)))
 
     def __str__(self):
         if self.ctx.e == 1 or not any(self.coeffs[1:]):
             return str(self.coeffs[0])
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+
+
+def _irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
+    """Irreducibility over F_p, decided by the polynomial core."""
+    from .polynomial import Poly, is_irreducible
+
+    return is_irreducible(Poly(FieldCtx(p, 1, p, None), coeffs))
+
+
+def _default_modulus(p: int, e: int) -> tuple[int, ...]:
+    """Smallest monic irreducible of degree e over F_p.
+
+    Candidates are compared by their coefficient vector (c0, ..., c_{e-1}),
+    constant term first, in lexicographic order.  Candidates with constant
+    term 0 are divisible by t and skipped without a test.
+    """
+    for lower in itertools.product(range(p), repeat=e):
+        cand = tuple(lower) + (1,)
+        if cand[0] and _irreducible_mod_p(cand, p):
+            return cand
+    raise AssertionError("no irreducible modulus of degree %d over F_%d" % (e, p))
 
 
 def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldCtx:
@@ -387,7 +382,7 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
         mod = tuple(c % p for c in given)
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _fp_is_irreducible(mod, p):
+        if not _irreducible_mod_p(mod, p):
             raise ValueError(f"modulus {given} is reducible over F_{p}")
     return FieldCtx(p, e, q, mod)
 

@@ -191,7 +191,9 @@ def ensemble_sum(
         raise ValueError("degree must be >= 0")
     space = ctx.q ** d
     if space > cap:
-        raise CapExceeded(f"ensemble over {space} polynomials exceeds cap {cap}")
+        raise CapExceeded(
+            f"ensemble over {space} polynomials exceeds cap {cap}; raise it with --cap-enum"
+        )
 
     def run(lo: int, hi: int) -> tuple[Fraction, int]:
         subtotal = _F0

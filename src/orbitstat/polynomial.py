@@ -1,12 +1,18 @@
 """Univariate polynomials over F_q: exact arithmetic, deterministic
 factorization and irreducible enumeration.
 
-A Poly is an ascending tuple of field elements with no trailing zeros; the
-zero polynomial is the empty tuple (degree -1).  Monic polynomials of degree d
-are enumerated by counting their lower coefficient vector in base q with the
-constant coefficient as the fastest digit, which fixes one canonical order for
-everything downstream.  Factorizations sort their factors by (degree, then the
-coefficient vector), so output is byte-stable across runs.
+A Poly holds its field and an ascending tuple of element indices (see
+finite_field) with no trailing zeros; the zero polynomial is the empty tuple
+(degree -1).  Every operation runs on those int tuples: over a prime field
+with native integer arithmetic and one reduction mod p per coefficient, over
+an extension through the field's exp/log tables.  Poly.coeffs turns the
+indices into FieldElements for callers that want them.
+
+Monic polynomials of degree d are enumerated by counting their lower
+coefficient vector in base q with the constant coefficient as the fastest
+digit, which fixes one canonical order for everything downstream.
+Factorizations sort their factors by (degree, then the coefficient vector),
+so output is byte-stable across runs.
 
 The factorization pipeline is deterministic end to end: square-free
 decomposition (with p-th-root extraction when the derivative vanishes in
@@ -16,64 +22,139 @@ No randomized splitting is used anywhere.
 
 Irreducible enumeration runs a product sieve over all q^d monic polynomials:
 every product of a lower-degree irreducible with a monic cofactor is marked,
-and the survivors are exactly the irreducibles.  The sieve is memoized per
-(field, degree) and refuses q^d > ENUMERATION_LIMIT.
+and the survivors are exactly the irreducibles.  The sieve works on the same
+element indices, is memoized per (field, degree) and refuses
+q^d > ENUMERATION_LIMIT.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import CapExceeded
-from .finite_field import (
-    FieldCtx,
-    FieldElement,
-    _fp_mod,
-    _fp_mul,
-    prime_factors,
-)
+from .finite_field import FieldCtx, FieldElement, prime_factors
 
 ENUMERATION_LIMIT = 10 ** 7
-_TABLE_LIMIT = 256  # build full q x q scalar tables only for small extensions
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic on coefficient tuples of element indices
+# ---------------------------------------------------------------------------
+
+def _trim(c) -> tuple[int, ...]:
+    n = len(c)
+    while n and not c[n - 1]:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _ext_ops(ctx: FieldCtx):
+    """exp, log, q-1 and the index addition of an extension field."""
+    exp, log, _ = ctx.tables()
+    return exp, log, ctx.q - 1, operator.xor if ctx.p == 2 else ctx.add
+
+
+def _mul(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    if ctx.e == 1:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        p = ctx.p
+        return tuple([v % p for v in out])
+    exp, log, n, add = _ext_ops(ctx)
+    logs_b = [log[y] if y else -1 for y in b]
+    for i, x in enumerate(a):
+        if x:
+            lx = log[x]
+            for k, ly in enumerate(logs_b, i):
+                if ly >= 0:
+                    out[k] = add(out[k], exp[(lx + ly) % n])
+    return tuple(out)
+
+
+def _divmod(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Quotient and remainder of a by a nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    if ctx.e == 1:
+        p = ctx.p
+        inv = pow(b[-1], p - 2, p)
+        lower = b[:-1]
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db] % p * inv % p
+            if c:
+                quot[i] = c
+                c = p - c
+                for k, y in enumerate(lower, i):
+                    rem[k] += c * y
+        return tuple(quot), _trim([v % p for v in rem[:db]])
+    exp, log, n, add = _ext_ops(ctx)
+    shift = n - log[b[-1]]  # log of 1 / lead(b)
+    minus = log[ctx.p - 1]  # log of -1
+    logs_b = [log[y] if y else -1 for y in b[:-1]]
+    for i in range(len(quot) - 1, -1, -1):
+        top = rem[i + db]
+        if top:
+            lc = (log[top] + shift) % n
+            quot[i] = exp[lc]
+            lc += minus
+            for k, ly in enumerate(logs_b, i):
+                if ly >= 0:
+                    rem[k] = add(rem[k], exp[(lc + ly) % n])
+    return tuple(quot), _trim(rem[:db])
+
+
+def _poly(ctx: FieldCtx, c: tuple) -> "Poly":
+    """Poly from a trimmed tuple of element indices, without validation."""
+    f = object.__new__(Poly)
+    f.ctx = ctx
+    f._c = c
+    return f
 
 
 class Poly:
     """A polynomial over a fixed F_q; immutable by convention."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "_c")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
         items = []
         for c in coeffs:
             if isinstance(c, int):
-                c = ctx.from_int(c)
+                items.append(c % ctx.p)  # embedded through the prime subfield
             elif isinstance(c, FieldElement):
                 if c.ctx != ctx:
                     raise ValueError("coefficient from a different field")
+                items.append(ctx.element_index(c))
             else:
                 raise TypeError(f"bad coefficient {c!r}")
-            items.append(c)
-        while items and items[-1].is_zero:
-            items.pop()
         self.ctx = ctx
-        self.coeffs = tuple(items)
+        self._c = _trim(items)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx)
+        return _poly(ctx, ())
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.one(),))
+        return _poly(ctx, (1,))
 
     @classmethod
     def x(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.zero(), ctx.one()))
+        return _poly(ctx, (0, 1))
 
     @classmethod
     def constant(cls, ctx: FieldCtx, value) -> "Poly":
@@ -82,35 +163,39 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(map(self.ctx.element_from_index, self._c))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
+        return bool(self._c) and self._c[-1] == 1
 
     @property
     def leading(self) -> FieldElement:
-        if not self.coeffs:
+        if not self._c:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.ctx.element_from_index(self._c[-1])
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
+            and self._c == other._c
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash(self._c)
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._c)
 
     def __str__(self):
         return format_poly(self)
@@ -135,13 +220,14 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        add = self.ctx.add
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ctx, out)
+            out[i] = add(out[i], c)
+        return _poly(self.ctx, _trim(out))
 
     __radd__ = __add__
 
@@ -149,14 +235,7 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.ctx.zero()
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else zero
-            y = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(x - y)
-        return Poly(self.ctx, out)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -165,22 +244,13 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(self.ctx, tuple(-c for c in self.coeffs))
+        return _poly(self.ctx, tuple(map(self.ctx.neg, self._c)))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly(self.ctx)
-        zero = self.ctx.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ctx, out)
+        return _poly(self.ctx, _mul(self.ctx, self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -194,29 +264,19 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
+        if not other._c:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.degree < other.degree:
-            return Poly(self.ctx), self
-        rem = list(self.coeffs)
-        inv_lead = other.leading.inverse()
-        shift = len(rem) - len(other.coeffs)
-        quot = [self.ctx.zero()] * (shift + 1)
-        for i in range(shift, -1, -1):
-            c = rem[i + other.degree] * inv_lead
-            if not c.is_zero:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return Poly(self.ctx, quot), Poly(self.ctx, rem)
+        quot, rem = _divmod(self.ctx, self._c, other._c)
+        return _poly(self.ctx, quot), _poly(self.ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -229,21 +289,24 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        return self * self.leading.inverse()
+        ctx = self.ctx
+        inv = ctx.inv(self._c[-1])
+        return _poly(ctx, tuple(ctx.mul(c, inv) for c in self._c))
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.ctx,
-            tuple(c * i for i, c in enumerate(self.coeffs) if i > 0),
+        ctx = self.ctx
+        return _poly(
+            ctx, _trim([ctx.mul(c, i % ctx.p) for i, c in enumerate(self._c) if i > 0])
         )
 
     def evaluate(self, point) -> FieldElement:
-        if isinstance(point, int):
-            point = self.ctx.from_int(point)
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        ctx = self.ctx
+        x = Poly(ctx, (point,))._c
+        x = x[0] if x else 0
+        acc = 0
+        for c in reversed(self._c):
+            acc = ctx.add(ctx.mul(acc, x), c)
+        return ctx.element_from_index(acc)
 
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero
@@ -253,9 +316,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     if a.ctx != b.ctx:
         raise ValueError("polynomials over different fields")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    ctx, x, y = a.ctx, a._c, b._c
+    while y:
+        x, y = y, _divmod(ctx, x, y)[1]
+    return _poly(ctx, x).monic()
 
 
 def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
@@ -264,14 +328,18 @@ def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
         raise ValueError("modulus must have degree >= 1")
     if exp < 0:
         raise ValueError("negative exponent")
-    result = Poly.one(base.ctx) % mod
-    base = base % mod
-    while exp > 0:
+    if base.ctx != mod.ctx:
+        raise ValueError("polynomials over different fields")
+    ctx, m = base.ctx, mod._c
+    result = (1,)
+    b = _divmod(ctx, base._c, m)[1]
+    while exp:
         if exp & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
+            result = _divmod(ctx, _mul(ctx, result, b), m)[1]
         exp >>= 1
-    return result
+        if exp:
+            b = _divmod(ctx, _mul(ctx, b, b), m)[1]
+    return _poly(ctx, result)
 
 
 def divisors(n: int) -> list[int]:
@@ -381,21 +449,25 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     return Poly(ctx, [acc.get(i, ctx.zero()) for i in range(top + 1)])
 
 
+def _element_text(ctx: FieldCtx, idx: int) -> str:
+    return str(idx) if ctx.e == 1 else str(ctx.element_from_index(idx))
+
+
 def format_poly(f: Poly) -> str:
     """Canonical descending rendering; parse_poly round-trips it."""
     if f.is_zero:
         return "0"
+    ctx, c = f.ctx, f._c
     if f.degree == 0:
-        ct = str(f.coeffs[0])
+        ct = _element_text(ctx, c[0])
         # a lone bracketed element would read as a coefficient list, so a
         # constant like [0,1] is wrapped into the singleton list form
         return f"[{ct}]" if ct.startswith("[") else ct
     parts = []
     for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
-        if c.is_zero:
+        if not c[i]:
             continue
-        ct = str(c)
+        ct = _element_text(ctx, c[i])
         if i == 0:
             parts.append(ct)
         else:
@@ -414,12 +486,7 @@ def monic_from_index(d: int, ctx: FieldCtx, idx: int) -> Poly:
         raise ValueError("degree must be >= 0")
     if not 0 <= idx < ctx.q ** d:
         raise ValueError(f"index {idx} out of range for degree {d}")
-    coeffs = []
-    for _ in range(d):
-        idx, rem = divmod(idx, ctx.q)
-        coeffs.append(ctx.element_from_index(rem))
-    coeffs.append(ctx.one())
-    return Poly(ctx, coeffs)
+    return _poly(ctx, _index_digits(idx, d, ctx.q) + (1,))
 
 
 def _index_digits(idx: int, d: int, q: int) -> tuple[int, ...]:
@@ -438,139 +505,43 @@ def enumerate_monic(d: int, ctx: FieldCtx) -> Iterator[Poly]:
 
 
 _irr_cache: dict[tuple[FieldCtx, int], list[int]] = {}
-_table_cache: dict[FieldCtx, tuple[list[list[int]], list[list[int]]]] = {}
 _fill_lock = threading.RLock()
 
 
-def _index_tables(ctx: FieldCtx):
-    """Full q x q add/mul tables on element indices (small extensions only)."""
-    with _fill_lock:
-        if ctx in _table_cache:
-            return _table_cache[ctx]
-        p, q = ctx.p, ctx.q
-        tuples = []
-        for idx in range(q):
-            digs = []
-            v = idx
-            for _ in range(ctx.e):
-                v, rem = divmod(v, p)
-                digs.append(rem)
-            while digs and digs[-1] == 0:
-                digs.pop()
-            tuples.append(tuple(digs))
-
-        def encode(tup):
-            v = 0
-            for c in reversed(tup):
-                v = v * p + c
-            return v
-
-        add_t = [
-            [
-                encode(
-                    tuple(
-                        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                        for i in range(max(len(a), len(b)))
-                    )
-                )
-                for b in tuples
-            ]
-            for a in tuples
-        ]
-        mul_t = [
-            [encode(_fp_mod(_fp_mul(a, b, p), ctx.modulus, p)) for b in tuples]
-            for a in tuples
-        ]
-        _table_cache[ctx] = (add_t, mul_t)
-        return add_t, mul_t
-
-
-def _mark_multiples(marks: bytearray, a: int, p_idx: int, d: int, ctx: FieldCtx):
+def _mark_multiples(marks: bytearray, a: int, p_idx: int, d: int, ctx: FieldCtx, steps):
     """Mark every (irreducible of index p_idx, degree a) times (monic of
-    degree d-a) inside the degree-d index space.  Hot loop: kept flat."""
+    degree m = d-a) inside the degree-d index space.
+
+    The cofactors g run through their indices like an odometer.  When digit
+    j of g steps from v to v+1 (mod q), the product gains steps[v] * t^j * P
+    with steps[v] = (v+1) - v in F_q, so a step updates only a+1 coefficients
+    of the product and its index.
+    """
     q = ctx.q
     m = d - a
-    p_co = []
-    v = p_idx
-    for _ in range(a):
-        v, rem = divmod(v, q)
-        p_co.append(rem)
-    p_co.append(1)  # element index of 1 is always 1
-    if ctx.e == 1:
-        p_mod = ctx.p
-        digits = [0] * m
-        for _ in range(q ** m):
-            res = [0] * d
-            for i, pc in enumerate(p_co):
-                if pc:
-                    for j in range(m):
-                        gj = digits[j]
-                        if gj and i + j < d:
-                            res[i + j] += pc * gj
-                    if i + m < d:
-                        res[i + m] += pc
-            idx = 0
-            for k in range(d - 1, -1, -1):
-                idx = idx * q + res[k] % p_mod
-            marks[idx] = 1
-            t = 0
-            while t < m:
-                digits[t] += 1
-                if digits[t] == q:
-                    digits[t] = 0
-                    t += 1
-                else:
-                    break
-    else:
-        if q <= _TABLE_LIMIT:
-            add_t, mul_t = _index_tables(ctx)
-
-            def addf(x, y):
-                return add_t[x][y]
-
-            def mulf(x, y):
-                return mul_t[x][y]
-
-        else:
-            addf, mulf = _slow_scalar_ops(ctx)
-        digits = [0] * m
-        for _ in range(q ** m):
-            res = [0] * d
-            for i, pc in enumerate(p_co):
-                if pc:
-                    for j in range(m):
-                        gj = digits[j]
-                        if gj and i + j < d:
-                            res[i + j] = addf(res[i + j], mulf(pc, gj))
-                    if i + m < d:
-                        res[i + m] = addf(res[i + m], pc)
-            idx = 0
-            for k in range(d - 1, -1, -1):
-                idx = idx * q + res[k]
-            marks[idx] = 1
-            t = 0
-            while t < m:
-                digits[t] += 1
-                if digits[t] == q:
-                    digits[t] = 0
-                    t += 1
-                else:
-                    break
-
-
-def _slow_scalar_ops(ctx: FieldCtx) -> tuple[Callable, Callable]:
-    """Memoized index arithmetic for extensions too large for full tables."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def addf(x, y):
-        return ctx.element_index(ctx.element_from_index(x) + ctx.element_from_index(y))
-
-    @lru_cache(maxsize=None)
-    def mulf(x, y):
-        return ctx.element_index(ctx.element_from_index(x) * ctx.element_from_index(y))
-
-    return addf, mulf
+    add = ctx.add
+    weights = [q ** k for k in range(d)]
+    p_co = _index_digits(p_idx, a, q) + (1,)
+    rows = [[ctx.mul(s, c) for c in p_co] for s in steps]
+    res = [0] * m + list(p_co[:-1])  # P * t^m below its leading 1
+    idx = sum(c * w for c, w in zip(res, weights))
+    marks[idx] = 1
+    digits = [0] * m
+    for _ in range(q ** m - 1):
+        j = 0
+        while True:
+            v = digits[j]
+            for k, c in enumerate(rows[v], j):
+                if c:
+                    old = res[k]
+                    res[k] = new = add(old, c)
+                    idx += (new - old) * weights[k]
+            if v + 1 < q:
+                digits[j] = v + 1
+                break
+            digits[j] = 0
+            j += 1
+        marks[idx] = 1
 
 
 def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
@@ -583,7 +554,7 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     if ctx.q ** d > ENUMERATION_LIMIT:
         raise CapExceeded(
             f"irreducible enumeration needs q^d = {ctx.q ** d} slots, "
-            f"beyond the limit {ENUMERATION_LIMIT}"
+            f"beyond the sieve limit {ENUMERATION_LIMIT}, which no flag raises"
         )
     with _fill_lock:
         got = _irr_cache.get(key)
@@ -593,9 +564,10 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
             result = list(range(ctx.q))
         else:
             marks = bytearray(ctx.q ** d)
+            steps = [ctx.sub((v + 1) % ctx.q, v) for v in range(ctx.q)]
             for a in range(1, d // 2 + 1):
                 for p_idx in _irreducible_indices(a, ctx):
-                    _mark_multiples(marks, a, p_idx, d, ctx)
+                    _mark_multiples(marks, a, p_idx, d, ctx, steps)
             result = [i for i in range(ctx.q ** d) if not marks[i]]
         # reorder from index order (constant digit fastest) to the canonical
         # coefficient-lex order shared with factorization output
@@ -665,7 +637,7 @@ def necklace_check(k: int, ctx: FieldCtx) -> NecklaceCheck:
 
 def poly_sort_key(f: Poly) -> tuple:
     """Canonical order: degree, then coefficient vector (constant first)."""
-    return (f.degree, tuple(f.ctx.element_index(c) for c in f.coeffs))
+    return (f.degree, f._c)
 
 
 @dataclass(frozen=True)
@@ -702,12 +674,12 @@ def _pth_root(f: Poly) -> Poly:
     p = ctx.p
     root_exp = p ** (ctx.e - 1)
     out = []
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(f._c):
         if i % p == 0:
-            out.append(c ** root_exp)
-        elif not c.is_zero:
+            out.append(ctx.power(c, root_exp))
+        elif c:
             raise AssertionError("p-th root of a polynomial that is not in t^p")
-    return Poly(ctx, out)
+    return _poly(ctx, tuple(out))
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:

@@ -217,7 +217,10 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if math.factorial(n) > cap:
-        raise CapExceeded(f"S_{n} has {math.factorial(n)} elements, beyond cap {cap}")
+        raise CapExceeded(
+            f"S_{n} has {math.factorial(n)} elements, beyond cap {cap}; "
+            "raise it with --cap-group"
+        )
     return (Permutation(p) for p in itertools.permutations(range(n)))
 
 
@@ -248,7 +251,7 @@ def enumerate_h_structured(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Ite
     The last slot varies fastest; each slot runs in enumerate_sn order.
     """
     if spec.order_h() > cap:
-        raise CapExceeded(f"|H| = {spec.order_h()} exceeds cap {cap}")
+        raise CapExceeded(f"|H| = {spec.order_h()} exceeds cap {cap}; raise it with --cap-group")
     slot_pools = []
     for d, r in spec.blocks:
         slot_pools.extend([_sn_list(r)] * d)

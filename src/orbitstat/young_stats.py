@@ -91,7 +91,7 @@ def coset_histogram(
     if order > cap:
         from .errors import CapExceeded
 
-        raise CapExceeded(f"|H| = {order} exceeds cap {cap}")
+        raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
     tau = spec.tau()
     if threads <= 1:
         hist: dict[MultiIndex, int] = {}

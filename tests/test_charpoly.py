@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from orbitstat.charpoly import (
     CharPoly,
     NilSeries,
+    _stirling2,
     binom_eval,
     g_series_identity_check,
     sn_expectation_closed,
@@ -182,3 +183,12 @@ def test_stirling_identity_against_factorial_moments():
         total += c * sn_expectation_closed(mu, 8)
     assert total == 2  # E[X^2] for Poisson(1)
     assert math.isclose(float(total), 2.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 200, 1500])
+def test_stirling2_matches_inclusion_exclusion(n):
+    for k in sorted({0, 1, 2, n // 3, n // 2, max(n - 1, 0), n, n + 1}):
+        explicit = sum(
+            (-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)
+        ) // math.factorial(k)
+        assert _stirling2(n, k) == explicit

@@ -176,3 +176,54 @@ def test_threads_flag_accepted(capsys):
 def test_mu_and_stat_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit):
         main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ensemble", "--q", "2", "--d", "2", "--mu", "1:1"),
+        ("young", "--blocks", "1^2", "--histogram"),
+    ],
+    ids=["ensemble", "young"],
+)
+def test_threads_below_one_rejected(capsys, argv, threads):
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert code == 1 and out == ""
+    assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--cap-enum", "4"), ["--cap-enum"]),
+        (
+            ("eval", "--q", "2", "t^3", "--mu", "1:2", "--method", "symbolic",
+             "--cap-terms", "1"),
+            ["--cap-terms", "factored"],
+        ),
+        (
+            ("eval", "--q", "2", "t^4", "--mu", "1:1", "--method", "oracle",
+             "--cap-group", "2"),
+            ["--cap-group"],
+        ),
+        (("young", "--blocks", "1^3", "--histogram", "--cap-group", "2"), ["--cap-group"]),
+        (("factor", "--q", "65521", "t^4+t^2+5"), ["sieve limit", "no flag"]),
+    ],
+    ids=["ensemble", "symbolic", "coset", "histogram", "sieve"],
+)
+def test_cap_errors_name_their_flag(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+
+
+def test_huge_monomial_ends_without_a_traceback(capsys):
+    # X1^1500 expands through Stirling numbers S(1500, j); printing the
+    # statistic may hit Python's integer-to-string limit, which is reported
+    # as a one-line error
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1500")
+    assert "Traceback" not in err
+    assert code == 0 or (code == 1 and err.startswith("error: ") and err.count("\n") == 1)

@@ -245,3 +245,10 @@ def test_m_projection_composes_slots_in_order():
     ]:
         h = (slots,)
         assert m_projection(h, spec, 0) == want
+
+
+def test_enumeration_caps_name_the_flag():
+    with pytest.raises(CapExceeded, match="--cap-group"):
+        list(enumerate_sn(5, cap=100))
+    with pytest.raises(CapExceeded, match="--cap-group"):
+        list(enumerate_h_structured(CosetSpec.parse("1^4"), cap=10))
