@@ -46,6 +46,7 @@ from .frobenius_stats import (
     chi_formula,
     chi_of_f,
     chi_oracle,
+    ensemble_formula,
     ensemble_sum,
     equal_expectation_check,
     parse_predicate,
@@ -63,6 +64,7 @@ from .polynomial import (
     format_poly,
     is_irreducible,
     necklace_check,
+    necklace_count,
     parse_poly,
     poly_gcd,
 )
@@ -121,6 +123,7 @@ __all__ = [
     "count_cycle_type_in_coset",
     "count_irreducibles",
     "cycle_type",
+    "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",
     "enumerate_elements",
@@ -142,6 +145,7 @@ __all__ = [
     "make_field",
     "multi_indices_up_to",
     "necklace_check",
+    "necklace_count",
     "parse_field_spec",
     "parse_poly",
     "parse_predicate",

@@ -5,7 +5,8 @@ Subcommands:
 * factor    factor a polynomial and show its block structure
 * necklace  irreducible counts and the weighted count identity
 * eval      coset statistics of one polynomial (formula, symbolic, oracle)
-* ensemble  accumulate a statistic over all monic polynomials of a degree
+* ensemble  accumulate a statistic over all monic polynomials of a degree,
+            by counting factorization types
 * young     closed-form and enumerated statistics of a block coset
 * verify    run the cross-validation battery
 
@@ -31,7 +32,7 @@ from .frobenius_stats import (
     chi_formula,
     chi_of_f,
     chi_oracle,
-    ensemble_sum,
+    ensemble_formula,
     parse_predicate,
 )
 from .polynomial import factor, format_poly, necklace_check, parse_poly
@@ -71,12 +72,6 @@ def _ctx(args):
     if args.mod:
         spec += f";mod={args.mod}"
     return parse_field_spec(spec)
-
-
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    return args.threads
 
 
 def _stat(args) -> CharPoly:
@@ -181,9 +176,7 @@ def cmd_ensemble(args):
     ctx = _ctx(args)
     P = _stat(args)
     predicate = parse_predicate(args.filter)
-    total, count = ensemble_sum(
-        args.d, ctx, P, predicate, cap=args.cap_enum, threads=_threads(args)
-    )
+    total, count = ensemble_formula(args.d, ctx, P, predicate, cap=args.cap_enum)
     scaled = Fraction(total) / ctx.q ** args.d
     lines = [
         f"field = {format_field_spec(ctx)}",
@@ -215,11 +208,10 @@ def cmd_ensemble(args):
 
 def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
-    threads = _threads(args)
     lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {spec.order_h()}"]
     payload = {"blocks": str(spec), "n": spec.n, "order_h": spec.order_h()}
     if args.histogram:
-        hist = coset_histogram(spec, args.cap_group, threads)
+        hist = coset_histogram(spec, args.cap_group)
         payload["histogram"] = []
         for ct in sorted(hist):
             lines.append(f"{ct}  {hist[ct]}")
@@ -234,7 +226,7 @@ def cmd_young(args):
     if args.method in ("formula", "both"):
         values["formula"] = expected_binom_on_coset(spec, mu)
     if args.method in ("oracle", "both"):
-        values["oracle"] = coset_bruteforce(spec, mu, args.cap_group, threads)[0]
+        values["oracle"] = coset_bruteforce(spec, mu, args.cap_group)[0]
     payload["values"] = {}
     for name, val in values.items():
         lines.append(f"{name} = {_frac_text(val)}")
@@ -333,8 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="all, squarefree, or maxmult=m",
     )
-    p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--cap-enum",
+        type=int,
+        default=DEFAULT_ENUM_CAP,
+        help="largest number of factorization types (block multisets) of degree d",
+    )
     _add_common(p)
 
     p = sub.add_parser("young", help="statistics of a block coset")
@@ -348,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("formula", "oracle", "both"), default="formula"
     )
     p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p, field=False)
 
     p = sub.add_parser("verify", help="run the cross-validation battery")

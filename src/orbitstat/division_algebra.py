@@ -127,8 +127,9 @@ class SymbolSum:
         while n:
             if n & 1:
                 result = result.mul(base, term_cap)
-            base = base.mul(base, term_cap)
             n >>= 1
+            if n:
+                base = base.mul(base, term_cap)
         return result
 
     def __pow__(self, n: int):

@@ -13,12 +13,16 @@ are the averages over that coset.  Three independent routes compute them:
   and evaluates the expansion at f.
 
 Ensemble sums accumulate the closed form over all monic f of a given degree,
-optionally filtered by a predicate on the factorization.
+optionally filtered by a predicate on the factorization.  ensemble_formula
+counts the f of each block spec with the Moebius necklace counts and
+evaluates the closed form once per spec; ensemble_sum factors every f and is
+kept as its oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -32,11 +36,20 @@ from .polynomial import (
     count_irreducibles,
     divisors,
     enumerate_irreducibles,
+    enumerate_monic,
     factor,
-    monic_from_index,
+    necklace_count,
     poly_sort_key,
 )
-from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex, cycle_type, spec_embed
+from .symmetric import (
+    DEFAULT_GROUP_CAP,
+    CosetSpec,
+    MultiIndex,
+    block_multisets,
+    count_block_multisets,
+    cycle_type,
+    spec_embed,
+)
 from .young_stats import expected_binom_on_coset
 
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -85,10 +98,10 @@ def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
     total = SymbolSum.one(ctx)
     pref = _F1
     for k, m in mu.items():
-        s = SymbolSum.zero(ctx)
-        for d in divisors(k):
-            for p in enumerate_irreducibles(d, ctx):
-                s = s + SymbolSum.symbol(p ** (k // d), d)
+        s = SymbolSum(
+            ctx,
+            {p ** (k // d): d for d in divisors(k) for p in enumerate_irreducibles(d, ctx)},
+        )
         total = total.mul(s.pow(m, term_cap), term_cap)
         pref *= Fraction(1, k ** m * math.factorial(m))
     return pref * total.evaluate(f)
@@ -149,22 +162,27 @@ def xk_of_f(f: Poly, k: int) -> Fraction:
 # Ensembles
 # ---------------------------------------------------------------------------
 
-def predicate_squarefree(fac: Factorization) -> bool:
+# Filters read only is_squarefree and max_multiplicity, which a Factorization
+# and a CosetSpec both have, so each works on either.
+
+def predicate_squarefree(fac: Factorization | CosetSpec) -> bool:
     return fac.is_squarefree
 
 
-def predicate_max_multiplicity(m: int) -> Callable[[Factorization], bool]:
+def predicate_max_multiplicity(m: int) -> Callable[[Factorization | CosetSpec], bool]:
     if m < 1:
         raise ValueError("multiplicity bound must be >= 1")
 
-    def pred(fac: Factorization) -> bool:
+    def pred(fac: Factorization | CosetSpec) -> bool:
         return fac.max_multiplicity <= m
 
     return pred
 
 
-def parse_predicate(text: Optional[str]) -> Optional[Callable[[Factorization], bool]]:
-    """Map "all"/None, "squarefree", "maxmult=m" to a factorization filter."""
+def parse_predicate(
+    text: Optional[str],
+) -> Optional[Callable[[Factorization | CosetSpec], bool]]:
+    """Map "all"/None, "squarefree", "maxmult=m" to a filter."""
     if text is None or text == "all":
         return None
     if text == "squarefree":
@@ -174,19 +192,28 @@ def parse_predicate(text: Optional[str]) -> Optional[Callable[[Factorization], b
     raise ValueError(f"unknown predicate {text!r}")
 
 
+def factored_types(
+    d: int, ctx, predicate: Optional[Callable[[Factorization], bool]] = None
+) -> Counter:
+    """Block spec of every monic f of degree d that passes predicate, tallied
+    by factoring each f: the oracle for factorization_types."""
+    tally: Counter = Counter()
+    for f in enumerate_monic(d, ctx):
+        fac = factor(f)
+        if predicate is None or predicate(fac):
+            tally[CosetSpec(tuple((p.degree, r) for p, r in fac.factors))] += 1
+    return tally
+
+
 def ensemble_sum(
     d: int,
     ctx,
     P: CharPoly,
     predicate: Optional[Callable[[Factorization], bool]] = None,
     cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
 ) -> tuple[Fraction, int]:
-    """(sum of chi over surviving monic f of degree d, surviving count).
-
-    The index space is split into contiguous chunks combined in order, so the
-    result is identical for every thread count.
-    """
+    """(sum of chi over surviving monic f of degree d, surviving count), by
+    factoring every f: the oracle for ensemble_formula."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     space = ctx.q ** d
@@ -194,32 +221,83 @@ def ensemble_sum(
         raise CapExceeded(
             f"ensemble over {space} polynomials exceeds cap {cap}; raise it with --cap-enum"
         )
+    tally = factored_types(d, ctx, predicate)
+    total = sum((n_f * _chi_from_spec(spec, P) for spec, n_f in tally.items()), _F0)
+    return total, sum(tally.values())
 
-    def run(lo: int, hi: int) -> tuple[Fraction, int]:
-        subtotal = _F0
-        count = 0
-        for idx in range(lo, hi):
-            f = monic_from_index(d, ctx, idx)
-            fac = factor(f)
-            if predicate is not None and not predicate(fac):
-                continue
-            struct = _structure_from_factorization(f, fac)
-            subtotal += _chi_from_spec(struct.spec, P)
-            count += 1
-        return subtotal, count
 
-    if threads <= 1:
-        return run(0, space)
-    from concurrent.futures import ThreadPoolExecutor
+def factorization_types(
+    d: int, q: int, cap: int = DEFAULT_ENUM_CAP
+) -> dict[CosetSpec, int]:
+    """Number of monic f of degree d over F_q with each block spec, for the
+    specs that some f has.
 
-    bounds = [space * i // threads for i in range(threads + 1)]
+    Such an f picks distinct irreducibles for its blocks of each degree k:
+    N_k (N_k - 1) ... choices for j blocks, divided by the orderings of
+    blocks with equal multiplicity.  cap bounds the number of block
+    multisets walked.
+    """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    n_specs = count_block_multisets(d)
+    if n_specs > cap:
+        raise CapExceeded(
+            f"ensemble over {n_specs} factorization types of degree {d} exceeds "
+            f"cap {cap}; raise it with --cap-enum"
+        )
+    necklaces = {k: necklace_count(k, q) for k in range(1, d + 1)}
+    out = {}
+    for spec in block_multisets(d):
+        count = 1
+        for k, j in Counter(k for k, _ in spec.blocks).items():
+            count *= math.perm(necklaces[k], j)
+        if count:
+            for same in Counter(spec.blocks).values():
+                count //= math.factorial(same)
+            out[spec] = count
+    return out
+
+
+def _blocks_seen_by(spec: CosetSpec, mu: MultiIndex) -> CosetSpec:
+    """The part of spec that binom(X, mu) sees on the coset.
+
+    A block (d, r) enters the k-cycle sums only for k of mu with d | k, and
+    there with eps powers adding up to at most sum of m_k * k/d, so its
+    truncation at r + 1 matters only when r is below that sum.
+    """
+    seen = []
+    for d, r in spec.blocks:
+        reach = sum(m * k // d for k, m in mu.items() if k % d == 0)
+        if reach:
+            seen.append((d, min(r, reach)))
+    return CosetSpec(tuple(seen))
+
+
+def ensemble_formula(
+    d: int,
+    ctx,
+    P: CharPoly,
+    predicate: Optional[Callable[[CosetSpec], bool]] = None,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[Fraction, int]:
+    """ensemble_sum by factorization types, with no polynomial enumerated.
+
+    chi at f depends only on the block spec of f, so each term binom(X, mu)
+    of P is evaluated once per distinct part of a spec that it sees, and
+    weighted by the number of f that share that part.
+    """
+    types = factorization_types(d, ctx.q, cap)
+    if predicate is not None:
+        types = {spec: n_f for spec, n_f in types.items() if predicate(spec)}
     total = _F0
-    count = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for subtotal, subcount in pool.map(lambda b: run(*b), zip(bounds, bounds[1:])):
-            total += subtotal
-            count += subcount
-    return total, count
+    for mu, c in P.terms.items():
+        weights: Counter = Counter()
+        for spec, n_f in types.items():
+            weights[_blocks_seen_by(spec, mu)] += n_f
+        total += c * sum(
+            (n_f * expected_binom_on_coset(spec, mu) for spec, n_f in weights.items()), _F0
+        )
+    return total, sum(types.values())
 
 
 @dataclass(frozen=True)
@@ -244,7 +322,7 @@ def equal_expectation_check(
     """Compare the polynomial-ensemble mean, the S_d mean, and the S_d mean
     rescaled by necklace-count factors (which the count relations force to 1).
     """
-    total, _ = ensemble_sum(d, ctx, CharPoly.binom(mu), cap=cap)
+    total, _ = ensemble_formula(d, ctx, CharPoly.binom(mu), cap=cap)
     ensemble_mean = total / ctx.q ** d
     symmetric_mean = sn_expectation_closed(mu, d)
     product_form = symmetric_mean

@@ -29,6 +29,7 @@ q^d > ENUMERATION_LIMIT.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import threading
@@ -579,6 +580,20 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
 def count_irreducibles(d: int, ctx: FieldCtx) -> int:
     """N_d: the number of monic irreducibles of degree d over F_q."""
     return len(_irreducible_indices(d, ctx))
+
+
+def necklace_count(k: int, q: int) -> int:
+    """N_k by Moebius inversion of sum over e | k of e * N_e = q^k:
+    (1/k) * sum over e | k of mu(e) * q^(k/e).  It needs q only, so it is
+    independent of the sieve and as cheap for q = 65521 as for q = 2."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total = 0
+    for e in divisors(k):
+        primes = prime_factors(e)
+        if math.prod(primes) == e:  # mu(e) = 0 unless e is square-free
+            total += (-1) ** len(primes) * q ** (k // e)
+    return total // k
 
 
 def enumerate_irreducibles(d: int, ctx: FieldCtx) -> Iterator[Poly]:

@@ -181,6 +181,14 @@ class CosetSpec:
         """Number of flattened points: sum of d_i * r_i."""
         return sum(d * r for d, r in self.blocks)
 
+    @property
+    def is_squarefree(self) -> bool:
+        return all(r == 1 for _, r in self.blocks)
+
+    @property
+    def max_multiplicity(self) -> int:
+        return max((r for _, r in self.blocks), default=0)
+
     def order_h(self) -> int:
         out = 1
         for d, r in self.blocks:
@@ -210,6 +218,42 @@ class CosetSpec:
                 for k in range(d):
                     images[base + j * d + k] = base + j * d + (k + 1) % d
         return Permutation(tuple(images))
+
+
+def _blocks_from(remaining: int, lowest: tuple[int, int]) -> Iterator[tuple]:
+    if remaining == 0:
+        yield ()
+        return
+    for d in range(1, remaining + 1):
+        for r in range(1, remaining // d + 1):
+            if (d, r) < lowest:
+                continue
+            for rest in _blocks_from(remaining - d * r, (d, r)):
+                yield ((d, r),) + rest
+
+
+def block_multisets(n: int) -> Iterator[CosetSpec]:
+    """Every multiset of blocks (d, r) with sum of d*r equal to n, in
+    lexicographic order of the sorted block tuples."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return (CosetSpec(blocks) for blocks in _blocks_from(n, (1, 1)))
+
+
+def count_block_multisets(n: int) -> int:
+    """Number of block multisets of total n without listing them: the
+    coefficient of x^n in the product over block shapes (d, r) of
+    1/(1 - x^(d*r)).  There is one shape of size s per divisor d of s."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ways = [1] + [0] * n
+    for size in range(1, n + 1):
+        for d in range(1, size + 1):
+            if size % d:
+                continue
+            for total in range(size, n + 1):
+                ways[total] += ways[total - size]
+    return ways[n]
 
 
 def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:

@@ -9,6 +9,7 @@ available through keyword arguments (the CLI exposes a quick preset).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,13 @@ from .charpoly import (
 )
 from .division_algebra import expectation_epsilon, expectation_epsilon_oracle
 from .finite_field import FieldCtx, make_field, prime_power
-from .frobenius_stats import chi_formula, chi_oracle, sigma_structure, xk_of_f
+from .frobenius_stats import (
+    chi_formula,
+    chi_oracle,
+    factored_types,
+    factorization_types,
+    xk_of_f,
+)
 from .polynomial import (
     Poly,
     count_irreducibles,
@@ -30,10 +37,12 @@ from .polynomial import (
     enumerate_monic,
     factor,
     necklace_check,
+    necklace_count,
 )
 from .symmetric import (
     CosetSpec,
     MultiIndex,
+    block_multisets,
     cycle_type,
     enumerate_h_structured,
     enumerate_sn,
@@ -68,31 +77,35 @@ def _field(q: int) -> FieldCtx:
     return make_field(p, e)
 
 
-def _blocks_from(remaining: int, lowest: tuple[int, int]) -> Iterator[tuple]:
-    if remaining == 0:
-        yield ()
-        return
-    for d in range(1, remaining + 1):
-        for r in range(1, remaining // d + 1):
-            if (d, r) < lowest:
-                continue
-            for rest in _blocks_from(remaining - d * r, (d, r)):
-                yield ((d, r),) + rest
-
-
 def enumerate_coset_specs(nmax: int, h_cap: int = DEFAULT_H_CAP) -> Iterator[CosetSpec]:
     """All block multisets with 1 <= sum(d*r) <= nmax and |H| <= h_cap."""
     for n in range(1, nmax + 1):
-        for blocks in _blocks_from(n, (1, 1)):
-            spec = CosetSpec(blocks)
+        for spec in block_multisets(n):
             if spec.order_h() <= h_cap:
                 yield spec
 
 
 @lru_cache(maxsize=None)
-def _ensemble_specs(ctx: FieldCtx, d: int) -> tuple[CosetSpec, ...]:
-    """Block structure of every monic degree-d polynomial, factored once."""
-    return tuple(sigma_structure(f).spec for f in enumerate_monic(d, ctx))
+def _ensemble_specs(ctx: FieldCtx, d: int) -> Counter:
+    """Block structure of every monic degree-d polynomial, factored once and
+    tallied."""
+    return factored_types(d, ctx)
+
+
+def _checked_tallies(q: int, dmax: int, bad: list) -> dict[int, Counter]:
+    """The factored tally of each degree 1..dmax over F_q; a tally that
+    differs from factorization_types goes to bad."""
+    ctx = _field(q)
+    tallies = {}
+    for d in range(1, dmax + 1):
+        tallies[d] = _ensemble_specs(ctx, d)
+        if tallies[d] != factorization_types(d, q):
+            bad.append((q, d, "factorization type counts"))
+    return tallies
+
+
+def _tally_mean(tally: Counter, mu: MultiIndex, population: int) -> Fraction:
+    return sum(c * expected_binom_on_coset(s, mu) for s, c in tally.items()) / population
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +114,8 @@ def _ensemble_specs(ctx: FieldCtx, d: int) -> tuple[CosetSpec, ...]:
 
 def check_necklace(qs: Sequence[int] = (2, 3, 4, 5), kmax: int = 8) -> CheckResult:
     """Sum of d * (number of irreducibles of degree d) over d | k equals q^k,
-    with the irreducible counts coming from the product sieve."""
+    with the irreducible counts coming from the product sieve, and each sieve
+    count equals the Moebius formula."""
     bad = []
     n = 0
     for q in qs:
@@ -111,6 +125,9 @@ def check_necklace(qs: Sequence[int] = (2, 3, 4, 5), kmax: int = 8) -> CheckResu
             n += 1
             if not res.equal:
                 bad.append((q, k, res.lhs, res.rhs))
+            sieved = count_irreducibles(k, ctx)
+            if sieved != necklace_count(k, q):
+                bad.append((q, k, "N_k", sieved, necklace_count(k, q)))
     if bad:
         return CheckResult("necklace-count", False, f"failed at {bad}")
     return CheckResult(
@@ -121,15 +138,16 @@ def check_necklace(qs: Sequence[int] = (2, 3, 4, 5), kmax: int = 8) -> CheckResu
 def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResult:
     """Mean of binom(X, mu) over monic degree-d polynomials equals the S_d
     mean, and also the S_d mean rescaled by necklace factors (each forced to 1
-    by the count identity, but computed from the sieve, not assumed)."""
+    by the count identity, but computed from the sieve, not assumed).  The
+    ensemble side tallies the block specs of the factored polynomials, and
+    the tally must equal the factorization type counts."""
     bad = []
     n = 0
     for q in qs:
         ctx = _field(q)
-        for d in range(1, dmax + 1):
-            specs = _ensemble_specs(ctx, d)
+        for d, tally in _checked_tallies(q, dmax, bad).items():
             for mu in multi_indices_up_to(d):
-                ens = sum(expected_binom_on_coset(s, mu) for s in specs) / q ** d
+                ens = _tally_mean(tally, mu, q ** d)
                 sym = sn_expectation_closed(mu, d)
                 prod_form = sym
                 for k, m in mu.items():
@@ -372,18 +390,16 @@ def check_known_values(
 
 def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResult:
     """The degree-d ensemble mean of binom(X, mu) is the same rational for
-    every d from |mu| up to dmax."""
+    every d from |mu| up to dmax, from factored tallies that must equal the
+    factorization type counts."""
     bad = []
     n = 0
     for q in qs:
-        ctx = _field(q)
+        tallies = _checked_tallies(q, dmax, bad)
         for mu in multi_indices_up_to(dmax):
             if mu.norm == 0:
                 continue
-            vals = []
-            for d in range(mu.norm, dmax + 1):
-                specs = _ensemble_specs(ctx, d)
-                vals.append(sum(expected_binom_on_coset(s, mu) for s in specs) / q ** d)
+            vals = [_tally_mean(tallies[d], mu, q ** d) for d in range(mu.norm, dmax + 1)]
             n += 1
             if len(set(vals)) != 1:
                 bad.append((q, str(mu), vals))

@@ -21,7 +21,6 @@ from .symmetric import (
     MultiIndex,
     cycle_type,
     enumerate_h_structured,
-    h_structured_at,
     structured_to_permutation,
     conjugacy_class_size,
 )
@@ -83,9 +82,7 @@ def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
     return Fraction(total, k)
 
 
-def coset_histogram(
-    spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP, threads: int = 1
-) -> dict[MultiIndex, int]:
+def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by direct enumeration."""
     order = spec.order_h()
     if order > cap:
@@ -93,39 +90,17 @@ def coset_histogram(
 
         raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
     tau = spec.tau()
-    if threads <= 1:
-        hist: dict[MultiIndex, int] = {}
-        for h in enumerate_h_structured(spec, cap):
-            ct = cycle_type(tau * structured_to_permutation(spec, h))
-            hist[ct] = hist.get(ct, 0) + 1
-        return hist
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [order * i // threads for i in range(threads + 1)]
-
-    def chunk(lo: int, hi: int) -> dict[MultiIndex, int]:
-        local: dict[MultiIndex, int] = {}
-        for idx in range(lo, hi):
-            h = h_structured_at(spec, idx)
-            ct = cycle_type(tau * structured_to_permutation(spec, h))
-            local[ct] = local.get(ct, 0) + 1
-        return local
-
-    hist = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for local in pool.map(lambda b: chunk(*b), zip(bounds, bounds[1:])):
-            for ct, cnt in local.items():
-                hist[ct] = hist.get(ct, 0) + cnt
+    hist: dict[MultiIndex, int] = {}
+    for h in enumerate_h_structured(spec, cap):
+        ct = cycle_type(tau * structured_to_permutation(spec, h))
+        hist[ct] = hist.get(ct, 0) + 1
     return hist
 
 
 def coset_bruteforce(
-    spec: CosetSpec,
-    mu: MultiIndex,
-    cap: int = DEFAULT_GROUP_CAP,
-    threads: int = 1,
+    spec: CosetSpec, mu: MultiIndex, cap: int = DEFAULT_GROUP_CAP
 ) -> tuple[Fraction, dict[MultiIndex, int]]:
     """(mean of binom(X, mu) over tau*H, full cycle-type histogram)."""
-    hist = coset_histogram(spec, cap, threads)
+    hist = coset_histogram(spec, cap)
     total = sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items())
     return Fraction(total, spec.order_h()), hist

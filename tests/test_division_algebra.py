@@ -120,6 +120,14 @@ def test_parse_round_trip():
         SymbolSum.parse("eps(2*t)", F3)  # keys must be monic
 
 
+def test_pow_does_not_square_past_the_last_bit():
+    s = SymbolSum(F2, {T: 1, T1: 2, T * T1: 3})
+    assert s.pow(1, term_cap=4) == s  # s * s would touch 9 > 4 term pairs
+    assert s.pow(0, term_cap=4) == SymbolSum.one(F2)
+    with pytest.raises(CapExceeded):
+        s.pow(2, term_cap=4)
+
+
 def test_term_cap_guards_products():
     many = SymbolSum(
         F2, {f: Fraction(1) for f in enumerate_monic(10, F2)}

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitstat.charpoly import CharPoly
+from orbitstat.charpoly import CharPoly, sn_expectation_closed
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.frobenius_stats import (
     chi_formula,
     chi_of_f,
     chi_oracle,
+    ensemble_formula,
     ensemble_sum,
     equal_expectation_check,
+    factorization_types,
     parse_predicate,
     predicate_max_multiplicity,
     predicate_squarefree,
@@ -21,7 +23,7 @@ from orbitstat.frobenius_stats import (
     xk_of_f,
 )
 from orbitstat.polynomial import enumerate_monic, factor, parse_poly
-from orbitstat.symmetric import MultiIndex, multi_indices_up_to
+from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to
 from orbitstat.young_stats import expected_k_cycles
 
 F2 = make_field(2)
@@ -140,15 +142,98 @@ def test_ensemble_frozen_values():
     assert (total, count) == (2, 2)
 
 
-def test_ensemble_threads_do_not_change_the_answer():
-    base = ensemble_sum(4, F3, CharPoly.binom(mi("2:1")))
-    for threads in (2, 3, 5):
-        assert ensemble_sum(4, F3, CharPoly.binom(mi("2:1")), threads=threads) == base
-
-
 def test_ensemble_cap():
     with pytest.raises(CapExceeded):
         ensemble_sum(25, F2, CharPoly.binom(mi("1:1")), cap=10 ** 6)
+
+
+# -- ensembles by factorization types -----------------------------------------
+
+FIELDS = {
+    2: F2,
+    3: F3,
+    4: F4,
+    5: make_field(5),
+    8: make_field(2, 3),
+    9: make_field(3, 2),
+    65521: make_field(65521),
+    2 ** 16: make_field(2, 16),
+}
+MIXED = CharPoly.parse("X1 + 2*binom(2:1) - 1/3*X1^2*X2 + 5")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_ensemble_formula_matches_the_oracle(q):
+    # the oracle factors all q^d polynomials once per filter; q^d <= 4096
+    # keeps that within seconds
+    ctx = FIELDS[q]
+    for d in range(0, 6):
+        if q ** d > 4096:
+            break
+        for text in ("all", "squarefree", "maxmult=2"):
+            pred = parse_predicate(text)
+            assert ensemble_formula(d, ctx, MIXED, pred) == ensemble_sum(
+                d, ctx, MIXED, pred
+            ), (q, d, text)
+
+
+def test_factorization_types_match_the_factored_ensemble():
+    for d in range(0, 5):
+        tally = {}
+        for f in enumerate_monic(d, F3):
+            spec = sigma_structure(f).spec
+            tally[spec] = tally.get(spec, 0) + 1
+        assert factorization_types(d, 3) == tally
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 65521, 2 ** 16]), st.integers(0, 20), st.integers(1, 4))
+def test_ensemble_formula_counts(q, d, m):
+    ctx = FIELDS[q]
+    nothing = CharPoly()
+    assert ensemble_formula(d, ctx, nothing) == (0, q ** d)
+    _, squarefree = ensemble_formula(d, ctx, nothing, predicate_squarefree)
+    if d >= 2:
+        assert squarefree == q ** d - q ** (d - 1)
+    _, bounded = ensemble_formula(d, ctx, nothing, predicate_max_multiplicity(m))
+    if d > m:
+        assert bounded == q ** d - q ** (d - m)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 65521, 2 ** 16]), st.integers(0, 20), st.integers(1, 21))
+def test_ensemble_formula_mean_is_the_symmetric_mean(q, d, k):
+    mu = MultiIndex.from_dict({k: 1})
+    total, count = ensemble_formula(d, FIELDS[q], CharPoly.binom(mu))
+    assert count == q ** d
+    assert total / q ** d == sn_expectation_closed(mu, d)
+
+
+def test_ensemble_formula_mean_with_repeated_cycles():
+    for mu in ("1:2", "2:2", "1:1,2:1", "1:2,3:1"):
+        mu = mi(mu)
+        for q in (2, 65521):
+            total, _ = ensemble_formula(12, FIELDS[q], CharPoly.binom(mu))
+            assert total / q ** 12 == sn_expectation_closed(mu, 12), (q, mu)
+
+
+def test_ensemble_formula_cap_counts_block_multisets():
+    P = CharPoly.binom(mi("1:1"))
+    assert ensemble_formula(3, F2, P, cap=5) == ensemble_sum(3, F2, P)
+    with pytest.raises(CapExceeded, match="--cap-enum"):
+        ensemble_formula(3, F2, P, cap=4)
+    with pytest.raises(ValueError):
+        ensemble_formula(-1, F2, P)
+
+
+def test_predicates_accept_specs():
+    mm2 = predicate_max_multiplicity(2)
+    for f in enumerate_monic(4, F2):
+        fac = factor(f)
+        spec = sigma_structure(f).spec
+        assert predicate_squarefree(spec) == predicate_squarefree(fac)
+        assert mm2(spec) == mm2(fac)
+    assert predicate_squarefree(CosetSpec.parse("1^1,2^1"))
 
 
 def test_predicates():

@@ -23,6 +23,7 @@ from orbitstat.polynomial import (
     is_irreducible,
     monic_from_index,
     necklace_check,
+    necklace_count,
     parse_poly,
     poly_gcd,
     poly_sort_key,
@@ -200,6 +201,21 @@ def test_irreducible_counts_frozen():
     assert count_irreducibles(2, F4) == 6
     assert count_irreducibles(3, F3) == 8
     assert count_irreducibles(1, F5) == 5
+
+
+@pytest.mark.parametrize("q", [2, 4, 65521, 2 ** 16])
+def test_necklace_count_satisfies_the_count_identity(q):
+    for k in range(1, 13):
+        assert sum(d * necklace_count(d, q) for d in divisors(k)) == q ** k
+
+
+def test_necklace_count_matches_the_sieve():
+    assert [necklace_count(d, 2) for d in range(1, 7)] == [2, 1, 2, 3, 6, 9]
+    for ctx in (F3, F4, F5, F9):
+        for d in range(1, 5):
+            assert necklace_count(d, ctx.q) == count_irreducibles(d, ctx)
+    with pytest.raises(ValueError):
+        necklace_count(0, 2)
 
 
 def test_irreducibles_are_sorted_and_monic():

@@ -16,7 +16,9 @@ from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
     Permutation,
+    block_multisets,
     conjugacy_class_size,
+    count_block_multisets,
     cycle_type,
     enumerate_h_structured,
     enumerate_sn,
@@ -252,3 +254,22 @@ def test_enumeration_caps_name_the_flag():
         list(enumerate_sn(5, cap=100))
     with pytest.raises(CapExceeded, match="--cap-group"):
         list(enumerate_h_structured(CosetSpec.parse("1^4"), cap=10))
+
+
+def test_block_multisets_are_the_specs_of_total_n():
+    assert [str(s) for s in block_multisets(3)] == [
+        "1^1,1^1,1^1", "1^1,1^2", "1^1,2^1", "1^3", "3^1"
+    ]
+    assert list(block_multisets(0)) == [CosetSpec(())]
+    for n in range(0, 13):
+        specs = list(block_multisets(n))
+        assert len(specs) == len(set(specs)) == count_block_multisets(n)
+        assert all(s.n == n for s in specs)
+    assert count_block_multisets(20) == 14750
+
+
+def test_spec_multiplicity_properties():
+    assert CosetSpec.parse("1^1,2^1,3^1").is_squarefree
+    assert not CosetSpec.parse("1^1,2^2").is_squarefree
+    assert CosetSpec.parse("1^1,2^2,1^3").max_multiplicity == 3
+    assert CosetSpec(()).is_squarefree and CosetSpec(()).max_multiplicity == 0

