@@ -2,7 +2,8 @@
 
 Each case's expected stdout is tests/golden/<name>.txt.  The cases cover
 factor, necklace, eval (symbolic and both) and ensemble over
-q in {2, 3, 4, 5, 8, 9, 4096, 65521}, in text and JSON.  Every case runs in
+q in {2, 3, 4, 5, 8, 9, 4096, 65521}, and young histograms and means of
+block cosets, in text and JSON.  Every case runs in
 well under a second.
 
 To add a case, put it in CASES and record its file with
@@ -81,6 +82,11 @@ CASES = {
     ],
     "ensemble_q8": ["ensemble", "--q", "8", "--d", "2", "--mu", "1:2", "--filter", "maxmult=1"],
     "ensemble_q9": ["ensemble", "--q", "9", "--d", "2", "--stat", "X1+X2"],
+    "young_histogram_mixed": ["young", "--blocks", "3^2,1^3,2^2", "--histogram"],
+    "young_histogram_25920": ["young", "--blocks", "1^6,2^3", "--histogram"],
+    "young_histogram_json": ["young", "--blocks", "1^3,2^2", "--histogram", "--format", "json"],
+    "young_class_count": ["young", "--blocks", "1^2,2^2", "--mu", "1:2,2:2"],
+    "young_both": ["young", "--blocks", "2^3,1^2", "--mu", "1:1,2:1", "--method", "both"],
 }
 
 
