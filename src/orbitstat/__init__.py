@@ -2,11 +2,11 @@
 
 The factorization type of a monic polynomial singles out a coset in a
 symmetric group, and averages of cycle-counting statistics over that coset
-admit closed forms in truncated nilpotent rings.  This package computes both
-sides exactly, in rational arithmetic, together with the polynomial-ensemble
-averages and the supporting algebra: finite fields, polynomial factorization,
-irreducible enumeration, symmetric-group combinatorics, and divisibility
-symbols.
+admit closed forms as products over the blocks of the factorization.  This
+package computes both sides exactly, in rational arithmetic, together with
+the polynomial-ensemble averages and the supporting algebra: finite fields,
+polynomial factorization, irreducible enumeration, symmetric-group
+combinatorics, and divisibility symbols.
 
 Everything is deterministic and validated against brute-force enumeration;
 see the verify module and the command line tool of the same name.
@@ -86,6 +86,7 @@ from .young_stats import (
     coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
+    cycle_type_distribution,
     expected_binom_on_coset,
     expected_k_cycles,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "count_cycle_type_in_coset",
     "count_irreducibles",
     "cycle_type",
+    "cycle_type_distribution",
     "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",

@@ -8,10 +8,10 @@ input like X1^2*X2 is converted into the basis via Stirling numbers.
 
 NilSeries is an element of Q[eps_1..eps_n] / (eps_i^orders[i]), optionally
 tensored with polynomial t-variables truncated at a weighted degree cap
-(the monomial prod t_k^{a_k} has weight sum k*a_k).  It is the computation
-ring for all closed-form coset statistics: exponents that reach the truncation
-vanish, and the "set every surviving eps monomial to 1" functional turns a
-series into plain numbers.
+(the monomial prod t_k^{a_k} has weight sum k*a_k).  It is the ring of the
+generating-series identity and of the divisibility-symbol lambda map:
+exponents that reach the truncation vanish, and the "set every surviving eps
+monomial to 1" functional turns a series into plain numbers.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ success, 1 on errors or on any disagreement between routes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -42,6 +43,7 @@ from .young_stats import (
     coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
+    cycle_type_distribution,
     expected_binom_on_coset,
 )
 
@@ -211,14 +213,23 @@ def cmd_young(args):
     lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {spec.order_h()}"]
     payload = {"blocks": str(spec), "n": spec.n, "order_h": spec.order_h()}
     if args.histogram:
-        hist = coset_histogram(spec, args.cap_group)
+        if args.method == "oracle":
+            hist = coset_histogram(spec, args.cap_group)
+        else:
+            hist = cycle_type_distribution(spec)
         payload["histogram"] = []
         for ct in sorted(hist):
             lines.append(f"{ct}  {hist[ct]}")
             payload["histogram"].append(
                 {"cycle_type": str(ct), "count": hist[ct]}
             )
-        return 0, payload, lines
+        code = 0
+        if args.method == "both":
+            agree = hist == coset_histogram(spec, args.cap_group)
+            lines.append(f"agree = {'yes' if agree else 'NO'}")
+            payload["agree"] = agree
+            code = 0 if agree else 1
+        return code, payload, lines
     mu = MultiIndex.parse(args.mu)
     lines.append(f"mu = {mu}")
     payload["mu"] = str(mu)
@@ -338,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mu", help="cycle-count multi-index")
     g.add_argument(
-        "--histogram", action="store_true", help="enumerate the cycle-type histogram"
+        "--histogram",
+        action="store_true",
+        help="cycle-type histogram of the coset (formula: block product, "
+        "oracle: enumeration)",
     )
     p.add_argument(
-        "--method", choices=("formula", "oracle", "both"), default="formula"
+        "--method",
+        choices=("formula", "oracle", "both"),
+        default="formula",
+        help="both compares formula against oracle and fails on disagreement",
     )
     p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
     _add_common(p, field=False)
@@ -368,8 +385,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args returns a fresh Namespace and
+    leaves the parser unchanged, so one parser serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         code, payload, lines = _HANDLERS[args.command](args)

@@ -5,9 +5,9 @@ A monic f over F_q with factorization prod p_i^{r_i} determines blocks
 are the averages over that coset.  Three independent routes compute them:
 
 * chi_oracle enumerates the coset and averages directly;
-* chi_formula "factored" evaluates the closed form in the truncated
-  nilpotent ring built from the factorization (the fast path, which never
-  needs irreducibles beyond the factors of f);
+* chi_formula "factored" evaluates the closed form, a product over the
+  blocks of the factorization (the fast path, which never needs
+  irreducibles beyond the factors of f);
 * chi_formula "symbolic" expands the product of divisibility-symbol sums
   over all irreducibles of degree dividing k, jointly across every k of mu,
   and evaluates the expansion at f.
@@ -33,7 +33,6 @@ from .errors import CapExceeded
 from .polynomial import (
     Factorization,
     Poly,
-    count_irreducibles,
     divisors,
     enumerate_irreducibles,
     enumerate_monic,
@@ -115,7 +114,7 @@ def chi_formula(
 ) -> Fraction:
     """Closed-form value of binom(X, mu) at f.
 
-    method "factored" works in the truncated nilpotent ring defined by the
+    method "factored" multiplies one closed-form factor per block of the
     factorization of f; method "symbolic" expands divisibility symbols over
     every irreducible of degree dividing each k (an independent route kept
     for cross-validation, much more expensive).
@@ -261,9 +260,10 @@ def factorization_types(
 def _blocks_seen_by(spec: CosetSpec, mu: MultiIndex) -> CosetSpec:
     """The part of spec that binom(X, mu) sees on the coset.
 
-    A block (d, r) enters the k-cycle sums only for k of mu with d | k, and
-    there with eps powers adding up to at most sum of m_k * k/d, so its
-    truncation at r + 1 matters only when r is below that sum.
+    A block (d, r) enters the k-cycle counts only for k of mu with d | k.
+    Its factor holds S_r means of binom(X, {k/d: a_k}) with a <= mu, which
+    depend on r only through whether r reaches sum of a_k * k/d, and that
+    sum is at most the reach sum of m_k * k/d, so r can be cut to it.
     """
     seen = []
     for d, r in spec.blocks:
@@ -328,7 +328,7 @@ def equal_expectation_check(
     product_form = symmetric_mean
     for k, m in mu.items():
         necklace = Fraction(
-            sum(dd * count_irreducibles(dd, ctx) for dd in divisors(k)),
+            sum(dd * necklace_count(dd, ctx.q) for dd in divisors(k)),
             ctx.q ** k,
         )
         product_form *= necklace ** m

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -506,7 +505,6 @@ def enumerate_monic(d: int, ctx: FieldCtx) -> Iterator[Poly]:
 
 
 _irr_cache: dict[tuple[FieldCtx, int], list[int]] = {}
-_fill_lock = threading.RLock()
 
 
 def _mark_multiples(marks: bytearray, a: int, p_idx: int, d: int, ctx: FieldCtx, steps):
@@ -557,24 +555,20 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
             f"irreducible enumeration needs q^d = {ctx.q ** d} slots, "
             f"beyond the sieve limit {ENUMERATION_LIMIT}, which no flag raises"
         )
-    with _fill_lock:
-        got = _irr_cache.get(key)
-        if got is not None:
-            return got
-        if d == 1:
-            result = list(range(ctx.q))
-        else:
-            marks = bytearray(ctx.q ** d)
-            steps = [ctx.sub((v + 1) % ctx.q, v) for v in range(ctx.q)]
-            for a in range(1, d // 2 + 1):
-                for p_idx in _irreducible_indices(a, ctx):
-                    _mark_multiples(marks, a, p_idx, d, ctx, steps)
-            result = [i for i in range(ctx.q ** d) if not marks[i]]
-        # reorder from index order (constant digit fastest) to the canonical
-        # coefficient-lex order shared with factorization output
-        result.sort(key=lambda i: _index_digits(i, d, ctx.q))
-        _irr_cache[key] = result
-        return result
+    if d == 1:
+        result = list(range(ctx.q))
+    else:
+        marks = bytearray(ctx.q ** d)
+        steps = [ctx.sub((v + 1) % ctx.q, v) for v in range(ctx.q)]
+        for a in range(1, d // 2 + 1):
+            for p_idx in _irreducible_indices(a, ctx):
+                _mark_multiples(marks, a, p_idx, d, ctx, steps)
+        result = [i for i in range(ctx.q ** d) if not marks[i]]
+    # reorder from index order (constant digit fastest) to the canonical
+    # coefficient-lex order shared with factorization output
+    result.sort(key=lambda i: _index_digits(i, d, ctx.q))
+    _irr_cache[key] = result
+    return result
 
 
 def count_irreducibles(d: int, ctx: FieldCtx) -> int:

@@ -54,6 +54,7 @@ from .symmetric import (
 from .young_stats import (
     coset_histogram,
     count_cycle_type_in_coset,
+    cycle_type_distribution,
     expected_binom_on_coset,
 )
 
@@ -194,9 +195,10 @@ def check_chi_routes(
 
 
 def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckResult:
-    """For every block spec: the closed-form coset mean of binom(X, mu)
-    matches the enumerated histogram, and for |mu| = n the closed-form class
-    counts are non-negative integers matching the histogram and summing to |H|.
+    """For every block spec: the closed-form histogram equals the enumerated
+    one, the closed-form coset mean of binom(X, mu) matches the enumerated
+    histogram, and for |mu| = n the closed-form class counts are non-negative
+    integers matching the histogram and summing to |H|.
     """
     bad = []
     nspecs = 0
@@ -205,6 +207,8 @@ def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckRe
         hist = coset_histogram(spec)
         order = spec.order_h()
         nspecs += 1
+        if cycle_type_distribution(spec) != hist:
+            bad.append(("histogram", str(spec)))
         for mu in multi_indices_up_to(spec.n):
             closed = expected_binom_on_coset(spec, mu)
             brute = Fraction(

@@ -1,71 +1,117 @@
 """Cycle statistics on block-cycling cosets tau*H, closed form and oracle.
 
-The closed forms live in the truncated ring Q[eps_1..eps_n]/(eps_i^(r_i+1)),
-one nilpotent variable per block (d_i, r_i): the k-cycle content of the coset
-is encoded by sum over blocks with d_i | k of d_i * eps_i^(k/d_i), and
-flattening every surviving eps monomial to 1 turns products of those sums
-into exact coset averages.  Truncation is what makes statistics that ask for
-more cycles than the coset can carry vanish automatically.  The brute-force
-companion enumerates tau*h directly.
+Every closed form here is a product over blocks.  On block (d, r), an element
+h of H is a tuple of d permutations sigma_1, ..., sigma_d in S_r, and each
+l-cycle of the product sigma_d ... sigma_1 becomes a (d*l)-cycle of tau*h.
+Every element of S_r is that product for exactly (r!)^(d-1) tuples, so the
+block's cycles are those of one uniform element of S_r, stretched by d, and
+blocks are independent.
+
+* The histogram of cycle types is the convolution over blocks of the S_r
+  class sizes, stretched and weighted by (r!)^(d-1).
+* The mean of binom(X, mu) splits over the blocks by Vandermonde's identity:
+  it is the z^mu coefficient of the product of block factors
+  B_{d,r}(z) = sum over a <= mu, supported on multiples of d, of
+  E_{S_r} binom(X, {k/d: a_k}) z^a, computed with one exponent per part of
+  mu, truncated at mu_k.
+
+coset_histogram enumerates tau*h directly and is kept as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .charpoly import NilSeries, binom_eval
+from .charpoly import binom_eval, sn_expectation_closed
+from .errors import CapExceeded
 from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
+    conjugacy_class_size,
     cycle_type,
     enumerate_h_structured,
+    partitions,
     structured_to_permutation,
-    conjugacy_class_size,
 )
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
-def _cycle_sum(spec: CosetSpec, k: int, orders: tuple[int, ...]) -> NilSeries:
-    """sum over blocks with d_i | k of d_i * eps_i^(k/d_i)."""
-    out = NilSeries.constant(orders, 0)
-    for i, (d, r) in enumerate(spec.blocks):
-        if k % d == 0:
-            out = out + NilSeries.eps(orders, i, k // d) * d
+def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
+    """Cycle-type counts of tau*h over all h in H, by the block product."""
+    n = spec.n
+    dist = {(0,) * n: 1}  # cycle type as counts of 1..n-cycles
+    for (d, r), count in Counter(spec.blocks).items():
+        weight = math.factorial(r) ** (d - 1)
+        block = []
+        for lam in partitions(r):
+            counts = [0] * n
+            for ell, m in lam.items():
+                counts[d * ell - 1] = m
+            block.append((counts, weight * conjugacy_class_size(lam, r)))
+        for _ in range(count):
+            nxt: dict[tuple[int, ...], int] = {}
+            for ct, c in dist.items():
+                for counts, w in block:
+                    key = tuple(map(int.__add__, ct, counts))
+                    nxt[key] = nxt.get(key, 0) + c * w
+            dist = nxt
+    return {
+        MultiIndex(tuple((k, m) for k, m in enumerate(ct, 1) if m)): c
+        for ct, c in dist.items()
+    }
+
+
+def _block_factor(d: int, r: int, mu: MultiIndex) -> dict[tuple[int, ...], Fraction]:
+    """B_{d,r}(z) truncated at z^mu: the S_r mean of binom(X, {k/d: a_k})
+    at each exponent tuple a <= mu with a_k = 0 unless d | k."""
+    ranges = [range(m + 1) if k % d == 0 else (0,) for k, m in mu.items()]
+    out = {}
+    for a in itertools.product(*ranges):
+        c = sn_expectation_closed(
+            MultiIndex(tuple((k // d, e) for (k, _), e in zip(mu.items(), a) if e)), r
+        )
+        if c:
+            out[a] = c
     return out
 
 
-def _phi_product(spec: CosetSpec, mu: MultiIndex) -> Fraction:
-    """Flattened value of prod_k (cycle sum for k)^(mu_k)."""
-    orders = tuple(r + 1 for _, r in spec.blocks)
-    acc = NilSeries.constant(orders, 1)
-    for k, m in mu.items():
-        acc = acc * _cycle_sum(spec, k, orders) ** m
-        if not acc.terms:
-            return _F0
-    return sum(acc.terms.values(), _F0)
+def _mul_truncated(f: dict, g: dict, top: tuple[int, ...]) -> dict:
+    """Product of two exponent-tuple dicts, dropping exponents beyond top."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            e = tuple(map(int.__add__, a, b))
+            if all(map(int.__le__, e, top)):
+                out[e] = out.get(e, _F0) + x * y
+    return out
 
 
 def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:
-    """Exact mean of binom(X, mu) over the coset tau*H."""
-    pref = _F1
-    for k, m in mu.items():
-        pref *= Fraction(1, k ** m * math.factorial(m))
-    return pref * _phi_product(spec, mu)
+    """Exact mean of binom(X, mu) over the coset tau*H: the z^mu coefficient
+    of the product of the block factors, one factor per block."""
+    top = tuple(m for _, m in mu.items())
+    acc = {(0,) * len(top): Fraction(1)}
+    for (d, r), count in Counter(spec.blocks).items():
+        factor = _block_factor(d, r, mu)
+        if len(factor) == 1:  # d divides no part of mu
+            continue
+        for _ in range(count):
+            acc = _mul_truncated(acc, factor, top)
+    return acc.get(top, _F0)
 
 
 def count_cycle_type_in_coset(spec: CosetSpec, mu: MultiIndex) -> int:
-    """Number of elements of tau*H with cycle type mu (norm(mu) = N)."""
+    """Number of elements of tau*H with cycle type mu (norm(mu) = N): |H|
+    times the mean of binom(X, mu), the indicator of that cycle type."""
     n = spec.n
     if mu.norm != n:
         raise ValueError(f"cycle type of norm {mu.norm} on {n} points")
-    value = (
-        Fraction(spec.order_h() * conjugacy_class_size(mu, n), math.factorial(n))
-        * _phi_product(spec, mu)
-    )
+    value = spec.order_h() * expected_binom_on_coset(spec, mu)
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(
             f"cycle-type count for {spec} at {mu} is not a natural number: {value}"
@@ -86,8 +132,6 @@ def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[Multi
     """Cycle-type counts of tau*h over all h in H, by direct enumeration."""
     order = spec.order_h()
     if order > cap:
-        from .errors import CapExceeded
-
         raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
     tau = spec.tau()
     hist: dict[MultiIndex, int] = {}

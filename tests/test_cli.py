@@ -151,6 +151,53 @@ def test_extension_field_round_trip(capsys):
     assert "multiplicity=2" in out
 
 
+def test_formula_histogram_ignores_the_group_cap(capsys):
+    code, formula, err = run(capsys, "young", "--blocks", "1^3", "--histogram",
+                             "--cap-group", "2")
+    assert code == 0 and err == ""
+    _, oracle, _ = run(capsys, "young", "--blocks", "1^3", "--histogram",
+                       "--method", "oracle")
+    assert formula == oracle
+    assert formula.endswith("1:1,2:1  3\n1:3  1\n3:1  2\n")
+
+
+def test_histogram_both_prints_the_formula_and_agreement(capsys):
+    code, out, _ = run(capsys, "young", "--blocks", "1^2,2^2", "--histogram",
+                       "--method", "both")
+    _, formula, _ = run(capsys, "young", "--blocks", "1^2,2^2", "--histogram")
+    assert code == 0
+    assert out == formula + "agree = yes\n"
+    code, out, _ = run(capsys, "young", "--blocks", "1^2,2^2", "--histogram",
+                       "--method", "both", "--format", "json")
+    assert code == 0 and json.loads(out)["agree"] is True
+
+
+def test_histogram_both_fails_on_disagreement(capsys, monkeypatch):
+    import orbitstat.cli as cli
+
+    monkeypatch.setattr(cli, "cycle_type_distribution", lambda spec: {})
+    code, out, _ = run(capsys, "young", "--blocks", "1^2", "--histogram",
+                       "--method", "both")
+    assert code == 1
+    assert out.endswith("agree = NO\n")
+
+
+def test_one_parser_serves_every_call(capsys):
+    calls = [
+        ("young", "--blocks", "1^2,2^1", "--histogram"),
+        ("ensemble", "--q", "3", "--d", "3", "--mu", "1:1,2:1", "--format", "json"),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    with pytest.raises(SystemExit):
+        main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])
+    failed = capsys.readouterr()
+    assert failed.out == "" and "not allowed with argument" in failed.err
+    assert [run(capsys, *argv) for argv in calls] == first
+    with pytest.raises(SystemExit):
+        main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])
+    assert capsys.readouterr() == failed
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ("ensemble", "--q", "3", "--d", "3", "--mu", "1:1,2:1", "--format", "json")
     _, first, _ = run(capsys, *args)
@@ -198,7 +245,11 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
              "--cap-group", "2"),
             ["--cap-group"],
         ),
-        (("young", "--blocks", "1^3", "--histogram", "--cap-group", "2"), ["--cap-group"]),
+        (
+            ("young", "--blocks", "1^3", "--histogram", "--method", "oracle",
+             "--cap-group", "2"),
+            ["--cap-group"],
+        ),
         (("factor", "--q", "65521", "t^4+t^2+5"), ["sieve limit", "no flag"]),
     ],
     ids=["ensemble", "symbolic", "coset", "histogram", "sieve"],

@@ -270,6 +270,14 @@ def test_equal_expectation_report():
     assert rep2.ensemble_mean == Fraction(1, 2)
 
 
+def test_equal_expectation_product_form_needs_no_sieve():
+    # the sieve would need 65521^2 slots for N_2; the product form takes the
+    # Moebius necklace counts instead
+    rep = equal_expectation_check(3, make_field(65521), mi("2:1"))
+    assert rep.equal
+    assert rep.necklace_product_form == Fraction(1, 2)
+
+
 def test_scaled_ensemble_is_constant_in_degree():
     mu = mi("1:2")
     vals = set()

@@ -1,15 +1,21 @@
 """Closed-form coset statistics against direct enumeration."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from orbitstat.charpoly import binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
 from orbitstat.symmetric import CosetSpec, MultiIndex, partitions, multi_indices_up_to
+from orbitstat.verify import enumerate_coset_specs
 from orbitstat.young_stats import (
     coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
+    cycle_type_distribution,
     expected_binom_on_coset,
     expected_k_cycles,
 )
@@ -112,3 +118,74 @@ def test_histogram_cap_and_threads():
     h1 = coset_histogram(s)
     h3 = coset_histogram(s)
     assert h1 == h3
+
+
+# -- closed forms as products over blocks -----------------------------------
+
+def test_distribution_equals_enumeration_on_every_small_spec():
+    specs = list(enumerate_coset_specs(8))
+    assert len(specs) == 216
+    for s in specs:
+        assert cycle_type_distribution(s) == coset_histogram(s), str(s)
+
+
+def test_distribution_of_a_large_coset():
+    s = spec("5^6,3^4,2^5,1^7")
+    start = time.perf_counter()
+    dist = cycle_type_distribution(s)
+    assert time.perf_counter() - start < 1
+    assert sum(dist.values()) == s.order_h()
+    assert all(ct.norm == s.n for ct in dist)
+    assert all(cnt > 0 for cnt in dist.values())
+
+
+@st.composite
+def specs(draw, nmax=30):
+    """Block multisets with n <= nmax, blocks up to (6, 6)."""
+    blocks = []
+    room = nmax
+    for _ in range(draw(st.integers(1, 8))):
+        if room == 0:
+            break
+        d = draw(st.integers(1, min(6, room)))
+        r = draw(st.integers(1, min(6, room // d)))
+        blocks.append((d, r))
+        room -= d * r
+    return CosetSpec(tuple(blocks))
+
+
+def multi_indices(kmax):
+    return st.dictionaries(
+        st.integers(1, kmax), st.integers(1, 3), min_size=1, max_size=3
+    ).map(MultiIndex.from_dict)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs(), st.data())
+def test_distribution_sums_to_h_and_gives_the_means(s, data):
+    dist = cycle_type_distribution(s)
+    assert sum(dist.values()) == s.order_h()
+    for mu in data.draw(st.lists(multi_indices(s.n), min_size=1, max_size=4)):
+        total = sum(cnt * binom_eval(mu, ct) for ct, cnt in dist.items())
+        assert expected_binom_on_coset(s, mu) == Fraction(total, s.order_h()), str(mu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 8))
+def test_distinct_linear_blocks_count_selections(n, m):
+    s = CosetSpec(((1, 1),) * n)
+    assert expected_binom_on_coset(s, MultiIndex.from_dict({1: m})) == math.comb(n, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_one_linear_block_is_the_symmetric_group(r, data):
+    mu = data.draw(multi_indices(r + 2))
+    assert expected_binom_on_coset(spec(f"1^{r}"), mu) == sn_expectation_closed(mu, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs(), st.data())
+def test_mean_of_k_cycles(s, data):
+    k = data.draw(st.integers(1, s.n + 1))
+    assert expected_binom_on_coset(s, MultiIndex.from_dict({k: 1})) == expected_k_cycles(s, k)
