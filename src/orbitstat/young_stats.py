@@ -40,30 +40,42 @@ from .symmetric import (
 
 _F0 = Fraction(0)
 
+# The histogram has no group cap to bound it, so its work is bounded here: no
+# convolution step may pair more cycle types than this.
+HISTOGRAM_LIMIT = 10 ** 5
+
+
+def _check_pairs(spec: CosetSpec, have: int, block: int) -> None:
+    if have * block > HISTOGRAM_LIMIT:
+        raise CapExceeded(
+            f"the histogram of {spec} pairs {have} x {block} cycle types in one "
+            f"step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
+        )
+
 
 def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by the block product."""
-    n = spec.n
-    dist = {(0,) * n: 1}  # cycle type as counts of 1..n-cycles
+    dist: dict[tuple, int] = {(): 1}  # cycle type as sorted (k, m_k) pairs
     for (d, r), count in Counter(spec.blocks).items():
+        lams = list(itertools.islice(partitions(r), HISTOGRAM_LIMIT + 1))
+        _check_pairs(spec, len(dist), len(lams))
         weight = math.factorial(r) ** (d - 1)
-        block = []
-        for lam in partitions(r):
-            counts = [0] * n
-            for ell, m in lam.items():
-                counts[d * ell - 1] = m
-            block.append((counts, weight * conjugacy_class_size(lam, r)))
+        block = [
+            ([(d * ell, m) for ell, m in lam.items()], weight * conjugacy_class_size(lam, r))
+            for lam in lams
+        ]
         for _ in range(count):
-            nxt: dict[tuple[int, ...], int] = {}
+            _check_pairs(spec, len(dist), len(block))
+            nxt: dict[tuple, int] = {}
             for ct, c in dist.items():
-                for counts, w in block:
-                    key = tuple(map(int.__add__, ct, counts))
+                for stretched, w in block:
+                    merged = dict(ct)
+                    for k, m in stretched:
+                        merged[k] = merged.get(k, 0) + m
+                    key = tuple(sorted(merged.items()))
                     nxt[key] = nxt.get(key, 0) + c * w
             dist = nxt
-    return {
-        MultiIndex(tuple((k, m) for k, m in enumerate(ct, 1) if m)): c
-        for ct, c in dist.items()
-    }
+    return {MultiIndex(ct): c for ct, c in dist.items()}
 
 
 def _block_factor(d: int, r: int, mu: MultiIndex) -> dict[tuple[int, ...], Fraction]:

@@ -251,8 +251,9 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
             ["--cap-group"],
         ),
         (("factor", "--q", "65521", "t^4+t^2+5"), ["sieve limit", "no flag"]),
+        (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
     ],
-    ids=["ensemble", "symbolic", "coset", "histogram", "sieve"],
+    ids=["ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit"],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):
     code, out, err = run(capsys, *argv)
