@@ -58,7 +58,7 @@ def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     dist: dict[tuple, int] = {(): 1}  # cycle type as sorted (k, m_k) pairs
     for (d, r), count in Counter(spec.blocks).items():
         lams = list(itertools.islice(partitions(r), HISTOGRAM_LIMIT + 1))
-        _check_pairs(spec, len(dist), len(lams))
+        _check_pairs(spec, len(dist), len(lams))  # before any class size
         weight = math.factorial(r) ** (d - 1)
         block = [
             ([(d * ell, m) for ell, m in lam.items()], weight * conjugacy_class_size(lam, r))
@@ -110,7 +110,7 @@ def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:
     acc = {(0,) * len(top): Fraction(1)}
     for (d, r), count in Counter(spec.blocks).items():
         factor = _block_factor(d, r, mu)
-        if len(factor) == 1:  # d divides no part of mu
+        if len(factor) == 1:  # only the constant 1: no cycle of the block counts
             continue
         for _ in range(count):
             acc = _mul_truncated(acc, factor, top)
