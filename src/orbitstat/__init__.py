@@ -16,7 +16,6 @@ from .charpoly import (
     CharPoly,
     NilSeries,
     binom_eval,
-    charpoly_eval,
     g_series_identity_check,
     sn_expectation_closed,
     sn_expectation_oracle,
@@ -79,7 +78,6 @@ from .symmetric import (
     m_projection,
     multi_indices_up_to,
     partitions,
-    spec_embed,
 )
 from .verify import CHECK_NAMES, CheckResult, enumerate_coset_specs, run_all
 from .young_stats import (
@@ -114,7 +112,6 @@ __all__ = [
     "SigmaStructure",
     "SymbolSum",
     "binom_eval",
-    "charpoly_eval",
     "chi_formula",
     "chi_of_f",
     "chi_oracle",
@@ -159,6 +156,5 @@ __all__ = [
     "sigma_structure",
     "sn_expectation_closed",
     "sn_expectation_oracle",
-    "spec_embed",
     "xk_of_f",
 ]

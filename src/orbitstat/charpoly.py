@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+from .polynomial import signed_terms
 from .symmetric import DEFAULT_GROUP_CAP, MultiIndex, enumerate_sn, multi_indices_up_to
 
 _F0 = Fraction(0)
@@ -174,9 +175,7 @@ class CharPoly:
         if not s:
             raise ValueError("empty expression")
         out = cls.zero()
-        for sign, chunk in _split_expr(s):
-            if not chunk:
-                raise ValueError(f"dangling sign in {text!r}")
+        for sign, chunk in signed_terms(s):
             out = out + sign * cls._parse_term(chunk)
         return out
 
@@ -203,33 +202,6 @@ class CharPoly:
             a = int(m.group(2)) if m.group(2) else 1
             powers[k] = powers.get(k, 0) + a
         return cls.from_monomial(powers, coeff)
-
-
-def _split_expr(s: str) -> list[tuple[int, str]]:
-    out = []
-    sign = 1
-    depth = 0
-    cur: list[str] = []
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if i == 0:
-                sign = 1 if ch == "+" else -1
-            else:
-                out.append((sign, "".join(cur)))
-                cur = []
-                sign = 1 if ch == "+" else -1
-        else:
-            cur.append(ch)
-    out.append((sign, "".join(cur)))
-    return out
-
-
-def charpoly_eval(P: CharPoly, ct: MultiIndex) -> Fraction:
-    return P.evaluate(ct)
 
 
 def sn_expectation_closed(mu: MultiIndex, r: int) -> Fraction:

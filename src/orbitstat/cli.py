@@ -82,6 +82,21 @@ def _stat(args) -> CharPoly:
     return CharPoly.parse(args.stat)
 
 
+def _add_values(lines, payload, values: dict[str, Fraction]) -> None:
+    payload["values"] = {}
+    for name, val in values.items():
+        lines.append(f"{name} = {_frac_text(val)}")
+        payload["values"][name] = _frac_json(val)
+
+
+def _agree(lines, payload, same: bool) -> int:
+    """Record whether the formula and the oracle agree (--method both); the
+    exit code is 1 when they do not."""
+    lines.append(f"agree = {'yes' if same else 'NO'}")
+    payload["agree"] = same
+    return 0 if same else 1
+
+
 # ---------------------------------------------------------------------------
 # Handlers: each returns (exit_code, json_payload, text_lines)
 # ---------------------------------------------------------------------------
@@ -160,17 +175,11 @@ def cmd_eval(args):
         "field": format_field_spec(ctx),
         "f": format_poly(f),
         "stat": str(P),
-        "values": {},
     }
-    for name, val in values.items():
-        lines.append(f"{name} = {_frac_text(val)}")
-        payload["values"][name] = _frac_json(val)
+    _add_values(lines, payload, values)
     code = 0
     if args.method == "both":
-        agree = values["formula"] == values["oracle"]
-        lines.append(f"agree = {'yes' if agree else 'NO'}")
-        payload["agree"] = agree
-        code = 0 if agree else 1
+        code = _agree(lines, payload, values["formula"] == values["oracle"])
     return code, payload, lines
 
 
@@ -225,10 +234,7 @@ def cmd_young(args):
             )
         code = 0
         if args.method == "both":
-            agree = hist == coset_histogram(spec, args.cap_group)
-            lines.append(f"agree = {'yes' if agree else 'NO'}")
-            payload["agree"] = agree
-            code = 0 if agree else 1
+            code = _agree(lines, payload, hist == coset_histogram(spec, args.cap_group))
         return code, payload, lines
     mu = MultiIndex.parse(args.mu)
     lines.append(f"mu = {mu}")
@@ -238,16 +244,10 @@ def cmd_young(args):
         values["formula"] = expected_binom_on_coset(spec, mu)
     if args.method in ("oracle", "both"):
         values["oracle"] = coset_bruteforce(spec, mu, args.cap_group)[0]
-    payload["values"] = {}
-    for name, val in values.items():
-        lines.append(f"{name} = {_frac_text(val)}")
-        payload["values"][name] = _frac_json(val)
+    _add_values(lines, payload, values)
     code = 0
     if args.method == "both":
-        agree = values["formula"] == values["oracle"]
-        lines.append(f"agree = {'yes' if agree else 'NO'}")
-        payload["agree"] = agree
-        code = 0 if agree else 1
+        code = _agree(lines, payload, values["formula"] == values["oracle"])
     if mu.norm == spec.n:
         cnt = count_cycle_type_in_coset(spec, mu)
         lines.append(f"class_count = {cnt}")

@@ -21,7 +21,7 @@ from typing import Union
 
 from .charpoly import NilSeries
 from .errors import CapExceeded
-from .polynomial import Poly, enumerate_monic, poly_sort_key
+from .polynomial import Poly, enumerate_monic, parse_poly, poly_sort_key, signed_terms
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -179,53 +179,27 @@ class SymbolSum:
 
     @classmethod
     def parse(cls, text: str, ctx) -> "SymbolSum":
-        """Parse sums like "3*eps(t^2+t) + 1/2*eps(t)"."""
-        from .polynomial import parse_poly
-
+        """Parse sums like "3*eps(t^2+t) + 1/2*eps(t)"; a bare rational is
+        that multiple of the identity eps(1), so str(zero) = "0" parses back."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty symbol sum")
         out = cls.zero(ctx)
-        sign = 1
-        depth = 0
-        chunks: list[str] = []
-        cur: list[str] = []
-        signs: list[int] = []
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch in "+-" and depth == 0:
-                if i == 0:
-                    sign = 1 if ch == "+" else -1
-                else:
-                    chunks.append("".join(cur))
-                    signs.append(sign)
-                    cur = []
-                    sign = 1 if ch == "+" else -1
-            else:
-                cur.append(ch)
-        chunks.append("".join(cur))
-        signs.append(sign)
-        for sign, chunk in zip(signs, chunks):
-            if not chunk:
-                raise ValueError(f"dangling sign in {text!r}")
+        for sign, chunk in signed_terms(s):
             coeff = Fraction(sign)
             body = chunk
             star = chunk.find("*eps(")
             if star >= 0:
                 coeff *= Fraction(chunk[:star])
                 body = chunk[star + 1 :]
+            elif not chunk.startswith("eps("):
+                coeff *= Fraction(chunk)
+                body = "eps(1)"
             if not (body.startswith("eps(") and body.endswith(")")):
                 raise ValueError(f"bad term {chunk!r}")
             g = parse_poly(body[4:-1], ctx)
             out = out + cls.symbol(g, coeff)
         return out
-
-
-def evaluate_on_poly(a: SymbolSum, f: Poly) -> Fraction:
-    return a.evaluate(f)
 
 
 def lambda_map(a: SymbolSum, n: int) -> NilSeries:

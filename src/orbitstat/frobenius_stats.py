@@ -46,10 +46,8 @@ from .symmetric import (
     MultiIndex,
     block_multisets,
     count_block_multisets,
-    cycle_type,
-    spec_embed,
 )
-from .young_stats import expected_binom_on_coset
+from .young_stats import coset_histogram, expected_binom_on_coset
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -83,13 +81,11 @@ def sigma_structure(f: Poly) -> SigmaStructure:
 
 
 def chi_oracle(f: Poly, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
-    """Average of P over the coset, by enumerating all of H."""
-    struct = sigma_structure(f)
-    hs, tau = spec_embed(struct.spec, cap)
-    total = _F0
-    for h in hs:
-        total += P.evaluate(cycle_type(tau * h))
-    return total / len(hs)
+    """Average of P over the coset, by enumerating all of H: P is evaluated
+    once per cycle type of the enumerated histogram."""
+    spec = sigma_structure(f).spec
+    hist = coset_histogram(spec, cap)
+    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
 
 def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:

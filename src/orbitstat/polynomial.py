@@ -372,25 +372,31 @@ def _matching_bracket(s: str, start: int) -> int:
     raise ValueError(f"unbalanced brackets in {s!r}")
 
 
-def _split_terms(s: str) -> list[tuple[int, str]]:
-    """Split on top-level +/-, returning (sign, chunk) pairs."""
+def signed_terms(s: str) -> list[tuple[int, str]]:
+    """Split s on the + and - outside every () and [] group into (sign,
+    chunk) pairs; the parsers of polynomials, statistics and symbol sums all
+    read their terms through it.  A sign directly after another sign flips
+    it, so "a+-b" is a - b; a trailing sign is an error."""
     out = []
     sign = 1
     depth = 0
-    cur = []
-    for i, ch in enumerate(s):
-        if ch == "[":
+    cur: list[str] = []
+    for ch in s:
+        if ch in "([":
             depth += 1
-        elif ch == "]":
+        elif ch in ")]":
             depth -= 1
-        if ch in "+-" and depth == 0 and i > 0:
-            out.append((sign, "".join(cur)))
-            cur = []
-            sign = 1 if ch == "+" else -1
-        elif ch in "+-" and depth == 0 and i == 0:
-            sign = 1 if ch == "+" else -1
+        if ch in "+-" and depth == 0:
+            if cur:
+                out.append((sign, "".join(cur)))
+                cur = []
+                sign = 1
+            if ch == "-":
+                sign = -sign
         else:
             cur.append(ch)
+    if not cur:
+        raise ValueError(f"dangling sign in {s!r}")
     out.append((sign, "".join(cur)))
     return out
 
@@ -425,9 +431,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
                 i = len(body) if j < 0 else j + 1
         return Poly(ctx, coeffs)
     acc: dict[int, FieldElement] = {}
-    for sign, chunk in _split_terms(s):
-        if not chunk:
-            raise ValueError(f"dangling sign in {text!r}")
+    for sign, chunk in signed_terms(s):
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"bad term {chunk!r} in {text!r}")

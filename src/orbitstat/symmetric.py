@@ -95,6 +95,8 @@ class MultiIndex:
     def __post_init__(self):
         last = 0
         for k, m in self.entries:
+            if k < 1:
+                raise ValueError(f"cycle lengths must be >= 1: {self.entries}")
             if k <= last:
                 raise ValueError(f"entries must be sorted by k: {self.entries}")
             if m < 1:
@@ -136,11 +138,16 @@ class MultiIndex:
     def items(self):
         return self.entries
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def __str__(self):
         return ",".join(f"{k}:{m}" for k, m in self.entries)
+
+
+def _multi_index(entries: tuple[tuple[int, int], ...]) -> MultiIndex:
+    """MultiIndex from entries already sorted by k >= 1 with counts >= 1,
+    without validating them again."""
+    mu = object.__new__(MultiIndex)
+    object.__setattr__(mu, "entries", entries)
+    return mu
 
 
 @dataclass(frozen=True)
@@ -203,12 +210,6 @@ class CosetSpec:
             acc += d * r
         return offs
 
-    def point_index(self, i: int, j: int, k: int) -> int:
-        d, r = self.blocks[i]
-        if not (0 <= j < r and 0 <= k < d):
-            raise ValueError(f"point ({i},{j},{k}) outside block ({d},{r})")
-        return self._offsets()[i] + j * d + k
-
     def tau(self) -> Permutation:
         images = [0] * self.n
         offs = self._offsets()
@@ -268,19 +269,6 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
     return (Permutation(p) for p in itertools.permutations(range(n)))
 
 
-def permutation_at(n: int, index: int) -> Permutation:
-    """The index-th element of the enumerate_sn order (factorial digits)."""
-    if not 0 <= index < math.factorial(n):
-        raise ValueError(f"index {index} out of range for S_{n}")
-    avail = list(range(n))
-    images = []
-    for pos in range(n, 0, -1):
-        f = math.factorial(pos - 1)
-        digit, index = divmod(index, f)
-        images.append(avail.pop(digit))
-    return Permutation(tuple(images))
-
-
 @lru_cache(maxsize=None)
 def _sn_list(r: int) -> tuple[Permutation, ...]:
     return tuple(enumerate_sn(r, cap=math.factorial(r)))
@@ -309,24 +297,6 @@ def enumerate_h_structured(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Ite
         yield tuple(out)
 
 
-def h_structured_at(spec: CosetSpec, index: int) -> StructuredH:
-    """Random access into the enumerate_h_structured order."""
-    sizes = []
-    for d, r in spec.blocks:
-        sizes.extend([math.factorial(r)] * d)
-    digits = [0] * len(sizes)
-    for pos in range(len(sizes) - 1, -1, -1):
-        index, digits[pos] = divmod(index, sizes[pos])
-    if index:
-        raise ValueError("index out of range for H")
-    out = []
-    pos = 0
-    for d, r in spec.blocks:
-        out.append(tuple(_sn_list(r)[digits[pos + k]] for k in range(d)))
-        pos += d
-    return tuple(out)
-
-
 def structured_to_permutation(spec: CosetSpec, h: StructuredH) -> Permutation:
     """Flatten a slot tuple to a permutation of the N points."""
     images = [0] * spec.n
@@ -338,12 +308,6 @@ def structured_to_permutation(spec: CosetSpec, h: StructuredH) -> Permutation:
             for j in range(r):
                 images[base + j * d + k] = base + perm(j) * d + k
     return Permutation(tuple(images))
-
-
-def spec_embed(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> tuple[list[Permutation], Permutation]:
-    """Materialize (H as permutations of {0..N-1}, tau)."""
-    hs = [structured_to_permutation(spec, h) for h in enumerate_h_structured(spec, cap)]
-    return hs, spec.tau()
 
 
 def m_projection(h: StructuredH, spec: CosetSpec, i: int) -> Permutation:
@@ -359,34 +323,64 @@ def m_projection(h: StructuredH, spec: CosetSpec, i: int) -> Permutation:
     return result
 
 
+def centralizer_order(mu: MultiIndex) -> int:
+    """Order of the centralizer in S_n of a permutation of cycle type mu:
+    the product of k^m_k * m_k!."""
+    out = 1
+    for k, m in mu.items():
+        out *= k ** m * math.factorial(m)
+    return out
+
+
 def conjugacy_class_size(mu: MultiIndex, n: int) -> int:
     """Size of the S_n conjugacy class with cycle type mu."""
     if mu.norm != n:
         raise ValueError(f"cycle type of norm {mu.norm} in S_{n}")
-    denom = 1
-    for k, m in mu.items():
-        denom *= k ** m * math.factorial(m)
-    num = math.factorial(n)
+    num, denom = math.factorial(n), centralizer_order(mu)
     assert num % denom == 0
     return num // denom
 
 
 def partitions(n: int) -> Iterator[MultiIndex]:
-    """All multi-indices of norm exactly n, deterministic order."""
-
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield []
+    """All multi-indices of norm exactly n, in reverse lexicographic order of
+    the parts listed largest first: (n) first, (1^n) last."""
+    if n < 0:
+        return
+    parts = [[n, 1]] if n else []  # [part, multiplicity], largest part first
+    while True:
+        yield _multi_index(tuple(map(tuple, reversed(parts))))
+        ones = parts.pop()[1] if parts and parts[-1][0] == 1 else 0
+        if not parts:
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield [part] + rest
+        # the next partition takes one copy of the smallest part p > 1 and
+        # refills p plus the ones with parts of p - 1 and one remainder
+        top = parts[-1]
+        p = top[0]
+        top[1] -= 1
+        if not top[1]:
+            parts.pop()
+        count, rest = divmod(p + ones, p - 1)
+        parts.append([p - 1, count])
+        if rest:
+            parts.append([rest, 1])
 
-    for parts in gen(n, n):
-        counts: dict[int, int] = {}
-        for part in parts:
-            counts[part] = counts.get(part, 0) + 1
-        yield MultiIndex.from_dict(counts)
+
+def partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ..., the numbers of partitions, without listing any,
+    by Euler's pentagonal recurrence: p(n) is the sum over k >= 1 of
+    (-1)^(k+1) * (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)), p of a negative 0."""
+    p = [1]
+    yield 1
+    for n in itertools.count(1):
+        total = 0
+        for k in itertools.count(1):
+            g = k * (3 * k - 1) // 2
+            if g > n:
+                break
+            pair = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += pair if k % 2 else -pair
+        p.append(total)
+        yield total
 
 
 def multi_indices_up_to(n: int) -> Iterator[MultiIndex]:

@@ -416,40 +416,29 @@ def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResul
     )
 
 
-_QUICK = {
-    "necklace-count": lambda: check_necklace(qs=(2, 3), kmax=5),
-    "equal-expectation": lambda: check_equal_expectations(dmax=4),
-    "chi-routes": lambda: check_chi_routes(scales=((2, 3), (3, 2))),
-    "coset-statistics": lambda: check_coset_statistics(nmax=5),
-    "sym-expectation": lambda: check_sym_expectation(rmax=5),
-    "projection-measure": lambda: check_projection_measure(nmax=5),
-    "generating-series": lambda: check_generating_series(dmax=2, rmax=4, t_cap=4),
-    "divisor-average": lambda: check_divisor_average(nmax=3),
-    "known-values": lambda: check_known_values(squarefree_scales=((2, 4), (3, 3))),
-    "stabilization": lambda: check_stabilization(dmax=4),
+# name -> (check, the keyword arguments of its quick scale); a full-scale run
+# calls the check with its defaults
+_CHECKS = {
+    "necklace-count": (check_necklace, {"qs": (2, 3), "kmax": 5}),
+    "equal-expectation": (check_equal_expectations, {"dmax": 4}),
+    "chi-routes": (check_chi_routes, {"scales": ((2, 3), (3, 2))}),
+    "coset-statistics": (check_coset_statistics, {"nmax": 5}),
+    "sym-expectation": (check_sym_expectation, {"rmax": 5}),
+    "projection-measure": (check_projection_measure, {"nmax": 5}),
+    "generating-series": (check_generating_series, {"dmax": 2, "rmax": 4, "t_cap": 4}),
+    "divisor-average": (check_divisor_average, {"nmax": 3}),
+    "known-values": (check_known_values, {"squarefree_scales": ((2, 4), (3, 3))}),
+    "stabilization": (check_stabilization, {"dmax": 4}),
 }
 
-_FULL = {
-    "necklace-count": check_necklace,
-    "equal-expectation": check_equal_expectations,
-    "chi-routes": check_chi_routes,
-    "coset-statistics": check_coset_statistics,
-    "sym-expectation": check_sym_expectation,
-    "projection-measure": check_projection_measure,
-    "generating-series": check_generating_series,
-    "divisor-average": check_divisor_average,
-    "known-values": check_known_values,
-    "stabilization": check_stabilization,
-}
-
-CHECK_NAMES = tuple(_FULL)
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_all(quick: bool = False, names: Sequence[str] = CHECK_NAMES) -> list[CheckResult]:
-    table = _QUICK if quick else _FULL
     out = []
     for name in names:
-        if name not in table:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
-        out.append(table[name]())
+        check, quick_kwargs = _CHECKS[name]
+        out.append(check(**quick_kwargs) if quick else check())
     return out

@@ -31,9 +31,10 @@ from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
-    conjugacy_class_size,
+    centralizer_order,
     cycle_type,
     enumerate_h_structured,
+    partition_counts,
     partitions,
     structured_to_permutation,
 )
@@ -48,8 +49,8 @@ HISTOGRAM_LIMIT = 10 ** 5
 def _check_pairs(spec: CosetSpec, have: int, block: int) -> None:
     if have * block > HISTOGRAM_LIMIT:
         raise CapExceeded(
-            f"the histogram of {spec} pairs {have} x {block} cycle types in one "
-            f"step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
+            f"the histogram of {spec} pairs at least {have} x {block} cycle types "
+            f"in one step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
         )
 
 
@@ -57,12 +58,15 @@ def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by the block product."""
     dist: dict[tuple, int] = {(): 1}  # cycle type as sorted (k, m_k) pairs
     for (d, r), count in Counter(spec.blocks).items():
-        lams = list(itertools.islice(partitions(r), HISTOGRAM_LIMIT + 1))
-        _check_pairs(spec, len(dist), len(lams))  # before any class size
-        weight = math.factorial(r) ** (d - 1)
+        # p(r), counted no further than the first count beyond the limit
+        classes = next(
+            p for m, p in enumerate(partition_counts()) if m == r or p > HISTOGRAM_LIMIT
+        )
+        _check_pairs(spec, len(dist), classes)  # before listing any partition
+        weight = math.factorial(r) ** d  # (r!)^(d-1) times the class size r!/z
         block = [
-            ([(d * ell, m) for ell, m in lam.items()], weight * conjugacy_class_size(lam, r))
-            for lam in lams
+            ([(d * ell, m) for ell, m in lam.items()], weight // centralizer_order(lam))
+            for lam in partitions(r)
         ]
         for _ in range(count):
             _check_pairs(spec, len(dist), len(block))

@@ -83,6 +83,27 @@ def test_parse_and_str():
             CharPoly.parse(bad)
 
 
+@given(
+    st.dictionaries(
+        st.sampled_from(list(multi_indices_up_to(4))),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=6,
+    )
+)
+def test_str_parses_back(terms):
+    P = CharPoly(terms)
+    assert CharPoly.parse(str(P)) == P
+
+
+def test_signs():
+    assert str(CharPoly.parse("X1-X2")) == "binom(1:1) + -1*binom(2:1)"
+    assert CharPoly.parse("X1+-X2") == CharPoly.parse("X1-X2")
+    assert CharPoly.parse("-X1--1/2*X2") == CharPoly.parse("1/2*X2-X1")
+    for bad in ("X1+", "X1-", "-", "X1+-"):
+        with pytest.raises(ValueError, match="dangling sign"):
+            CharPoly.parse(bad)
+
+
 # -- symmetric group means ---------------------------------------------------
 
 def test_sn_expectation_closed_values():

@@ -1,6 +1,7 @@
 """Command line behavior: output shape, determinism, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -224,6 +225,38 @@ def test_ensemble_reaches_large_fields(capsys):
     assert code == 0 and err == ""
     assert f"count = {65521 ** 12}\n" in out
     assert "scaled = 1\n" in out
+
+
+def test_printed_statistic_parses_back(capsys):
+    code, first, _ = run(capsys, "eval", "--q", "2", "t^2", "--stat=X1-X2")
+    assert code == 0
+    assert "stat = binom(1:1) + -1*binom(2:1)\n" in first
+    printed = first.split("stat = ")[1].split("\n")[0]
+    assert run(capsys, "eval", "--q", "2", "t^2", f"--stat={printed}") == (0, first, "")
+
+
+@pytest.mark.parametrize(
+    "flag,words",
+    [
+        ("--mu=0:1", "cycle lengths must be >= 1"),
+        ("--stat=X0", "cycle lengths must be >= 1"),
+        ("--stat=X1+", "dangling sign"),
+    ],
+    ids=["mu-zero", "stat-zero", "trailing-sign"],
+)
+def test_bad_statistics_are_one_line_errors(capsys, flag, words):
+    code, out, err = run(capsys, "eval", "--q", "2", "t", flag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+def test_histogram_limit_refuses_before_listing_partitions(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "young", "--blocks", "1^500", "--histogram")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert "limit" in err and "no flag" in err
 
 
 def test_mu_and_stat_are_mutually_exclusive(capsys):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from orbitstat.charpoly import NilSeries
 from orbitstat.division_algebra import (
     SymbolSum,
-    evaluate_on_poly,
     expectation_epsilon,
     expectation_epsilon_oracle,
     lambda_map,
@@ -21,10 +20,11 @@ from orbitstat.division_algebra import (
 )
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
-from orbitstat.polynomial import Poly, enumerate_monic, parse_poly, poly_gcd
+from orbitstat.polynomial import Poly, enumerate_monic, monic_from_index, parse_poly, poly_gcd
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 
 T = parse_poly("t", F2)
 T1 = parse_poly("t+1", F2)
@@ -75,7 +75,6 @@ def test_evaluation_is_divisibility():
     assert SymbolSum.symbol(T * T).evaluate(f) == 0
     s = SymbolSum.symbol(T, 3) + SymbolSum.symbol(T * T, 5)
     assert s.evaluate(f) == 3
-    assert evaluate_on_poly(s, f) == 3
 
 
 def test_evaluation_is_not_termwise_multiplicative():
@@ -118,6 +117,30 @@ def test_parse_round_trip():
     assert SymbolSum.parse(str(s), F2).terms == s.terms
     with pytest.raises(ValueError):
         SymbolSum.parse("eps(2*t)", F3)  # keys must be monic
+
+
+def test_extension_keys_parse_back():
+    # the brackets of F_4 coefficients sit inside the parentheses of eps(...)
+    s = SymbolSum.parse("eps(t+[1,1]) - 1/2*eps(t^2+[0,1]*t)", F4)
+    assert s.terms == {
+        parse_poly("t+[1,1]", F4): 1,
+        parse_poly("t^2+[0,1]*t", F4): Fraction(-1, 2),
+    }
+    assert SymbolSum.parse(str(s), F4) == s
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 15)).map(
+            lambda di: monic_from_index(di[0], F4, di[1] % 4 ** di[0])
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=5,
+    )
+)
+def test_str_parses_back(terms):
+    s = SymbolSum(F4, terms)
+    assert SymbolSum.parse(str(s), F4) == s
 
 
 def test_pow_does_not_square_past_the_last_bit():

@@ -1,0 +1,84 @@
+"""The public API: orbitstat.__all__ is pinned, so a change to it is seen."""
+
+import orbitstat
+
+PUBLIC = [
+    "CHECK_NAMES",
+    "CapExceeded",
+    "CharPoly",
+    "CheckResult",
+    "CosetSpec",
+    "DEFAULT_ENUM_CAP",
+    "DEFAULT_GROUP_CAP",
+    "DEFAULT_TERM_CAP",
+    "ENUMERATION_LIMIT",
+    "EqualExpectationReport",
+    "Factorization",
+    "FieldCtx",
+    "FieldElement",
+    "MultiIndex",
+    "NilSeries",
+    "Permutation",
+    "Poly",
+    "SigmaStructure",
+    "SymbolSum",
+    "binom_eval",
+    "chi_formula",
+    "chi_of_f",
+    "chi_oracle",
+    "conjugacy_class_size",
+    "coset_bruteforce",
+    "coset_histogram",
+    "count_cycle_type_in_coset",
+    "count_irreducibles",
+    "cycle_type",
+    "cycle_type_distribution",
+    "ensemble_formula",
+    "ensemble_sum",
+    "enumerate_coset_specs",
+    "enumerate_elements",
+    "enumerate_irreducibles",
+    "enumerate_monic",
+    "enumerate_sn",
+    "equal_expectation_check",
+    "expectation_epsilon",
+    "expectation_epsilon_oracle",
+    "expected_binom_on_coset",
+    "expected_k_cycles",
+    "factor",
+    "format_field_spec",
+    "format_poly",
+    "g_series_identity_check",
+    "is_irreducible",
+    "lambda_map",
+    "m_projection",
+    "make_field",
+    "multi_indices_up_to",
+    "necklace_check",
+    "necklace_count",
+    "parse_field_spec",
+    "parse_poly",
+    "parse_predicate",
+    "partitions",
+    "phi_eps",
+    "poly_gcd",
+    "prime_power",
+    "run_all",
+    "sigma_structure",
+    "sn_expectation_closed",
+    "sn_expectation_oracle",
+    "xk_of_f",
+]
+
+
+def test_all_is_pinned():
+    assert sorted(orbitstat.__all__) == PUBLIC
+
+
+def test_all_has_no_duplicates():
+    assert len(set(orbitstat.__all__)) == len(orbitstat.__all__)
+
+
+def test_every_public_name_resolves():
+    for name in orbitstat.__all__:
+        assert getattr(orbitstat, name) is not None, name

@@ -6,7 +6,8 @@ histogram of tau*H can be computed by filtering the whole symmetric group.
 """
 
 import math
-from itertools import permutations as iterperms
+from collections import Counter
+from itertools import islice, permutations as iterperms
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,14 +23,13 @@ from orbitstat.symmetric import (
     cycle_type,
     enumerate_h_structured,
     enumerate_sn,
-    h_structured_at,
     m_projection,
     multi_indices_up_to,
+    partition_counts,
     partitions,
-    permutation_at,
-    spec_embed,
     structured_to_permutation,
 )
+from orbitstat.young_stats import coset_histogram
 
 P_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
@@ -83,8 +83,6 @@ def test_enumerate_sn_is_lexicographic():
     assert [p.images for p in s3] == [
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
     ]
-    for i, p in enumerate(s3):
-        assert permutation_at(3, i) == p
 
 
 def test_enumerate_sn_cap():
@@ -115,7 +113,7 @@ def test_multi_index_parse_and_str():
     assert MultiIndex.parse("") == MultiIndex()
     with pytest.raises(ValueError):
         MultiIndex.parse("2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cycle lengths must be >= 1"):
         MultiIndex.parse("0:1")
 
 
@@ -130,6 +128,36 @@ def test_partition_counts():
 def test_partitions_have_the_right_norm():
     for mu in partitions(6):
         assert mu.norm == 6
+
+
+def recursive_partitions(n, largest=None):
+    """Partitions of n as part lists, largest part first, the larger first
+    part before the smaller."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in recursive_partitions(n - part, part):
+            yield [part] + rest
+
+
+def test_partitions_follow_the_recursive_order():
+    for n in range(21):
+        want = [MultiIndex.from_dict(Counter(parts)) for parts in recursive_partitions(n)]
+        assert list(partitions(n)) == want
+
+
+def test_partition_counts():
+    # the reference counts partitions by largest part: ways[j] after part s
+    # counts the partitions of j into parts of size at most s
+    ways = [1] + [0] * 200
+    for size in range(1, 201):
+        for total in range(size, 201):
+            ways[total] += ways[total - size]
+    assert list(islice(partition_counts(), 201)) == ways
+    for n in range(41):
+        assert sum(1 for _ in partitions(n)) == ways[n]
+    assert sum(1 for _ in partitions(60)) == ways[60] == 966467
 
 
 # -- block specs -------------------------------------------------------------
@@ -174,8 +202,6 @@ def test_h_enumeration_counts_and_indexing():
         hs = list(enumerate_h_structured(spec))
         assert len(hs) == spec.order_h()
         assert len(set(hs)) == len(hs)
-        for i in (0, len(hs) // 2, len(hs) - 1):
-            assert h_structured_at(spec, i) == hs[i]
         for h in hs:
             perm = structured_to_permutation(spec, h)
             assert perm.n == spec.n
@@ -208,19 +234,14 @@ def membership_histogram(spec):
 )
 def test_coset_matches_membership_filter(text):
     spec = CosetSpec.parse(text)
-    expected = membership_histogram(spec)
-    got = {}
-    hs, tau = spec_embed(spec)
-    for h in hs:
-        ct = cycle_type(tau * h)
-        got[ct] = got.get(ct, 0) + 1
-    assert got == expected
+    assert coset_histogram(spec) == membership_histogram(spec)
 
 
-def test_spec_embed_sizes():
-    hs, tau = spec_embed(CosetSpec.parse("1^2,2^2"))
+def test_structured_h_flattens_to_distinct_permutations():
+    spec = CosetSpec.parse("1^2,2^2")
+    hs = {structured_to_permutation(spec, h) for h in enumerate_h_structured(spec)}
     assert len(hs) == 2 * 2 * 2
-    assert tau == CosetSpec.parse("1^2,2^2").tau()
+    assert Permutation.identity(spec.n) in hs
 
 
 def test_m_projection_frozen_example():
