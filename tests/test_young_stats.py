@@ -122,6 +122,14 @@ def test_histogram_cap_and_threads():
 
 # -- closed forms as products over blocks -----------------------------------
 
+def test_histogram_limit_counts_no_further_than_it_needs():
+    # p(100000) has over 300 digits; the refusal must not compute it
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="no flag"):
+        cycle_type_distribution(CosetSpec(((1, 100000),)))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_distribution_equals_enumeration_on_every_small_spec():
     specs = list(enumerate_coset_specs(8))
     assert len(specs) == 216
