@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -219,19 +220,27 @@ def cmd_ensemble(args):
 
 def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
-    lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {spec.order_h()}"]
-    payload = {"blocks": str(spec), "n": spec.n, "order_h": spec.order_h()}
+    order_h = spec.order_h()
+    try:
+        order_text = str(order_h)
+    except ValueError:
+        raise ValueError(
+            f"order_h has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing an integer, which no flag raises"
+        ) from None
+    lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {order_text}"]
+    payload = {"blocks": str(spec), "n": spec.n, "order_h": order_h}
     if args.histogram:
         if args.method == "oracle":
             hist = coset_histogram(spec, args.cap_group)
         else:
             hist = cycle_type_distribution(spec)
         payload["histogram"] = []
-        for ct in sorted(hist):
-            lines.append(f"{ct}  {hist[ct]}")
-            payload["histogram"].append(
-                {"cycle_type": str(ct), "count": hist[ct]}
-            )
+        # the same order as MultiIndex's generated comparison, which is slow
+        for ct in sorted(hist, key=operator.attrgetter("entries")):
+            text, count = str(ct), hist[ct]
+            lines.append(f"{text}  {count}")
+            payload["histogram"].append({"cycle_type": text, "count": count})
         code = 0
         if args.method == "both":
             code = _agree(lines, payload, hist == coset_histogram(spec, args.cap_group))

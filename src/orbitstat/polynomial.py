@@ -14,11 +14,12 @@ digit, which fixes one canonical order for everything downstream.
 Factorizations sort their factors by (degree, then the coefficient vector),
 so output is byte-stable across runs.
 
-The factorization pipeline is deterministic end to end: square-free
-decomposition (with p-th-root extraction when the derivative vanishes in
-characteristic p), splitting into distinct-degree parts via gcd with t^(q^k)-t,
-then trial division against the enumerated irreducibles of the right degree.
-No randomized splitting is used anywhere.
+The factorization pipeline is square-free decomposition (with p-th-root
+extraction when the derivative vanishes in characteristic p), splitting into
+distinct-degree parts via gcd with t^(q^k)-t, then Cantor-Zassenhaus
+equal-degree splitting.  The splitting draws from a PRNG seeded with a
+constant, and the factors are unique and sorted, so factor() is deterministic
+and never needs the sieve: it works for every field the package supports.
 
 Irreducible enumeration runs a product sieve over all q^d monic polynomials:
 every product of a lower-degree irreducible with a monic cofactor is marked,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -752,23 +754,44 @@ def _distinct_degree(h: Poly) -> list[tuple[Poly, int]]:
 
 
 def _equal_degree(g: Poly, k: int) -> list[Poly]:
-    """All degree-k irreducible factors of g (a product of such), by trial
-    division in enumeration order."""
+    """The degree-k irreducible factors of g, a monic product of distinct
+    such factors, by Cantor-Zassenhaus splitting (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 14).
+
+    A random a with deg a < deg h splits h by gcd(b, h), where b is
+    a^((q^k-1)/2) - 1 for odd q and the trace a + a^2 + ... + a^(2^(ek-1))
+    for q = 2^e; each draw gives a proper factor with probability about 1/2,
+    and the pieces are split again until each has degree k.  The draws come
+    from a PRNG seeded with a constant on every call, so the result does not
+    depend on earlier calls.
+    """
     if g.degree == k:
         return [g]
+    ctx = g.ctx
+    rng = random.Random(0)
+    half = (ctx.q ** k - 1) // 2
     out = []
-    for cand in enumerate_irreducibles(k, g.ctx):
-        quot, rem = divmod(g, cand)
-        if rem.is_zero:
-            out.append(cand)
-            g = quot
-            if g.degree == k:
-                out.append(g)
+    todo = [g]
+    while todo:
+        h = todo.pop()
+        if h.degree == k:
+            out.append(h)
+            continue
+        while True:
+            a = [rng.randrange(ctx.q) for _ in range(h.degree)]
+            if ctx.p == 2:
+                b, s = list(a), a
+                for _ in range(ctx.e * k - 1):
+                    s = _divmod(ctx, _mul(ctx, s, s), h._c)[1]
+                    for i, c in enumerate(s):
+                        b[i] ^= c  # index addition in characteristic 2
+            else:
+                b = pow_mod(_poly(ctx, _trim(a)), half, h)._c or (0,)
+                b = (ctx.sub(b[0], 1),) + b[1:]
+            d = poly_gcd(_poly(ctx, _trim(b)), h)
+            if 0 < d.degree < h.degree:
                 break
-            if g.degree == 0:
-                break
-    if g.degree not in (0, k):
-        raise AssertionError("equal-degree split left an unfactored remainder")
+        todo += [d, h // d]
     return out
 
 

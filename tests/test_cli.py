@@ -200,10 +200,13 @@ def test_one_parser_serves_every_call(capsys):
 
 
 def test_output_is_byte_deterministic(capsys):
-    args = ("ensemble", "--q", "3", "--d", "3", "--mu", "1:1,2:1", "--format", "json")
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
+    for args in (
+        ("ensemble", "--q", "3", "--d", "3", "--mu", "1:1,2:1", "--format", "json"),
+        ("factor", "--q", "5", "t^10-t^2"),  # splits t^4-1 and t^4+1
+    ):
+        _, first, _ = run(capsys, *args)
+        _, second, _ = run(capsys, *args)
+        assert first == second
 
 
 def test_timing_flag_appends_without_reordering(capsys):
@@ -259,6 +262,43 @@ def test_histogram_limit_refuses_before_listing_partitions(capsys):
     assert "limit" in err and "no flag" in err
 
 
+_F2_24A = "t^24+t^4+t^3+t+1"
+_F2_24B = "t^24+t^6+t^5+t^3+t^2+t+1"
+_F2_16A = "t^2+t+[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]"
+_F2_16B = "t^2+t+[1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]"
+
+
+@pytest.mark.parametrize(
+    "q,poly,factors",
+    [
+        ("65521", "t^4+t^2+5", ["t^2+31595", "t^2+33927"]),
+        ("65521", "[1156,0,65436,0,1]", ["t^2+65453", "t^2+65504"]),
+        (
+            "2",
+            "t^48+t^30+t^29+t^28+t^26+t^10+t^8+t^5+t^4+t^3+1",
+            [_F2_24A, _F2_24B],
+        ),
+        ("65536", "t^4+t+[0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0]", [_F2_16A, _F2_16B]),
+    ],
+    ids=["q=65521", "q=65521-list", "q=2-degree-24", "q=2^16"],
+)
+def test_factor_splits_equal_degree_factors_in_any_field(capsys, q, poly, factors):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "factor", "--q", q, poly)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert "factorization = " + " * ".join(f"({p})" for p in factors) + "\n" in out
+
+
+def test_young_refuses_an_order_too_long_to_print(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "young", "--blocks", "1^2000", "--mu", "1:1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "order_h" in err and "no flag" in err
+
+
 def test_mu_and_stat_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit):
         main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])
@@ -283,7 +323,7 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
              "--cap-group", "2"),
             ["--cap-group"],
         ),
-        (("factor", "--q", "65521", "t^4+t^2+5"), ["sieve limit", "no flag"]),
+        (("necklace", "--q", "65521", "--kmax", "2"), ["sieve limit", "no flag"]),
         (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
     ],
     ids=["ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit"],

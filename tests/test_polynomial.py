@@ -2,7 +2,9 @@
 
 The irreducibility oracle here is deliberate brute force: trial division by
 every lower-degree monic polynomial, built straight from coefficient tuples.
-It shares no code with the sieve or with the Frobenius test it checks.
+It shares no code with the sieve or with the Frobenius test it checks.  The
+randomized equal-degree splitting inside factor() is checked against trial
+division by the sieve's irreducibles.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitstat import polynomial
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.polynomial import (
@@ -34,7 +37,10 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F8 = make_field(2, 3)
 F9 = make_field(3, 2)
+F65521 = make_field(65521)
+F2_16 = make_field(2, 16)
 
 
 def brute_monic(d, ctx):
@@ -53,6 +59,26 @@ def brute_irreducible(f):
             if g.divides(f):
                 return False
     return True
+
+
+def trial_equal_degree(g, k):
+    """The degree-k irreducible factors of g (a monic product of distinct
+    such factors), by trial division against the sieve in its order."""
+    if g.degree == k:
+        return [g]
+    out = []
+    for cand in enumerate_irreducibles(k, g.ctx):
+        quot, rem = divmod(g, cand)
+        if rem.is_zero:
+            out.append(cand)
+            g = quot
+            if g.degree == k:
+                out.append(g)
+                break
+            if g.degree == 0:
+                break
+    assert g.degree in (0, k)
+    return out
 
 
 def polys(ctx, max_deg=6):
@@ -351,3 +377,66 @@ def test_factor_round_trip_random_f5(f):
     fac = factor(f)
     assert fac.expand() == f
     assert all(p.is_monic for p, _ in fac.factors)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F8, F9], ids=lambda c: f"q={c.q}")
+def test_splitting_matches_trial_division(ctx):
+    """factor() equals the trial-division splitter on every product of
+    distinct degree-k irreducibles of degree d with q^d <= 4096.  These are
+    all the inputs the equal-degree step receives while factoring the monic
+    polynomials of those degrees, so factor() agrees with its trial-division
+    form on all of them."""
+    dmax = max(d for d in range(1, 13) if ctx.q ** d <= 4096)
+    for k in range(1, dmax // 2 + 1):
+        irreducibles = list(enumerate_irreducibles(k, ctx))
+        for m in range(2, dmax // k + 1):
+            for chosen in itertools.combinations(irreducibles, m):
+                g = Poly.one(ctx)
+                for p in chosen:
+                    g = g * p
+                got = [p for p, _ in factor(g).factors]
+                assert got == trial_equal_degree(g, k) == list(chosen), format_poly(g)
+
+
+def test_factor_never_runs_the_sieve(monkeypatch):
+    monkeypatch.setattr(polynomial, "_irr_cache", {})
+    linears = parse_poly("t+65520", F65521) * parse_poly("t+65519", F65521)
+    fac = factor(linears * parse_poly("t+65518", F65521))
+    assert [format_poly(p) for p, _ in fac.factors] == ["t+65518", "t+65519", "t+65520"]
+    fac = factor(parse_poly("t^4+t^2+5", F65521))
+    assert [format_poly(p) for p, _ in fac.factors] == ["t^2+31595", "t^2+33927"]
+    assert not any(ctx == F65521 for ctx, _ in polynomial._irr_cache)
+
+
+@st.composite
+def monic_products(draw, ctx, max_deg=64):
+    """A unit times a product of random monic polynomials, some repeated, of
+    total degree at most max_deg.  Coefficients come from element indices,
+    so extension fields get elements outside the prime subfield."""
+    f = Poly.constant(ctx, ctx.element_from_index(draw(st.integers(1, ctx.q - 1))))
+    while f.degree < max_deg and (f.degree < 1 or draw(st.booleans())):
+        d = draw(st.integers(1, max_deg - f.degree))
+        low = draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d))
+        g = Poly(ctx, [ctx.element_from_index(i) for i in low] + [ctx.one()])
+        f = f * g ** draw(st.integers(1, (max_deg - f.degree) // d))
+    return f
+
+
+def check_factorization(f):
+    fac = factor(f)
+    assert fac.expand() == f
+    assert all(is_irreducible(p) for p, _ in fac.factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F4]).flatmap(monic_products))
+def test_factor_property_small_fields(f):
+    check_factorization(f)
+
+
+# a degree-64 example with a large irreducible factor takes seconds to factor
+# and check over these fields, so few examples are drawn
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([F65521, F2_16]).flatmap(monic_products))
+def test_factor_property_large_fields(f):
+    check_factorization(f)
