@@ -83,6 +83,18 @@ def _stat(args) -> CharPoly:
     return CharPoly.parse(args.stat)
 
 
+def _printed(value, subject: str) -> str:
+    """str(value), or a one-line error when an integer in it has more digits
+    than Python prints; subject names the value, e.g. "order_h has"."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{subject} more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for printing an integer, which no flag raises"
+        ) from None
+
+
 def _add_values(lines, payload, values: dict[str, Fraction]) -> None:
     payload["values"] = {}
     for name, val in values.items():
@@ -154,6 +166,10 @@ def cmd_eval(args):
     ctx = _ctx(args)
     f = parse_poly(args.poly, ctx)
     P = _stat(args)
+    # before any route runs, so that a statistic too long to print fails fast
+    stat_text = _printed(
+        P, f"the statistic {args.stat or args.mu} has a coefficient of"
+    )
     values: dict[str, Fraction] = {}
     if args.method in ("formula", "both"):
         values["formula"] = chi_of_f(f, P)
@@ -170,12 +186,12 @@ def cmd_eval(args):
     lines = [
         f"field = {format_field_spec(ctx)}",
         f"f = {format_poly(f)}",
-        f"stat = {P}",
+        f"stat = {stat_text}",
     ]
     payload = {
         "field": format_field_spec(ctx),
         "f": format_poly(f),
-        "stat": str(P),
+        "stat": stat_text,
     }
     _add_values(lines, payload, values)
     code = 0
@@ -221,13 +237,7 @@ def cmd_ensemble(args):
 def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
     order_h = spec.order_h()
-    try:
-        order_text = str(order_h)
-    except ValueError:
-        raise ValueError(
-            f"order_h has more than {sys.get_int_max_str_digits()} digits, "
-            "Python's limit for printing an integer, which no flag raises"
-        ) from None
+    order_text = _printed(order_h, "order_h has")
     lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {order_text}"]
     payload = {"blocks": str(spec), "n": spec.n, "order_h": order_h}
     if args.histogram:

@@ -15,7 +15,11 @@ blocks are independent.
   E_{S_r} binom(X, {k/d: a_k}) z^a, computed with one exponent per part of
   mu, truncated at mu_k.
 
-coset_histogram enumerates tau*h directly and is kept as the oracle.
+coset_histogram enumerates tau*h directly and is kept as the oracle.  It
+walks H in enumerate_h_structured order on plain image lists: a table per
+slot, built before the walk, gives the images of tau*h on that slot's points
+for each element of S_r, so each tau*h is written slot by slot into one
+reused list and its cycles are counted there, with no Permutation per element.
 """
 
 from __future__ import annotations
@@ -31,12 +35,10 @@ from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
+    _sn_list,
     centralizer_order,
-    cycle_type,
-    enumerate_h_structured,
     partition_counts,
     partitions,
-    structured_to_permutation,
 )
 
 _F0 = Fraction(0)
@@ -144,17 +146,60 @@ def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
     return Fraction(total, k)
 
 
+def _slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
+    """One table per slot (block i, position k), in enumerate_h_structured
+    order: the slice of the points (i, j, k), j < r_i, and for each sigma of
+    S_{r_i}, in enumerate_sn order, the images of tau*h on those points when h
+    holds sigma in that slot."""
+    tables = []
+    base = 0
+    for d, r in spec.blocks:
+        for k in range(d):
+            step = (k + 1) % d  # tau moves (i, j, k) to (i, j, k + 1 mod d)
+            images = {
+                sigma: tuple(base + sigma(j) * d + step for j in range(r))
+                for sigma in _sn_list(r)
+            }
+            tables.append((slice(base + k, base + r * d, d), images))
+        base += d * r
+    return tables
+
+
+def _cycle_lengths(images: list[int]) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation with these images."""
+    seen = bytearray(len(images))
+    lengths = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
+
+
 def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
-    """Cycle-type counts of tau*h over all h in H, by direct enumeration."""
+    """Cycle-type counts of tau*h over all h in H, by direct enumeration: h
+    runs in enumerate_h_structured order, and each tau*h is written slot by
+    slot into one list of images."""
     order = spec.order_h()
     if order > cap:
         raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
-    tau = spec.tau()
-    hist: dict[MultiIndex, int] = {}
-    for h in enumerate_h_structured(spec, cap):
-        ct = cycle_type(tau * structured_to_permutation(spec, h))
-        hist[ct] = hist.get(ct, 0) + 1
-    return hist
+    tables = _slot_tables(spec)
+    slices = [sl for sl, _ in tables]
+    images = list(range(spec.n))
+    tally: dict[tuple[int, ...], int] = {}
+    for choice in itertools.product(*(table.values() for _, table in tables)):
+        for sl, values in zip(slices, choice):
+            images[sl] = values
+        key = _cycle_lengths(images)
+        tally[key] = tally.get(key, 0) + 1
+    return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}
 
 
 def coset_bruteforce(

@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from orbitstat.charpoly import binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
-from orbitstat.symmetric import CosetSpec, MultiIndex, partitions, multi_indices_up_to
+from orbitstat.symmetric import (
+    CosetSpec,
+    MultiIndex,
+    cycle_type,
+    enumerate_h_structured,
+    multi_indices_up_to,
+    partitions,
+    structured_to_permutation,
+)
 from orbitstat.verify import enumerate_coset_specs
 from orbitstat.young_stats import (
     coset_bruteforce,
@@ -111,7 +119,7 @@ def test_expected_k_cycles_matches_histogram():
             assert expected_k_cycles(s, k) == brute, (text, k)
 
 
-def test_histogram_cap_and_threads():
+def test_histogram_cap_and_repeated_calls_agree():
     s = spec("1^8")
     with pytest.raises(CapExceeded):
         coset_histogram(s, cap=100)
@@ -135,6 +143,61 @@ def test_distribution_equals_enumeration_on_every_small_spec():
     assert len(specs) == 216
     for s in specs:
         assert cycle_type_distribution(s) == coset_histogram(s), str(s)
+
+
+def reference_histogram(s):
+    """Cycle types of tau*h, with each h built and composed as a Permutation."""
+    tau = s.tau()
+    hist = {}
+    for h in enumerate_h_structured(s):
+        ct = cycle_type(tau * structured_to_permutation(s, h))
+        hist[ct] = hist.get(ct, 0) + 1
+    return hist
+
+
+def test_enumeration_matches_composed_permutations_on_every_small_spec():
+    specs = list(enumerate_coset_specs(8))
+    assert len(specs) == 216
+    for s in specs:
+        # the same counts, met in the same enumeration order
+        assert list(coset_histogram(s).items()) == list(reference_histogram(s).items()), str(s)
+
+
+ENUMERATION_LIMIT = 5 * 10 ** 4
+
+
+@st.composite
+def enumerable_specs(draw, nmax=14):
+    """Block multisets with n <= nmax and |H| <= ENUMERATION_LIMIT."""
+    blocks = []
+    room = nmax
+    order = 1
+    for _ in range(draw(st.integers(1, 6))):
+        if room == 0:
+            break
+        # r first, so that large copies of S_r come up as often as long cycles
+        rmax = max(
+            r for r in range(1, room + 1) if order * math.factorial(r) <= ENUMERATION_LIMIT
+        )
+        r = draw(st.integers(1, rmax))
+        dmax = max(
+            d
+            for d in range(1, room // r + 1)
+            if order * math.factorial(r) ** d <= ENUMERATION_LIMIT
+        )
+        d = draw(st.integers(1, dmax))
+        blocks.append((d, r))
+        room -= d * r
+        order *= math.factorial(r) ** d
+    return CosetSpec(tuple(blocks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(enumerable_specs())
+def test_enumeration_equals_block_product(s):
+    hist = coset_histogram(s)
+    assert sum(hist.values()) == s.order_h()
+    assert hist == cycle_type_distribution(s)
 
 
 def test_distribution_of_a_large_coset():
