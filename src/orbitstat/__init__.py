@@ -14,7 +14,6 @@ see the verify module and the command line tool of the same name.
 
 from .charpoly import (
     CharPoly,
-    NilSeries,
     binom_eval,
     g_series_identity_check,
     sn_expectation_closed,
@@ -26,7 +25,6 @@ from .division_algebra import (
     expectation_epsilon,
     expectation_epsilon_oracle,
     lambda_map,
-    phi_eps,
 )
 from .errors import CapExceeded
 from .finite_field import (
@@ -106,7 +104,6 @@ __all__ = [
     "FieldCtx",
     "FieldElement",
     "MultiIndex",
-    "NilSeries",
     "Permutation",
     "Poly",
     "SigmaStructure",
@@ -149,7 +146,6 @@ __all__ = [
     "parse_poly",
     "parse_predicate",
     "partitions",
-    "phi_eps",
     "poly_gcd",
     "prime_power",
     "run_all",

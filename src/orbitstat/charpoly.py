@@ -1,4 +1,4 @@
-"""Cycle statistics as polynomials, and truncated nilpotent series.
+"""Cycle statistics as polynomials, and truncated series on exponent tuples.
 
 The statistic X_k(sigma) counts k-cycles; binom(X, mu) is the product of
 binomial coefficients C(X_k, mu_k).  CharPoly stores an exact-rational linear
@@ -6,16 +6,17 @@ combination in that binomial basis (the natural one here, because binom(X, mu)
 with norm(mu) = n is the indicator of a single S_n conjugacy class).  Monomial
 input like X1^2*X2 is converted into the basis via Stirling numbers.
 
-NilSeries is an element of Q[eps_1..eps_n] / (eps_i^orders[i]), optionally
-tensored with polynomial t-variables truncated at a weighted degree cap
-(the monomial prod t_k^{a_k} has weight sum k*a_k).  It is the ring of the
-generating-series identity and of the divisibility-symbol lambda map:
-exponents that reach the truncation vanish, and the "set every surviving eps
-monomial to 1" functional turns a series into plain numbers.
+A truncated series is a dict from exponent tuples to Fractions, and
+_mul_truncated multiplies two of them, dropping every exponent beyond a box
+`top`: the eps^(r+1) = 0 of a nilpotent ring and the z^mu cut of the coset
+closed forms in young_stats are both such boxes.  _exp_truncated sums the
+exponential of a series without constant term, and g_series_identity_check
+runs the cycle-index generating-series identity on these dicts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -187,7 +188,10 @@ class CharPoly:
             m = re.match(r"^(\d+(?:/\d+)?)(?:\*(.+))?$", chunk)
             if not m:
                 raise ValueError(f"bad term {chunk!r}")
-            coeff = Fraction(m.group(1))
+            try:
+                coeff = Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term {chunk!r}") from None
             body = m.group(2)
             if body is None:
                 return cls.binom(MultiIndex(), coeff)
@@ -225,174 +229,35 @@ def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) 
 
 
 # ---------------------------------------------------------------------------
-# Truncated nilpotent series
+# Truncated series as exponent-tuple dicts
 # ---------------------------------------------------------------------------
 
-EpsKey = tuple  # ((e_1, ..., e_n), ((k, a), ...))
+
+def _mul_truncated(f: dict, g: dict, top: tuple[int, ...]) -> dict:
+    """Product of two exponent-tuple dicts, dropping exponents beyond top."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            e = tuple(map(int.__add__, a, b))
+            if all(map(int.__le__, e, top)):
+                out[e] = out.get(e, _F0) + x * y
+    return out
 
 
-class NilSeries:
-    """Element of Q[eps_1..eps_n]/(eps_i^orders[i]) with optional t-variables.
-
-    terms maps (eps_exponents, t_monomial) to a Fraction, where t_monomial is
-    a sorted tuple of (index, exponent) pairs.  Keys whose eps exponent
-    reaches the truncation order, or whose t-weight exceeds t_cap, are
-    dropped on construction, so arithmetic stays automatically truncated.
-    """
-
-    __slots__ = ("orders", "t_cap", "terms")
-
-    def __init__(self, orders: tuple[int, ...], terms=None, t_cap: int = 0):
-        self.orders = tuple(orders)
-        if any(o < 1 for o in self.orders):
-            raise ValueError("orders must be >= 1")
-        self.t_cap = t_cap
-        canon: dict[EpsKey, Fraction] = {}
-        for (eps, tmono), c in (terms or {}).items():
-            eps = tuple(eps)
-            tmono = tuple(sorted(tmono))
-            if len(eps) != len(self.orders):
-                raise ValueError("eps exponent width mismatch")
-            if any(e < 0 for e in eps) or any(a < 1 or k < 1 for k, a in tmono):
-                raise ValueError(f"bad key {(eps, tmono)}")
-            if any(e >= o for e, o in zip(eps, self.orders)):
-                continue
-            if sum(k * a for k, a in tmono) > self.t_cap:
-                continue
-            c = Fraction(c)
-            if c:
-                key = (eps, tmono)
-                canon[key] = canon.get(key, _F0) + c
-        self.terms = {k: v for k, v in canon.items() if v}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, orders, value, t_cap: int = 0) -> "NilSeries":
-        zero_eps = (0,) * len(tuple(orders))
-        return cls(orders, {(zero_eps, ()): Fraction(value)}, t_cap)
-
-    @classmethod
-    def eps(cls, orders, i: int, power: int = 1, t_cap: int = 0) -> "NilSeries":
-        exps = [0] * len(tuple(orders))
-        exps[i] = power
-        return cls(orders, {(tuple(exps), ()): _F1}, t_cap)
-
-    @classmethod
-    def t_var(cls, orders, k: int, t_cap: int) -> "NilSeries":
-        zero_eps = (0,) * len(tuple(orders))
-        return cls(orders, {(zero_eps, ((k, 1),)): _F1}, t_cap)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "NilSeries"):
-        if self.orders != other.orders or self.t_cap != other.t_cap:
-            raise ValueError("series live in different truncated rings")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NilSeries.constant(self.orders, other, self.t_cap)
-        if not isinstance(other, NilSeries):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, _F0) + c
-        return NilSeries(self.orders, out, self.t_cap)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NilSeries.constant(self.orders, other, self.t_cap)
-        if not isinstance(other, NilSeries):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, _F0) - c
-        return NilSeries(self.orders, out, self.t_cap)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return NilSeries(
-                self.orders,
-                {k: c * other for k, c in self.terms.items()},
-                self.t_cap,
-            )
-        if not isinstance(other, NilSeries):
-            return NotImplemented
-        self._check(other)
-        orders = self.orders
-        cap = self.t_cap
-        out: dict[EpsKey, Fraction] = {}
-        for (e1, t1), c1 in self.terms.items():
-            for (e2, t2), c2 in other.terms.items():
-                eps = tuple(x + y for x, y in zip(e1, e2))
-                if any(e >= o for e, o in zip(eps, orders)):
-                    continue
-                if t2:
-                    merged: dict[int, int] = dict(t1)
-                    for k, a in t2:
-                        merged[k] = merged.get(k, 0) + a
-                    tmono = tuple(sorted(merged.items()))
-                else:
-                    tmono = t1
-                if sum(k * a for k, a in tmono) > cap:
-                    continue
-                key = (eps, tmono)
-                out[key] = out.get(key, _F0) + c1 * c2
-        return NilSeries(orders, out, cap)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = NilSeries.constant(self.orders, 1, self.t_cap)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def exp(self) -> "NilSeries":
-        """exp of a series with zero constant term (nilpotent, so finite)."""
-        zero_eps = (0,) * len(self.orders)
-        if self.terms.get((zero_eps, ())):
-            raise ValueError("exp requires zero constant term")
-        result = NilSeries.constant(self.orders, 1, self.t_cap)
-        power = result
-        k = 1
-        while True:
-            power = power * self
-            if not power.terms:
-                return result
-            result = result + power * Fraction(1, math.factorial(k))
-            k += 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NilSeries)
-            and self.orders == other.orders
-            and self.t_cap == other.t_cap
-            and self.terms == other.terms
-        )
-
-    def coefficient(self, eps: tuple[int, ...], tmono=()) -> Fraction:
-        return self.terms.get((tuple(eps), tuple(sorted(tmono))), _F0)
-
-    def flatten_eps(self) -> dict[tuple, Fraction]:
-        """Image under eps_monomial -> 1, grouped by t-monomial."""
-        out: dict[tuple, Fraction] = {}
-        for (_, tmono), c in self.terms.items():
-            out[tmono] = out.get(tmono, _F0) + c
-        return {k: v for k, v in out.items() if v}
-
-    def __repr__(self):
-        return f"NilSeries(orders={self.orders}, t_cap={self.t_cap}, terms={self.terms})"
+def _exp_truncated(s: dict, top: tuple[int, ...]) -> dict:
+    """exp(s) as the sum of s^k / k!, dropping exponents beyond top; s has no
+    constant term, so its powers leave the box and the sum is finite."""
+    one = (0,) * len(top)
+    if one in s:
+        raise ValueError("exp requires zero constant term")
+    power = {one: _F1}
+    out = dict(power)
+    for k in itertools.count(1):
+        power = {a: c / k for a, c in _mul_truncated(power, s, top).items()}
+        if not power:
+            return out
+        for a, c in power.items():
+            out[a] = out.get(a, _F0) + c
 
 
 def g_series_identity_check(
@@ -400,35 +265,34 @@ def g_series_identity_check(
 ) -> bool:
     """Check that averaging prod_l (1 + eps^l t_{dl})^{X_l} over S_r equals
     exp(sum_l eps^l t_{dl} / l) with eps^(r+1) = 0, and that setting eps to 1
-    reproduces the closed-form S_r means coefficient by coefficient."""
-    if d < 1 or r < 0:
-        raise ValueError("need d >= 1 and r >= 0")
-    orders = (r + 1,)
-    total = NilSeries.constant(orders, 0, t_degree_cap)
+    reproduces the closed-form S_r means coefficient by coefficient.
+
+    A monomial eps^e prod_l t_{dl}^{a_l} is the tuple (e, a_1, ..., a_r) with
+    e = sum l*a_l.  Its t-weight is d*e, so eps^(r+1) = 0 and the weight cap
+    together bound e, and with it every a_l, by one box."""
+    if d < 1 or r < 0 or t_degree_cap < 0:
+        raise ValueError("need d >= 1, r >= 0 and t_degree_cap >= 0")
+    top = (min(r, t_degree_cap // d),) * (r + 1)
+    one = (0,) * (r + 1)
+    z = {ell: (ell,) + one[1:ell] + (1,) + one[ell + 1 :] for ell in range(1, r + 1)}
+    total: dict[tuple[int, ...], Fraction] = {}
     count = 0
     for sigma in enumerate_sn(r, cap):
-        ct = sigma.cycle_type()
-        prod = NilSeries.constant(orders, 1, t_degree_cap)
-        for ell, m in ct.items():
-            base = NilSeries.constant(orders, 1, t_degree_cap) + NilSeries(
-                orders, {((ell,), ((d * ell, 1),)): _F1}, t_degree_cap
-            )
-            prod = prod * base ** m
-        total = total + prod
+        prod = {one: _F1}
+        for ell, m in sigma.cycle_type().items():
+            for _ in range(m):
+                prod = _mul_truncated(prod, {one: _F1, z[ell]: _F1}, top)
+        for a, c in prod.items():
+            total[a] = total.get(a, _F0) + c
         count += 1
-    lhs = total * Fraction(1, count)
-    arg = NilSeries.constant(orders, 0, t_degree_cap)
-    for ell in range(1, r + 1):
-        arg = arg + NilSeries(
-            orders, {((ell,), ((d * ell, 1),)): Fraction(1, ell)}, t_degree_cap
-        )
-    if lhs != arg.exp():
+    lhs = {a: c / count for a, c in total.items()}
+    if lhs != _exp_truncated({z[ell]: Fraction(1, ell) for ell in z}, top):
         return False
-    flat = lhs.flatten_eps()
-    expected: dict[tuple, Fraction] = {}
-    for mu in multi_indices_up_to(r):
-        tmono = tuple(sorted((d * ell, m) for ell, m in mu.items()))
-        if sum(k * a for k, a in tmono) > t_degree_cap:
-            continue
-        expected[tmono] = sn_expectation_closed(mu, r)
+    flat: dict[tuple[int, ...], Fraction] = {}
+    for a, c in lhs.items():
+        flat[a[1:]] = flat.get(a[1:], _F0) + c
+    expected = {
+        tuple(mu.get(ell) for ell in range(1, r + 1)): sn_expectation_closed(mu, r)
+        for mu in multi_indices_up_to(top[0])
+    }
     return flat == expected

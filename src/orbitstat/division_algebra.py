@@ -10,16 +10,15 @@ operators here do exactly that, guarded by a term-count cap.
 
 Averaging eps_g over all monic f of degree N gives q^(-deg g) while
 deg g <= N and 0 beyond, which is what the one-variable truncation
-lambda_map implements: eps_g -> (eps/q)^(deg g) in Q[eps]/(eps^(N+1)).
-Composing with the set-eps-to-1 functional recovers the mean exactly.
+lambda_map implements: eps_g -> (eps/q)^(deg g) in Q[eps]/(eps^(N+1)), as an
+exponent-tuple dict that charpoly._mul_truncated multiplies with top (N,).
+Setting eps to 1, the sum of its values, recovers the mean exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-from .charpoly import NilSeries
 from .errors import CapExceeded
 from .polynomial import Poly, enumerate_monic, parse_poly, poly_sort_key, signed_terms
 
@@ -202,36 +201,22 @@ class SymbolSum:
         return out
 
 
-def lambda_map(a: SymbolSum, n: int) -> NilSeries:
-    """Push a symbol sum into Q[eps]/(eps^(n+1)) via eps_g -> (eps/q)^deg(g).
+def lambda_map(a: SymbolSum, n: int) -> dict[tuple[int], Fraction]:
+    """Push a symbol sum into Q[eps]/(eps^(n+1)) via eps_g -> (eps/q)^deg(g),
+    as the one-variable exponent-tuple dict {(k,): coefficient of eps^k}.
 
-    This is the averaging substitution: composing with the eps -> 1
-    functional equals the mean over monic polynomials of degree n.
+    This is the averaging substitution: setting eps to 1, that is summing
+    the values, gives the mean over monic polynomials of degree n.
     """
     if n < 0:
         raise ValueError("truncation degree must be >= 0")
-    orders = (n + 1,)
     q = a.ctx.q
-    terms: dict = {}
+    out: dict[tuple[int], Fraction] = {}
     for g, c in a.terms.items():
         dg = g.degree
-        if dg > n:
-            continue
-        key = ((dg,), ())
-        terms[key] = terms.get(key, _F0) + c * Fraction(1, q ** dg)
-    return NilSeries(orders, terms, 0)
-
-
-def phi_eps(series: NilSeries) -> Union[Fraction, dict]:
-    """Send every surviving eps monomial to 1.
-
-    Returns a Fraction for a pure-eps series, or a t-monomial table when
-    t-variables are present.
-    """
-    flat = series.flatten_eps()
-    if set(flat) <= {()}:
-        return flat.get((), _F0)
-    return flat
+        if dg <= n:
+            out[(dg,)] = out.get((dg,), _F0) + c / q ** dg
+    return {k: v for k, v in out.items() if v}
 
 
 def expectation_epsilon(g: Poly, n: int) -> Fraction:

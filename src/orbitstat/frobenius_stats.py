@@ -183,8 +183,14 @@ def parse_predicate(
     if text == "squarefree":
         return predicate_squarefree
     if text.startswith("maxmult="):
-        return predicate_max_multiplicity(int(text[8:]))
-    raise ValueError(f"unknown predicate {text!r}")
+        try:
+            return predicate_max_multiplicity(int(text[8:]))
+        except ValueError:
+            pass
+    raise ValueError(
+        f"bad --filter {text!r}: expected all, squarefree, or maxmult=m "
+        "with an integer m >= 1"
+    )
 
 
 def factored_types(

@@ -316,11 +316,10 @@ def m_projection(h: StructuredH, spec: CosetSpec, i: int) -> Permutation:
     Walking the slots in k order composes them with the later slot on the
     left, which is exactly how tau*h moves the j coordinate around block i.
     """
-    d, r = spec.blocks[i]
-    result = Permutation.identity(r)
+    images = tuple(range(spec.blocks[i][1]))
     for perm in h[i]:
-        result = perm * result
-    return result
+        images = tuple(perm.images[y] for y in images)
+    return Permutation(images)
 
 
 def centralizer_order(mu: MultiIndex) -> int:

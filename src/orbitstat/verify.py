@@ -284,17 +284,19 @@ def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> Check
         for h in enumerate_h_structured(spec):
             for (sl, table), sigma in zip(tables, itertools.chain.from_iterable(h)):
                 images[sl] = table[sigma]
-            ct = Counter(_cycle_lengths(images))
             ms = tuple(m_projection(h, spec, i) for i in range(len(blocks)))
-            mcts = [cycle_type(m) for m in ms]
-            for k in range(1, spec.n + 1):
-                rhs = sum(
-                    mcts[i].get(k // d)
-                    for i, (d, _) in enumerate(blocks)
-                    if k % d == 0
+            # each l-cycle of block i's projection is a (d_i * l)-cycle of tau*h
+            predicted = Counter()
+            for (d, _), m in zip(blocks, ms):
+                for ell, count in cycle_type(m).items():
+                    predicted[d * ell] += count
+            ct = Counter(_cycle_lengths(images))
+            if ct != predicted:
+                bad.extend(
+                    ("cycles", str(spec), k, ct[k], predicted[k])
+                    for k in range(1, spec.n + 1)
+                    if ct[k] != predicted[k]
                 )
-                if ct[k] != rhs:
-                    bad.append(("cycles", str(spec), k, ct[k], rhs))
             seen[ms] = seen.get(ms, 0) + 1
         if len(seen) != image_size or set(seen.values()) != {fiber}:
             bad.append(("fibers", str(spec), len(seen), sorted(set(seen.values()))))

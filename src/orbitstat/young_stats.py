@@ -29,7 +29,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .charpoly import binom_eval, sn_expectation_closed
+from .charpoly import _mul_truncated, binom_eval, sn_expectation_closed
 from .errors import CapExceeded
 from .symmetric import (
     DEFAULT_GROUP_CAP,
@@ -95,17 +95,6 @@ def _block_factor(d: int, r: int, mu: MultiIndex) -> dict[tuple[int, ...], Fract
         )
         if c:
             out[a] = c
-    return out
-
-
-def _mul_truncated(f: dict, g: dict, top: tuple[int, ...]) -> dict:
-    """Product of two exponent-tuple dicts, dropping exponents beyond top."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for a, x in f.items():
-        for b, y in g.items():
-            e = tuple(map(int.__add__, a, b))
-            if all(map(int.__le__, e, top)):
-                out[e] = out.get(e, _F0) + x * y
     return out
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from orbitstat.charpoly import (
     CharPoly,
-    NilSeries,
+    _exp_truncated,
+    _mul_truncated,
     _stirling2,
     binom_eval,
     g_series_identity_check,
@@ -127,70 +128,104 @@ def test_sn_expectation_is_independent_of_r_once_it_fits():
     assert values == {Fraction(1, 6)}
 
 
-# -- truncated nilpotent series ----------------------------------------------
+# -- truncated series on exponent tuples --------------------------------------
+
+def nonzero(series):
+    """The series without its zero coefficients, for comparisons."""
+    return {a: c for a, c in series.items() if c}
+
+
+ONE = {(0,): Fraction(1)}
+EPS = {(1,): Fraction(1)}
+
 
 def test_eps_nilpotency():
-    orders = (3,)
-    e = NilSeries.eps(orders, 0)
-    assert e * e * e == NilSeries.constant(orders, 0)
-    assert (e * e).coefficient((2,)) == 1
+    top = (2,)  # eps^3 = 0
+    square = _mul_truncated(EPS, EPS, top)
+    assert square == {(2,): 1}
+    assert _mul_truncated(square, EPS, top) == {}
 
 
 def test_difference_of_squares():
-    orders = (3,)
-    one = NilSeries.constant(orders, 1)
-    e = NilSeries.eps(orders, 0)
-    assert (one + e) * (one - e) == one - e * e
+    top = (2,)
+    plus = {(0,): Fraction(1), (1,): Fraction(1)}
+    minus = {(0,): Fraction(1), (1,): Fraction(-1)}
+    assert nonzero(_mul_truncated(plus, minus, top)) == {(0,): 1, (2,): -1}
 
 
 def test_exp_truncates_at_the_order():
-    orders = (3,)
-    e = NilSeries.eps(orders, 0)
-    g = e.exp()
-    assert g.coefficient((0,)) == 1
-    assert g.coefficient((1,)) == 1
-    assert g.coefficient((2,)) == Fraction(1, 2)
+    assert _exp_truncated(EPS, (2,)) == {(0,): 1, (1,): 1, (2,): Fraction(1, 2)}
+    assert _exp_truncated(EPS, (0,)) == ONE
+    with pytest.raises(ValueError, match="constant term"):
+        _exp_truncated({(0,): Fraction(1), (1,): Fraction(1)}, (2,))
 
 
 @settings(max_examples=30)
 @given(st.integers(-3, 3), st.integers(-3, 3))
 def test_exp_is_a_homomorphism(a, b):
-    orders = (4,)
-    x = NilSeries.eps(orders, 0) * Fraction(a)
-    y = (NilSeries.eps(orders, 0) * NilSeries.eps(orders, 0)) * Fraction(b)
-    assert (x + y).exp() == x.exp() * y.exp()
+    top = (3,)
+    x = {(1,): Fraction(a)}
+    y = {(2,): Fraction(b)}
+    product = _mul_truncated(_exp_truncated(x, top), _exp_truncated(y, top), top)
+    assert nonzero(_exp_truncated({**x, **y}, top)) == nonzero(product)
 
 
 def test_two_variable_orders():
-    orders = (2, 3)
-    e0 = NilSeries.eps(orders, 0)
-    e1 = NilSeries.eps(orders, 1)
-    assert e0 * e0 == NilSeries.constant(orders, 0)
-    assert (e1 * e1).coefficient((0, 2)) == 1
-    assert (e0 * e1).coefficient((1, 1)) == 1
+    top = (1, 2)  # eps_0^2 = 0, eps_1^3 = 0
+    e0 = {(1, 0): Fraction(1)}
+    e1 = {(0, 1): Fraction(1)}
+    assert _mul_truncated(e0, e0, top) == {}
+    assert _mul_truncated(e1, e1, top) == {(0, 2): 1}
+    assert _mul_truncated(e0, e1, top) == {(1, 1): 1}
+    assert _mul_truncated(_mul_truncated(e1, e1, top), e1, top) == {}
 
 
 def test_t_weight_cap_truncates():
-    orders = (2,)
-    t1 = NilSeries.t_var(orders, 1, t_cap=2)
-    t2 = NilSeries.t_var(orders, 2, t_cap=2)
-    assert (t1 * t1).coefficient((0,), ((1, 2),)) == 1  # weight 2 survives
-    assert t1 * t2 == NilSeries.constant(orders, 0, t_cap=2)  # weight 3 dies
-
-
-def test_flatten_eps_groups_by_t_monomial():
-    orders = (3,)
-    s = NilSeries.eps(orders, 0) + NilSeries.eps(orders, 0, power=2) * Fraction(
-        1, 2
-    )
-    flat = s.flatten_eps()
-    assert flat == {(): Fraction(3, 2)}
+    # (e, a_1, a_2) stands for eps^e t_1^a_1 t_2^a_2 with e = a_1 + 2*a_2, so
+    # with d = 1 the weight cap 2 is the box e <= 2
+    top = (2, 2, 2)
+    t1 = {(1, 1, 0): Fraction(1)}
+    t2 = {(2, 0, 1): Fraction(1)}
+    assert _mul_truncated(t1, t1, top) == {(2, 2, 0): 1}  # weight 2 survives
+    assert _mul_truncated(t1, t2, top) == {}  # weight 3 dies
 
 
 def test_series_identity_small_cases():
     assert g_series_identity_check(1, 2, 4)
     assert g_series_identity_check(2, 3, 6)
     assert g_series_identity_check(1, 4, 4)
+
+
+def test_series_identity_on_the_whole_small_grid():
+    # the grid holds caps that cut: t_cap < d*r, t_cap = 0, and r = 0
+    bad = [
+        (d, r, t_cap)
+        for d in range(1, 5)
+        for r in range(7)
+        for t_cap in range(13)
+        if not g_series_identity_check(d, r, t_cap)
+    ]
+    assert bad == []
+
+
+def test_series_identity_rejects_bad_arguments():
+    for args in [(0, 2, 4), (1, -1, 4), (1, 2, -1)]:
+        with pytest.raises(ValueError):
+            g_series_identity_check(*args)
+
+
+def test_series_identity_fails_on_a_wrong_closed_form(monkeypatch):
+    from orbitstat import charpoly
+
+    wrong = mi("1:1,2:1")
+
+    def closed(mu, r):
+        value = sn_expectation_closed(mu, r)
+        return value * 2 if mu == wrong else value
+
+    monkeypatch.setattr(charpoly, "sn_expectation_closed", closed)
+    assert not charpoly.g_series_identity_check(1, 4, 4)
+    assert charpoly.g_series_identity_check(1, 4, 2)  # the cap cuts mu away
 
 
 def test_stirling_identity_against_factorial_moments():

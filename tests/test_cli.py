@@ -249,8 +249,9 @@ def test_printed_statistic_parses_back(capsys):
         ("--mu=0:1", "cycle lengths must be >= 1"),
         ("--stat=X0", "cycle lengths must be >= 1"),
         ("--stat=X1+", "dangling sign"),
+        ("--stat=1/0*X1", "zero denominator in term '1/0*X1'"),
     ],
-    ids=["mu-zero", "stat-zero", "trailing-sign"],
+    ids=["mu-zero", "stat-zero", "trailing-sign", "zero-denominator"],
 )
 def test_bad_statistics_are_one_line_errors(capsys, flag, words):
     code, out, err = run(capsys, "eval", "--q", "2", "t", flag)
@@ -330,8 +331,12 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
         ),
         (("necklace", "--q", "65521", "--kmax", "2"), ["sieve limit", "no flag"]),
         (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
+        (
+            ("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--filter", "maxmult=x"),
+            ["--filter 'maxmult=x'", "all, squarefree, or maxmult=m"],
+        ),
     ],
-    ids=["ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit"],
+    ids=["ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit", "filter"],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):
     code, out, err = run(capsys, *argv)

@@ -17,7 +17,6 @@ PUBLIC = [
     "FieldCtx",
     "FieldElement",
     "MultiIndex",
-    "NilSeries",
     "Permutation",
     "Poly",
     "SigmaStructure",
@@ -60,7 +59,6 @@ PUBLIC = [
     "parse_poly",
     "parse_predicate",
     "partitions",
-    "phi_eps",
     "poly_gcd",
     "prime_power",
     "run_all",

@@ -270,6 +270,14 @@ def test_m_projection_composes_slots_in_order():
         assert m_projection(h, spec, 0) == want
 
 
+def test_m_projection_puts_later_slots_on_the_left():
+    # S_3 does not commute, so the order of the slots shows
+    spec = CosetSpec(((2, 3),))
+    a, b = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+    assert b * a != a * b
+    assert m_projection(((a, b),), spec, 0) == b * a
+
+
 def test_enumeration_caps_name_the_flag():
     with pytest.raises(CapExceeded, match="--cap-group"):
         list(enumerate_sn(5, cap=100))
