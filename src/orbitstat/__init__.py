@@ -17,7 +17,6 @@ from .charpoly import (
     binom_eval,
     g_series_identity_check,
     sn_expectation_closed,
-    sn_expectation_oracle,
 )
 from .division_algebra import (
     DEFAULT_TERM_CAP,
@@ -29,8 +28,6 @@ from .division_algebra import (
 from .errors import CapExceeded
 from .finite_field import (
     FieldCtx,
-    FieldElement,
-    enumerate_elements,
     format_field_spec,
     make_field,
     parse_field_spec,
@@ -70,7 +67,6 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     Permutation,
-    conjugacy_class_size,
     cycle_type,
     enumerate_sn,
     m_projection,
@@ -84,7 +80,6 @@ from .young_stats import (
     count_cycle_type_in_coset,
     cycle_type_distribution,
     expected_binom_on_coset,
-    expected_k_cycles,
 )
 
 __version__ = "1.0.0"
@@ -102,7 +97,6 @@ __all__ = [
     "EqualExpectationReport",
     "Factorization",
     "FieldCtx",
-    "FieldElement",
     "MultiIndex",
     "Permutation",
     "Poly",
@@ -112,7 +106,6 @@ __all__ = [
     "chi_formula",
     "chi_of_f",
     "chi_oracle",
-    "conjugacy_class_size",
     "coset_bruteforce",
     "coset_histogram",
     "count_cycle_type_in_coset",
@@ -122,7 +115,6 @@ __all__ = [
     "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",
-    "enumerate_elements",
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
@@ -130,7 +122,6 @@ __all__ = [
     "expectation_epsilon",
     "expectation_epsilon_oracle",
     "expected_binom_on_coset",
-    "expected_k_cycles",
     "factor",
     "format_field_spec",
     "format_poly",
@@ -151,6 +142,5 @@ __all__ = [
     "run_all",
     "sigma_structure",
     "sn_expectation_closed",
-    "sn_expectation_oracle",
     "xk_of_f",
 ]

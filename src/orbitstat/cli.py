@@ -131,7 +131,7 @@ def cmd_factor(args):
     payload = {
         "field": format_field_spec(ctx),
         "f": format_poly(f),
-        "unit": str(fac.unit),
+        "unit": ctx.element_text(fac.unit),
         "factors": [
             {"poly": format_poly(p), "degree": p.degree, "multiplicity": r}
             for p, r in fac.factors
@@ -143,6 +143,8 @@ def cmd_factor(args):
 
 
 def cmd_necklace(args):
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ctx = _ctx(args)
     rows = []
     lines = [f"field = {format_field_spec(ctx)}"]

@@ -7,18 +7,14 @@ modulus is supplied, the lexicographically smallest irreducible one is chosen
 always produce identical fields.
 
 The element c0 + c1*t + ... is coded as its index c0 + c1*p + c2*p^2 + ...
-in 0..q-1 (constant digit fastest), the order of enumerate_elements, and
-FieldCtx.add, sub, neg, mul, inv and power work on such indices.  Prime
-fields use native % and pow.  An extension builds, on first use and never at
-import, exp/log tables of its primitive element of smallest index; addition
-is XOR of indices in characteristic 2 and goes through a Zech table in odd
+in 0..q-1 (constant digit fastest), and that index is the one element type:
+FieldCtx.add, sub, neg, mul, inv and power work on indices, index_of turns a
+digit vector into its index and element_text prints an index.  Prime fields
+use native % and pow.  An extension builds, on first use and never at import,
+exp/log tables of its primitive element of smallest index; addition is XOR
+of indices in characteristic 2 and goes through a Zech table in odd
 characteristic (Lidl and Niederreiter, Finite Fields).  The tables hold fewer
-than 3q ints.
-
-FieldElement, the public element type, is an immutable vector of e residues
-mod p (constant coefficient first) tied to its context; its operators
-delegate to the index arithmetic.  Mixing elements of different fields raises
-ValueError, while contexts with equal (p, e, modulus) compare equal and
+than 3q ints.  Contexts with equal (p, e, modulus) compare equal and
 interoperate.
 
 Construction enforces q <= 2**16: larger fields are out of scope for the
@@ -28,8 +24,9 @@ exhaustive enumerations this package is built around.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 Q_LIMIT = 1 << 16
 
@@ -82,7 +79,7 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Field contexts and elements
+# Field contexts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -101,41 +98,28 @@ class FieldCtx:
             return f"FieldCtx(q={self.q})"
         return f"FieldCtx(q={self.p}^{self.e}, modulus={list(self.modulus)})"
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.e)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.e - 1))
-
-    def from_int(self, n: int) -> "FieldElement":
-        """Embed an integer via the prime subfield."""
-        return FieldElement(self, (n % self.p,) + (0,) * (self.e - 1))
-
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        """Element from up to e residues, constant coordinate first."""
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) > self.e:
+    def index_of(self, digits: Sequence[int]) -> int:
+        """Index of the element with up to e residues mod p, constant digit
+        first; missing digits are 0."""
+        if len(digits) > self.e:
             raise ValueError(
-                f"element vector of length {len(coeffs)} in a degree-{self.e} extension"
+                f"element vector of length {len(digits)} in a degree-{self.e} extension"
             )
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
-
-    def element_index(self, a: "FieldElement") -> int:
-        """Position of a in the enumeration order (constant digit fastest)."""
         idx = 0
-        for c in reversed(a.coeffs):
-            idx = idx * self.p + c
+        for c in reversed(digits):
+            idx = idx * self.p + c % self.p
         return idx
 
-    def element_from_index(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"element index {idx} out of range for q={self.q}")
-        coeffs = []
+    def element_text(self, idx: int) -> str:
+        """An element as printed: its residue when it lies in the prime
+        field, as 3, and else its digit vector, as [1,1]."""
+        if idx < self.p:
+            return str(idx)
+        digits = []
         for _ in range(self.e):
             idx, rem = divmod(idx, self.p)
-            coeffs.append(rem)
-        return FieldElement(self, tuple(coeffs))
+            digits.append(str(rem))
+        return "[" + ",".join(digits) + "]"
 
     # -- arithmetic on element indices --------------------------------------
 
@@ -258,79 +242,6 @@ def _build_tables(ctx: FieldCtx) -> tuple:
     return exp, log, zech
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_q, immutable and hashable."""
-
-    ctx: FieldCtx
-    coeffs: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements belong to different fields")
-            return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        return NotImplemented
-
-    def _binary(self, other, op, swap=False):
-        """op on the element indices of self and other (swapped if asked)."""
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ctx = self.ctx
-        a, b = ctx.element_index(self), ctx.element_index(other)
-        return ctx.element_from_index(op(b, a) if swap else op(a, b))
-
-    def __add__(self, other):
-        return self._binary(other, self.ctx.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, self.ctx.sub)
-
-    def __rsub__(self, other):
-        return self._binary(other, self.ctx.sub, swap=True)
-
-    def __neg__(self):
-        ctx = self.ctx
-        return ctx.element_from_index(ctx.neg(ctx.element_index(self)))
-
-    def __mul__(self, other):
-        return self._binary(other, self.ctx.mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, self.ctx.div)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, self.ctx.div, swap=True)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative exponent; use inverse() explicitly")
-        ctx = self.ctx
-        return ctx.element_from_index(ctx.power(ctx.element_index(self), n))
-
-    def inverse(self) -> "FieldElement":
-        ctx = self.ctx
-        return ctx.element_from_index(ctx.inv(ctx.element_index(self)))
-
-    def __str__(self):
-        if self.ctx.e == 1 or not any(self.coeffs[1:]):
-            return str(self.coeffs[0])
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
 def _irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
     """Irreducibility over F_p, decided by the polynomial core."""
     from .polynomial import Poly, is_irreducible
@@ -387,24 +298,18 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     return FieldCtx(p, e, q, mod)
 
 
-def enumerate_elements(ctx: FieldCtx) -> Iterator[FieldElement]:
-    """All q elements, deterministic order (constant coordinate fastest)."""
-    for idx in range(ctx.q):
-        yield ctx.element_from_index(idx)
-
-
 def _parse_int_list(text: str) -> list[int]:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"expected a bracketed integer list, got {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return []
-    return [int(part) for part in body.split(",")]
+    """The integers of the --mod form [c0,...,cn]."""
+    if not re.fullmatch(r"\[([-+]?\d+(,[-+]?\d+)*)?\]", text):
+        raise ValueError(
+            f"bad --mod {text!r}: expected a bracketed list of integers such as [1,1,1]"
+        )
+    return [int(c) for c in text[1:-1].split(",") if c]
 
 
 def parse_field_spec(text: str) -> FieldCtx:
-    """Parse "q=p", "q=p^e" or "q=p^e;mod=[c0,...,1]" into a field."""
+    """Parse "q=p", "q=p^e" or "q=p^e;mod=[c0,...,1]" into a field; the q and
+    mod parts are what the --q and --mod flags pass."""
     s = text.strip().replace(" ", "")
     if not s.startswith("q="):
         raise ValueError(f"field spec must start with 'q=', got {text!r}")
@@ -415,11 +320,13 @@ def parse_field_spec(text: str) -> FieldCtx:
         if not rest.startswith("mod="):
             raise ValueError(f"unrecognized field spec part {rest!r}")
         modulus = _parse_int_list(rest[4:])
-    if "^" in body:
-        p_text, e_text = body.split("^", 1)
-        p, e = int(p_text), int(e_text)
+    m = re.fullmatch(r"(\d+)(?:\^(\d+))?", body)
+    if not m:
+        raise ValueError(f"bad --q {body!r}: expected a prime power such as 8 or 2^3")
+    if m.group(2) is None:
+        p, e = prime_power(int(m.group(1)))
     else:
-        p, e = prime_power(int(body))
+        p, e = int(m.group(1)), int(m.group(2))
     return make_field(p, e, modulus)
 
 

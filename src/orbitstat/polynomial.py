@@ -5,8 +5,8 @@ A Poly holds its field and an ascending tuple of element indices (see
 finite_field) with no trailing zeros; the zero polynomial is the empty tuple
 (degree -1).  Every operation runs on those int tuples: over a prime field
 with native integer arithmetic and one reduction mod p per coefficient, over
-an extension through the field's exp/log tables.  Poly.coeffs turns the
-indices into FieldElements for callers that want them.
+an extension through the field's exp/log tables.  Poly(ctx, coeffs) takes
+indices, and Poly.coeffs, leading and evaluate give them back.
 
 Monic polynomials of degree d are enumerated by counting their lower
 coefficient vector in base q with the constant coefficient as the fastest
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded
-from .finite_field import FieldCtx, FieldElement, prime_factors
+from .finite_field import FieldCtx, prime_factors
 
 ENUMERATION_LIMIT = 10 ** 7
 
@@ -131,16 +131,13 @@ class Poly:
     __slots__ = ("ctx", "_c")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
-        items = []
-        for c in coeffs:
-            if isinstance(c, int):
-                items.append(c % ctx.p)  # embedded through the prime subfield
-            elif isinstance(c, FieldElement):
-                if c.ctx != ctx:
-                    raise ValueError("coefficient from a different field")
-                items.append(ctx.element_index(c))
-            else:
-                raise TypeError(f"bad coefficient {c!r}")
+        """coeffs: element indices in 0..q-1, constant coefficient first."""
+        items = tuple(coeffs)
+        for c in items:
+            if not (isinstance(c, int) and 0 <= c < ctx.q):
+                raise ValueError(
+                    f"coefficient {c!r} is not an element index 0..{ctx.q - 1}"
+                )
         self.ctx = ctx
         self._c = _trim(items)
 
@@ -165,8 +162,8 @@ class Poly:
     # -- structure ----------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        return tuple(map(self.ctx.element_from_index, self._c))
+    def coeffs(self) -> tuple[int, ...]:
+        return self._c
 
     @property
     def degree(self) -> int:
@@ -181,10 +178,10 @@ class Poly:
         return bool(self._c) and self._c[-1] == 1
 
     @property
-    def leading(self) -> FieldElement:
+    def leading(self) -> int:
         if not self._c:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.ctx.element_from_index(self._c[-1])
+        return self._c[-1]
 
     def __eq__(self, other):
         return (
@@ -212,10 +209,6 @@ class Poly:
             if other.ctx != self.ctx:
                 raise ValueError("polynomials over different fields")
             return other
-        if isinstance(other, (FieldElement, int)):
-            if isinstance(other, FieldElement) and other.ctx != self.ctx:
-                raise ValueError("polynomials over different fields")
-            return Poly(self.ctx, (other,))
         return NotImplemented
 
     def __add__(self, other):
@@ -301,14 +294,14 @@ class Poly:
             ctx, _trim([ctx.mul(c, i % ctx.p) for i, c in enumerate(self._c) if i > 0])
         )
 
-    def evaluate(self, point) -> FieldElement:
+    def evaluate(self, point: int) -> int:
+        """The value at the element index point, by Horner's rule."""
         ctx = self.ctx
-        x = Poly(ctx, (point,))._c
-        x = x[0] if x else 0
+        Poly.constant(ctx, point)  # refuses anything but an element index
         acc = 0
         for c in reversed(self._c):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return ctx.element_from_index(acc)
+            acc = ctx.add(ctx.mul(acc, point), c)
+        return acc
 
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero
@@ -403,10 +396,11 @@ def signed_terms(s: str) -> list[tuple[int, str]]:
     return out
 
 
-def _coef_from_text(text: str, ctx: FieldCtx) -> FieldElement:
+def _coef_from_text(text: str, ctx: FieldCtx) -> int:
+    """Index of an integer (reduced mod p) or a bracketed digit vector."""
     if text.startswith("["):
-        return ctx.element([int(x) for x in text[1:-1].split(",")] if text != "[]" else [])
-    return ctx.from_int(int(text))
+        return ctx.index_of([int(x) for x in text[1:-1].split(",")] if text != "[]" else [])
+    return int(text) % ctx.p
 
 
 def parse_poly(text: str, ctx: FieldCtx) -> Poly:
@@ -429,34 +423,26 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
             else:
                 j = body.find(",", i)
                 part = body[i:] if j < 0 else body[i:j]
-                coeffs.append(ctx.from_int(int(part)))
+                coeffs.append(_coef_from_text(part, ctx))
                 i = len(body) if j < 0 else j + 1
         return Poly(ctx, coeffs)
-    acc: dict[int, FieldElement] = {}
+    acc: dict[int, int] = {}
     for sign, chunk in signed_terms(s):
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"bad term {chunk!r} in {text!r}")
-        coef = (
-            ctx.one()
-            if m.group("coef") is None
-            else _coef_from_text(m.group("coef"), ctx)
-        )
+        coef = 1 if m.group("coef") is None else _coef_from_text(m.group("coef"), ctx)
         if sign < 0:
-            coef = -coef
+            coef = ctx.neg(coef)
         if m.group("var") is None:
             exp = 0
         elif m.group("exp") is None:
             exp = 1
         else:
             exp = int(m.group("exp"))
-        acc[exp] = acc.get(exp, ctx.zero()) + coef
+        acc[exp] = ctx.add(acc.get(exp, 0), coef)
     top = max(acc) if acc else 0
-    return Poly(ctx, [acc.get(i, ctx.zero()) for i in range(top + 1)])
-
-
-def _element_text(ctx: FieldCtx, idx: int) -> str:
-    return str(idx) if ctx.e == 1 else str(ctx.element_from_index(idx))
+    return Poly(ctx, [acc.get(i, 0) for i in range(top + 1)])
 
 
 def format_poly(f: Poly) -> str:
@@ -465,7 +451,7 @@ def format_poly(f: Poly) -> str:
         return "0"
     ctx, c = f.ctx, f._c
     if f.degree == 0:
-        ct = _element_text(ctx, c[0])
+        ct = ctx.element_text(c[0])
         # a lone bracketed element would read as a coefficient list, so a
         # constant like [0,1] is wrapped into the singleton list form
         return f"[{ct}]" if ct.startswith("[") else ct
@@ -473,7 +459,7 @@ def format_poly(f: Poly) -> str:
     for i in range(f.degree, -1, -1):
         if not c[i]:
             continue
-        ct = _element_text(ctx, c[i])
+        ct = ctx.element_text(c[i])
         if i == 0:
             parts.append(ct)
         else:
@@ -657,13 +643,15 @@ def poly_sort_key(f: Poly) -> tuple:
 
 @dataclass(frozen=True)
 class Factorization:
-    """unit * product of (monic irreducible)^multiplicity, canonically sorted."""
+    """unit * product of (monic irreducible)^multiplicity, canonically sorted;
+    the unit is an element index of ctx."""
 
-    unit: FieldElement
+    ctx: FieldCtx
+    unit: int
     factors: tuple[tuple[Poly, int], ...]
 
     def expand(self) -> Poly:
-        out = Poly.constant(self.unit.ctx, self.unit)
+        out = Poly.constant(self.ctx, self.unit)
         for p, r in self.factors:
             out = out * p ** r
         return out
@@ -677,7 +665,8 @@ class Factorization:
         return max((r for _, r in self.factors), default=0)
 
     def __str__(self):
-        parts = [str(self.unit)] if str(self.unit) != "1" or not self.factors else []
+        unit = self.ctx.element_text(self.unit)
+        parts = [unit] if self.unit != 1 or not self.factors else []
         for p, r in self.factors:
             parts.append(f"({p})" + (f"^{r}" if r > 1 else ""))
         return " * ".join(parts) if parts else "1"
@@ -802,11 +791,11 @@ def factor(f: Poly) -> Factorization:
     unit = f.leading
     m = f.monic()
     if m.degree == 0:
-        return Factorization(unit, ())
+        return Factorization(f.ctx, unit, ())
     found = []
     for part, mult in _squarefree_parts(m):
         for prod, k in _distinct_degree(part):
             for irr in _equal_degree(prod, k):
                 found.append((irr, mult))
     found.sort(key=lambda item: poly_sort_key(item[0]))
-    return Factorization(unit, tuple(found))
+    return Factorization(f.ctx, unit, tuple(found))

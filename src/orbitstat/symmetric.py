@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -115,12 +116,14 @@ class MultiIndex:
             s = s[3:]
         if not s:
             return cls()
+        if not re.fullmatch(r"\d+:\d+(,\d+:\d+)*", s):
+            raise ValueError(
+                f"bad multi-index {text!r}: expected k:m entries with integers "
+                "k and m, as in --mu 1:2,3:1"
+            )
         counts: dict[int, int] = {}
         for part in s.split(","):
-            k_text, _, m_text = part.partition(":")
-            if not _:
-                raise ValueError(f"bad multi-index entry {part!r}")
-            k, m = int(k_text), int(m_text)
+            k, m = map(int, part.split(":"))
             counts[k] = counts.get(k, 0) + m
         return cls.from_dict(counts)
 
@@ -170,14 +173,12 @@ class CosetSpec:
         s = text.strip().replace(" ", "")
         if s.startswith("blocks="):
             s = s[7:]
-        if not s:
-            raise ValueError("empty block list")
-        blocks = []
-        for part in s.split(","):
-            d_text, _, r_text = part.partition("^")
-            if not _:
-                raise ValueError(f"bad block {part!r}, expected d^r")
-            blocks.append((int(d_text), int(r_text)))
+        if not re.fullmatch(r"\d+\^\d+(,\d+\^\d+)*", s):
+            raise ValueError(
+                f"bad --blocks {text!r}: expected d^r entries with integers "
+                "d and r, as in 1^2,2^1"
+            )
+        blocks = [tuple(map(int, part.split("^"))) for part in s.split(",")]
         return cls(tuple(blocks))
 
     def __str__(self):
@@ -329,15 +330,6 @@ def centralizer_order(mu: MultiIndex) -> int:
     for k, m in mu.items():
         out *= k ** m * math.factorial(m)
     return out
-
-
-def conjugacy_class_size(mu: MultiIndex, n: int) -> int:
-    """Size of the S_n conjugacy class with cycle type mu."""
-    if mu.norm != n:
-        raise ValueError(f"cycle type of norm {mu.norm} in S_{n}")
-    num, denom = math.factorial(n), centralizer_order(mu)
-    assert num % denom == 0
-    return num // denom
 
 
 def partitions(n: int) -> Iterator[MultiIndex]:

@@ -260,6 +260,27 @@ def test_bad_statistics_are_one_line_errors(capsys, flag, words):
     assert words in err
 
 
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("eval", "--q", "2", "t", "--mu", "1:x"), ["--mu", "'1:x'"]),
+        (("young", "--blocks", "2^x", "--mu", "1:1"), ["--blocks", "'2^x'"]),
+        (("factor", "--q", "x", "t"), ["--q", "'x'"]),
+        (("factor", "--q", "2^x", "t"), ["--q", "'2^x'"]),
+        (("factor", "--q", "4", "--mod", "[1,x,1]", "t"), ["--mod", "'[1,x,1]'"]),
+        (("necklace", "--q", "2", "--kmax", "0"), ["--kmax", "got 0"]),
+        (("necklace", "--q", "2", "--kmax", "-3"), ["--kmax", "got -3"]),
+    ],
+    ids=["mu", "blocks", "q", "q-power", "mod", "kmax-zero", "kmax-negative"],
+)
+def test_bad_inputs_are_one_line_errors_naming_flag_and_input(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+
+
 def test_histogram_limit_refuses_before_listing_partitions(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "young", "--blocks", "1^500", "--histogram")

@@ -15,7 +15,6 @@ PUBLIC = [
     "EqualExpectationReport",
     "Factorization",
     "FieldCtx",
-    "FieldElement",
     "MultiIndex",
     "Permutation",
     "Poly",
@@ -25,7 +24,6 @@ PUBLIC = [
     "chi_formula",
     "chi_of_f",
     "chi_oracle",
-    "conjugacy_class_size",
     "coset_bruteforce",
     "coset_histogram",
     "count_cycle_type_in_coset",
@@ -35,7 +33,6 @@ PUBLIC = [
     "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",
-    "enumerate_elements",
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
@@ -43,7 +40,6 @@ PUBLIC = [
     "expectation_epsilon",
     "expectation_epsilon_oracle",
     "expected_binom_on_coset",
-    "expected_k_cycles",
     "factor",
     "format_field_spec",
     "format_poly",
@@ -64,7 +60,6 @@ PUBLIC = [
     "run_all",
     "sigma_structure",
     "sn_expectation_closed",
-    "sn_expectation_oracle",
     "xk_of_f",
 ]
 

@@ -1,0 +1,33 @@
+"""README examples: every `$ orbitstat ...` block prints exactly the lines
+shown under it, and the Library block runs and prints what its comments say."""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from orbitstat.cli import main
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
+COMMANDS = [body for lang, body in BLOCKS if body.startswith("$ orbitstat ")]
+LIBRARY = [body for lang, body in BLOCKS if lang == "python"]
+
+
+def test_readme_has_the_examples():
+    assert len(COMMANDS) == 6 and len(LIBRARY) == 1
+
+
+@pytest.mark.parametrize("block", COMMANDS, ids=lambda b: b.split()[2])
+def test_command_block_prints_what_it_shows(capsys, block):
+    command, _, shown = block.partition("\n")
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_library_block_runs(capsys):
+    (code,) = LIBRARY
+    exec(compile(code, "README.md", "exec"), {})
+    printed = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in printed)

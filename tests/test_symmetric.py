@@ -18,7 +18,7 @@ from orbitstat.symmetric import (
     MultiIndex,
     Permutation,
     block_multisets,
-    conjugacy_class_size,
+    centralizer_order,
     count_block_multisets,
     cycle_type,
     enumerate_h_structured,
@@ -94,7 +94,7 @@ def test_enumerate_sn_cap():
 def test_conjugacy_class_sizes_partition_the_group(n):
     total = 0
     for mu in partitions(n):
-        size = conjugacy_class_size(mu, n)
+        size = math.factorial(n) // centralizer_order(mu)
         brute = sum(1 for s in enumerate_sn(n) if s.cycle_type() == mu)
         assert size == brute
         total += size
