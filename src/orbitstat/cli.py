@@ -37,7 +37,14 @@ from .frobenius_stats import (
     ensemble_formula,
     parse_predicate,
 )
-from .polynomial import factor, format_poly, necklace_check, parse_poly
+from .polynomial import (
+    ENUMERATION_LIMIT,
+    check_sieve_size,
+    factor,
+    format_poly,
+    necklace_check,
+    parse_poly,
+)
 from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex
 from .verify import CHECK_NAMES, run_all
 from .young_stats import (
@@ -146,6 +153,12 @@ def cmd_necklace(args):
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ctx = _ctx(args)
+    # the first degree past the sieve limit would end the run, so it is
+    # refused before any degree below it is sieved
+    k = 1
+    while k < args.kmax and ctx.q ** k <= ENUMERATION_LIMIT:
+        k += 1
+    check_sieve_size(k, ctx)
     rows = []
     lines = [f"field = {format_field_spec(ctx)}"]
     all_ok = True

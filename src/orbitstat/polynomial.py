@@ -21,15 +21,20 @@ equal-degree splitting.  The splitting draws from a PRNG seeded with a
 constant, and the factors are unique and sorted, so factor() is deterministic
 and never needs the sieve: it works for every field the package supports.
 
-Irreducible enumeration runs a product sieve over all q^d monic polynomials:
-every product of a lower-degree irreducible with a monic cofactor is marked,
-and the survivors are exactly the irreducibles.  The sieve works on the same
-element indices, is memoized per (field, degree) and refuses
+Irreducible enumeration is a sieve over one flag per monic polynomial of
+degree d, kept in coefficient-lex order.  Write f = L + t^a*H with deg L < a;
+an irreducible P of degree a divides f exactly when L = -(t^a*H mod P), which
+is affine in H.  So the q^(d-a) multiples of P form one list, built a digit of
+H at a time by translating whole lists of low parts (XOR in characteristic 2,
+a lookup in a row of digit-wise sums otherwise), and their flags are cleared
+together.  The survivors are exactly the irreducibles, read out already in
+lex order.  The sieve is memoized per (field, degree) and refuses
 q^d > ENUMERATION_LIMIT.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -396,11 +401,19 @@ def signed_terms(s: str) -> list[tuple[int, str]]:
     return out
 
 
-def _coef_from_text(text: str, ctx: FieldCtx) -> int:
-    """Index of an integer (reduced mod p) or a bracketed digit vector."""
-    if text.startswith("["):
-        return ctx.index_of([int(x) for x in text[1:-1].split(",")] if text != "[]" else [])
-    return int(text) % ctx.p
+def _coef_from_text(text: str, ctx: FieldCtx, poly: str) -> int:
+    """Index of an integer (reduced mod p) or a bracketed digit vector; poly
+    is the polynomial text, for the error message."""
+    vector = text.startswith("[")
+    parts = text[1:-1].split(",") if vector else [text]
+    try:
+        digits = [int(x) for x in parts] if text != "[]" else []
+    except ValueError:
+        raise ValueError(
+            f"bad coefficient {text!r} in {poly!r}: expected an integer "
+            "or a bracketed vector of integers such as [1,0,1]"
+        ) from None
+    return ctx.index_of(digits) if vector else digits[0] % ctx.p
 
 
 def parse_poly(text: str, ctx: FieldCtx) -> Poly:
@@ -416,14 +429,14 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         while i < len(body):
             if body[i] == "[":
                 j = _matching_bracket(body, i)
-                coeffs.append(_coef_from_text(body[i : j + 1], ctx))
+                coeffs.append(_coef_from_text(body[i : j + 1], ctx, text))
                 i = j + 1
                 if i < len(body) and body[i] == ",":
                     i += 1
             else:
                 j = body.find(",", i)
                 part = body[i:] if j < 0 else body[i:j]
-                coeffs.append(_coef_from_text(part, ctx))
+                coeffs.append(_coef_from_text(part, ctx, text))
                 i = len(body) if j < 0 else j + 1
         return Poly(ctx, coeffs)
     acc: dict[int, int] = {}
@@ -431,7 +444,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"bad term {chunk!r} in {text!r}")
-        coef = 1 if m.group("coef") is None else _coef_from_text(m.group("coef"), ctx)
+        coef = 1 if m.group("coef") is None else _coef_from_text(m.group("coef"), ctx, text)
         if sign < 0:
             coef = ctx.neg(coef)
         if m.group("var") is None:
@@ -499,66 +512,118 @@ def enumerate_monic(d: int, ctx: FieldCtx) -> Iterator[Poly]:
 _irr_cache: dict[tuple[FieldCtx, int], list[int]] = {}
 
 
-def _mark_multiples(marks: bytearray, a: int, p_idx: int, d: int, ctx: FieldCtx, steps):
-    """Mark every (irreducible of index p_idx, degree a) times (monic of
-    degree m = d-a) inside the degree-d index space.
+def check_sieve_size(d: int, ctx: FieldCtx) -> None:
+    """Refuse a degree-d sieve that needs more than ENUMERATION_LIMIT slots."""
+    if ctx.q ** d > ENUMERATION_LIMIT:
+        raise CapExceeded(
+            f"irreducible enumeration needs q^d = {ctx.q ** d} slots, "
+            f"beyond the sieve limit {ENUMERATION_LIMIT}, which no flag raises"
+        )
 
-    The cofactors g run through their indices like an odometer.  When digit
-    j of g steps from v to v+1 (mod q), the product gains steps[v] * t^j * P
-    with steps[v] = (v+1) - v in F_q, so a step updates only a+1 coefficients
-    of the product and its index.
+
+def _lex_to_index(n: int, q: int) -> list[int]:
+    """The index of each lex position: entry c0*q^(n-1) + ... + c_(n-1) is
+    c0 + c1*q + ... + c_(n-1)*q^(n-1)."""
+    table, w = [0], 1
+    for _ in range(n):
+        table = [x + c * w for x in table for c in range(q)]
+        w *= q
+    return table
+
+
+def _digit_sum_row(u: int, n: int, p: int) -> list[int]:
+    """[l + u for l in range(p^n)], the sum taken digit by digit mod p."""
+    row, w = [0], 1
+    for _ in range(n):
+        u, c = divmod(u, p)
+        row = [x + (y + c) % p * w for y in range(p) for x in row]
+        w *= p
+    return row
+
+
+def _translator(ctx: FieldCtx, a: int):
+    """(block, u) -> the vector sums l + u for l in block, on lex codes of a
+    coefficients: XOR in characteristic 2, else one lookup in the row of u,
+    built on first use.  There are at most q^a rows of q^a entries, and the
+    entries refer to one shared list of ints, 8 bytes an entry."""
+    if ctx.p == 2:
+        return lambda block, u: [l ^ u for l in block]
+    codes = list(range(ctx.q ** a))
+    rows: dict[int, list[int]] = {}
+
+    def translate(block, u):
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = list(map(codes.__getitem__, _digit_sum_row(u, a * ctx.e, ctx.p)))
+        return [row[l] for l in block]
+
+    return translate
+
+
+def _multiple_lows(ctx: FieldCtx, p_idx: int, a: int, d: int, translate) -> list[int]:
+    """The low parts of the monic multiples of degree d of P, the monic of
+    degree a and index p_idx.
+
+    Write a monic f of degree d as L + t^a*H, with deg L < a and H monic of
+    degree m = d-a.  P divides f exactly when L = -(t^a*H mod P), and with
+    H = t^m + sum of h_j*t^j that is -(t^d mod P) - sum of h_j*(t^(a+j) mod P),
+    affine in H.  Entry r is the lex code of L (c0 the top digit) for the H
+    of lex position r, so f sits at lex position L*q^m + r.  The list grows
+    one digit of H at a time, the fastest digit h_(m-1) first: block h of
+    the new list is the old list translated by -h*(t^(a+j) mod P).
     """
     q = ctx.q
-    m = d - a
-    add = ctx.add
-    weights = [q ** k for k in range(d)]
-    p_co = _index_digits(p_idx, a, q) + (1,)
-    rows = [[ctx.mul(s, c) for c in p_co] for s in steps]
-    res = [0] * m + list(p_co[:-1])  # P * t^m below its leading 1
-    idx = sum(c * w for c, w in zip(res, weights))
-    marks[idx] = 1
-    digits = [0] * m
-    for _ in range(q ** m - 1):
-        j = 0
-        while True:
-            v = digits[j]
-            for k, c in enumerate(rows[v], j):
-                if c:
-                    old = res[k]
-                    res[k] = new = add(old, c)
-                    idx += (new - old) * weights[k]
-            if v + 1 < q:
-                digits[j] = v + 1
-                break
-            digits[j] = 0
-            j += 1
-        marks[idx] = 1
+    p_low = list(_index_digits(p_idx, a, q))  # -(t^a mod P)
+    t_a = [ctx.neg(c) for c in p_low]  # t^a mod P
+    weights = [q ** (a - 1 - k) for k in range(a)]
+
+    def code(vec):
+        return sum(c * w for c, w in zip(vec, weights))
+
+    minus = []  # -(t^(a+j) mod P) for j = 0..m, each t times the one before
+    r = p_low
+    for _ in range(d - a + 1):
+        minus.append(r)
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            r = [ctx.add(x, ctx.mul(top, c)) for x, c in zip(r, t_a)]
+    lows = [code(minus.pop())]
+    for vec in reversed(minus):
+        grown = list(lows)
+        for h in range(1, q):
+            grown += translate(lows, code([ctx.mul(h, c) for c in vec]))
+        lows = grown
+    return lows
 
 
 def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
+    """Indices of the monic irreducibles of degree d, coefficient-lex order.
+
+    One flag per monic in lex order (c0 the top digit); the multiples of
+    every irreducible of degree a <= d/2 are cleared a whole list at a time,
+    and the survivors are read out in lex order and turned into indices
+    through two tables of about q^(d/2) entries.
+    """
     key = (ctx, d)
     got = _irr_cache.get(key)
     if got is not None:
         return got
     if d < 1:
         raise ValueError("irreducibles have degree >= 1")
-    if ctx.q ** d > ENUMERATION_LIMIT:
-        raise CapExceeded(
-            f"irreducible enumeration needs q^d = {ctx.q ** d} slots, "
-            f"beyond the sieve limit {ENUMERATION_LIMIT}, which no flag raises"
-        )
-    if d == 1:
-        result = list(range(ctx.q))
-    else:
-        marks = bytearray(ctx.q ** d)
-        steps = [ctx.sub((v + 1) % ctx.q, v) for v in range(ctx.q)]
-        for a in range(1, d // 2 + 1):
-            for p_idx in _irreducible_indices(a, ctx):
-                _mark_multiples(marks, a, p_idx, d, ctx, steps)
-        result = [i for i in range(ctx.q ** d) if not marks[i]]
-    # reorder from index order (constant digit fastest) to the canonical
-    # coefficient-lex order shared with factorization output
-    result.sort(key=lambda i: _index_digits(i, d, ctx.q))
+    check_sieve_size(d, ctx)
+    q = ctx.q
+    alive = bytearray(b"\x01") * q ** d
+    for a in range(1, d // 2 + 1):
+        translate = _translator(ctx, a)
+        offsets = [low * q ** (d - a) for low in range(q ** a)]  # low -> position
+        for p_idx in _irreducible_indices(a, ctx):
+            for r, low in enumerate(_multiple_lows(ctx, p_idx, a, d, translate)):
+                alive[offsets[low] + r] = 0
+    half = q ** (d // 2)
+    head = _lex_to_index(d - d // 2, q)
+    tail = [x * q ** (d - d // 2) for x in _lex_to_index(d // 2, q)]
+    result = [head[r // half] + tail[r % half] for r in itertools.compress(range(q ** d), alive)]
     _irr_cache[key] = result
     return result
 

@@ -281,6 +281,31 @@ def test_bad_inputs_are_one_line_errors_naming_flag_and_input(capsys, argv, word
         assert word in err
 
 
+@pytest.mark.parametrize(
+    "q,poly,coef",
+    [("2", "[1,x]", "'x'"), ("4", "t+[1,,1]", "'[1,,1]'"), ("3", "[1,,1]", "''")],
+)
+def test_bad_coefficient_names_it_and_the_polynomial(capsys, q, poly, coef):
+    code, out, err = run(capsys, "factor", "--q", q, poly)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: bad coefficient {coef} in {poly!r}: expected an integer or a "
+        "bracketed vector of integers such as [1,0,1]\n"
+    )
+
+
+def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys):
+    # degrees 1..23 fit the sieve; sieving them first took over a minute
+    start = time.perf_counter()
+    code, out, err = run(capsys, "necklace", "--q", "2", "--kmax", "30")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == (
+        "error: irreducible enumeration needs q^d = 16777216 slots, beyond the "
+        "sieve limit 10000000, which no flag raises\n"
+    )
+
+
 def test_histogram_limit_refuses_before_listing_partitions(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "young", "--blocks", "1^500", "--histogram")

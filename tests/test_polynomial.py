@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbitstat import polynomial
 from orbitstat.errors import CapExceeded
-from orbitstat.finite_field import make_field
+from orbitstat.finite_field import make_field, parse_field_spec
 from orbitstat.polynomial import (
     Poly,
     count_irreducibles,
@@ -271,6 +271,78 @@ def test_frobenius_test_reaches_beyond_the_sieve():
 def test_enumeration_guard():
     with pytest.raises(CapExceeded):
         list(enumerate_irreducibles(24, F2))  # 2^24 > the sieve budget
+
+
+def odometer_sieve(d, ctx, memo):
+    """Indices of the degree-d monic irreducibles in coefficient-lex order,
+    by marking every product of a lower-degree irreducible P with a monic
+    cofactor g, one product at a time.  The cofactors run through their
+    indices like an odometer: when digit j of g steps from v to v+1 (mod q),
+    the product gains ((v+1) - v) * t^j * P, which changes only a+1
+    coefficients of it and of its index.  memo maps degree to result."""
+    if d in memo:
+        return memo[d]
+    q = ctx.q
+    digits_of = lambda idx, n: [idx // q ** k % q for k in range(n)]
+    weights = [q ** k for k in range(d)]
+    steps = [ctx.sub((v + 1) % q, v) for v in range(q)]
+    marks = bytearray(q ** d)
+    for a in range(1, d // 2 + 1):
+        m = d - a
+        for p_idx in odometer_sieve(a, ctx, memo):
+            p_co = digits_of(p_idx, a) + [1]
+            rows = [[ctx.mul(s, c) for c in p_co] for s in steps]
+            res = [0] * m + p_co[:-1]  # P * t^m below its leading 1
+            idx = sum(c * w for c, w in zip(res, weights))
+            marks[idx] = 1
+            odometer = [0] * m
+            for _ in range(q ** m - 1):
+                j = 0
+                while True:
+                    v = odometer[j]
+                    for k, c in enumerate(rows[v], j):
+                        if c:
+                            old = res[k]
+                            res[k] = new = ctx.add(old, c)
+                            idx += (new - old) * weights[k]
+                    if v + 1 < q:
+                        odometer[j] = v + 1
+                        break
+                    odometer[j] = 0
+                    j += 1
+                marks[idx] = 1
+    found = [i for i in range(q ** d) if not marks[i]]
+    memo[d] = sorted(found, key=lambda i: digits_of(i, d))
+    return memo[d]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_sieve_matches_the_odometer_sieve(monkeypatch, q):
+    """The span sieve gives the same ordered index lists as marking one
+    product at a time, for every degree with q^d <= 5*10^4."""
+    monkeypatch.setattr(polynomial, "_irr_cache", {})
+    ctx = parse_field_spec(f"q={q}")
+    memo = {}
+    d = 1
+    while q ** d <= 5 * 10 ** 4:
+        assert polynomial._irreducible_indices(d, ctx) == odometer_sieve(d, ctx, memo), d
+        d += 1
+
+
+# q^d up to about 2^18 slots, beyond what the odometer sieve reaches in a test
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(F2, 18), (F3, 11), (F4, 9), (F8, 6), (F9, 6)]).flatmap(
+        lambda field: st.tuples(st.just(field[0]), st.integers(1, field[1]))
+    )
+)
+def test_sieve_counts_match_the_moebius_formula(field_and_degree):
+    ctx, d = field_and_degree
+    assert count_irreducibles(d, ctx) == necklace_count(d, ctx.q)
+    fs = list(enumerate_irreducibles(d, ctx))
+    keys = [poly_sort_key(f) for f in fs]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert all(f.is_monic and f.degree == d for f in fs)
 
 
 def test_is_irreducible_edge_cases():
