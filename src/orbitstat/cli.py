@@ -31,11 +31,12 @@ from .division_algebra import DEFAULT_TERM_CAP
 from .finite_field import format_field_spec, parse_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
+    _chi_from_spec,
+    _chi_oracle_from_spec,
     chi_formula,
-    chi_of_f,
-    chi_oracle,
     ensemble_formula,
     parse_predicate,
+    sigma_structure,
 )
 from .polynomial import (
     ENUMERATION_LIMIT,
@@ -186,8 +187,10 @@ def cmd_eval(args):
         P, f"the statistic {args.stat or args.mu} has a coefficient of"
     )
     values: dict[str, Fraction] = {}
+    if args.method != "symbolic":  # formula and oracle share one factorization
+        spec = sigma_structure(f).spec
     if args.method in ("formula", "both"):
-        values["formula"] = chi_of_f(f, P)
+        values["formula"] = _chi_from_spec(spec, P)
     if args.method == "symbolic":
         values["symbolic"] = sum(
             (
@@ -197,7 +200,7 @@ def cmd_eval(args):
             Fraction(0),
         )
     if args.method in ("oracle", "both"):
-        values["oracle"] = chi_oracle(f, P, args.cap_group)
+        values["oracle"] = _chi_oracle_from_spec(spec, P, args.cap_group)
     lines = [
         f"field = {format_field_spec(ctx)}",
         f"f = {format_poly(f)}",

@@ -8,6 +8,14 @@ multiplicative (eps_t^2 evaluates to 0 at f = t while eps_t evaluates to 1),
 so products must be expanded into monomial symbols before evaluating; the
 operators here do exactly that, guarded by a term-count cap.
 
+Evaluation at one f is linear, though, and kills an ideal: the symbols eps_g
+with g not dividing f span it, since a multiple g*h of such a g does not
+divide f either.  So evaluation at f factors through the quotient by that
+ideal, and an expansion read only at f may drop every key that does not
+divide f as soon as it is formed.  frobenius_stats._chi_symbolic expands in
+that quotient; SymbolSum keeps the whole expansion, which the tests use as
+its oracle.
+
 Averaging eps_g over all monic f of degree N gives q^(-deg g) while
 deg g <= N and 0 beyond, which is what the one-variable truncation
 lambda_map implements: eps_g -> (eps/q)^(deg g) in Q[eps]/(eps^(N+1)), as an

@@ -9,8 +9,9 @@ are the averages over that coset.  Three independent routes compute them:
   blocks of the factorization (the fast path, which never needs
   irreducibles beyond the factors of f);
 * chi_formula "symbolic" expands the product of divisibility-symbol sums
-  over all irreducibles of degree dividing k, jointly across every k of mu,
-  and evaluates the expansion at f.
+  over the irreducibles of degree dividing k, jointly across every k of mu,
+  in the quotient by the symbols that vanish at f, and reads off its value
+  at f; it finds those symbols with the sieve and division, never factor.
 
 Ensemble sums accumulate the closed form over all monic f of a given degree,
 optionally filtered by a predicate on the factorization.  ensemble_formula
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .charpoly import CharPoly, sn_expectation_closed
-from .division_algebra import DEFAULT_TERM_CAP, SymbolSum
+from .division_algebra import DEFAULT_TERM_CAP
 from .errors import CapExceeded
 from .polynomial import (
     Factorization,
@@ -83,23 +84,70 @@ def sigma_structure(f: Poly) -> SigmaStructure:
 def chi_oracle(f: Poly, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
     """Average of P over the coset, by enumerating all of H: P is evaluated
     once per cycle type of the enumerated histogram."""
-    spec = sigma_structure(f).spec
+    return _chi_oracle_from_spec(sigma_structure(f).spec, P, cap)
+
+
+def _chi_oracle_from_spec(spec: CosetSpec, P: CharPoly, cap: int) -> Fraction:
     hist = coset_histogram(spec, cap)
     return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
 
+def _spend_terms(work: int, term_cap: int) -> None:
+    if work > term_cap:
+        raise CapExceeded(
+            f"the symbolic route would reach {work} steps (candidate symbols "
+            f"tested against f plus term pairs multiplied), beyond the cap "
+            f"{term_cap}; raise it with --cap-terms, or for coset statistics "
+            "use the factored route"
+        )
+
+
 def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
+    """binom(X, mu) at f as prod_k S_k^(m_k) / (k^(m_k) m_k!) at f, with
+    S_k = sum over d | k and irreducible p of degree d of d * eps_{p^(k/d)}.
+
+    Evaluation at f sends eps_g to 0 unless g divides f, and then no multiple
+    g*h divides f either: the symbols that do not divide f span an ideal that
+    evaluation kills, so the expansion runs in the quotient by it, exactly.
+    Every key of the product has degree |mu|, so nothing survives a |mu|
+    beyond deg f; S_k keeps only the p^(k/d) that divide f, and each product
+    keeps only the keys that divide f.  Every key left divides f, so the
+    value at f is the sum of the coefficients.  A key eps_g is stored as its
+    cofactor f/g: eps_h times it survives exactly when h divides the
+    cofactor, and the quotient is the cofactor of the product.
+
+    term_cap bounds the candidate symbols tested against f plus the term
+    pairs of each product, and is checked before each step starts.  The
+    candidates are the sieve's irreducibles, counted by the necklace formula
+    before any is sieved; f is never factored.
+    """
+    if mu.norm > f.degree:
+        return _F0
     ctx = f.ctx
-    total = SymbolSum.one(ctx)
+    work = sum(necklace_count(d, ctx.q) for k, _ in mu.items() for d in divisors(k))
+    _spend_terms(work, term_cap)
+    terms = {f: 1}  # cofactor f/g -> integer coefficient of eps_g
     pref = _F1
     for k, m in mu.items():
-        s = SymbolSum(
-            ctx,
-            {p ** (k // d): d for d in divisors(k) for p in enumerate_irreducibles(d, ctx)},
-        )
-        total = total.mul(s.pow(m, term_cap), term_cap)
+        s_k = []
+        for d in divisors(k):
+            for p in enumerate_irreducibles(d, ctx):
+                if not f % p:  # the cheap test first: few p divide f
+                    g = p ** (k // d)
+                    if not f % g:
+                        s_k.append((g, d))
+        for _ in range(m):
+            work += len(terms) * len(s_k)
+            _spend_terms(work, term_cap)
+            out: dict[Poly, int] = {}
+            for c, x in terms.items():
+                for h, y in s_k:
+                    quot, rem = divmod(c, h)
+                    if not rem:
+                        out[quot] = out.get(quot, 0) + x * y
+            terms = out
         pref *= Fraction(1, k ** m * math.factorial(m))
-    return pref * total.evaluate(f)
+    return pref * sum(terms.values())
 
 
 def chi_formula(
@@ -112,8 +160,9 @@ def chi_formula(
 
     method "factored" multiplies one closed-form factor per block of the
     factorization of f; method "symbolic" expands divisibility symbols over
-    every irreducible of degree dividing each k (an independent route kept
-    for cross-validation, much more expensive).
+    the irreducibles of degree dividing each k, keeping only the symbols that
+    divide f (an independent route kept for cross-validation: it never
+    factors f, and tests every irreducible of degree dividing each k).
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("chi is defined for monic nonzero polynomials")
@@ -126,8 +175,7 @@ def chi_formula(
 
 def chi_of_f(f: Poly, P: CharPoly) -> Fraction:
     """Closed-form value of a whole CharPoly at f (factored route)."""
-    struct = sigma_structure(f)
-    return _chi_from_spec(struct.spec, P)
+    return _chi_from_spec(sigma_structure(f).spec, P)
 
 
 def _chi_from_spec(spec: CosetSpec, P: CharPoly) -> Fraction:

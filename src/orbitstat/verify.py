@@ -25,10 +25,11 @@ from .charpoly import (
 from .division_algebra import expectation_epsilon, expectation_epsilon_oracle
 from .finite_field import FieldCtx, make_field, prime_power
 from .frobenius_stats import (
+    _chi_oracle_from_spec,
     chi_formula,
-    chi_oracle,
     factored_types,
     factorization_types,
+    sigma_structure,
     xk_of_f,
 )
 from .polynomial import (
@@ -41,6 +42,7 @@ from .polynomial import (
     necklace_count,
 )
 from .symmetric import (
+    DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
     block_multisets,
@@ -175,17 +177,20 @@ def check_chi_routes(
     scales: Sequence[tuple[int, int]] = ((2, 5), (3, 4))
 ) -> CheckResult:
     """Coset statistics of each f: factored closed form == symbolic expansion
-    == direct coset average, for every monic f and every mu up to its degree."""
+    == direct coset average, for every monic f and every mu up to its degree.
+    Each f is factored once, for the block spec that the factored form and
+    the coset average share; the symbolic expansion never factors."""
     bad = []
     n = 0
     for q, dmax in scales:
         ctx = _field(q)
         for d in range(1, dmax + 1):
             for f in enumerate_monic(d, ctx):
+                spec = sigma_structure(f).spec
                 for mu in multi_indices_up_to(d):
-                    a = chi_formula(f, mu)
+                    a = expected_binom_on_coset(spec, mu)
                     b = chi_formula(f, mu, method="symbolic")
-                    c = chi_oracle(f, CharPoly.binom(mu))
+                    c = _chi_oracle_from_spec(spec, CharPoly.binom(mu), DEFAULT_GROUP_CAP)
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))

@@ -34,7 +34,7 @@ def test_criterion_02_equal_expectations():
 
 
 def test_criterion_03_chi_routes():
-    _run(3, "chi-routes", budget=120.0)
+    _run(3, "chi-routes", budget=20.0)
 
 
 def test_criterion_04_coset_statistics():

@@ -56,6 +56,21 @@ def test_eval_symbolic_method(capsys):
     assert "symbolic = 1/2 (0.500000)" in out
 
 
+def test_cap_terms_bounds_candidates_and_term_pairs(capsys):
+    # f = t^3*(t+1) over F_2, mu = 1:2,2:1.  Candidates: t and t+1 for k = 1;
+    # t^2, (t+1)^2 and t^2+t+1 for k = 2: 5.  Of them t, t+1 and t^2 divide f.
+    # Products: 1 x 2, then 2 x 2 (the keys t*(t+1) and t^2 survive), then
+    # 2 x 1 term pairs: 8.  So the route needs 13.
+    argv = ("eval", "--q", "2", "t^4+t^3", "--mu", "1:2,2:1", "--method", "symbolic")
+    code, out, err = run(capsys, *argv, "--cap-terms", "12")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cap-terms" in err and "13" in err
+    code, out, err = run(capsys, *argv, "--cap-terms", "13")
+    assert code == 0 and err == ""
+    assert "symbolic = 1/2 (0.500000)" in out
+
+
 def test_eval_stat_expression(capsys):
     code, out, _ = run(capsys, "eval", "--q", "2", "t^2", "--stat",
                        "X1 + 2*binom(2:1)")

@@ -1,11 +1,15 @@
 """Statistics attached to one polynomial, and ensemble accumulation."""
 
+import functools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitstat import frobenius_stats, polynomial
 from orbitstat.charpoly import CharPoly, sn_expectation_closed
+from orbitstat.division_algebra import SymbolSum
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.frobenius_stats import (
@@ -22,7 +26,15 @@ from orbitstat.frobenius_stats import (
     sigma_structure,
     xk_of_f,
 )
-from orbitstat.polynomial import enumerate_monic, factor, parse_poly
+from orbitstat.polynomial import (
+    Poly,
+    divisors,
+    enumerate_irreducibles,
+    enumerate_monic,
+    factor,
+    monic_from_index,
+    parse_poly,
+)
 from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to
 from orbitstat.young_stats import expected_k_cycles
 
@@ -121,6 +133,65 @@ def test_xk_equals_the_first_binomial_moment():
                 val = xk_of_f(f, k)
                 assert val == chi_formula(f, MultiIndex.from_dict({k: 1}))
                 assert val == expected_k_cycles(spec, k)
+
+
+@functools.cache
+def full_expansion(ctx, mu):
+    """(prefactor, SymbolSum) of the symbolic route with nothing dropped:
+    prod_k S_k^(m_k) / (k^(m_k) m_k!) over every irreducible of degree
+    dividing each k, expanded in full by SymbolSum.  It does not depend on f,
+    so it is built once per (field, mu)."""
+    total = SymbolSum.one(ctx)
+    pref = Fraction(1)
+    for k, m in mu.items():
+        s_k = SymbolSum(
+            ctx,
+            {p ** (k // d): d for d in divisors(k) for p in enumerate_irreducibles(d, ctx)},
+        )
+        total = total.mul(s_k.pow(m))
+        pref *= Fraction(1, k ** m * math.factorial(m))
+    return pref, total
+
+
+def test_symbolic_route_equals_the_full_expansion(monkeypatch):
+    # the reduced expansion against the full one evaluated at f, with factor
+    # refused, so the route is seen never to factor
+    def refuse(f):
+        raise AssertionError(f"the symbolic route factored {f}")
+
+    monkeypatch.setattr(frobenius_stats, "factor", refuse)
+    monkeypatch.setattr(polynomial, "factor", refuse)
+    for ctx in (F2, F3, F4):
+        for d in range(5):
+            for f in enumerate_monic(d, ctx):
+                for mu in multi_indices_up_to(d):
+                    pref, full = full_expansion(ctx, mu)
+                    got = chi_formula(f, mu, method="symbolic")
+                    assert got == pref * full.evaluate(f), (ctx.q, str(f), str(mu))
+
+
+@st.composite
+def products_of_powers(draw, ctx, dmax):
+    """A monic f of degree 1..dmax drawn as a product of powers of random
+    monic polynomials, so repeated and shared factors are common."""
+    f = Poly.one(ctx)
+    while f.degree < 1 or (f.degree < dmax and draw(st.booleans())):
+        room = dmax - f.degree
+        d = draw(st.integers(1, room))
+        g = monic_from_index(d, ctx, draw(st.integers(0, ctx.q ** d - 1)))
+        f = f * g ** draw(st.integers(1, room // d))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([5, 7, 8, 9]), st.data())
+def test_symbolic_route_equals_the_factored_route_beyond_the_oracle(q, data):
+    # q^6 monics of degree 6 are out of the full expansion's reach: S_6 alone
+    # has tens of thousands of terms at q = 9
+    ctx = FIELDS.get(q) or make_field(q)
+    f = data.draw(products_of_powers(ctx, 6))
+    mu = data.draw(st.sampled_from(list(multi_indices_up_to(f.degree))))
+    assert chi_formula(f, mu, method="symbolic") == chi_formula(f, mu)
 
 
 @settings(max_examples=30, deadline=None)
