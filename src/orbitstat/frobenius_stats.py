@@ -87,7 +87,9 @@ def chi_oracle(f: Poly, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
     return _chi_oracle_from_spec(sigma_structure(f).spec, P, cap)
 
 
-def _chi_oracle_from_spec(spec: CosetSpec, P: CharPoly, cap: int) -> Fraction:
+def _chi_oracle_from_spec(
+    spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP
+) -> Fraction:
     hist = coset_histogram(spec, cap)
     return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
@@ -121,8 +123,6 @@ def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
     candidates are the sieve's irreducibles, counted by the necklace formula
     before any is sieved; f is never factored.
     """
-    if mu.norm > f.degree:
-        return _F0
     ctx = f.ctx
     work = sum(necklace_count(d, ctx.q) for k, _ in mu.items() for d in divisors(k))
     _spend_terms(work, term_cap)
@@ -132,10 +132,11 @@ def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
         s_k = []
         for d in divisors(k):
             for p in enumerate_irreducibles(d, ctx):
-                if not f % p:  # the cheap test first: few p divide f
-                    g = p ** (k // d)
-                    if not f % g:
-                        s_k.append((g, d))
+                if f % p:  # the cheap test first: few p divide f
+                    continue
+                g = p ** (k // d)
+                if d == k or not f % g:
+                    s_k.append((g, d))
         for _ in range(m):
             work += len(terms) * len(s_k)
             _spend_terms(work, term_cap)

@@ -42,7 +42,6 @@ from .polynomial import (
     necklace_count,
 )
 from .symmetric import (
-    DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
     block_multisets,
@@ -190,7 +189,7 @@ def check_chi_routes(
                 for mu in multi_indices_up_to(d):
                     a = expected_binom_on_coset(spec, mu)
                     b = chi_formula(f, mu, method="symbolic")
-                    c = _chi_oracle_from_spec(spec, CharPoly.binom(mu), DEFAULT_GROUP_CAP)
+                    c = _chi_oracle_from_spec(spec, CharPoly.binom(mu))
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))

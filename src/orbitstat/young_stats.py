@@ -29,6 +29,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .charpoly import _mul_truncated, binom_eval, sn_expectation_closed
 from .errors import CapExceeded
@@ -85,10 +87,8 @@ def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     return {MultiIndex(ct): c for ct, c in dist.items()}
 
 
-# one dict per (d, r, mu), shared by every caller: _mul_truncated never
-# mutates its inputs, and nothing else touches the dict
 @lru_cache(maxsize=4096)
-def _block_factor(d: int, r: int, mu: MultiIndex) -> dict[tuple[int, ...], Fraction]:
+def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], Fraction]:
     """B_{d,r}(z) truncated at z^mu: the S_r mean of binom(X, {k/d: a_k})
     at each exponent tuple a <= mu with a_k = 0 unless d | k."""
     ranges = [range(m + 1) if k % d == 0 else (0,) for k, m in mu.items()]
@@ -99,7 +99,7 @@ def _block_factor(d: int, r: int, mu: MultiIndex) -> dict[tuple[int, ...], Fract
         )
         if c:
             out[a] = c
-    return out
+    return MappingProxyType(out)
 
 
 def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:

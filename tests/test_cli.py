@@ -71,6 +71,19 @@ def test_cap_terms_bounds_candidates_and_term_pairs(capsys):
     assert "symbolic = 1/2 (0.500000)" in out
 
 
+def test_symbolic_beyond_deg_f_counts_its_work_like_any_mu(capsys):
+    # |mu| > deg f has the value 0, reached through the same counted
+    # candidates and products as any other mu
+    argv = ("t", "--mu", "2:1", "--method", "symbolic")
+    code, out, err = run(capsys, "eval", "--q", "65521", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cap-terms" in err
+    code, out, err = run(capsys, "eval", "--q", "2", *argv)
+    assert code == 0 and err == ""
+    assert "symbolic = 0\n" in out
+
+
 def test_eval_stat_expression(capsys):
     code, out, _ = run(capsys, "eval", "--q", "2", "t^2", "--stat",
                        "X1 + 2*binom(2:1)")

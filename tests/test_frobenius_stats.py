@@ -35,7 +35,7 @@ from orbitstat.polynomial import (
     monic_from_index,
     parse_poly,
 )
-from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to
+from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
 from orbitstat.young_stats import expected_k_cycles
 
 F2 = make_field(2)
@@ -168,6 +168,16 @@ def test_symbolic_route_equals_the_full_expansion(monkeypatch):
                     pref, full = full_expansion(ctx, mu)
                     got = chi_formula(f, mu, method="symbolic")
                     assert got == pref * full.evaluate(f), (ctx.q, str(f), str(mu))
+
+
+def test_symbolic_route_is_zero_beyond_deg_f():
+    # every key of the product has degree |mu|, so none divides f once
+    # |mu| > deg f and the product step alone leaves the exact 0
+    for ctx in (F2, F3):
+        for d in range(4):
+            for f in enumerate_monic(d, ctx):
+                for mu in partitions(d + 1):
+                    assert chi_formula(f, mu, method="symbolic") == 0, (ctx.q, str(f), str(mu))
 
 
 @st.composite
