@@ -6,12 +6,17 @@ combination in that binomial basis (the natural one here, because binom(X, mu)
 with norm(mu) = n is the indicator of a single S_n conjugacy class).  Monomial
 input like X1^2*X2 is converted into the basis via Stirling numbers.
 
-A truncated series is a dict from exponent tuples to Fractions, and
-_mul_truncated multiplies two of them, dropping every exponent beyond a box
-`top`: the eps^(r+1) = 0 of a nilpotent ring and the z^mu cut of the coset
-closed forms in young_stats are both such boxes.  _exp_truncated sums the
-exponential of a series without constant term, and g_series_identity_check
-runs the cycle-index generating-series identity on these dicts.
+A truncated series is a dict from exponent tuples to exact coefficients,
+and _mul_truncated multiplies two of them, dropping every exponent beyond a
+box `top`: the eps^(r+1) = 0 of a nilpotent ring and the z^mu cut of the
+coset closed forms in young_stats are both such boxes.  The product takes
+Fractions or ints alike.  young_stats scales each block factor by
+z_mu = prod_k k^{m_k} m_k!, which clears every denominator of the factor
+(each is a divisor of z_mu), so its products run in integers.
+_exp_truncated sums the exponential of a series without constant term,
+dividing with Fraction so that int input stays exact, and
+g_series_identity_check runs the cycle-index generating-series identity on
+these dicts.
 """
 
 from __future__ import annotations
@@ -234,13 +239,14 @@ def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) 
 
 
 def _mul_truncated(f: dict, g: dict, top: tuple[int, ...]) -> dict:
-    """Product of two exponent-tuple dicts, dropping exponents beyond top."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    """Product of two exponent-tuple dicts, dropping exponents beyond top.
+    The coefficients may be ints or Fractions; sums start at the int 0."""
+    out: dict = {}
     for a, x in f.items():
         for b, y in g.items():
             e = tuple(map(int.__add__, a, b))
             if all(map(int.__le__, e, top)):
-                out[e] = out.get(e, _F0) + x * y
+                out[e] = out.get(e, 0) + x * y
     return out
 
 
@@ -253,7 +259,7 @@ def _exp_truncated(s: dict, top: tuple[int, ...]) -> dict:
     power = {one: _F1}
     out = dict(power)
     for k in itertools.count(1):
-        power = {a: c / k for a, c in _mul_truncated(power, s, top).items()}
+        power = {a: Fraction(c, k) for a, c in _mul_truncated(power, s, top).items()}
         if not power:
             return out
         for a, c in power.items():

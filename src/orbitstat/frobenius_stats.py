@@ -48,7 +48,7 @@ from .symmetric import (
     block_multisets,
     count_block_multisets,
 )
-from .young_stats import coset_histogram, expected_binom_on_coset
+from .young_stats import _block_reach, coset_histogram, expected_binom_on_coset
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -318,7 +318,7 @@ def _blocks_seen_by(spec: CosetSpec, mu: MultiIndex) -> CosetSpec:
     """
     seen = []
     for d, r in spec.blocks:
-        reach = sum(m * k // d for k, m in mu.items() if k % d == 0)
+        reach = _block_reach(d, mu)
         if reach:
             seen.append((d, min(r, reach)))
     return CosetSpec(tuple(seen))

@@ -13,7 +13,12 @@ blocks are independent.
   it is the z^mu coefficient of the product of block factors
   B_{d,r}(z) = sum over a <= mu, supported on multiples of d, of
   E_{S_r} binom(X, {k/d: a_k}) z^a, computed with one exponent per part of
-  mu, truncated at mu_k.
+  mu, truncated at mu_k.  The coefficient at a is prod_k 1/((k/d)^{a_k} a_k!)
+  while sum_k a_k * k/d <= r, else 0.  Each factor is scaled by
+  D = z_mu = prod_k k^{m_k} m_k!, which depends only on mu: the scaled
+  coefficient prod_k k^{m_k - a_k} d^{a_k} m_k!/a_k! is an integer, since
+  a_k <= m_k.  So the product runs in integers, and the one Fraction is
+  built at the end, dividing by D to the number of factors multiplied.
 
 coset_histogram enumerates tau*h directly and is kept as the oracle.  It
 walks H in enumerate_h_structured order on plain image lists: a table per
@@ -32,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .charpoly import _mul_truncated, binom_eval, sn_expectation_closed
+from .charpoly import _mul_truncated, binom_eval
 from .errors import CapExceeded
 from .symmetric import (
     DEFAULT_GROUP_CAP,
@@ -43,8 +48,6 @@ from .symmetric import (
     partition_counts,
     partitions,
 )
-
-_F0 = Fraction(0)
 
 # The histogram has no group cap to bound it, so its work is bounded here: no
 # convolution step may pair more cycle types than this.
@@ -87,33 +90,57 @@ def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     return {MultiIndex(ct): c for ct, c in dist.items()}
 
 
+def _block_reach(d: int, mu: MultiIndex) -> int:
+    """sum of m_k * k/d over the k of mu with d | k: the most points of a
+    block of cycle length d that binom(X, mu) can see.  A block (d, r) has the
+    same factor for every r >= reach, and only the constant when reach = 0."""
+    return sum(m * k // d for k, m in mu.items() if k % d == 0)
+
+
 @lru_cache(maxsize=4096)
-def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], Fraction]:
-    """B_{d,r}(z) truncated at z^mu: the S_r mean of binom(X, {k/d: a_k})
-    at each exponent tuple a <= mu with a_k = 0 unless d | k."""
-    ranges = [range(m + 1) if k % d == 0 else (0,) for k, m in mu.items()]
-    out = {}
-    for a in itertools.product(*ranges):
-        c = sn_expectation_closed(
-            MultiIndex(tuple((k // d, e) for (k, _), e in zip(mu.items(), a) if e)), r
-        )
-        if c:
-            out[a] = c
-    return MappingProxyType(out)
+def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], int]:
+    """B_{d,r}(z) truncated at z^mu and scaled by z_mu: at each exponent tuple
+    a <= mu with a_k = 0 unless d | k, and sum a_k * k/d <= r, the integer
+    z_mu times the S_r mean of binom(X, {k/d: a_k}).  Only those tuples are
+    walked; every other coefficient is 0."""
+    terms = [((), 1, 0)]  # (a so far, scaled coefficient, sum a_k * k/d)
+    for k, m in mu.items():
+        if k % d:
+            whole = k ** m * math.factorial(m)
+            terms = [(a + (0,), c * whole, used) for a, c, used in terms]
+            continue
+        step = k // d
+        # the k-part of z_mu over (k/d)^e * e!, for each e <= m
+        weight = [
+            k ** (m - e) * d ** e * math.factorial(m) // math.factorial(e) for e in range(m + 1)
+        ]
+        terms = [
+            (a + (e,), c * weight[e], used + e * step)
+            for a, c, used in terms
+            for e in range(min(m, (r - used) // step) + 1)
+        ]
+    return MappingProxyType({a: c for a, c, _ in terms})
 
 
 def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:
     """Exact mean of binom(X, mu) over the coset tau*H: the z^mu coefficient
-    of the product of the block factors, one factor per block."""
+    of the product of the block factors, one factor per block.  The factors
+    are integers scaled by z_mu, so the coefficient is read off in integers
+    and divided by z_mu to the number of factors multiplied."""
     top = tuple(m for _, m in mu.items())
-    acc = {(0,) * len(top): Fraction(1)}
+    factors = []
     for (d, r), count in Counter(spec.blocks).items():
-        factor = _block_factor(d, r, mu)
-        if len(factor) == 1:  # only the constant 1: no cycle of the block counts
-            continue
-        for _ in range(count):
-            acc = _mul_truncated(acc, factor, top)
-    return acc.get(top, _F0)
+        factor = _block_factor(d, min(r, _block_reach(d, mu)), mu)
+        if len(factor) > 1:  # more than the constant: some cycle of the block counts
+            factors += [factor] * count
+    if not factors:  # the empty product 1 has no z^mu term unless mu is empty
+        return Fraction(0 if top else 1)
+    acc = {(0,) * len(top): 1}
+    for factor in factors[:-1]:
+        acc = _mul_truncated(acc, factor, top)
+    last = factors[-1]
+    acc_top = sum(c * last.get(tuple(map(int.__sub__, top, a)), 0) for a, c in acc.items())
+    return Fraction(acc_top, centralizer_order(mu) ** len(factors))
 
 
 def count_cycle_type_in_coset(spec: CosetSpec, mu: MultiIndex) -> int:

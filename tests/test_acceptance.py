@@ -38,7 +38,7 @@ def test_criterion_03_chi_routes():
 
 
 def test_criterion_04_coset_statistics():
-    _run(4, "coset-statistics", budget=120.0)
+    _run(4, "coset-statistics", budget=20.0)
 
 
 def test_criterion_05_sym_expectation():

@@ -160,6 +160,14 @@ def test_exp_truncates_at_the_order():
         _exp_truncated({(0,): Fraction(1), (1,): Fraction(1)}, (2,))
 
 
+def test_exp_of_an_int_series_stays_exact():
+    # the product sums from the int 0, so only the division keeps this exact
+    out = _exp_truncated({(1, 0): 1, (0, 1): 2}, (3, 2))
+    assert all(type(c) is Fraction for c in out.values())
+    assert out[(3, 0)] == Fraction(1, 6)
+    assert out[(1, 2)] == 2  # x * y^2 * 2^2 / 2!
+
+
 @settings(max_examples=30)
 @given(st.integers(-3, 3), st.integers(-3, 3))
 def test_exp_is_a_homomorphism(a, b):

@@ -118,6 +118,15 @@ def test_young_value_and_count(capsys):
     assert "class_count = 1" in out
 
 
+def test_young_walks_only_the_block_terms_within_reach(capsys):
+    # the box of 41^4 exponent tuples holds only a handful of weight <= 3
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "young", "--blocks", "1^3,2^2", "--mu", "1:40,2:40,3:40,4:40")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.endswith("formula = 0\n")
+
+
 def test_young_histogram(capsys):
     code, out, _ = run(capsys, "young", "--blocks", "1^2", "--histogram")
     assert code == 0

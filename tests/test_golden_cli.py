@@ -87,6 +87,11 @@ CASES = {
     "young_histogram_json": ["young", "--blocks", "1^3,2^2", "--histogram", "--format", "json"],
     "young_class_count": ["young", "--blocks", "1^2,2^2", "--mu", "1:2,2:2"],
     "young_both": ["young", "--blocks", "2^3,1^2", "--mu", "1:1,2:1", "--method", "both"],
+    "young_six_factors_json": [
+        "young", "--blocks", "1^6,1^2,2^5,2^1,3^4,6^2", "--mu", "1:6,2:4,3:3,6:2",
+        "--format", "json",
+    ],
+    "young_class_count_16": ["young", "--blocks", "1^4,2^3,3^2", "--mu", "1:2,2:1,6:2"],
 }
 
 

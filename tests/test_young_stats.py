@@ -1,5 +1,6 @@
 """Closed-form coset statistics against direct enumeration."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -7,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitstat.charpoly import binom_eval, sn_expectation_closed
+from orbitstat.charpoly import _mul_truncated, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
 from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
+    centralizer_order,
     cycle_type,
     enumerate_h_structured,
     multi_indices_up_to,
@@ -20,6 +22,7 @@ from orbitstat.symmetric import (
 )
 from orbitstat.verify import enumerate_coset_specs
 from orbitstat.young_stats import (
+    _block_factor,
     coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
@@ -143,6 +146,52 @@ def test_distribution_equals_enumeration_on_every_small_spec():
     assert len(specs) == 216
     for s in specs:
         assert cycle_type_distribution(s) == coset_histogram(s), str(s)
+
+
+def fraction_box_product(s, mu):
+    """The z^mu coefficient by the Fraction block factors multiplied over the
+    whole box, each coefficient an S_r mean."""
+    top = tuple(m for _, m in mu.items())
+    acc = {(0,) * len(top): Fraction(1)}
+    for d, r in s.blocks:
+        ranges = [range(m + 1) if k % d == 0 else (0,) for k, m in mu.items()]
+        factor = {
+            a: sn_expectation_closed(
+                MultiIndex(tuple((k // d, e) for (k, _), e in zip(mu.items(), a) if e)), r
+            )
+            for a in itertools.product(*ranges)
+        }
+        acc = _mul_truncated(acc, factor, top)
+    return acc.get(top, Fraction(0))
+
+
+def test_integer_block_product_equals_the_fraction_box_product_on_every_small_spec():
+    specs = list(enumerate_coset_specs(7))
+    for s in specs:
+        for mu in multi_indices_up_to(s.n):
+            value = expected_binom_on_coset(s, mu)
+            assert type(value) is Fraction
+            assert value == fraction_box_product(s, mu), (str(s), str(mu))
+
+
+def test_block_factor_is_the_s_r_mean_scaled_to_an_integer():
+    for mu in multi_indices_up_to(6):
+        scale = centralizer_order(mu)
+        for d, r in itertools.product(range(1, 5), range(6)):
+            factor = _block_factor(d, r, mu)
+            assert all(type(c) is int for c in factor.values())
+            ranges = [range(m + 1) if k % d == 0 else (0,) for k, m in mu.items()]
+            for a in itertools.product(*ranges):
+                nu = MultiIndex(tuple((k // d, e) for (k, _), e in zip(mu.items(), a) if e))
+                assert factor.get(a, 0) == scale * sn_expectation_closed(nu, r), (d, r, str(mu), a)
+
+
+def test_blocks_share_one_factor_beyond_their_reach():
+    # binom(X, 1:2) sees at most 2 points of a linear block, so S_5 and S_9 agree
+    _block_factor.cache_clear()
+    assert expected_binom_on_coset(spec("1^5"), mi("1:2")) == Fraction(1, 2)
+    assert expected_binom_on_coset(spec("1^9"), mi("1:2")) == Fraction(1, 2)
+    assert _block_factor.cache_info().misses == 1
 
 
 def reference_histogram(s):
