@@ -36,15 +36,14 @@ from .finite_field import (
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
     EqualExpectationReport,
-    SigmaStructure,
+    block_spec,
     chi_formula,
-    chi_of_f,
     chi_oracle,
+    chi_symbolic,
     ensemble_formula,
     ensemble_sum,
     equal_expectation_check,
     parse_predicate,
-    sigma_structure,
     xk_of_f,
 )
 from .polynomial import (
@@ -75,7 +74,6 @@ from .symmetric import (
 )
 from .verify import CHECK_NAMES, CheckResult, enumerate_coset_specs, run_all
 from .young_stats import (
-    coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
     cycle_type_distribution,
@@ -100,13 +98,12 @@ __all__ = [
     "MultiIndex",
     "Permutation",
     "Poly",
-    "SigmaStructure",
     "SymbolSum",
     "binom_eval",
+    "block_spec",
     "chi_formula",
-    "chi_of_f",
     "chi_oracle",
-    "coset_bruteforce",
+    "chi_symbolic",
     "coset_histogram",
     "count_cycle_type_in_coset",
     "count_irreducibles",
@@ -140,7 +137,6 @@ __all__ = [
     "poly_gcd",
     "prime_power",
     "run_all",
-    "sigma_structure",
     "sn_expectation_closed",
     "xk_of_f",
 ]

@@ -31,12 +31,12 @@ from .division_algebra import DEFAULT_TERM_CAP
 from .finite_field import format_field_spec, parse_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
-    _chi_from_spec,
-    _chi_oracle_from_spec,
+    block_spec,
     chi_formula,
+    chi_oracle,
+    chi_symbolic,
     ensemble_formula,
     parse_predicate,
-    sigma_structure,
 )
 from .polynomial import (
     ENUMERATION_LIMIT,
@@ -49,7 +49,6 @@ from .polynomial import (
 from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex
 from .verify import CHECK_NAMES, run_all
 from .young_stats import (
-    coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
     cycle_type_distribution,
@@ -66,11 +65,14 @@ def _decimal6(fr: Fraction) -> str:
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
 
 
-def _frac_text(value) -> str:
-    fr = Fraction(value)
+def _exact_text(fr: Fraction) -> str:
     if fr.denominator == 1:
         return str(fr.numerator)
     return f"{fr} ({_decimal6(fr)})"
+
+
+def _frac_text(value, name: str) -> str:
+    return _printed(Fraction(value), f"{name} needs an integer of", _exact_text)
 
 
 def _frac_json(value) -> dict:
@@ -91,11 +93,11 @@ def _stat(args) -> CharPoly:
     return CharPoly.parse(args.stat)
 
 
-def _printed(value, subject: str) -> str:
-    """str(value), or a one-line error when an integer in it has more digits
+def _printed(value, subject: str, show=str) -> str:
+    """show(value), or a one-line error when an integer in it has more digits
     than Python prints; subject names the value, e.g. "order_h has"."""
     try:
-        return str(value)
+        return show(value)
     except ValueError:
         raise ValueError(
             f"{subject} more than {sys.get_int_max_str_digits()} digits, "
@@ -106,7 +108,7 @@ def _printed(value, subject: str) -> str:
 def _add_values(lines, payload, values: dict[str, Fraction]) -> None:
     payload["values"] = {}
     for name, val in values.items():
-        lines.append(f"{name} = {_frac_text(val)}")
+        lines.append(f"{name} = {_frac_text(val, name)}")
         payload["values"][name] = _frac_json(val)
 
 
@@ -126,7 +128,7 @@ def cmd_factor(args):
     ctx = _ctx(args)
     f = parse_poly(args.poly, ctx)
     fac = factor(f)
-    spec = CosetSpec(tuple((p.degree, r) for p, r in fac.factors))
+    spec = fac.spec
     lines = [
         f"field = {format_field_spec(ctx)}",
         f"f = {format_poly(f)}",
@@ -188,19 +190,13 @@ def cmd_eval(args):
     )
     values: dict[str, Fraction] = {}
     if args.method != "symbolic":  # formula and oracle share one factorization
-        spec = sigma_structure(f).spec
+        spec = block_spec(f)
     if args.method in ("formula", "both"):
-        values["formula"] = _chi_from_spec(spec, P)
+        values["formula"] = chi_formula(spec, P)
     if args.method == "symbolic":
-        values["symbolic"] = sum(
-            (
-                c * chi_formula(f, mu, "symbolic", args.cap_terms)
-                for mu, c in P.terms.items()
-            ),
-            Fraction(0),
-        )
+        values["symbolic"] = chi_symbolic(f, P, args.cap_terms)
     if args.method in ("oracle", "both"):
-        values["oracle"] = _chi_oracle_from_spec(spec, P, args.cap_group)
+        values["oracle"] = chi_oracle(spec, P, args.cap_group)
     lines = [
         f"field = {format_field_spec(ctx)}",
         f"f = {format_poly(f)}",
@@ -229,7 +225,7 @@ def cmd_ensemble(args):
         f"d = {args.d}",
         f"stat = {P}",
         f"filter = {args.filter}",
-        f"sum = {_frac_text(total)}",
+        f"sum = {_frac_text(total, 'sum')}",
         f"count = {count}",
     ]
     payload = {
@@ -242,12 +238,12 @@ def cmd_ensemble(args):
     }
     if count:
         mean = Fraction(total) / count
-        lines.append(f"mean = {_frac_text(mean)}")
+        lines.append(f"mean = {_frac_text(mean, 'mean')}")
         payload["mean"] = _frac_json(mean)
     else:
         lines.append("mean = n/a")
         payload["mean"] = None
-    lines.append(f"scaled = {_frac_text(scaled)}")
+    lines.append(f"scaled = {_frac_text(scaled, 'scaled')}")
     payload["scaled"] = _frac_json(scaled)
     return 0, payload, lines
 
@@ -280,7 +276,7 @@ def cmd_young(args):
     if args.method in ("formula", "both"):
         values["formula"] = expected_binom_on_coset(spec, mu)
     if args.method in ("oracle", "both"):
-        values["oracle"] = coset_bruteforce(spec, mu, args.cap_group)[0]
+        values["oracle"] = chi_oracle(spec, CharPoly.binom(mu), args.cap_group)
     _add_values(lines, payload, values)
     code = 0
     if args.method == "both":

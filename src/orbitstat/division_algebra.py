@@ -12,7 +12,7 @@ Evaluation at one f is linear, though, and kills an ideal: the symbols eps_g
 with g not dividing f span it, since a multiple g*h of such a g does not
 divide f either.  So evaluation at f factors through the quotient by that
 ideal, and an expansion read only at f may drop every key that does not
-divide f as soon as it is formed.  frobenius_stats._chi_symbolic expands in
+divide f as soon as it is formed.  frobenius_stats.chi_symbolic expands in
 that quotient; SymbolSum keeps the whole expansion, which the tests use as
 its oracle.
 

@@ -1,20 +1,23 @@
 """Cycle statistics attached to polynomial factorizations.
 
 A monic f over F_q with factorization prod p_i^{r_i} determines blocks
-(d_i, r_i) with d_i = deg p_i, hence a coset spec: the cycle statistics of f
-are the averages over that coset.  Three independent routes compute them:
+(d_i, r_i) with d_i = deg p_i, hence a coset spec (block_spec): the cycle
+statistics of f are the averages over that coset.  Three independent routes
+compute the value of a whole CharPoly P at f, one function each, named after
+the CLI's --method:
 
-* chi_oracle enumerates the coset and averages directly;
-* chi_formula "factored" evaluates the closed form, a product over the
-  blocks of the factorization (the fast path, which never needs
+* chi_formula(spec, P) evaluates the closed form, a product over the blocks
+  of the spec for each term of P (the fast path, which never needs
   irreducibles beyond the factors of f);
-* chi_formula "symbolic" expands the product of divisibility-symbol sums
-  over the irreducibles of degree dividing k, jointly across every k of mu,
-  in the quotient by the symbols that vanish at f, and reads off its value
-  at f; it finds those symbols with the sieve and division, never factor.
+* chi_symbolic(f, P) expands the product of divisibility-symbol sums over
+  the irreducibles of degree dividing k, jointly across every k of each
+  term's mu, in the quotient by the symbols that vanish at f, and reads off
+  its value at f; it finds those symbols with the sieve and division, never
+  factor;
+* chi_oracle(spec, P) enumerates the coset and averages directly.
 
 Ensemble sums accumulate the closed form over all monic f of a given degree,
-optionally filtered by a predicate on the factorization.  ensemble_formula
+optionally filtered by a predicate on the block spec.  ensemble_formula
 counts the f of each block spec with the Moebius necklace counts and
 evaluates the closed form once per spec; ensemble_sum factors every f and is
 kept as its oracle.
@@ -38,8 +41,8 @@ from .polynomial import (
     enumerate_irreducibles,
     enumerate_monic,
     factor,
+    format_poly,
     necklace_count,
-    poly_sort_key,
 )
 from .symmetric import (
     DEFAULT_GROUP_CAP,
@@ -56,40 +59,29 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SigmaStructure:
-    """f together with its coset spec and the factor behind each block."""
-
-    f: Poly
-    spec: CosetSpec
-    factor_map: tuple[Poly, ...]
-
-
-def _structure_from_factorization(f: Poly, fac: Factorization) -> SigmaStructure:
-    triples = sorted(
-        ((p.degree, r, p) for p, r in fac.factors),
-        key=lambda t: (t[0], t[1], poly_sort_key(t[2])),
-    )
-    spec = CosetSpec(tuple((d, r) for d, r, _ in triples))
-    return SigmaStructure(f, spec, tuple(p for _, _, p in triples))
-
-
-def sigma_structure(f: Poly) -> SigmaStructure:
-    """Factor a monic f and read off its block structure."""
+def _check_monic(f: Poly) -> None:
     if f.is_zero or not f.is_monic:
-        raise ValueError("sigma structure requires a monic nonzero polynomial")
-    return _structure_from_factorization(f, factor(f))
+        raise ValueError(
+            f"cycle statistics need a monic nonzero polynomial, not {format_poly(f)!r}"
+        )
 
 
-def chi_oracle(f: Poly, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
-    """Average of P over the coset, by enumerating all of H: P is evaluated
-    once per cycle type of the enumerated histogram."""
-    return _chi_oracle_from_spec(sigma_structure(f).spec, P, cap)
+def block_spec(f: Poly) -> CosetSpec:
+    """Factor a monic f and read off its coset spec: one block (deg p, r)
+    per factor p^r."""
+    _check_monic(f)
+    return factor(f).spec
 
 
-def _chi_oracle_from_spec(
-    spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP
-) -> Fraction:
+def chi_formula(spec: CosetSpec, P: CharPoly) -> Fraction:
+    """Mean of P over the coset of spec by the closed form: one product of
+    block factors per term of P."""
+    return sum((c * expected_binom_on_coset(spec, mu) for mu, c in P.terms.items()), _F0)
+
+
+def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
+    """Mean of P over the coset of spec, by enumerating all of H: P is
+    evaluated once per cycle type of the enumerated histogram."""
     hist = coset_histogram(spec, cap)
     return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
@@ -104,7 +96,7 @@ def _spend_terms(work: int, term_cap: int) -> None:
         )
 
 
-def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
+def _symbolic_binom(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
     """binom(X, mu) at f as prod_k S_k^(m_k) / (k^(m_k) m_k!) at f, with
     S_k = sum over d | k and irreducible p of degree d of d * eps_{p^(k/d)}.
 
@@ -151,39 +143,11 @@ def _chi_symbolic(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
     return pref * sum(terms.values())
 
 
-def chi_formula(
-    f: Poly,
-    mu: MultiIndex,
-    method: str = "factored",
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> Fraction:
-    """Closed-form value of binom(X, mu) at f.
-
-    method "factored" multiplies one closed-form factor per block of the
-    factorization of f; method "symbolic" expands divisibility symbols over
-    the irreducibles of degree dividing each k, keeping only the symbols that
-    divide f (an independent route kept for cross-validation: it never
-    factors f, and tests every irreducible of degree dividing each k).
-    """
-    if f.is_zero or not f.is_monic:
-        raise ValueError("chi is defined for monic nonzero polynomials")
-    if method == "factored":
-        return expected_binom_on_coset(sigma_structure(f).spec, mu)
-    if method == "symbolic":
-        return _chi_symbolic(f, mu, term_cap)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def chi_of_f(f: Poly, P: CharPoly) -> Fraction:
-    """Closed-form value of a whole CharPoly at f (factored route)."""
-    return _chi_from_spec(sigma_structure(f).spec, P)
-
-
-def _chi_from_spec(spec: CosetSpec, P: CharPoly) -> Fraction:
-    total = _F0
-    for mu, c in P.terms.items():
-        total += c * expected_binom_on_coset(spec, mu)
-    return total
+def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Fraction:
+    """Value of P at a monic f by the divisibility-symbol expansion, term by
+    term of P; term_cap bounds each term on its own.  It never factors f."""
+    _check_monic(f)
+    return sum((c * _symbolic_binom(f, mu, term_cap) for mu, c in P.terms.items()), _F0)
 
 
 def xk_of_f(f: Poly, k: int) -> Fraction:
@@ -191,8 +155,7 @@ def xk_of_f(f: Poly, k: int) -> Fraction:
     of degree-d irreducible factors dividing f at least k/d times."""
     if k < 1:
         raise ValueError("cycle length must be >= 1")
-    if f.is_zero or not f.is_monic:
-        raise ValueError("cycle statistics require a monic nonzero polynomial")
+    _check_monic(f)
     fac = factor(f)
     total = _F0
     for d in divisors(k):
@@ -243,15 +206,15 @@ def parse_predicate(
 
 
 def factored_types(
-    d: int, ctx, predicate: Optional[Callable[[Factorization], bool]] = None
+    d: int, ctx, predicate: Optional[Callable[[CosetSpec], bool]] = None
 ) -> Counter:
     """Block spec of every monic f of degree d that passes predicate, tallied
     by factoring each f: the oracle for factorization_types."""
     tally: Counter = Counter()
     for f in enumerate_monic(d, ctx):
-        fac = factor(f)
-        if predicate is None or predicate(fac):
-            tally[CosetSpec(tuple((p.degree, r) for p, r in fac.factors))] += 1
+        spec = block_spec(f)
+        if predicate is None or predicate(spec):
+            tally[spec] += 1
     return tally
 
 
@@ -259,7 +222,7 @@ def ensemble_sum(
     d: int,
     ctx,
     P: CharPoly,
-    predicate: Optional[Callable[[Factorization], bool]] = None,
+    predicate: Optional[Callable[[CosetSpec], bool]] = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Fraction, int]:
     """(sum of chi over surviving monic f of degree d, surviving count), by
@@ -272,7 +235,7 @@ def ensemble_sum(
             f"ensemble over {space} polynomials exceeds cap {cap}; raise it with --cap-enum"
         )
     tally = factored_types(d, ctx, predicate)
-    total = sum((n_f * _chi_from_spec(spec, P) for spec, n_f in tally.items()), _F0)
+    total = sum((n_f * chi_formula(spec, P) for spec, n_f in tally.items()), _F0)
     return total, sum(tally.values())
 
 

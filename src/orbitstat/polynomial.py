@@ -44,6 +44,7 @@ from typing import Iterator
 
 from .errors import CapExceeded
 from .finite_field import FieldCtx, prime_factors
+from .symmetric import CosetSpec
 
 ENUMERATION_LIMIT = 10 ** 7
 
@@ -229,19 +230,11 @@ class Poly:
             out[i] = add(out[i], c)
         return _poly(self.ctx, _trim(out))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return _poly(self.ctx, tuple(map(self.ctx.neg, self._c)))
@@ -251,8 +244,6 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         return _poly(self.ctx, _mul(self.ctx, self._c, other._c))
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -728,6 +719,11 @@ class Factorization:
     @property
     def max_multiplicity(self) -> int:
         return max((r for _, r in self.factors), default=0)
+
+    @property
+    def spec(self) -> CosetSpec:
+        """The block spec: one block (deg p, r) per factor p^r."""
+        return CosetSpec(tuple((p.degree, r) for p, r in self.factors))
 
     def __str__(self):
         unit = self.ctx.element_text(self.unit)

@@ -25,11 +25,12 @@ from .charpoly import (
 from .division_algebra import expectation_epsilon, expectation_epsilon_oracle
 from .finite_field import FieldCtx, make_field, prime_power
 from .frobenius_stats import (
-    _chi_oracle_from_spec,
+    block_spec,
     chi_formula,
+    chi_oracle,
+    chi_symbolic,
     factored_types,
     factorization_types,
-    sigma_structure,
     xk_of_f,
 )
 from .polynomial import (
@@ -185,11 +186,12 @@ def check_chi_routes(
         ctx = _field(q)
         for d in range(1, dmax + 1):
             for f in enumerate_monic(d, ctx):
-                spec = sigma_structure(f).spec
+                spec = block_spec(f)
                 for mu in multi_indices_up_to(d):
-                    a = expected_binom_on_coset(spec, mu)
-                    b = chi_formula(f, mu, method="symbolic")
-                    c = _chi_oracle_from_spec(spec, CharPoly.binom(mu))
+                    P = CharPoly.binom(mu)
+                    a = chi_formula(spec, P)
+                    b = chi_symbolic(f, P)
+                    c = chi_oracle(spec, P)
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))
@@ -369,9 +371,10 @@ def check_known_values(
     for q in qs:
         ctx = _field(q)
         f = Poly.x(ctx) ** 2
+        spec = block_spec(f)
         values = (
-            (chi_formula(f, mu2), Fraction(1, 2)),
-            (chi_formula(f, mu1), _F1),
+            (chi_formula(spec, CharPoly.binom(mu2)), Fraction(1, 2)),
+            (chi_formula(spec, CharPoly.binom(mu1)), _F1),
             (xk_of_f(f, 2), Fraction(1, 2)),
             (xk_of_f(f, 1), _F1),
         )
@@ -389,11 +392,12 @@ def check_known_values(
                 by_degree: dict[int, int] = {}
                 for p, _ in fac.factors:
                     by_degree[p.degree] = by_degree.get(p.degree, 0) + 1
+                spec = fac.spec
                 for mu in multi_indices_up_to(d):
                     want = 1
                     for k, m in mu.items():
                         want *= math.comb(by_degree.get(k, 0), m)
-                    got = chi_formula(f, mu)
+                    got = chi_formula(spec, CharPoly.binom(mu))
                     n += 1
                     if got != want:
                         bad.append((q, str(f), str(mu), got, want))

@@ -37,7 +37,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .charpoly import _mul_truncated, binom_eval
+from .charpoly import _mul_truncated
 from .errors import CapExceeded
 from .symmetric import (
     DEFAULT_GROUP_CAP,
@@ -110,10 +110,10 @@ def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], in
             terms = [(a + (0,), c * whole, used) for a, c, used in terms]
             continue
         step = k // d
-        # the k-part of z_mu over (k/d)^e * e!, for each e <= m
-        weight = [
-            k ** (m - e) * d ** e * math.factorial(m) // math.factorial(e) for e in range(m + 1)
-        ]
+        # the k-part of z_mu over (k/d)^e * e!, for each e the block can reach
+        weight = [k ** m * math.factorial(m)]
+        for e in range(min(m, r // step)):
+            weight.append(weight[-1] * d // (k * (e + 1)))
         terms = [
             (a + (e,), c * weight[e], used + e * step)
             for a, c, used in terms
@@ -221,11 +221,3 @@ def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[Multi
         tally[key] = tally.get(key, 0) + 1
     return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}
 
-
-def coset_bruteforce(
-    spec: CosetSpec, mu: MultiIndex, cap: int = DEFAULT_GROUP_CAP
-) -> tuple[Fraction, dict[MultiIndex, int]]:
-    """(mean of binom(X, mu) over tau*H, full cycle-type histogram)."""
-    hist = coset_histogram(spec, cap)
-    total = sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items())
-    return Fraction(total, spec.order_h()), hist

@@ -127,6 +127,25 @@ def test_young_walks_only_the_block_terms_within_reach(capsys):
     assert out.endswith("formula = 0\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("young", "--blocks", "1^1", "--mu", "1:6000"),
+        ("eval", "--q", "2", "t", "--mu", "1:6000"),
+        ("ensemble", "--q", "2", "--d", "3", "--mu", "1:6000"),
+    ],
+    ids=["young", "eval", "ensemble"],
+)
+def test_a_large_multiplicity_builds_only_the_weights_in_reach(capsys, argv):
+    # each block factor once built a weight, with two factorials, for every
+    # e <= 6000, though a block of 1 to 3 points reads at most 3 of them
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "formula = 0\n" in out or "sum = 0\n" in out
+
+
 def test_young_histogram(capsys):
     code, out, _ = run(capsys, "young", "--blocks", "1^2", "--histogram")
     assert code == 0
@@ -440,3 +459,15 @@ def test_huge_monomial_ends_without_a_traceback(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     for word in ("X1^1500", f"{sys.get_int_max_str_digits()} digits", "no flag"):
         assert word in err
+    # the value 1/2000! has a denominator too long to print
+    code, out, err = run(capsys, "eval", "--q", "2", "t^2000", "--mu", "1:2000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: formula ") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err and "no flag" in err
+
+
+def test_eval_of_a_non_monic_polynomial_names_it(capsys):
+    code, out, err = run(capsys, "eval", "--q", "3", "2*t", "--mu", "1:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "monic" in err and "'2*t'" in err

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,10 @@ from orbitstat.division_algebra import SymbolSum
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.frobenius_stats import (
+    block_spec,
     chi_formula,
-    chi_of_f,
     chi_oracle,
+    chi_symbolic,
     ensemble_formula,
     ensemble_sum,
     equal_expectation_check,
@@ -23,7 +25,6 @@ from orbitstat.frobenius_stats import (
     parse_predicate,
     predicate_max_multiplicity,
     predicate_squarefree,
-    sigma_structure,
     xk_of_f,
 )
 from orbitstat.polynomial import (
@@ -47,70 +48,86 @@ def mi(text):
     return MultiIndex.parse(text)
 
 
+def binom(text):
+    return CharPoly.binom(mi(text))
+
+
 # -- structure ---------------------------------------------------------------
 
-def test_sigma_structure_blocks_follow_the_factorization():
-    s = sigma_structure(parse_poly("t^4+t", F2))
-    assert str(s.spec) == "1^1,1^1,2^1"
-    assert [str(p) for p in s.factor_map] == ["t", "t+1", "t^2+t+1"]
+def test_block_spec_follows_the_factorization():
+    f = parse_poly("t^4+t", F2)
+    assert str(block_spec(f)) == "1^1,1^1,2^1"
+    assert block_spec(f) == factor(f).spec
 
-    s2 = sigma_structure(parse_poly("t^2", F2))
-    assert str(s2.spec) == "1^2"
+    assert str(block_spec(parse_poly("t^2", F2))) == "1^2"
 
-    s3 = sigma_structure(parse_poly("t^6+t^4+t^2", F2))  # t^2 * (t^2+t+1)^2
-    assert str(s3.spec) == "1^2,2^2"
-    assert s3.spec.n == 6
+    s3 = block_spec(parse_poly("t^6+t^4+t^2", F2))  # t^2 * (t^2+t+1)^2
+    assert str(s3) == "1^2,2^2"
+    assert s3.n == 6
 
 
-def test_sigma_structure_requires_monic():
-    with pytest.raises(ValueError):
-        sigma_structure(parse_poly("2*t", F3))
-    with pytest.raises(ValueError):
-        sigma_structure(parse_poly("0", F2))
+def test_block_spec_requires_monic():
+    for text, ctx in (("2*t", F3), ("0", F2)):
+        f = parse_poly(text, ctx)
+        for route in (block_spec, lambda f: chi_symbolic(f, binom("1:1"))):
+            with pytest.raises(ValueError, match=re.escape(f"not {text!r}")):
+                route(f)
 
 
 def test_constant_has_empty_structure():
-    s = sigma_structure(parse_poly("1", F2))
-    assert s.spec.blocks == ()
-    assert s.spec.n == 0
+    s = block_spec(parse_poly("1", F2))
+    assert s.blocks == ()
+    assert s.n == 0
 
 
 # -- single-polynomial statistics --------------------------------------------
 
+def formula_at(text, mu, ctx=F2):
+    return chi_formula(block_spec(parse_poly(text, ctx)), binom(mu))
+
+
 def test_chi_frozen_values():
-    t2 = parse_poly("t^2", F2)
-    assert chi_formula(t2, mi("2:1")) == Fraction(1, 2)
-    assert chi_formula(t2, mi("1:1")) == 1
-    assert chi_formula(parse_poly("t^2+t", F2), mi("2:1")) == 0
-    assert chi_formula(parse_poly("t^2+t+1", F2), mi("2:1")) == 1
+    assert formula_at("t^2", "2:1") == Fraction(1, 2)
+    assert formula_at("t^2", "1:1") == 1
+    assert formula_at("t^2+t", "2:1") == 0
+    assert formula_at("t^2+t+1", "2:1") == 1
     # an irreducible of degree k always carries exactly one k-cycle
-    assert chi_formula(parse_poly("t^3+t+1", F2), mi("3:1")) == 1
+    assert formula_at("t^3+t+1", "3:1") == 1
 
 
 def test_chi_methods_and_oracle_agree_small():
     for d in range(1, 4):
         for f in enumerate_monic(d, F2):
+            spec = block_spec(f)
             for mu in multi_indices_up_to(d):
-                a = chi_formula(f, mu)
-                b = chi_formula(f, mu, method="symbolic")
-                c = chi_oracle(f, CharPoly.binom(mu))
+                P = CharPoly.binom(mu)
+                a = chi_formula(spec, P)
+                b = chi_symbolic(f, P)
+                c = chi_oracle(spec, P)
                 assert a == b == c, (str(f), str(mu))
 
 
 def test_chi_rejects_bad_input():
-    t2 = parse_poly("t^2", F2)
+    zero = parse_poly("0", F2)
     with pytest.raises(ValueError):
-        chi_formula(parse_poly("0", F2), mi("1:1"))
+        block_spec(zero)
     with pytest.raises(ValueError):
-        chi_formula(t2, mi("1:1"), method="guess")
+        chi_symbolic(zero, binom("1:1"))
 
 
-def test_chi_of_f_is_linear():
-    f = parse_poly("t^2", F2)
-    P = CharPoly.binom(mi("1:1"), 2) + CharPoly.binom(mi("2:1"), -3)
-    assert chi_of_f(f, P) == 2 * chi_formula(f, mi("1:1")) - 3 * chi_formula(
-        f, mi("2:1")
+def test_chi_routes_are_linear():
+    # a constant term, a rational coefficient and a negative one, on a
+    # spec with a repeated block
+    f = parse_poly("t^6+t^4+t^2", F2)
+    spec = block_spec(f)
+    P = CharPoly.parse("2*X1 - 1/3*binom(1:1,2:1) + 5") + CharPoly.binom(mi("2:1"), -3)
+    want = (
+        2 * formula_at("t^6+t^4+t^2", "1:1")
+        - Fraction(1, 3) * formula_at("t^6+t^4+t^2", "1:1,2:1")
+        + 5
+        - 3 * formula_at("t^6+t^4+t^2", "2:1")
     )
+    assert chi_formula(spec, P) == chi_symbolic(f, P) == chi_oracle(spec, P) == want
 
 
 def test_xk_frozen_values():
@@ -128,10 +145,10 @@ def test_xk_frozen_values():
 def test_xk_equals_the_first_binomial_moment():
     for d in range(1, 5):
         for f in enumerate_monic(d, F3):
-            spec = sigma_structure(f).spec
+            spec = block_spec(f)
             for k in range(1, d + 1):
                 val = xk_of_f(f, k)
-                assert val == chi_formula(f, MultiIndex.from_dict({k: 1}))
+                assert val == chi_formula(spec, CharPoly.binom(MultiIndex.from_dict({k: 1})))
                 assert val == expected_k_cycles(spec, k)
 
 
@@ -166,7 +183,7 @@ def test_symbolic_route_equals_the_full_expansion(monkeypatch):
             for f in enumerate_monic(d, ctx):
                 for mu in multi_indices_up_to(d):
                     pref, full = full_expansion(ctx, mu)
-                    got = chi_formula(f, mu, method="symbolic")
+                    got = chi_symbolic(f, CharPoly.binom(mu))
                     assert got == pref * full.evaluate(f), (ctx.q, str(f), str(mu))
 
 
@@ -177,7 +194,7 @@ def test_symbolic_route_is_zero_beyond_deg_f():
         for d in range(4):
             for f in enumerate_monic(d, ctx):
                 for mu in partitions(d + 1):
-                    assert chi_formula(f, mu, method="symbolic") == 0, (ctx.q, str(f), str(mu))
+                    assert chi_symbolic(f, CharPoly.binom(mu)) == 0, (ctx.q, str(f), str(mu))
 
 
 @st.composite
@@ -201,15 +218,16 @@ def test_symbolic_route_equals_the_factored_route_beyond_the_oracle(q, data):
     ctx = FIELDS.get(q) or make_field(q)
     f = data.draw(products_of_powers(ctx, 6))
     mu = data.draw(st.sampled_from(list(multi_indices_up_to(f.degree))))
-    assert chi_formula(f, mu, method="symbolic") == chi_formula(f, mu)
+    P = CharPoly.binom(mu)
+    assert chi_symbolic(f, P) == chi_formula(block_spec(f), P)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 4 ** 4 - 1))
 def test_chi_routes_agree_over_extension_field(idx):
     f = list(enumerate_monic(4, F4))[idx]
-    mu = mi("2:1")
-    assert chi_formula(f, mu) == chi_oracle(f, CharPoly.binom(mu))
+    spec = block_spec(f)
+    assert chi_formula(spec, binom("2:1")) == chi_oracle(spec, binom("2:1"))
 
 
 # -- ensembles ---------------------------------------------------------------
@@ -262,7 +280,7 @@ def test_factorization_types_match_the_factored_ensemble():
     for d in range(0, 5):
         tally = {}
         for f in enumerate_monic(d, F3):
-            spec = sigma_structure(f).spec
+            spec = block_spec(f)
             tally[spec] = tally.get(spec, 0) + 1
         assert factorization_types(d, 3) == tally
 
@@ -311,7 +329,7 @@ def test_predicates_accept_specs():
     mm2 = predicate_max_multiplicity(2)
     for f in enumerate_monic(4, F2):
         fac = factor(f)
-        spec = sigma_structure(f).spec
+        spec = fac.spec
         assert predicate_squarefree(spec) == predicate_squarefree(fac)
         assert mm2(spec) == mm2(fac)
     assert predicate_squarefree(CosetSpec.parse("1^1,2^1"))

@@ -1,7 +1,7 @@
 """Golden CLI outputs: the stdout of fixed commands, byte for byte.
 
 Each case's expected stdout is tests/golden/<name>.txt.  The cases cover
-factor, necklace, eval (symbolic and both) and ensemble over
+factor, necklace, eval (every method) and ensemble over
 q in {2, 3, 4, 5, 8, 9, 4096, 65521}, and young histograms and means of
 block cosets, in text and JSON.  Every case runs in
 well under a second.
@@ -72,6 +72,12 @@ CASES = {
         "eval", "--q", "65521", "t^5+3*t^4+65000*t+7", "--stat", "X1+X5",
         "--method", "both", "--format", "json",
     ],
+    "formula_q3_stat": ["eval", "--q", "3", "t^6+2*t^4+t^2", "--stat", "1/3*X1^2-X2+7"],
+    "oracle_q2": ["eval", "--q", "2", "t^6+t^4+t^2", "--mu", "1:2,2:1", "--method", "oracle"],
+    "symbolic_q5_stat": [
+        "eval", "--q", "5", "t^4+t^2", "--stat", "X1+2*binom(2:1)-1/4*X2^2+1",
+        "--method", "symbolic",
+    ],
     "ensemble_q2": ["ensemble", "--q", "2", "--d", "6", "--mu", "1:1"],
     "ensemble_q3_squarefree": [
         "ensemble", "--q", "3", "--d", "4", "--stat", "X1^2", "--filter", "squarefree",
@@ -92,6 +98,11 @@ CASES = {
         "--format", "json",
     ],
     "young_class_count_16": ["young", "--blocks", "1^4,2^3,3^2", "--mu", "1:2,2:1,6:2"],
+    "young_oracle": ["young", "--blocks", "1^2,2^2,3^1", "--mu", "1:1,2:1", "--method", "oracle"],
+    "young_oracle_json": [
+        "young", "--blocks", "1^3,2^1", "--mu", "1:2,2:1", "--method", "oracle",
+        "--format", "json",
+    ],
 }
 
 

@@ -168,8 +168,10 @@ def test_poly_takes_element_indices_only():
     for bad in ((4,), (-1,), ("1",), (1.0,)):
         with pytest.raises(ValueError, match="element index 0..3"):
             Poly(F4, bad)
-    with pytest.raises(TypeError):
-        Poly.one(F4) + 1
+    f = Poly.one(F4)
+    for op in (lambda: f + 1, lambda: 1 + f, lambda: 2 * f, lambda: 1 - f):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_parse_rejects_garbage():

@@ -18,13 +18,12 @@ PUBLIC = [
     "MultiIndex",
     "Permutation",
     "Poly",
-    "SigmaStructure",
     "SymbolSum",
     "binom_eval",
+    "block_spec",
     "chi_formula",
-    "chi_of_f",
     "chi_oracle",
-    "coset_bruteforce",
+    "chi_symbolic",
     "coset_histogram",
     "count_cycle_type_in_coset",
     "count_irreducibles",
@@ -58,7 +57,6 @@ PUBLIC = [
     "poly_gcd",
     "prime_power",
     "run_all",
-    "sigma_structure",
     "sn_expectation_closed",
     "xk_of_f",
 ]

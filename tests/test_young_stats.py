@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitstat.charpoly import _mul_truncated, binom_eval, sn_expectation_closed
+from orbitstat.charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
+from orbitstat.frobenius_stats import chi_oracle
 from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
@@ -23,7 +24,6 @@ from orbitstat.symmetric import (
 from orbitstat.verify import enumerate_coset_specs
 from orbitstat.young_stats import (
     _block_factor,
-    coset_bruteforce,
     coset_histogram,
     count_cycle_type_in_coset,
     cycle_type_distribution,
@@ -89,7 +89,7 @@ def test_means_match_bruteforce():
         s = spec(text)
         for mu in multi_indices_up_to(s.n):
             closed = expected_binom_on_coset(s, mu)
-            brute, _ = coset_bruteforce(s, mu)
+            brute = chi_oracle(s, CharPoly.binom(mu))
             assert closed == brute, (text, str(mu))
 
 
