@@ -96,9 +96,11 @@ def _spend_terms(work: int, term_cap: int) -> None:
         )
 
 
-def _symbolic_binom(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
-    """binom(X, mu) at f as prod_k S_k^(m_k) / (k^(m_k) m_k!) at f, with
-    S_k = sum over d | k and irreducible p of degree d of d * eps_{p^(k/d)}.
+def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Fraction:
+    """Value of P at a monic f by the divisibility-symbol expansion; it never
+    factors f.  Each term binom(X, mu) of P is prod_k S_k^(m_k) / (k^(m_k) m_k!)
+    at f, with S_k = sum over d | k and irreducible p of degree d of
+    d * eps_{p^(k/d)}.
 
     Evaluation at f sends eps_g to 0 unless g divides f, and then no multiple
     g*h divides f either: the symbols that do not divide f span an ideal that
@@ -110,44 +112,48 @@ def _symbolic_binom(f: Poly, mu: MultiIndex, term_cap: int) -> Fraction:
     cofactor f/g: eps_h times it survives exactly when h divides the
     cofactor, and the quotient is the cofactor of the product.
 
-    term_cap bounds the candidate symbols tested against f plus the term
-    pairs of each product, and is checked before each step starts.  The
-    candidates are the sieve's irreducibles, counted by the necklace formula
-    before any is sieved; f is never factored.
+    The S_k are found once per call, for every k that some term needs, and
+    shared by the terms.  term_cap bounds the whole statistic: the candidate
+    symbols of those S_k tested against f, plus the term pairs of every
+    product, checked before each step starts.  The candidates are the sieve's
+    irreducibles, counted by the necklace formula before any is sieved.
     """
+    _check_monic(f)
     ctx = f.ctx
-    work = sum(necklace_count(d, ctx.q) for k, _ in mu.items() for d in divisors(k))
+    ks = sorted({k for mu in P.terms for k, _ in mu.items()})
+    work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
     _spend_terms(work, term_cap)
-    terms = {f: 1}  # cofactor f/g -> integer coefficient of eps_g
-    pref = _F1
-    for k, m in mu.items():
-        s_k = []
+    # the irreducibles of each degree that divide f, each tested once
+    dividing = {
+        d: [p for p in enumerate_irreducibles(d, ctx) if not f % p]
+        for d in sorted({d for k in ks for d in divisors(k)})
+    }
+    symbols: dict[int, list[tuple[Poly, int]]] = {}
+    for k in ks:
+        s_k = symbols[k] = []
         for d in divisors(k):
-            for p in enumerate_irreducibles(d, ctx):
-                if f % p:  # the cheap test first: few p divide f
-                    continue
+            for p in dividing[d]:
                 g = p ** (k // d)
                 if d == k or not f % g:
                     s_k.append((g, d))
-        for _ in range(m):
-            work += len(terms) * len(s_k)
-            _spend_terms(work, term_cap)
-            out: dict[Poly, int] = {}
-            for c, x in terms.items():
-                for h, y in s_k:
-                    quot, rem = divmod(c, h)
-                    if not rem:
-                        out[quot] = out.get(quot, 0) + x * y
-            terms = out
-        pref *= Fraction(1, k ** m * math.factorial(m))
-    return pref * sum(terms.values())
-
-
-def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Fraction:
-    """Value of P at a monic f by the divisibility-symbol expansion, term by
-    term of P; term_cap bounds each term on its own.  It never factors f."""
-    _check_monic(f)
-    return sum((c * _symbolic_binom(f, mu, term_cap) for mu, c in P.terms.items()), _F0)
+    total = _F0
+    for mu, coef in P.terms.items():
+        terms = {f: 1}  # cofactor f/g -> integer coefficient of eps_g
+        pref = _F1
+        for k, m in mu.items():
+            for _ in range(m):
+                work += len(terms) * len(symbols[k])
+                _spend_terms(work, term_cap)
+                out: dict[Poly, int] = {}
+                for c, x in terms.items():
+                    for h, y in symbols[k]:
+                        quot, rem = divmod(c, h)
+                        if not rem:
+                            out[quot] = out.get(quot, 0) + x * y
+                terms = out
+            pref *= Fraction(1, k ** m * math.factorial(m))
+        total += coef * pref * sum(terms.values())
+    return total
 
 
 def xk_of_f(f: Poly, k: int) -> Fraction:

@@ -54,12 +54,12 @@ from .symmetric import (
     partitions,
 )
 from .young_stats import (
-    _cycle_lengths,
-    _slot_tables,
     coset_histogram,
     count_cycle_type_in_coset,
+    cycle_lengths,
     cycle_type_distribution,
     expected_binom_on_coset,
+    slot_tables,
 )
 
 DEFAULT_H_CAP = 10 ** 4
@@ -278,7 +278,7 @@ def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> Check
     nspecs = 0
     for spec in enumerate_coset_specs(nmax, h_cap):
         blocks = spec.blocks
-        tables = _slot_tables(spec)
+        tables = slot_tables(spec)
         images = list(range(spec.n))
         order = spec.order_h()
         image_size = 1
@@ -296,7 +296,7 @@ def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> Check
             for (d, _), m in zip(blocks, ms):
                 for ell, count in cycle_type(m).items():
                     predicted[d * ell] += count
-            ct = Counter(_cycle_lengths(images))
+            ct = Counter(cycle_lengths(images))
             if ct != predicted:
                 bad.extend(
                     ("cycles", str(spec), k, ct[k], predicted[k])

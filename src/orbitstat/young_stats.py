@@ -20,11 +20,19 @@ blocks are independent.
   a_k <= m_k.  So the product runs in integers, and the one Fraction is
   built at the end, dividing by D to the number of factors multiplied.
 
-coset_histogram enumerates tau*h directly and is kept as the oracle.  It
-walks H in enumerate_h_structured order on plain image lists: a table per
-slot, built before the walk, gives the images of tau*h on that slot's points
-for each element of S_r, so each tau*h is written slot by slot into one
-reused list and its cycles are counted there, with no Permutation per element.
+coset_histogram enumerates cosets directly and is kept as the oracle.  H and
+tau both map each block's points to themselves, so tau*H is the product of the
+one-block cosets, and the cycle lengths of tau*h are those of its blocks put
+together.  The oracle walks each distinct block's coset on its own d*r points,
+all (r!)^d elements of it, tallies their sorted cycle lengths, and convolves
+the tallies over the blocks.  It relies on no fact about S_r: block
+independence is the one step it shares with the closed forms, and verify's
+projection-measure check tests that step on every h of the whole H.  Each
+walk is in enumerate_h_structured order on plain image lists: a table per
+slot (slot_tables), built before the walk, gives the images of tau*h on that
+slot's points for each element of S_r, so each tau*h is written slot by slot
+into one reused list and its cycles are counted there (cycle_lengths), with
+no Permutation per element.
 """
 
 from __future__ import annotations
@@ -166,7 +174,7 @@ def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
     return Fraction(total, k)
 
 
-def _slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
+def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
     """One table per slot (block i, position k), in enumerate_h_structured
     order: the slice of the points (i, j, k), j < r_i, and for each sigma of
     S_{r_i}, in enumerate_sn order, the images of tau*h on those points when h
@@ -185,7 +193,7 @@ def _slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
     return tables
 
 
-def _cycle_lengths(images: list[int]) -> tuple[int, ...]:
+def cycle_lengths(images: list[int]) -> tuple[int, ...]:
     """Sorted cycle lengths of the permutation with these images."""
     seen = bytearray(len(images))
     lengths = []
@@ -203,21 +211,37 @@ def _cycle_lengths(images: list[int]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
-    """Cycle-type counts of tau*h over all h in H, by direct enumeration: h
-    runs in enumerate_h_structured order, and each tau*h is written slot by
-    slot into one list of images."""
-    order = spec.order_h()
-    if order > cap:
-        raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
-    tables = _slot_tables(spec)
+@lru_cache(maxsize=None)
+def _block_tally(d: int, r: int) -> Mapping[tuple[int, ...], int]:
+    """Sorted cycle lengths of tau*h -> count, over all (r!)^d elements h of
+    the one-block coset (d, r), met in enumerate_h_structured order."""
+    tables = slot_tables(CosetSpec(((d, r),)))
     slices = [sl for sl, _ in tables]
-    images = list(range(spec.n))
+    images = list(range(d * r))
     tally: dict[tuple[int, ...], int] = {}
     for choice in itertools.product(*(table.values() for _, table in tables)):
         for sl, values in zip(slices, choice):
             images[sl] = values
-        key = _cycle_lengths(images)
+        key = cycle_lengths(images)
         tally[key] = tally.get(key, 0) + 1
-    return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}
+    return MappingProxyType(tally)
 
+
+def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
+    """Cycle-type counts of tau*h over all h in H, by direct enumeration of
+    each block's coset, convolved over the blocks in order.  The counts come
+    in the order in which a walk of all of H in enumerate_h_structured order
+    first meets each cycle type."""
+    order = spec.order_h()
+    if order > cap:
+        raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
+    tally: dict[tuple[int, ...], int] = {(): 1}
+    for d, r in spec.blocks:
+        block = _block_tally(d, r).items()
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, count in tally.items():
+            for block_key, block_count in block:
+                merged = tuple(sorted(key + block_key))
+                nxt[merged] = nxt.get(merged, 0) + count * block_count
+        tally = nxt
+    return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}

@@ -71,6 +71,33 @@ def test_cap_terms_bounds_candidates_and_term_pairs(capsys):
     assert "symbolic = 1/2 (0.500000)" in out
 
 
+def test_cap_terms_counts_the_whole_statistic(capsys):
+    # f = t^3*(t+1) over F_2, P = binom(1:1) + binom(2:1).  The scan, once for
+    # both terms: t and t+1 for k = 1; t^2, (t+1)^2 and t^2+t+1 for k = 2: 5.
+    # S_1 keeps t and t+1, S_2 keeps t^2.  Products: 1 x 2 for the first term
+    # and 1 x 1 for the second: 3.  So the route needs 8, though each term on
+    # its own, scan included, needs only 4.
+    argv = ("eval", "--q", "2", "t^4+t^3", "--stat", "X1+binom(2:1)", "--method", "symbolic")
+    code, out, err = run(capsys, *argv, "--cap-terms", "7")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--cap-terms" in err and "8" in err
+    code, out, err = run(capsys, *argv, "--cap-terms", "8")
+    assert code == 0 and err == ""
+    assert "symbolic = 5/2 (2.500000)" in out
+
+
+def test_symbolic_scans_the_candidates_once_for_every_term(capsys):
+    # X1^30 has 30 terms binom(1:j); each once sieved and divided by all 65521
+    # linear polynomials on its own
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--q", "65521", "t^3+5", "--stat", "X1^30",
+                       "--method", "symbolic")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out.endswith("symbolic = 0\n")
+
+
 def test_symbolic_beyond_deg_f_counts_its_work_like_any_mu(capsys):
     # |mu| > deg f has the value 0, reached through the same counted
     # candidates and products as any other mu
@@ -228,6 +255,27 @@ def test_histogram_both_prints_the_formula_and_agreement(capsys):
     code, out, _ = run(capsys, "young", "--blocks", "1^2,2^2", "--histogram",
                        "--method", "both", "--format", "json")
     assert code == 0 and json.loads(out)["agree"] is True
+
+
+def test_the_histogram_oracle_walks_each_block_on_its_own(capsys):
+    # |H| = 186624, but the blocks' own cosets have 24, 36 and 216 elements
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "young", "--blocks", "1^4,2^3,3^3", "--histogram",
+                       "--method", "both")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.endswith("agree = yes\n")
+
+
+def test_the_group_cap_bounds_the_order_of_h(capsys):
+    # |H| = (4!)^2 (2!)^3 = 4608, though no block's own coset has more than 576
+    argv = ("young", "--blocks", "2^4,3^2", "--mu", "1:1", "--method", "oracle")
+    code, out, err = run(capsys, *argv, "--cap-group", "4607")
+    assert code == 1 and out == ""
+    assert err == "error: |H| = 4608 exceeds cap 4607; raise it with --cap-group\n"
+    code, out, err = run(capsys, *argv, "--cap-group", "4608")
+    assert code == 0 and err == ""
+    assert out.endswith("oracle = 0\n")
 
 
 def test_histogram_both_fails_on_disagreement(capsys, monkeypatch):

@@ -103,6 +103,17 @@ CASES = {
         "young", "--blocks", "1^3,2^1", "--mu", "1:2,2:1", "--method", "oracle",
         "--format", "json",
     ],
+    "young_histogram_oracle_both": [
+        "young", "--blocks", "2^2,2^4,1^2", "--histogram", "--method", "both",
+    ],
+    "young_histogram_oracle_json": [
+        "young", "--blocks", "3^2,3^2,1^3", "--histogram", "--method", "oracle",
+        "--format", "json",
+    ],
+    "oracle_q3_stat": [
+        "eval", "--q", "3", "t^7+2*t^5+t^3", "--stat", "X1^2+2*X2-1/2*binom(1:1,2:1)+3",
+        "--method", "oracle",
+    ],
 }
 
 

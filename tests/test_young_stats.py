@@ -12,6 +12,7 @@ from orbitstat.charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectat
 from orbitstat.errors import CapExceeded
 from orbitstat.frobenius_stats import chi_oracle
 from orbitstat.symmetric import (
+    DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
     centralizer_order,
@@ -30,6 +31,8 @@ from orbitstat.young_stats import (
     expected_binom_on_coset,
     expected_k_cycles,
 )
+
+from coset_walk import whole_coset_histogram
 
 
 def spec(text):
@@ -212,6 +215,14 @@ def test_enumeration_matches_composed_permutations_on_every_small_spec():
         assert list(coset_histogram(s).items()) == list(reference_histogram(s).items()), str(s)
 
 
+def test_per_block_histogram_equals_the_whole_walk_on_every_small_spec():
+    specs = list(enumerate_coset_specs(8))
+    assert len(specs) == 216
+    for s in specs:
+        # the same counts, met in the same order
+        assert list(coset_histogram(s).items()) == list(whole_coset_histogram(s).items()), str(s)
+
+
 ENUMERATION_LIMIT = 5 * 10 ** 4
 
 
@@ -244,6 +255,30 @@ def enumerable_specs(draw, nmax=14):
 @settings(max_examples=30, deadline=None)
 @given(enumerable_specs())
 def test_enumeration_equals_block_product(s):
+    hist = coset_histogram(s)
+    assert sum(hist.values()) == s.order_h()
+    assert hist == cycle_type_distribution(s)
+
+
+@st.composite
+def many_block_specs(draw):
+    """Up to 8 blocks with |H| <= DEFAULT_GROUP_CAP, each block's own coset
+    within ENUMERATION_LIMIT: a whole-H walk would visit up to 10^6 elements,
+    the per-block walks at most 8 x ENUMERATION_LIMIT."""
+    blocks = []
+    order = 1
+    for _ in range(draw(st.integers(1, 8))):
+        room = min(DEFAULT_GROUP_CAP // order, ENUMERATION_LIMIT)
+        r = draw(st.integers(1, max(r for r in range(1, 9) if math.factorial(r) <= room)))
+        d = draw(st.integers(1, max(d for d in range(1, 9) if math.factorial(r) ** d <= room)))
+        blocks.append((d, r))
+        order *= math.factorial(r) ** d
+    return CosetSpec(tuple(blocks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(many_block_specs())
+def test_per_block_histogram_sums_to_h_and_equals_the_block_product(s):
     hist = coset_histogram(s)
     assert sum(hist.values()) == s.order_h()
     assert hist == cycle_type_distribution(s)
