@@ -41,6 +41,7 @@ from .frobenius_stats import (
 from .polynomial import (
     ENUMERATION_LIMIT,
     check_sieve_size,
+    count_irreducibles,
     factor,
     format_poly,
     necklace_check,
@@ -162,6 +163,7 @@ def cmd_necklace(args):
     while k < args.kmax and ctx.q ** k <= ENUMERATION_LIMIT:
         k += 1
     check_sieve_size(k, ctx)
+    count_irreducibles(args.kmax, ctx)  # the top degree first: one sieve a halving
     rows = []
     lines = [f"field = {format_field_spec(ctx)}"]
     all_ok = True

@@ -22,14 +22,21 @@ constant, and the factors are unique and sorted, so factor() is deterministic
 and never needs the sieve: it works for every field the package supports.
 
 Irreducible enumeration is a sieve over one flag per monic polynomial of
-degree d, kept in coefficient-lex order.  Write f = L + t^a*H with deg L < a;
-an irreducible P of degree a divides f exactly when L = -(t^a*H mod P), which
-is affine in H.  So the q^(d-a) multiples of P form one list, built a digit of
-H at a time by translating whole lists of low parts (XOR in characteristic 2,
-a lookup in a row of digit-wise sums otherwise), and their flags are cleared
-together.  The survivors are exactly the irreducibles, read out already in
-lex order.  The sieve is memoized per (field, degree) and refuses
-q^d > ENUMERATION_LIMIT.
+degree K, kept in coefficient-lex order (c0 the top digit).  Write
+f = L + t^a*H with deg L < a; an irreducible P of degree a divides f exactly
+when L = -(t^a*H mod P), which is affine in H.  So the q^(K-a) multiples of P
+form one list, built a digit of H at a time by translating whole lists of low
+parts (XOR in characteristic 2, a lookup in a row of digit-wise sums
+otherwise), and their flags are cleared together, for every P of degree
+a <= K/2 except t.  The multiples of t are the slice [0, q^(K-1)), and they
+are never marked: there a monic g of lower degree d sits as t^(K-d)*g, at its
+own lex position, in [q^(d-1), q^d) when g(0) != 0, and for K/2 < d <= K it
+survives exactly when g is irreducible.  So one array of degree K yields
+every degree in (K/2, K], read out already in lex order.  A request for
+degree K first requests K // 2, so the passes run top-down over K, K // 2,
+K // 4, ..., 1, and a caller that wants degrees 1..K asks for K first.  The
+result is memoized per (field, degree), and a degree with q^K >
+ENUMERATION_LIMIT is refused before any degree is sieved.
 """
 
 from __future__ import annotations
@@ -588,13 +595,36 @@ def _multiple_lows(ctx: FieldCtx, p_idx: int, a: int, d: int, translate) -> list
     return lows
 
 
+def _sieve(d: int, ctx: FieldCtx) -> bytearray:
+    """One flag per monic of degree d in lex order (c0 the top digit), with
+    the multiples of every irreducible P != t of degree a <= d/2 cleared a
+    whole list at a time."""
+    q = ctx.q
+    alive = bytearray(b"\x01") * q ** d
+    view = memoryview(alive)
+    for a in range(1, d // 2 + 1):
+        translate = _translator(ctx, a)
+        span = q ** (d - a)
+        rows = [view[low * span:(low + 1) * span] for low in range(q ** a)]  # by low part
+        for p_idx in _irreducible_indices(a, ctx):
+            if p_idx == 0:  # t: its multiples are the slice [0, q^(d-1))
+                continue
+            for r, low in enumerate(_multiple_lows(ctx, p_idx, a, d, translate)):
+                rows[low][r] = 0
+    return alive
+
+
 def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     """Indices of the monic irreducibles of degree d, coefficient-lex order.
 
-    One flag per monic in lex order (c0 the top digit); the multiples of
-    every irreducible of degree a <= d/2 are cleared a whole list at a time,
-    and the survivors are read out in lex order and turned into indices
-    through two tables of about q^(d/2) entries.
+    A miss first requests degree d // 2, which fills every degree <= d/2,
+    then sieves degree d once.  A monic g of degree k sits in that array as
+    t^(d-k)*g, at g's own lex position, in [q^(k-1), q^k) when g(0) != 0;
+    for d/2 < k <= d it survives exactly when g is irreducible, since a
+    reducible g with g(0) != 0 has a factor P != t of degree <= k/2, and no
+    such P divides t^(d-k)*g for an irreducible g.  So every uncached k in
+    (d/2, d] is read off the one array, and the survivors turned into
+    indices through two tables of about q^(k/2) entries.
     """
     key = (ctx, d)
     got = _irr_cache.get(key)
@@ -603,20 +633,20 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     if d < 1:
         raise ValueError("irreducibles have degree >= 1")
     check_sieve_size(d, ctx)
+    if d > 1:
+        _irreducible_indices(d // 2, ctx)
     q = ctx.q
-    alive = bytearray(b"\x01") * q ** d
-    for a in range(1, d // 2 + 1):
-        translate = _translator(ctx, a)
-        offsets = [low * q ** (d - a) for low in range(q ** a)]  # low -> position
-        for p_idx in _irreducible_indices(a, ctx):
-            for r, low in enumerate(_multiple_lows(ctx, p_idx, a, d, translate)):
-                alive[offsets[low] + r] = 0
-    half = q ** (d // 2)
-    head = _lex_to_index(d - d // 2, q)
-    tail = [x * q ** (d - d // 2) for x in _lex_to_index(d // 2, q)]
-    result = [head[r // half] + tail[r % half] for r in itertools.compress(range(q ** d), alive)]
-    _irr_cache[key] = result
-    return result
+    alive = memoryview(_sieve(d, ctx))
+    for k in range(d // 2 + 1, d + 1):
+        if (ctx, k) in _irr_cache:
+            continue
+        start, stop = (q ** (k - 1) if k > 1 else 0), q ** k  # degree 1 keeps t
+        half = q ** (k // 2)
+        head = _lex_to_index(k - k // 2, q)
+        tail = [x * q ** (k - k // 2) for x in _lex_to_index(k // 2, q)]
+        survivors = itertools.compress(range(start, stop), alive[start:stop])
+        _irr_cache[(ctx, k)] = [head[r // half] + tail[r % half] for r in survivors]
+    return _irr_cache[key]
 
 
 def count_irreducibles(d: int, ctx: FieldCtx) -> int:

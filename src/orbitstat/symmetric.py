@@ -272,7 +272,15 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
 
 @lru_cache(maxsize=None)
 def _sn_list(r: int) -> tuple[Permutation, ...]:
-    return tuple(enumerate_sn(r, cap=math.factorial(r)))
+    """S_r in enumerate_sn order.  itertools yields permutations by
+    construction, so they are not validated again."""
+
+    def trusted(images):
+        sigma = object.__new__(Permutation)
+        object.__setattr__(sigma, "images", images)
+        return sigma
+
+    return tuple(map(trusted, itertools.permutations(range(r))))
 
 
 StructuredH = tuple  # per block: a tuple of d_i permutations of {0..r_i-1}

@@ -125,6 +125,7 @@ def check_necklace(qs: Sequence[int] = (2, 3, 4, 5), kmax: int = 8) -> CheckResu
     n = 0
     for q in qs:
         ctx = _field(q)
+        count_irreducibles(kmax, ctx)  # the top degree first: one sieve a halving
         for k in range(1, kmax + 1):
             res = necklace_check(k, ctx)
             n += 1

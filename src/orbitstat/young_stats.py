@@ -184,9 +184,9 @@ def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
     for d, r in spec.blocks:
         for k in range(d):
             step = (k + 1) % d  # tau moves (i, j, k) to (i, j, k + 1 mod d)
+            points = tuple(base + j * d + step for j in range(r))  # j -> (i, j, step)
             images = {
-                sigma: tuple(base + sigma(j) * d + step for j in range(r))
-                for sigma in _sn_list(r)
+                sigma: tuple(map(points.__getitem__, sigma.images)) for sigma in _sn_list(r)
             }
             tables.append((slice(base + k, base + r * d, d), images))
         base += d * r

@@ -398,7 +398,7 @@ def test_bad_coefficient_names_it_and_the_polynomial(capsys, q, poly, coef):
     )
 
 
-def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys):
+def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys, sieve_passes):
     # degrees 1..23 fit the sieve; sieving them first took over a minute
     start = time.perf_counter()
     code, out, err = run(capsys, "necklace", "--q", "2", "--kmax", "30")
@@ -408,6 +408,13 @@ def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys):
         "error: irreducible enumeration needs q^d = 16777216 slots, beyond the "
         "sieve limit 10000000, which no flag raises\n"
     )
+    assert sieve_passes == []
+
+
+def test_necklace_sieves_the_top_degree_and_its_halvings(capsys, sieve_passes):
+    code, out, err = run(capsys, "necklace", "--q", "2", "--kmax", "12")
+    assert code == 0 and err == "" and out.endswith("identity = ok\n")
+    assert sieve_passes == [1, 3, 6, 12]
 
 
 def test_histogram_limit_refuses_before_listing_partitions(capsys):

@@ -50,6 +50,9 @@ CASES = {
     "necklace_q9_json": ["necklace", "--q", "9", "--kmax", "3", "--format", "json"],
     "necklace_q4096": ["necklace", "--q", "4096", "--mod", MOD_4096, "--kmax", "1"],
     "necklace_q65521": ["necklace", "--q", "65521", "--kmax", "1"],
+    "necklace_q2_k14": ["necklace", "--q", "2", "--kmax", "14"],
+    "necklace_q5_k7_json": ["necklace", "--q", "5", "--kmax", "7", "--format", "json"],
+    "necklace_q7_k5": ["necklace", "--q", "7", "--kmax", "5"],
     "symbolic_q2": ["eval", "--q", "2", "t^5+t^2+1", "--mu", "1:1,2:1", "--method", "symbolic"],
     "symbolic_q2_cube": ["eval", "--q", "2", "t^6+t^3+1", "--mu", "1:1,3:1", "--method", "symbolic"],
     "symbolic_q3_json": [

@@ -7,7 +7,9 @@ randomized equal-degree splitting inside factor() is checked against trial
 division by the sieve's irreducibles.
 """
 
+import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +34,13 @@ from orbitstat.polynomial import (
     poly_sort_key,
     pow_mod,
 )
+from orbitstat.verify import check_necklace
 
 F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F7 = make_field(7)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 F65521 = make_field(65521)
@@ -270,9 +274,10 @@ def test_frobenius_test_reaches_beyond_the_sieve():
     assert not is_irreducible(f * parse_poly("t+1", F2))
 
 
-def test_enumeration_guard():
-    with pytest.raises(CapExceeded):
+def test_enumeration_guard(sieve_passes):
+    with pytest.raises(CapExceeded, match="q\\^d = 16777216 slots"):
         list(enumerate_irreducibles(24, F2))  # 2^24 > the sieve budget
+    assert sieve_passes == []
 
 
 def odometer_sieve(d, ctx, memo):
@@ -329,6 +334,70 @@ def test_sieve_matches_the_odometer_sieve(monkeypatch, q):
     while q ** d <= 5 * 10 ** 4:
         assert polynomial._irreducible_indices(d, ctx) == odometer_sieve(d, ctx, memo), d
         d += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
+def test_top_degree_first_matches_the_odometer_sieve(sieve_passes, q):
+    """Requesting the largest degree first sieves only it and its halvings,
+    and every lower degree, read off those few arrays, equals the odometer
+    sieve."""
+    ctx = parse_field_spec(f"q={q}")
+    top = max(d for d in range(1, 20) if q ** d <= 5 * 10 ** 4)
+    polynomial._irreducible_indices(top, ctx)
+    halvings = [top >> s for s in range(top.bit_length())]
+    assert sieve_passes == halvings[::-1]
+    assert polynomial._irreducible_indices(1, ctx) == list(range(q))  # t + c, t included
+    memo = {}
+    for d in range(1, top + 1):
+        assert polynomial._irreducible_indices(d, ctx) == odometer_sieve(d, ctx, memo), d
+    assert sieve_passes == halvings[::-1]
+
+
+def test_a_degree_sieves_only_its_halvings(sieve_passes):
+    assert count_irreducibles(12, F2) == necklace_count(12, 2)
+    assert sieve_passes == [1, 3, 6, 12]
+    for d in range(1, 13):
+        count_irreducibles(d, F2)
+    assert sieve_passes == [1, 3, 6, 12]
+
+
+def test_verify_necklace_check_sieves_only_the_halvings(sieve_passes):
+    assert check_necklace(qs=(2, 3), kmax=8).ok
+    assert sieve_passes == [1, 2, 4, 8] * 2
+
+
+# (field, largest degree) with q^d <= 2^18
+ORDER_FIELDS = [(F2, 18), (F3, 11), (F4, 9), (F5, 7), (F7, 6), (F8, 6), (F9, 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def bottom_up(ctx, dmax):
+    """The index lists of degrees 1..dmax, asked for in increasing order on
+    a fresh cache."""
+    with mock.patch.object(polynomial, "_irr_cache", {}):
+        return {d: polynomial._irreducible_indices(d, ctx) for d in range(1, dmax + 1)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(ORDER_FIELDS).flatmap(
+        lambda field: st.integers(1, field[1]).flatmap(
+            lambda k: st.tuples(
+                st.just(field[0]), st.just(field[1]), st.permutations(range(1, k + 1))
+            )
+        )
+    )
+)
+def test_any_request_order_gives_the_bottom_up_lists(field_and_order):
+    """On a fresh cache, degrees 1..K asked for in any order give the lists
+    of an increasing run, and their lengths are the Moebius counts."""
+    ctx, dmax, order = field_and_order
+    want = bottom_up(ctx, dmax)
+    with mock.patch.object(polynomial, "_irr_cache", {}):
+        for d in order:
+            got = polynomial._irreducible_indices(d, ctx)
+            assert got == want[d], d
+            assert len(got) == necklace_count(d, ctx.q)
 
 
 # q^d up to about 2^18 slots, beyond what the odometer sieve reaches in a test

@@ -28,6 +28,7 @@ from orbitstat.symmetric import (
     partition_counts,
     partitions,
     structured_to_permutation,
+    _sn_list,
 )
 from orbitstat.young_stats import coset_histogram
 
@@ -83,6 +84,16 @@ def test_enumerate_sn_is_lexicographic():
     assert [p.images for p in s3] == [
         (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
     ]
+
+
+def test_cached_sn_list_equals_enumerate_sn():
+    """The unvalidated elements behave as validated ones: equal, with equal
+    hashes, in enumerate_sn order."""
+    for r in range(7):
+        cached = _sn_list(r)
+        checked = tuple(enumerate_sn(r))
+        assert cached == checked
+        assert [hash(p) for p in cached] == [hash(p) for p in checked]
 
 
 def test_enumerate_sn_cap():

@@ -30,6 +30,7 @@ from orbitstat.young_stats import (
     cycle_type_distribution,
     expected_binom_on_coset,
     expected_k_cycles,
+    slot_tables,
 )
 
 from coset_walk import whole_coset_histogram
@@ -213,6 +214,18 @@ def test_enumeration_matches_composed_permutations_on_every_small_spec():
     for s in specs:
         # the same counts, met in the same enumeration order
         assert list(coset_histogram(s).items()) == list(reference_histogram(s).items()), str(s)
+
+
+def test_slot_tables_hold_the_images_of_tau_h_on_each_slot():
+    """Entry sigma of a slot's table is tau*h on that slot's points, for h
+    composed as a Permutation, on every h of every spec with n <= 6."""
+    for s in enumerate_coset_specs(6):
+        tau = s.tau()
+        tables = slot_tables(s)
+        for h in enumerate_h_structured(s):
+            images = (tau * structured_to_permutation(s, h)).images
+            for (sl, table), sigma in zip(tables, itertools.chain.from_iterable(h)):
+                assert table[sigma] == images[sl], (str(s), h)
 
 
 def test_per_block_histogram_equals_the_whole_walk_on_every_small_spec():
