@@ -50,8 +50,8 @@ from .polynomial import (
 from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex
 from .verify import CHECK_NAMES, run_all
 from .young_stats import (
+    class_count,
     coset_histogram,
-    count_cycle_type_in_coset,
     cycle_type_distribution,
     expected_binom_on_coset,
 )
@@ -275,16 +275,19 @@ def cmd_young(args):
     lines.append(f"mu = {mu}")
     payload["mu"] = str(mu)
     values: dict[str, Fraction] = {}
+    counted = mu.norm == spec.n
+    if counted or args.method in ("formula", "both"):
+        formula = expected_binom_on_coset(spec, mu)
     if args.method in ("formula", "both"):
-        values["formula"] = expected_binom_on_coset(spec, mu)
+        values["formula"] = formula
     if args.method in ("oracle", "both"):
         values["oracle"] = chi_oracle(spec, CharPoly.binom(mu), args.cap_group)
     _add_values(lines, payload, values)
     code = 0
     if args.method == "both":
         code = _agree(lines, payload, values["formula"] == values["oracle"])
-    if mu.norm == spec.n:
-        cnt = count_cycle_type_in_coset(spec, mu)
+    if counted:
+        cnt = class_count(spec, mu, formula)
         lines.append(f"class_count = {cnt}")
         payload["class_count"] = cnt
     return code, payload, lines

@@ -54,11 +54,11 @@ from .symmetric import (
     partitions,
 )
 from .young_stats import (
+    class_count,
     coset_histogram,
-    count_cycle_type_in_coset,
+    coset_means,
     cycle_lengths,
     cycle_type_distribution,
-    expected_binom_on_coset,
     slot_tables,
 )
 
@@ -109,8 +109,15 @@ def _checked_tallies(q: int, dmax: int, bad: list) -> dict[int, Counter]:
     return tallies
 
 
-def _tally_mean(tally: Counter, mu: MultiIndex, population: int) -> Fraction:
-    return sum(c * expected_binom_on_coset(s, mu) for s, c in tally.items()) / population
+def _tally_means(tally: Counter, d: int, population: int) -> dict[MultiIndex, Fraction]:
+    """The ensemble mean of binom(X, mu) for every mu of norm <= d, from one
+    coset_means call per spec of the degree-d tally."""
+    mus = list(multi_indices_up_to(d))
+    total = dict.fromkeys(mus, Fraction(0))
+    for spec, c in tally.items():
+        for mu, mean in coset_means(spec, mus).items():
+            total[mu] += c * mean
+    return {mu: value / population for mu, value in total.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +159,7 @@ def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> Check
     for q in qs:
         ctx = _field(q)
         for d, tally in _checked_tallies(q, dmax, bad).items():
-            for mu in multi_indices_up_to(d):
-                ens = _tally_mean(tally, mu, q ** d)
+            for mu, ens in _tally_means(tally, d, q ** d).items():
                 sym = sn_expectation_closed(mu, d)
                 prod_form = sym
                 for k, m in mu.items():
@@ -205,9 +211,10 @@ def check_chi_routes(
 
 def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckResult:
     """For every block spec: the closed-form histogram equals the enumerated
-    one, the closed-form coset mean of binom(X, mu) matches the enumerated
-    histogram, and for |mu| = n the closed-form class counts are non-negative
-    integers matching the histogram and summing to |H|.
+    one, the closed-form coset means of binom(X, mu), all read off one block
+    product per spec, match the enumerated histogram, and for |mu| = n the
+    class counts read off the same product are non-negative integers
+    matching the histogram and summing to |H|.
     """
     bad = []
     nspecs = 0
@@ -218,8 +225,8 @@ def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckRe
         nspecs += 1
         if cycle_type_distribution(spec) != hist:
             bad.append(("histogram", str(spec)))
-        for mu in multi_indices_up_to(spec.n):
-            closed = expected_binom_on_coset(spec, mu)
+        means = coset_means(spec, multi_indices_up_to(spec.n))
+        for mu, closed in means.items():
             brute = Fraction(
                 sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items()), order
             )
@@ -229,7 +236,7 @@ def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckRe
         total = 0
         for mu in partitions(spec.n):
             try:
-                cnt = count_cycle_type_in_coset(spec, mu)
+                cnt = class_count(spec, mu, means[mu])
             except ArithmeticError as exc:
                 bad.append(("count", str(spec), str(mu), str(exc)))
                 continue
@@ -414,11 +421,14 @@ def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResul
     bad = []
     n = 0
     for q in qs:
-        tallies = _checked_tallies(q, dmax, bad)
+        means = {
+            d: _tally_means(tally, d, q ** d)
+            for d, tally in _checked_tallies(q, dmax, bad).items()
+        }
         for mu in multi_indices_up_to(dmax):
             if mu.norm == 0:
                 continue
-            vals = [_tally_mean(tallies[d], mu, q ** d) for d in range(mu.norm, dmax + 1)]
+            vals = [means[d][mu] for d in range(mu.norm, dmax + 1)]
             n += 1
             if len(set(vals)) != 1:
                 bad.append((q, str(mu), vals))

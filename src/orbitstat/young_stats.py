@@ -11,14 +11,21 @@ blocks are independent.
   class sizes, stretched and weighted by (r!)^(d-1).
 * The mean of binom(X, mu) splits over the blocks by Vandermonde's identity:
   it is the z^mu coefficient of the product of block factors
-  B_{d,r}(z) = sum over a <= mu, supported on multiples of d, of
-  E_{S_r} binom(X, {k/d: a_k}) z^a, computed with one exponent per part of
-  mu, truncated at mu_k.  The coefficient at a is prod_k 1/((k/d)^{a_k} a_k!)
-  while sum_k a_k * k/d <= r, else 0.  Each factor is scaled by
-  D = z_mu = prod_k k^{m_k} m_k!, which depends only on mu: the scaled
-  coefficient prod_k k^{m_k - a_k} d^{a_k} m_k!/a_k! is an integer, since
-  a_k <= m_k.  So the product runs in integers, and the one Fraction is
-  built at the end, dividing by D to the number of factors multiplied.
+  B_{d,r}(z) = sum over a, supported on multiples of d, of
+  E_{S_r} binom(X, {k/d: a_k}) z^a.  So one product, truncated at a box,
+  holds the mean of every binom(X, mu) with mu in the box: coset_means
+  builds it once per spec over the join box of the requested mu (each k of
+  some mu, with its largest m_k) and reads every mu off it.  The box has
+  one exponent per k; the coefficient at a is prod_k 1/((k/d)^{a_k} a_k!)
+  while sum_k a_k * k/d <= r, else 0, so block (d, r) lives on
+  sum_k a_k * k <= d*r, and a box of all mu of norm <= n holds nothing
+  beyond norm n.  Each factor is scaled by D = z_box = prod_k k^{m_k} m_k!,
+  which depends only on the box: the scaled coefficient
+  prod_k k^{m_k - a_k} d^{a_k} m_k!/a_k! is an integer, since a_k <= m_k.
+  So the product runs in integers, and each Fraction is built at the end,
+  dividing by D to the number of factors multiplied.  A statistic with
+  several terms takes one product per term, in the term's own box: joining
+  terms whose k differ multiplies over a far larger box.
 
 coset_histogram enumerates cosets directly and is kept as the oracle.  H and
 tau both map each block's points to themselves, so tau*H is the product of the
@@ -43,7 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .charpoly import _mul_truncated
 from .errors import CapExceeded
@@ -51,6 +58,7 @@ from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
+    _multi_index,
     _sn_list,
     centralizer_order,
     partition_counts,
@@ -106,19 +114,19 @@ def _block_reach(d: int, mu: MultiIndex) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], int]:
-    """B_{d,r}(z) truncated at z^mu and scaled by z_mu: at each exponent tuple
-    a <= mu with a_k = 0 unless d | k, and sum a_k * k/d <= r, the integer
-    z_mu times the S_r mean of binom(X, {k/d: a_k}).  Only those tuples are
-    walked; every other coefficient is 0."""
+def _block_factor(d: int, r: int, box: MultiIndex) -> Mapping[tuple[int, ...], int]:
+    """B_{d,r}(z) truncated at the box and scaled by z_box: at each exponent
+    tuple a <= box with a_k = 0 unless d | k, and sum a_k * k/d <= r, the
+    integer z_box times the S_r mean of binom(X, {k/d: a_k}).  Only those
+    tuples are walked; every other coefficient is 0."""
     terms = [((), 1, 0)]  # (a so far, scaled coefficient, sum a_k * k/d)
-    for k, m in mu.items():
+    for k, m in box.items():
         if k % d:
             whole = k ** m * math.factorial(m)
             terms = [(a + (0,), c * whole, used) for a, c, used in terms]
             continue
         step = k // d
-        # the k-part of z_mu over (k/d)^e * e!, for each e the block can reach
+        # the k-part of z_box over (k/d)^e * e!, for each e the block can reach
         weight = [k ** m * math.factorial(m)]
         for e in range(min(m, r // step)):
             weight.append(weight[-1] * d // (k * (e + 1)))
@@ -130,25 +138,75 @@ def _block_factor(d: int, r: int, mu: MultiIndex) -> Mapping[tuple[int, ...], in
     return MappingProxyType({a: c for a, c, _ in terms})
 
 
-def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:
-    """Exact mean of binom(X, mu) over the coset tau*H: the z^mu coefficient
-    of the product of the block factors, one factor per block.  The factors
-    are integers scaled by z_mu, so the coefficient is read off in integers
-    and divided by z_mu to the number of factors multiplied."""
-    top = tuple(m for _, m in mu.items())
+def _join_box(mus: list[MultiIndex]) -> tuple[MultiIndex, list[tuple[int, ...]]]:
+    """The least box that holds every mu of mus, each k of some mu with its
+    largest m_k, and each mu as an exponent tuple of that box.  One mu is its
+    own box."""
+    if len(mus) == 1:
+        (box,) = mus
+        return box, [tuple(m for _, m in box.items())]
+    join: dict[int, int] = {}
+    for mu in mus:
+        for k, m in mu.items():
+            if m > join.get(k, 0):
+                join[k] = m
+    ks = sorted(join)
+    zeros = (0,) * len(ks)
+    at = [tuple(map(dict(mu.items()).get, ks, zeros)) for mu in mus]
+    return _multi_index(tuple((k, join[k]) for k in ks)), at
+
+
+def coset_means(spec: CosetSpec, mus: Iterable[MultiIndex]) -> dict[MultiIndex, Fraction]:
+    """Exact mean of binom(X, mu) over the coset tau*H for every mu of mus,
+    all read off one product of the block factors, one factor per block,
+    truncated at the join box of mus.  The factors are integers scaled by
+    z_box, so the product runs in integers and each coefficient is divided
+    by z_box to the number of factors multiplied."""
+    mus = list(mus)
+    box, at = _join_box(mus)
+    top = tuple(m for _, m in box.items())
     factors = []
     for (d, r), count in Counter(spec.blocks).items():
-        factor = _block_factor(d, min(r, _block_reach(d, mu)), mu)
+        factor = _block_factor(d, min(r, _block_reach(d, box)), box)
         if len(factor) > 1:  # more than the constant: some cycle of the block counts
             factors += [factor] * count
-    if not factors:  # the empty product 1 has no z^mu term unless mu is empty
-        return Fraction(0 if top else 1)
-    acc = {(0,) * len(top): 1}
-    for factor in factors[:-1]:
+    scale = centralizer_order(box) ** len(factors)
+    # the empty product 1 has no z^mu term unless mu is empty
+    one = (0,) * len(top)
+    *factors, last = factors or [{one: 1}]
+    acc = factors[0] if factors else {one: 1}
+    for factor in factors[1:]:
         acc = _mul_truncated(acc, factor, top)
-    last = factors[-1]
-    acc_top = sum(c * last.get(tuple(map(int.__sub__, top, a)), 0) for a, c in acc.items())
-    return Fraction(acc_top, centralizer_order(mu) ** len(factors))
+    # the last factor is multiplied in only if that costs no more than reading
+    # each mu off the pairs of it and the product so far, one sum per mu
+    if len(at) < len(last):
+        coeffs = [
+            sum(c * last.get(tuple(map(int.__sub__, e, a)), 0) for a, c in acc.items())
+            for e in at
+        ]
+    else:
+        acc = _mul_truncated(acc, last, top) if factors else last
+        coeffs = [acc.get(e, 0) for e in at]
+    return {mu: Fraction(c, scale) for mu, c in zip(mus, coeffs)}
+
+
+def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:
+    """Exact mean of binom(X, mu) over the coset tau*H: coset_means of the
+    one mu, whose box is mu itself."""
+    (mean,) = coset_means(spec, (mu,)).values()
+    return mean
+
+
+def class_count(spec: CosetSpec, mu: MultiIndex, mean: Fraction) -> int:
+    """|H| times the mean of binom(X, mu) for a cycle type mu of norm N: the
+    number of elements of tau*H of that cycle type, which must be a natural
+    number."""
+    value = spec.order_h() * mean
+    if value.denominator != 1 or value < 0:
+        raise ArithmeticError(
+            f"cycle-type count for {spec} at {mu} is not a natural number: {value}"
+        )
+    return int(value)
 
 
 def count_cycle_type_in_coset(spec: CosetSpec, mu: MultiIndex) -> int:
@@ -157,21 +215,7 @@ def count_cycle_type_in_coset(spec: CosetSpec, mu: MultiIndex) -> int:
     n = spec.n
     if mu.norm != n:
         raise ValueError(f"cycle type of norm {mu.norm} on {n} points")
-    value = spec.order_h() * expected_binom_on_coset(spec, mu)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(
-            f"cycle-type count for {spec} at {mu} is not a natural number: {value}"
-        )
-    return int(value)
-
-
-def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
-    """Mean number of k-cycles on the coset: (1/k) * sum of the d_i with
-    d_i | k and d_i * r_i >= k."""
-    if k < 1:
-        raise ValueError("cycle length must be >= 1")
-    total = sum(d for d, r in spec.blocks if k % d == 0 and d * r >= k)
-    return Fraction(total, k)
+    return class_count(spec, mu, expected_binom_on_coset(spec, mu))
 
 
 def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from orbitstat import polynomial
+from orbitstat import polynomial, young_stats
 
 
 @pytest.fixture
@@ -19,3 +19,18 @@ def sieve_passes(monkeypatch):
     monkeypatch.setattr(polynomial, "_irr_cache", {})
     monkeypatch.setattr(polynomial, "_sieve", counted)
     return passes
+
+
+@pytest.fixture
+def coset_products(monkeypatch):
+    """The list of the box tops of the truncated products that the coset
+    closed form multiplies from then on, one entry per _mul_truncated call."""
+    products = []
+    mul = young_stats._mul_truncated
+
+    def counted(f, g, top):
+        products.append(top)
+        return mul(f, g, top)
+
+    monkeypatch.setattr(young_stats, "_mul_truncated", counted)
+    return products

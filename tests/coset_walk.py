@@ -1,13 +1,18 @@
-"""The whole-H walk: the oracle for young_stats.coset_histogram.
+"""Test oracles for young_stats.
 
-coset_histogram walks each block's coset on its own and convolves the
-results.  This walks every h of the whole H at once, in
-enumerate_h_structured order, with no use of block independence beyond the
-slot tables, and counts the cycles of each tau*h on all n points.
+whole_coset_histogram is the oracle for coset_histogram, which walks each
+block's coset on its own and convolves the results.  This walks every h of
+the whole H at once, in enumerate_h_structured order, with no use of block
+independence beyond the slot tables, and counts the cycles of each tau*h on
+all n points.
+
+expected_k_cycles is the mean number of k-cycles on a coset, counted
+straight from the blocks.
 """
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 from orbitstat.errors import CapExceeded
 from orbitstat.symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex
@@ -33,3 +38,12 @@ def whole_coset_histogram(
         key = cycle_lengths(images)
         tally[key] = tally.get(key, 0) + 1
     return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}
+
+
+def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
+    """Mean number of k-cycles on the coset: (1/k) * sum of the d_i with
+    d_i | k and d_i * r_i >= k."""
+    if k < 1:
+        raise ValueError("cycle length must be >= 1")
+    total = sum(d for d, r in spec.blocks if k % d == 0 and d * r >= k)
+    return Fraction(total, k)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from orbitstat import young_stats
 from orbitstat.cli import main
 
 
@@ -143,6 +144,23 @@ def test_young_value_and_count(capsys):
     assert code == 0
     assert "formula = 1/2 (0.500000)" in out
     assert "class_count = 1" in out
+
+
+@pytest.mark.parametrize("method", ["formula", "both", "oracle"])
+def test_young_builds_the_closed_form_once_for_a_class_count(capsys, monkeypatch, method):
+    calls = []
+    means = young_stats.coset_means
+
+    def spy(spec, mus):
+        calls.append(str(spec))
+        return means(spec, mus)
+
+    monkeypatch.setattr(young_stats, "coset_means", spy)
+    code, out, _ = run(capsys, "young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3",
+                       "--method", method)
+    assert code == 0
+    assert "class_count = 6\n" in out
+    assert calls == ["1^2,2^3"]
 
 
 def test_young_walks_only_the_block_terms_within_reach(capsys):

@@ -37,7 +37,8 @@ from orbitstat.polynomial import (
     parse_poly,
 )
 from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
-from orbitstat.young_stats import expected_k_cycles
+
+from coset_walk import expected_k_cycles
 
 F2 = make_field(2)
 F3 = make_field(3)

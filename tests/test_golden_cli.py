@@ -117,6 +117,16 @@ CASES = {
         "eval", "--q", "3", "t^7+2*t^5+t^3", "--stat", "X1^2+2*X2-1/2*binom(1:1,2:1)+3",
         "--method", "oracle",
     ],
+    "verify_quick_coset_means": [
+        "verify", "--quick", "--checks", "coset-statistics,equal-expectation,stabilization",
+    ],
+    "young_class_count_mixed": ["young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3"],
+    "young_class_count_mixed_json": [
+        "young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3", "--format", "json",
+    ],
+    "young_class_count_oracle": [
+        "young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3", "--method", "oracle",
+    ],
 }
 
 

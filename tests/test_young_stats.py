@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitstat import young_stats
 from orbitstat.charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
-from orbitstat.frobenius_stats import chi_oracle
+from orbitstat.finite_field import make_field
+from orbitstat.frobenius_stats import chi_formula, chi_oracle, ensemble_formula
 from orbitstat.symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
@@ -22,18 +24,22 @@ from orbitstat.symmetric import (
     partitions,
     structured_to_permutation,
 )
-from orbitstat.verify import enumerate_coset_specs
+from orbitstat.verify import (
+    check_coset_statistics,
+    check_equal_expectations,
+    enumerate_coset_specs,
+)
 from orbitstat.young_stats import (
     _block_factor,
     coset_histogram,
+    coset_means,
     count_cycle_type_in_coset,
     cycle_type_distribution,
     expected_binom_on_coset,
-    expected_k_cycles,
     slot_tables,
 )
 
-from coset_walk import whole_coset_histogram
+from coset_walk import expected_k_cycles, whole_coset_histogram
 
 
 def spec(text):
@@ -172,10 +178,12 @@ def fraction_box_product(s, mu):
 def test_integer_block_product_equals_the_fraction_box_product_on_every_small_spec():
     specs = list(enumerate_coset_specs(7))
     for s in specs:
-        for mu in multi_indices_up_to(s.n):
+        means = coset_means(s, multi_indices_up_to(s.n))  # one product over the join box
+        assert list(means) == list(multi_indices_up_to(s.n))
+        for mu, shared in means.items():
             value = expected_binom_on_coset(s, mu)
-            assert type(value) is Fraction
-            assert value == fraction_box_product(s, mu), (str(s), str(mu))
+            assert type(value) is Fraction and type(shared) is Fraction
+            assert value == shared == fraction_box_product(s, mu), (str(s), str(mu))
 
 
 def test_block_factor_is_the_s_r_mean_scaled_to_an_integer():
@@ -188,6 +196,54 @@ def test_block_factor_is_the_s_r_mean_scaled_to_an_integer():
             for a in itertools.product(*ranges):
                 nu = MultiIndex(tuple((k // d, e) for (k, _), e in zip(mu.items(), a) if e))
                 assert factor.get(a, 0) == scale * sn_expectation_closed(nu, r), (d, r, str(mu), a)
+
+
+def test_coset_statistics_multiply_one_product_per_spec(coset_products):
+    # one factor per block, and the first needs no product: sum of (blocks - 1)
+    assert check_coset_statistics(nmax=5).ok
+    assert len(coset_products) == sum(len(s.blocks) - 1 for s in enumerate_coset_specs(5)) == 44
+    coset_products.clear()
+    assert check_coset_statistics().ok
+    assert len(coset_products) <= 454
+
+
+def test_statistics_read_one_product_per_term(monkeypatch):
+    # joining terms with disjoint k would multiply over a much larger box
+    calls = []
+    means = young_stats.coset_means
+
+    def spy(s, mus):
+        mus = list(mus)
+        calls.append(mus)
+        return means(s, mus)
+
+    monkeypatch.setattr(young_stats, "coset_means", spy)
+    P = CharPoly.parse("binom(1:12)+binom(2:6)+binom(3:4)+binom(4:3)")
+    chi_formula(spec("1^12,2^6,4^3"), P)
+    assert calls == [[mu] for mu in P.terms]
+    calls.clear()
+    ensemble_formula(4, make_field(3), CharPoly.parse("binom(1:2)+binom(2:1)"))
+    assert calls and all(len(mus) == 1 for mus in calls)
+
+
+def test_a_wrong_block_coefficient_fails_the_coset_checks(monkeypatch):
+    """One coefficient off by one in every block factor that has more than
+    its constant: both checks that read means off the shared product fail."""
+    factor = young_stats._block_factor
+
+    def wrong(d, r, box):
+        out = dict(factor(d, r, box))
+        if len(out) > 1:
+            out[max(out)] += 1
+        return out
+
+    factor.cache_clear()
+    monkeypatch.setattr(young_stats, "_block_factor", wrong)
+    try:
+        assert not check_coset_statistics(nmax=4).ok
+        assert not check_equal_expectations(dmax=3).ok
+    finally:
+        factor.cache_clear()
 
 
 def test_blocks_share_one_factor_beyond_their_reach():
@@ -357,3 +413,17 @@ def test_one_linear_block_is_the_symmetric_group(r, data):
 def test_mean_of_k_cycles(s, data):
     k = data.draw(st.integers(1, s.n + 1))
     assert expected_binom_on_coset(s, MultiIndex.from_dict({k: 1})) == expected_k_cycles(s, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs(nmax=14))
+def test_class_counts_from_one_product_are_the_distribution(s):
+    """Beyond the reach of per-mu enumeration: every mean of norm <= n from
+    one product, and the class counts among them natural numbers summing to
+    |H| and equal to the block-product distribution."""
+    means = coset_means(s, multi_indices_up_to(s.n))
+    dist = cycle_type_distribution(s)
+    counts = {mu: s.order_h() * mean for mu, mean in means.items() if mu.norm == s.n}
+    assert all(c.denominator == 1 and c >= 0 for c in counts.values())
+    assert sum(counts.values()) == s.order_h()
+    assert {mu: c for mu, c in counts.items() if c} == dist
