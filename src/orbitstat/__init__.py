@@ -35,14 +35,12 @@ from .finite_field import (
 )
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
-    EqualExpectationReport,
     block_spec,
     chi_formula,
     chi_oracle,
     chi_symbolic,
     ensemble_formula,
     ensemble_sum,
-    equal_expectation_check,
     parse_predicate,
     xk_of_f,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "DEFAULT_GROUP_CAP",
     "DEFAULT_TERM_CAP",
     "ENUMERATION_LIMIT",
-    "EqualExpectationReport",
     "Factorization",
     "FieldCtx",
     "MultiIndex",
@@ -115,7 +112,6 @@ __all__ = [
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
-    "equal_expectation_check",
     "expectation_epsilon",
     "expectation_epsilon_oracle",
     "expected_binom_on_coset",

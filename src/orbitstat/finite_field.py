@@ -14,8 +14,14 @@ use native % and pow.  An extension builds, on first use and never at import,
 exp/log tables of its primitive element of smallest index; addition is XOR
 of indices in characteristic 2 and goes through a Zech table in odd
 characteristic (Lidl and Niederreiter, Finite Fields).  The tables hold fewer
-than 3q ints.  Contexts with equal (p, e, modulus) compare equal and
-interoperate.
+than 3q ints.
+
+There is one shared context per field: make_field (and parse_field_spec,
+which calls it) returns the same FieldCtx for every request of one
+normalized (p, e, modulus), so "q=4" and "q=2^2" give one object, and the
+default-modulus search and the tables run at most once per process.  Only
+valid fields are kept, so a refused input is checked again, and refused
+again, on every request.
 
 Construction enforces q <= 2**16: larger fields are out of scope for the
 exhaustive enumerations this package is built around.
@@ -244,9 +250,9 @@ def _build_tables(ctx: FieldCtx) -> tuple:
 
 def _irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
     """Irreducibility over F_p, decided by the polynomial core."""
-    from .polynomial import Poly, is_irreducible
+    from .polynomial import _is_irreducible
 
-    return is_irreducible(Poly(FieldCtx(p, 1, p, None), coeffs))
+    return _is_irreducible(make_field(p), coeffs)
 
 
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -263,13 +269,25 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible modulus of degree %d over F_%d" % (e, p))
 
 
+# every valid field made so far, keyed by (p, e, modulus) with the modulus
+# reduced mod p, and by (p, e, None) for the default modulus
+_fields: dict[tuple, FieldCtx] = {}
+
+
+def _interned(p: int, e: int, modulus: Optional[tuple[int, ...]]) -> FieldCtx:
+    ctx = _fields.get((p, e, modulus))
+    if ctx is None:
+        ctx = _fields[p, e, modulus] = FieldCtx(p, e, p ** e, modulus)
+    return ctx
+
+
 def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldCtx:
-    """Construct F_{p^e}, validating every input.
+    """The shared context of F_{p^e}, validating every input.
 
     For e > 1 a modulus may be supplied as e+1 integers (ascending, monic);
     it must be irreducible over F_p.  Without one, the smallest irreducible
     candidate in constant-first lexicographic order is picked, so the default
-    is deterministic.
+    is deterministic.  Equal normalized inputs give the same object.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -281,21 +299,23 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     if e == 1:
         if modulus is not None:
             raise ValueError("a modulus is only meaningful for e > 1")
-        return FieldCtx(p, 1, q, None)
+        return _interned(p, 1, None)
     if modulus is None:
-        mod = _default_modulus(p, e)
-    else:
-        given = [int(c) for c in modulus]
-        if len(given) != e + 1:
-            raise ValueError(
-                f"modulus must have {e + 1} coefficients for degree {e}, got {len(given)}"
-            )
-        mod = tuple(c % p for c in given)
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not _irreducible_mod_p(mod, p):
-            raise ValueError(f"modulus {given} is reducible over F_{p}")
-    return FieldCtx(p, e, q, mod)
+        ctx = _fields.get((p, e, None))
+        if ctx is None:
+            ctx = _fields[p, e, None] = _interned(p, e, _default_modulus(p, e))
+        return ctx
+    given = [int(c) for c in modulus]
+    if len(given) != e + 1:
+        raise ValueError(
+            f"modulus must have {e + 1} coefficients for degree {e}, got {len(given)}"
+        )
+    mod = tuple(c % p for c in given)
+    if mod[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if (p, e, mod) not in _fields and not _irreducible_mod_p(mod, p):
+        raise ValueError(f"modulus {given} is reducible over F_{p}")
+    return _interned(p, e, mod)
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -27,18 +27,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .charpoly import CharPoly, sn_expectation_closed
+from .charpoly import CharPoly
 from .division_algebra import DEFAULT_TERM_CAP
 from .errors import CapExceeded
 from .polynomial import (
     Factorization,
     Poly,
+    _divmod,
+    _irreducible_tuples,
+    _mul,
     divisors,
-    enumerate_irreducibles,
     enumerate_monic,
     factor,
     format_poly,
@@ -119,35 +120,38 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     irreducibles, counted by the necklace formula before any is sieved.
     """
     _check_monic(f)
-    ctx = f.ctx
+    ctx, fc = f.ctx, f.coeffs
     ks = sorted({k for mu in P.terms for k, _ in mu.items()})
     work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
     _spend_terms(work, term_cap)
-    # the irreducibles of each degree that divide f, each tested once
+    # the irreducibles of each degree that divide f, each tested once, as
+    # coefficient tuples
     dividing = {
-        d: [p for p in enumerate_irreducibles(d, ctx) if not f % p]
+        d: [p for p in _irreducible_tuples(d, ctx) if not _divmod(ctx, fc, p)[1]]
         for d in sorted({d for k in ks for d in divisors(k)})
     }
-    symbols: dict[int, list[tuple[Poly, int]]] = {}
+    symbols: dict[int, list[tuple[tuple, int]]] = {}
     for k in ks:
         s_k = symbols[k] = []
         for d in divisors(k):
             for p in dividing[d]:
-                g = p ** (k // d)
-                if d == k or not f % g:
+                g = p
+                for _ in range(k // d - 1):
+                    g = _mul(ctx, g, p)
+                if d == k or not _divmod(ctx, fc, g)[1]:
                     s_k.append((g, d))
     total = _F0
     for mu, coef in P.terms.items():
-        terms = {f: 1}  # cofactor f/g -> integer coefficient of eps_g
+        terms = {fc: 1}  # cofactor f/g -> integer coefficient of eps_g
         pref = _F1
         for k, m in mu.items():
             for _ in range(m):
                 work += len(terms) * len(symbols[k])
                 _spend_terms(work, term_cap)
-                out: dict[Poly, int] = {}
+                out: dict[tuple, int] = {}
                 for c, x in terms.items():
                     for h, y in symbols[k]:
-                        quot, rem = divmod(c, h)
+                        quot, rem = _divmod(ctx, c, h)
                         if not rem:
                             out[quot] = out.get(quot, 0) + x * y
                 terms = out
@@ -318,40 +322,3 @@ def ensemble_formula(
             (n_f * expected_binom_on_coset(spec, mu) for spec, n_f in weights.items()), _F0
         )
     return total, sum(types.values())
-
-
-@dataclass(frozen=True)
-class EqualExpectationReport:
-    """The three routes to the mean of binom(X, mu) over monic degree-d f."""
-
-    d: int
-    q: int
-    mu: MultiIndex
-    ensemble_mean: Fraction
-    symmetric_mean: Fraction
-    necklace_product_form: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.ensemble_mean == self.symmetric_mean == self.necklace_product_form
-
-
-def equal_expectation_check(
-    d: int, ctx, mu: MultiIndex, cap: int = DEFAULT_ENUM_CAP
-) -> EqualExpectationReport:
-    """Compare the polynomial-ensemble mean, the S_d mean, and the S_d mean
-    rescaled by necklace-count factors (which the count relations force to 1).
-    """
-    total, _ = ensemble_formula(d, ctx, CharPoly.binom(mu), cap=cap)
-    ensemble_mean = total / ctx.q ** d
-    symmetric_mean = sn_expectation_closed(mu, d)
-    product_form = symmetric_mean
-    for k, m in mu.items():
-        necklace = Fraction(
-            sum(dd * necklace_count(dd, ctx.q) for dd in divisors(k)),
-            ctx.q ** k,
-        )
-        product_form *= necklace ** m
-    return EqualExpectationReport(
-        d, ctx.q, mu, ensemble_mean, symmetric_mean, product_form
-    )

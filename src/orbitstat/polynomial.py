@@ -20,6 +20,10 @@ distinct-degree parts via gcd with t^(q^k)-t, then Cantor-Zassenhaus
 equal-degree splitting.  The splitting draws from a PRNG seeded with a
 constant, and the factors are unique and sorted, so factor() is deterministic
 and never needs the sieve: it works for every field the package supports.
+The pipeline runs on coefficient tuples from end to end, through one
+tuple-level gcd and one powering modulo a polynomial (which poly_gcd,
+pow_mod and is_irreducible wrap for Polys), and makes Polys only of the
+factors it returns.
 
 Irreducible enumeration is a sieve over one flag per monic polynomial of
 degree K, kept in coefficient-lex order (c0 the top digit).  Write
@@ -219,7 +223,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("polynomials over different fields")
             return other
         return NotImplemented
@@ -287,15 +291,10 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
             return self
-        ctx = self.ctx
-        inv = ctx.inv(self._c[-1])
-        return _poly(ctx, tuple(ctx.mul(c, inv) for c in self._c))
+        return _poly(self.ctx, _monic(self.ctx, self._c))
 
     def derivative(self) -> "Poly":
-        ctx = self.ctx
-        return _poly(
-            ctx, _trim([ctx.mul(c, i % ctx.p) for i, c in enumerate(self._c) if i > 0])
-        )
+        return _poly(self.ctx, _derivative(self.ctx, self._c))
 
     def evaluate(self, point: int) -> int:
         """The value at the element index point, by Horner's rule."""
@@ -310,14 +309,54 @@ class Poly:
         return (other % self).is_zero
 
 
+def _monic(ctx: FieldCtx, c: tuple) -> tuple[int, ...]:
+    """A nonzero tuple scaled by the inverse of its leading coefficient."""
+    lead = c[-1]
+    if lead == 1:
+        return c
+    inv, mul = ctx.inv(lead), ctx.mul
+    return tuple([mul(x, inv) for x in c])
+
+
+def _derivative(ctx: FieldCtx, c: tuple) -> tuple[int, ...]:
+    mul, p = ctx.mul, ctx.p
+    return _trim([mul(x, i % p) for i, x in enumerate(c) if i])
+
+
+def _gcd(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[int, ...]:
+    """Monic gcd of two tuples; the gcd of () and () is ()."""
+    while b:
+        if len(b) == 1:  # a nonzero constant divides everything
+            return (1,)
+        a, b = b, _divmod(ctx, a, b)[1]
+    return _monic(ctx, a) if a else a
+
+
+def _powmod(ctx: FieldCtx, base: tuple, k: int, m: tuple) -> tuple[int, ...]:
+    """base**k mod m, for k >= 0 and m of degree >= 1."""
+    b = base if len(base) < len(m) else _divmod(ctx, base, m)[1]
+    result = None  # 1, until the first factor arrives
+    while k:
+        if k & 1:
+            result = b if result is None else _divmod(ctx, _mul(ctx, result, b), m)[1]
+        k >>= 1
+        if k:
+            b = _divmod(ctx, _mul(ctx, b, b), m)[1]
+    return (1,) if result is None else result
+
+
+def _minus_t(ctx: FieldCtx, s: tuple) -> tuple[int, ...]:
+    """s - t."""
+    c = list(s) + [0] * (2 - len(s))
+    c[1] = ctx.sub(c[1], 1)
+    return _trim(c)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     if a.ctx != b.ctx:
         raise ValueError("polynomials over different fields")
-    ctx, x, y = a.ctx, a._c, b._c
-    while y:
-        x, y = y, _divmod(ctx, x, y)[1]
-    return _poly(ctx, x).monic()
+    return _poly(a.ctx, _gcd(a.ctx, a._c, b._c))
 
 
 def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
@@ -328,16 +367,7 @@ def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
         raise ValueError("negative exponent")
     if base.ctx != mod.ctx:
         raise ValueError("polynomials over different fields")
-    ctx, m = base.ctx, mod._c
-    result = (1,)
-    b = _divmod(ctx, base._c, m)[1]
-    while exp:
-        if exp & 1:
-            result = _divmod(ctx, _mul(ctx, result, b), m)[1]
-        exp >>= 1
-        if exp:
-            b = _divmod(ctx, _mul(ctx, b, b), m)[1]
-    return _poly(ctx, result)
+    return _poly(base.ctx, _powmod(base.ctx, base._c, exp, mod._c))
 
 
 def divisors(n: int) -> list[int]:
@@ -668,10 +698,18 @@ def necklace_count(k: int, q: int) -> int:
     return total // k
 
 
+def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
+    """Coefficient tuples of the monic irreducibles of degree d, in the
+    order of the sieve's memoized list."""
+    q = ctx.q
+    for idx in _irreducible_indices(d, ctx):
+        yield _index_digits(idx, d, q) + (1,)
+
+
 def enumerate_irreducibles(d: int, ctx: FieldCtx) -> Iterator[Poly]:
     """Monic irreducibles of degree d, coefficient-lex order (memoized)."""
-    for idx in _irreducible_indices(d, ctx):
-        yield monic_from_index(d, ctx, idx)
+    for c in _irreducible_tuples(d, ctx):
+        yield _poly(ctx, c)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -681,22 +719,22 @@ def is_irreducible(f: Poly) -> bool:
     prime l dividing d, gcd(t^(q^(d/l)) - t, f) = 1.  Constants and zero are
     units or zero, never irreducible.
     """
-    d = f.degree
-    if d < 1:
-        return False
-    ctx = f.ctx
-    xm = Poly.x(ctx) % f
-    frob = [xm]
-    s = xm
+    return _is_irreducible(f.ctx, f._c)
+
+
+def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:
+    """is_irreducible on a trimmed tuple; every linear polynomial is."""
+    d = len(c) - 1
+    if d < 2:
+        return d == 1
+    frob = [(0, 1)]  # t^(q^j) mod c, for j = 0..d
     for _ in range(d):
-        s = pow_mod(s, ctx.q, f)
-        frob.append(s)
-    if frob[d] != xm:
+        frob.append(_powmod(ctx, frob[-1], ctx.q, c))
+    if frob[d] != (0, 1):
         return False
-    for ell in prime_factors(d):
-        if poly_gcd(frob[d // ell] - xm, f).degree != 0:
-            return False
-    return True
+    return all(
+        len(_gcd(ctx, _minus_t(ctx, frob[d // ell]), c)) == 1 for ell in prime_factors(d)
+    )
 
 
 @dataclass(frozen=True)
@@ -763,77 +801,80 @@ class Factorization:
         return " * ".join(parts) if parts else "1"
 
 
-def _pth_root(f: Poly) -> Poly:
+def _pth_root(ctx: FieldCtx, c: tuple) -> tuple[int, ...]:
     """Inverse of the Frobenius on a polynomial of the shape g(t^p)."""
-    ctx = f.ctx
     p = ctx.p
     root_exp = p ** (ctx.e - 1)
     out = []
-    for i, c in enumerate(f._c):
+    for i, x in enumerate(c):
         if i % p == 0:
-            out.append(ctx.power(c, root_exp))
-        elif c:
+            out.append(ctx.power(x, root_exp))
+        elif x:
             raise AssertionError("p-th root of a polynomial that is not in t^p")
-    return _poly(ctx, tuple(out))
+    return tuple(out)
 
 
-def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
+def _squarefree_parts(ctx: FieldCtx, f: tuple) -> list[tuple[tuple, int]]:
     """Split a monic f into square-free parts keyed by multiplicity.
 
     Classic derivative/gcd refinement; whenever the leftover is a p-th power
     (zero derivative in characteristic p) its root is extracted and the
-    multiplicity scale goes up by p.
+    multiplicity scale goes up by p.  A gcd of 1 divides nothing.
     """
-    ctx = f.ctx
-    parts: dict[int, Poly] = {}
+    parts: dict[int, tuple] = {}
     scale = 1
     while True:
-        der = f.derivative()
-        if der.is_zero:
-            f = _pth_root(f)
+        der = _derivative(ctx, f)
+        if not der:
+            f = _pth_root(ctx, f)
             scale *= ctx.p
             continue
-        g = poly_gcd(f, der)
-        h = f // g
+        g = _gcd(ctx, f, der)
+        h = f if len(g) == 1 else _divmod(ctx, f, g)[0]  # f square-free, or f/g
         i = 1
-        while h.degree > 0:
-            gg = poly_gcd(g, h)
-            part = h // gg
-            if part.degree > 0:
+        while len(h) > 1:
+            gg = _gcd(ctx, g, h) if len(g) > 1 else g
+            if len(gg) == 1:
+                part = h
+            else:
+                part = _divmod(ctx, h, gg)[0]
+                g = _divmod(ctx, g, gg)[0]
+            if len(part) > 1:
                 key = i * scale
-                parts[key] = parts.get(key, Poly.one(ctx)) * part
-            g = g // gg
+                parts[key] = _mul(ctx, parts[key], part) if key in parts else part
             h = gg
             i += 1
-        if g.degree == 0:
+        if len(g) == 1:
             break
-        f = _pth_root(g)
+        f = _pth_root(ctx, g)
         scale *= ctx.p
-    return [(poly, mult) for mult, poly in sorted(parts.items())]
+    return [(part, mult) for mult, part in sorted(parts.items())]
 
 
-def _distinct_degree(h: Poly) -> list[tuple[Poly, int]]:
-    """Split a monic square-free h into (product, degree-class) pairs."""
-    ctx = h.ctx
+def _distinct_degree(ctx: FieldCtx, h: tuple) -> list[tuple[tuple, int]]:
+    """Split a monic square-free h into (product, degree-class) pairs.
+
+    s runs through t^(q^k) mod h; t itself is reduced already, since it is
+    only used while deg h >= 2k >= 2."""
     out = []
     k = 0
-    s = Poly.x(ctx) % h
-    while h.degree > 0:
+    s = (0, 1)
+    while len(h) > 1:
         k += 1
-        if 2 * k > h.degree:
-            out.append((h, h.degree))
+        if 2 * k > len(h) - 1:
+            out.append((h, len(h) - 1))
             break
-        s = pow_mod(s, ctx.q, h)
-        g = poly_gcd(s - (Poly.x(ctx) % h), h)
-        if g.degree > 0:
+        s = _powmod(ctx, s, ctx.q, h)
+        g = _gcd(ctx, _minus_t(ctx, s), h)
+        if len(g) > 1:
             out.append((g, k))
-            h = h // g
-            if h.degree > 0:
-                s = s % h
+            h = _divmod(ctx, h, g)[0]
+            if len(h) > 1:
+                s = _divmod(ctx, s, h)[1]
     return out
 
 
-def _equal_degree(g: Poly, k: int) -> list[Poly]:
+def _equal_degree(ctx: FieldCtx, g: tuple, k: int) -> list[tuple]:
     """The degree-k irreducible factors of g, a monic product of distinct
     such factors, by Cantor-Zassenhaus splitting (von zur Gathen & Gerhard,
     Modern Computer Algebra, ch. 14).
@@ -845,48 +886,49 @@ def _equal_degree(g: Poly, k: int) -> list[Poly]:
     from a PRNG seeded with a constant on every call, so the result does not
     depend on earlier calls.
     """
-    if g.degree == k:
+    if len(g) - 1 == k:
         return [g]
-    ctx = g.ctx
     rng = random.Random(0)
     half = (ctx.q ** k - 1) // 2
     out = []
     todo = [g]
     while todo:
         h = todo.pop()
-        if h.degree == k:
+        n = len(h) - 1
+        if n == k:
             out.append(h)
             continue
         while True:
-            a = [rng.randrange(ctx.q) for _ in range(h.degree)]
+            a = [rng.randrange(ctx.q) for _ in range(n)]
             if ctx.p == 2:
                 b, s = list(a), a
                 for _ in range(ctx.e * k - 1):
-                    s = _divmod(ctx, _mul(ctx, s, s), h._c)[1]
+                    s = _divmod(ctx, _mul(ctx, s, s), h)[1]
                     for i, c in enumerate(s):
                         b[i] ^= c  # index addition in characteristic 2
             else:
-                b = pow_mod(_poly(ctx, _trim(a)), half, h)._c or (0,)
+                b = _powmod(ctx, _trim(a), half, h) or (0,)
                 b = (ctx.sub(b[0], 1),) + b[1:]
-            d = poly_gcd(_poly(ctx, _trim(b)), h)
-            if 0 < d.degree < h.degree:
+            d = _gcd(ctx, _trim(b), h)
+            if 1 < len(d) < len(h):
                 break
-        todo += [d, h // d]
+        todo += [d, _divmod(ctx, h, d)[0]]
     return out
 
 
 def factor(f: Poly) -> Factorization:
-    """Deterministic full factorization over F_q."""
+    """Deterministic full factorization over F_q.  The pipeline runs on
+    coefficient tuples; only the returned factors become Polys."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    ctx = f.ctx
     unit = f.leading
-    m = f.monic()
-    if m.degree == 0:
-        return Factorization(f.ctx, unit, ())
+    m = _monic(ctx, f._c)
     found = []
-    for part, mult in _squarefree_parts(m):
-        for prod, k in _distinct_degree(part):
-            for irr in _equal_degree(prod, k):
-                found.append((irr, mult))
+    if len(m) > 1:
+        for part, mult in _squarefree_parts(ctx, m):
+            for prod, k in _distinct_degree(ctx, part):
+                for irr in _equal_degree(ctx, prod, k):
+                    found.append((_poly(ctx, irr), mult))
     found.sort(key=lambda item: poly_sort_key(item[0]))
-    return Factorization(f.ctx, unit, tuple(found))
+    return Factorization(ctx, unit, tuple(found))

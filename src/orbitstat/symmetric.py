@@ -89,7 +89,10 @@ def cycle_type(sigma: Permutation) -> "MultiIndex":
 
 @dataclass(frozen=True, order=True)
 class MultiIndex:
-    """Sparse exponent vector {k: m_k}, entries sorted by k, all m_k >= 1."""
+    """Sparse exponent vector {k: m_k}, entries sorted by k, all m_k >= 1.
+
+    The hash is the one the dataclass would generate, computed once per
+    instance: a MultiIndex is a key of memo tables looked up in inner loops."""
 
     entries: tuple[tuple[int, int], ...] = ()
 
@@ -103,6 +106,10 @@ class MultiIndex:
             if m < 1:
                 raise ValueError(f"counts must be >= 1: {self.entries}")
             last = k
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "MultiIndex":
@@ -150,6 +157,7 @@ def _multi_index(entries: tuple[tuple[int, int], ...]) -> MultiIndex:
     without validating them again."""
     mu = object.__new__(MultiIndex)
     object.__setattr__(mu, "entries", entries)
+    object.__setattr__(mu, "_hash", hash((entries,)))
     return mu
 
 

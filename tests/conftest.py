@@ -34,3 +34,18 @@ def coset_products(monkeypatch):
 
     monkeypatch.setattr(young_stats, "_mul_truncated", counted)
     return products
+
+
+@pytest.fixture
+def factor_divisions(monkeypatch):
+    """The list of the divisor degrees of the polynomial divisions run from
+    then on, one entry per polynomial._divmod call."""
+    divisions = []
+    divmod_ = polynomial._divmod
+
+    def counted(ctx, a, b):
+        divisions.append(len(b) - 1)
+        return divmod_(ctx, a, b)
+
+    monkeypatch.setattr(polynomial, "_divmod", counted)
+    return divisions

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from orbitstat import young_stats
+from orbitstat import finite_field, young_stats
 from orbitstat.cli import main
 
 
@@ -544,3 +544,25 @@ def test_eval_of_a_non_monic_polynomial_names_it(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "monic" in err and "'2*t'" in err
+
+
+def test_a_field_builds_its_tables_once_per_process(capsys, monkeypatch):
+    built = []
+    build = finite_field._build_tables
+
+    def counted(ctx):
+        built.append(ctx.q)
+        return build(ctx)
+
+    monkeypatch.setattr(finite_field, "_fields", {})  # as in a fresh process
+    monkeypatch.setattr(finite_field, "_build_tables", counted)
+    outs = [run(capsys, "factor", "--q", "4096", "t^3+[0,1]")[1] for _ in range(2)]
+    assert outs[0] == outs[1] and "blocks = 3^1" in outs[0]
+    assert built == [4096]
+
+
+def test_a_reducible_modulus_is_refused_on_every_call(capsys):
+    for _ in range(2):
+        code, out, err = run(capsys, "factor", "--q", "4", "--mod", "[1,0,1]", "t")
+        assert (code, out) == (1, "")
+        assert err == "error: modulus [1, 0, 1] is reducible over F_2\n"

@@ -158,3 +158,18 @@ def test_equal_parameters_give_interchangeable_contexts():
     k2 = make_field(2, 2)
     assert k1 == k2 and isinstance(k1, FieldCtx)
     assert Poly(k1, (2,)) + Poly(k2, (3,)) == Poly.one(k1)
+
+
+def test_one_shared_context_per_field():
+    assert parse_field_spec("q=4096") is parse_field_spec("q=2^12") is make_field(2, 12)
+    assert parse_field_spec("q=4") is make_field(2, 2, modulus=(1, 1, 1))
+    assert make_field(3, 2, modulus=(5, 4, 1)) is make_field(3, 2, modulus=(2, 1, 1))
+    assert make_field(7) is parse_field_spec("q=7")
+
+
+def test_refused_fields_are_refused_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            make_field(2, 2, modulus=(0, 0, 1))
+        with pytest.raises(ValueError, match="prime"):
+            make_field(6)

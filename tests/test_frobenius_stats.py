@@ -20,7 +20,6 @@ from orbitstat.frobenius_stats import (
     chi_symbolic,
     ensemble_formula,
     ensemble_sum,
-    equal_expectation_check,
     factorization_types,
     parse_predicate,
     predicate_max_multiplicity,
@@ -38,7 +37,7 @@ from orbitstat.polynomial import (
 )
 from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
 
-from coset_walk import expected_k_cycles
+from coset_walk import equal_expectation_check, expected_k_cycles
 
 F2 = make_field(2)
 F3 = make_field(3)

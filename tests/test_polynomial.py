@@ -514,6 +514,36 @@ def test_factor_round_trip_exhaustive(ctx, dmax):
             assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.parametrize(
+    "ctx,dmax", [(F2, 6), (F3, 4), (F4, 4), (F5, 4)], ids=["F2", "F3", "F4", "F5"]
+)
+def test_factor_agrees_with_the_sieve_exhaustive(ctx, dmax):
+    """Every factor of every monic f is one of the sieve's irreducibles of
+    its degree, and the factors multiply back to f.  The sieve shares no gcd
+    or powmod code with factor."""
+    sieved = {d: set(enumerate_irreducibles(d, ctx)) for d in range(1, dmax + 1)}
+    for d in range(1, dmax + 1):
+        for f in enumerate_monic(d, ctx):
+            product = Poly.one(ctx)
+            for p, r in factor(f).factors:
+                assert p in sieved[p.degree], format_poly(p)
+                for _ in range(r):
+                    product = product * p
+            assert product == f, format_poly(f)
+
+
+def test_factoring_the_quick_ensembles_takes_few_divisions(factor_divisions):
+    """The 150 monic polynomials of degree 1..4 over F_2 and F_3, which
+    `verify --quick` factors for its equal-expectation tallies, cost 1284
+    polynomial divisions.  A pipeline that divides by gcds of 1 and runs
+    Euclid steps by constants takes 2897."""
+    for ctx in (F2, F3):
+        for d in range(1, 5):
+            for f in enumerate_monic(d, ctx):
+                factor(f)
+    assert len(factor_divisions) == 1284
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys(F4, 7))
 def test_factor_round_trip_random_extension(f):

@@ -12,7 +12,6 @@ PUBLIC = [
     "DEFAULT_GROUP_CAP",
     "DEFAULT_TERM_CAP",
     "ENUMERATION_LIMIT",
-    "EqualExpectationReport",
     "Factorization",
     "FieldCtx",
     "MultiIndex",
@@ -35,7 +34,6 @@ PUBLIC = [
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
-    "equal_expectation_check",
     "expectation_epsilon",
     "expectation_epsilon_oracle",
     "expected_binom_on_coset",
