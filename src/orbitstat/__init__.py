@@ -18,13 +18,6 @@ from .charpoly import (
     g_series_identity_check,
     sn_expectation_closed,
 )
-from .division_algebra import (
-    DEFAULT_TERM_CAP,
-    SymbolSum,
-    expectation_epsilon,
-    expectation_epsilon_oracle,
-    lambda_map,
-)
 from .errors import CapExceeded
 from .finite_field import (
     FieldCtx,
@@ -35,6 +28,7 @@ from .finite_field import (
 )
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
+    DEFAULT_TERM_CAP,
     block_spec,
     chi_formula,
     chi_oracle,
@@ -64,7 +58,6 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     Permutation,
-    cycle_type,
     enumerate_sn,
     m_projection,
     multi_indices_up_to,
@@ -73,7 +66,6 @@ from .symmetric import (
 from .verify import CHECK_NAMES, CheckResult, enumerate_coset_specs, run_all
 from .young_stats import (
     coset_histogram,
-    count_cycle_type_in_coset,
     cycle_type_distribution,
     expected_binom_on_coset,
 )
@@ -95,16 +87,13 @@ __all__ = [
     "MultiIndex",
     "Permutation",
     "Poly",
-    "SymbolSum",
     "binom_eval",
     "block_spec",
     "chi_formula",
     "chi_oracle",
     "chi_symbolic",
     "coset_histogram",
-    "count_cycle_type_in_coset",
     "count_irreducibles",
-    "cycle_type",
     "cycle_type_distribution",
     "ensemble_formula",
     "ensemble_sum",
@@ -112,15 +101,12 @@ __all__ = [
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
-    "expectation_epsilon",
-    "expectation_epsilon_oracle",
     "expected_binom_on_coset",
     "factor",
     "format_field_spec",
     "format_poly",
     "g_series_identity_check",
     "is_irreducible",
-    "lambda_map",
     "m_projection",
     "make_field",
     "multi_indices_up_to",

@@ -24,11 +24,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CapExceeded
 from .polynomial import signed_terms
 from .symmetric import DEFAULT_GROUP_CAP, MultiIndex, enumerate_sn, multi_indices_up_to
+
+# The most binomial terms one monomial may expand into; no flag raises it.
+EXPANSION_LIMIT = 10 ** 4
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -52,6 +57,33 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     for m in range(1, n + 1):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
     return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _power_of_ten(digits: int) -> int:
+    """10^digits, the least integer with more than that many digits."""
+    return 10 ** digits
+
+
+def _check_expansion(powers: dict[int, int]) -> None:
+    """Refuse the monomial prod_k X_k^{a_k} before its expansion is built:
+    it has prod_k a_k binomial terms, and the term binom(X_k, a_k) of X_k^{a_k}
+    has the coefficient a_k!, which Python must be able to print."""
+    text = "*".join(f"X{k}^{a}" for k, a in sorted(powers.items()) if a)
+    terms = math.prod(a for a in powers.values() if a)
+    if terms > EXPANSION_LIMIT:
+        raise CapExceeded(
+            f"the monomial {text} expands into {terms} binomial terms, beyond "
+            f"the limit of {EXPANSION_LIMIT} a monomial, which no flag raises"
+        )
+    digits = sys.get_int_max_str_digits()
+    top = max(powers.values(), default=0)
+    if digits and math.factorial(top) >= _power_of_ten(digits):
+        raise CapExceeded(
+            f"the monomial {text} expands with the coefficient {top}! of more "
+            f"than {digits} digits, Python's limit for printing an integer, "
+            "which no flag raises"
+        )
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -94,10 +126,12 @@ class CharPoly:
         the basis elements multiply freely.
         """
         coeff = Fraction(coeff)
-        expansions = []
-        for k, a in sorted(powers.items()):
+        for k, a in powers.items():
             if a < 0:
                 raise ValueError(f"exponent of X_{k} must be >= 0")
+        _check_expansion(powers)
+        expansions = []
+        for k, a in sorted(powers.items()):
             if a == 0:
                 continue
             expansions.append(
@@ -221,16 +255,6 @@ def sn_expectation_closed(mu: MultiIndex, r: int) -> Fraction:
     for k, m in mu.items():
         out *= Fraction(1, k ** m * math.factorial(m))
     return out
-
-
-def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
-    """Same mean by brute-force enumeration of S_r."""
-    total = 0
-    count = 0
-    for sigma in enumerate_sn(r, cap):
-        total += binom_eval(mu, sigma.cycle_type())
-        count += 1
-    return Fraction(total, count)
 
 
 # ---------------------------------------------------------------------------

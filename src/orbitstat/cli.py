@@ -27,10 +27,10 @@ import time
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .division_algebra import DEFAULT_TERM_CAP
 from .finite_field import format_field_spec, parse_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
+    DEFAULT_TERM_CAP,
     block_spec,
     chi_formula,
     chi_oracle,
@@ -88,12 +88,6 @@ def _ctx(args):
     return parse_field_spec(spec)
 
 
-def _stat(args) -> CharPoly:
-    if args.mu is not None:
-        return CharPoly.binom(MultiIndex.parse(args.mu))
-    return CharPoly.parse(args.stat)
-
-
 def _printed(value, subject: str, show=str) -> str:
     """show(value), or a one-line error when an integer in it has more digits
     than Python prints; subject names the value, e.g. "order_h has"."""
@@ -104,6 +98,16 @@ def _printed(value, subject: str, show=str) -> str:
             f"{subject} more than {sys.get_int_max_str_digits()} digits, "
             "Python's limit for printing an integer, which no flag raises"
         ) from None
+
+
+def _stat(args) -> tuple[CharPoly, str]:
+    """The statistic of --mu or --stat and its text, printed before any route
+    runs, so that a statistic too long to print fails fast."""
+    if args.mu is not None:
+        P = CharPoly.binom(MultiIndex.parse(args.mu))
+    else:
+        P = CharPoly.parse(args.stat)
+    return P, _printed(P, f"the statistic {args.stat or args.mu} has a coefficient of")
 
 
 def _add_values(lines, payload, values: dict[str, Fraction]) -> None:
@@ -185,11 +189,7 @@ def cmd_necklace(args):
 def cmd_eval(args):
     ctx = _ctx(args)
     f = parse_poly(args.poly, ctx)
-    P = _stat(args)
-    # before any route runs, so that a statistic too long to print fails fast
-    stat_text = _printed(
-        P, f"the statistic {args.stat or args.mu} has a coefficient of"
-    )
+    P, stat_text = _stat(args)
     values: dict[str, Fraction] = {}
     if args.method != "symbolic":  # formula and oracle share one factorization
         spec = block_spec(f)
@@ -218,14 +218,14 @@ def cmd_eval(args):
 
 def cmd_ensemble(args):
     ctx = _ctx(args)
-    P = _stat(args)
+    P, stat_text = _stat(args)
     predicate = parse_predicate(args.filter)
     total, count = ensemble_formula(args.d, ctx, P, predicate, cap=args.cap_enum)
     scaled = Fraction(total) / ctx.q ** args.d
     lines = [
         f"field = {format_field_spec(ctx)}",
         f"d = {args.d}",
-        f"stat = {P}",
+        f"stat = {stat_text}",
         f"filter = {args.filter}",
         f"sum = {_frac_text(total, 'sum')}",
         f"count = {count}",
@@ -233,7 +233,7 @@ def cmd_ensemble(args):
     payload = {
         "field": format_field_spec(ctx),
         "d": args.d,
-        "stat": str(P),
+        "stat": stat_text,
         "filter": args.filter,
         "sum": _frac_json(total),
         "count": count,

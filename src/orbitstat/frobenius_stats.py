@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .charpoly import CharPoly
-from .division_algebra import DEFAULT_TERM_CAP
 from .errors import CapExceeded
 from .polynomial import (
     Factorization,
@@ -55,6 +54,7 @@ from .symmetric import (
 from .young_stats import _block_reach, coset_histogram, expected_binom_on_coset
 
 DEFAULT_ENUM_CAP = 10 ** 6
+DEFAULT_TERM_CAP = 10 ** 6
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

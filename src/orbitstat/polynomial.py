@@ -402,8 +402,8 @@ def _matching_bracket(s: str, start: int) -> int:
 
 def signed_terms(s: str) -> list[tuple[int, str]]:
     """Split s on the + and - outside every () and [] group into (sign,
-    chunk) pairs; the parsers of polynomials, statistics and symbol sums all
-    read their terms through it.  A sign directly after another sign flips
+    chunk) pairs; the parsers of polynomials and of statistics both read
+    their terms through it.  A sign directly after another sign flips
     it, so "a+-b" is a - b; a trailing sign is an error."""
     out = []
     sign = 1
@@ -445,7 +445,9 @@ def _coef_from_text(text: str, ctx: FieldCtx, poly: str) -> int:
 
 
 def parse_poly(text: str, ctx: FieldCtx) -> Poly:
-    """Parse the term grammar or the bracketed coefficient-list form."""
+    """Parse the term grammar or the bracketed coefficient-list form.  A term
+    of degree beyond ENUMERATION_LIMIT is refused before the dense list of
+    coefficients is allocated."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -481,6 +483,11 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
             exp = 1
         else:
             exp = int(m.group("exp"))
+            if exp > ENUMERATION_LIMIT:
+                raise CapExceeded(
+                    f"the degree {exp} in {text!r} is beyond the limit "
+                    f"{ENUMERATION_LIMIT}, which no flag raises"
+                )
         acc[exp] = ctx.add(acc.get(exp, 0), coef)
     top = max(acc) if acc else 0
     return Poly(ctx, [acc.get(i, 0) for i in range(top + 1)])

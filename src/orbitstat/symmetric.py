@@ -6,11 +6,12 @@ the exponent of a cycle statistic and, when its norm equals n, as a cycle
 type.
 
 A CosetSpec is a multiset of blocks (d_i, r_i).  Block i contributes the index
-points {(i, j, k) : 0 <= j < r_i, 0 <= k < d_i}, flattened to {0, ..., N-1} in
-lexicographic (i, j, k) order.  The subgroup H is the product of one copy of
-S_{r_i} per slot (i, k), acting on the j coordinate, and tau is the
-block-cycling permutation (i, j, k) -> (i, j, k+1 mod d_i), which normalizes
-H.  The statistics downstream live on the coset tau*H.
+points {(i, j, k) : 0 <= j < r_i, 0 <= k < d_i}.  The subgroup H is the
+product of one copy of S_{r_i} per slot (i, k), acting on the j coordinate,
+and tau is the block-cycling permutation (i, j, k) -> (i, j, k+1 mod d_i),
+which normalizes H.  The statistics downstream live on the coset tau*H; the
+enumeration oracles flatten its points with young_stats.slot_tables, and H
+here is a tuple of slots (enumerate_h_structured), not a permutation.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class Permutation:
         for cyc in self.cycles():
             counts[len(cyc)] = counts.get(len(cyc), 0) + 1
         return MultiIndex.from_dict(counts)
-
-
-def cycle_type(sigma: Permutation) -> "MultiIndex":
-    return sigma.cycle_type()
 
 
 @dataclass(frozen=True, order=True)
@@ -211,24 +208,6 @@ class CosetSpec:
             out *= math.factorial(r) ** d
         return out
 
-    def _offsets(self) -> list[int]:
-        offs = []
-        acc = 0
-        for d, r in self.blocks:
-            offs.append(acc)
-            acc += d * r
-        return offs
-
-    def tau(self) -> Permutation:
-        images = [0] * self.n
-        offs = self._offsets()
-        for i, (d, r) in enumerate(self.blocks):
-            base = offs[i]
-            for j in range(r):
-                for k in range(d):
-                    images[base + j * d + k] = base + j * d + (k + 1) % d
-        return Permutation(tuple(images))
-
 
 def _blocks_from(remaining: int, lowest: tuple[int, int]) -> Iterator[tuple]:
     if remaining == 0:
@@ -266,6 +245,15 @@ def count_block_multisets(n: int) -> int:
     return ways[n]
 
 
+def _sn(n: int) -> Iterator[Permutation]:
+    """S_n in lexicographic image order.  itertools yields permutations by
+    construction, so they are not validated again."""
+    for images in itertools.permutations(range(n)):
+        sigma = object.__new__(Permutation)
+        object.__setattr__(sigma, "images", images)
+        yield sigma
+
+
 def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
     """All of S_n in lexicographic image order; refuses n! > cap."""
     if n < 0:
@@ -275,20 +263,13 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
             f"S_{n} has {math.factorial(n)} elements, beyond cap {cap}; "
             "raise it with --cap-group"
         )
-    return (Permutation(p) for p in itertools.permutations(range(n)))
+    return _sn(n)
 
 
 @lru_cache(maxsize=None)
 def _sn_list(r: int) -> tuple[Permutation, ...]:
-    """S_r in enumerate_sn order.  itertools yields permutations by
-    construction, so they are not validated again."""
-
-    def trusted(images):
-        sigma = object.__new__(Permutation)
-        object.__setattr__(sigma, "images", images)
-        return sigma
-
-    return tuple(map(trusted, itertools.permutations(range(r))))
+    """S_r in enumerate_sn order, with no cap: its callers check |H| first."""
+    return tuple(_sn(r))
 
 
 StructuredH = tuple  # per block: a tuple of d_i permutations of {0..r_i-1}
@@ -312,19 +293,6 @@ def enumerate_h_structured(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Ite
             out.append(tuple(flat[pos : pos + d]))
             pos += d
         yield tuple(out)
-
-
-def structured_to_permutation(spec: CosetSpec, h: StructuredH) -> Permutation:
-    """Flatten a slot tuple to a permutation of the N points."""
-    images = [0] * spec.n
-    offs = spec._offsets()
-    for i, (d, r) in enumerate(spec.blocks):
-        base = offs[i]
-        for k in range(d):
-            perm = h[i][k]
-            for j in range(r):
-                images[base + j * d + k] = base + perm(j) * d + k
-    return Permutation(tuple(images))
 
 
 def m_projection(h: StructuredH, spec: CosetSpec, i: int) -> Permutation:

@@ -22,7 +22,6 @@ from .charpoly import (
     g_series_identity_check,
     sn_expectation_closed,
 )
-from .division_algebra import expectation_epsilon, expectation_epsilon_oracle
 from .finite_field import FieldCtx, make_field, prime_power
 from .frobenius_stats import (
     block_spec,
@@ -46,7 +45,6 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     block_multisets,
-    cycle_type,
     enumerate_h_structured,
     enumerate_sn,
     m_projection,
@@ -64,6 +62,7 @@ from .young_stats import (
 
 DEFAULT_H_CAP = 10 ** 4
 
+_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -302,7 +301,7 @@ def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> Check
             # each l-cycle of block i's projection is a (d_i * l)-cycle of tau*h
             predicted = Counter()
             for (d, _), m in zip(blocks, ms):
-                for ell, count in cycle_type(m).items():
+                for ell, count in m.cycle_type().items():
                     predicted[d * ell] += count
             ct = Counter(cycle_lengths(images))
             if ct != predicted:
@@ -343,6 +342,18 @@ def check_generating_series(
     )
 
 
+def _expectation_epsilon(g: Poly, n: int) -> Fraction:
+    """Closed-form mean of the divisibility symbol of a monic g over monic
+    degree-n polynomials."""
+    return Fraction(1, g.ctx.q ** g.degree) if g.degree <= n else _F0
+
+
+def _expectation_epsilon_oracle(g: Poly, n: int) -> Fraction:
+    """Same mean by enumerating all q^n monic polynomials of degree n."""
+    hits = sum(1 for f in enumerate_monic(n, g.ctx) if (f % g).is_zero)
+    return Fraction(hits, g.ctx.q ** n)
+
+
 def check_divisor_average(qs: Sequence[int] = (2, 3), nmax: int = 4) -> CheckResult:
     """Mean of the divisibility symbol of g over monic degree-n polynomials:
     1/q^deg(g) when deg(g) <= n, else 0, versus direct enumeration."""
@@ -353,8 +364,8 @@ def check_divisor_average(qs: Sequence[int] = (2, 3), nmax: int = 4) -> CheckRes
         for deg_f in range(0, nmax + 1):
             for deg_g in range(0, deg_f + 2):
                 for g in enumerate_monic(deg_g, ctx):
-                    closed = expectation_epsilon(g, deg_f)
-                    brute = expectation_epsilon_oracle(g, deg_f)
+                    closed = _expectation_epsilon(g, deg_f)
+                    brute = _expectation_epsilon_oracle(g, deg_f)
                     n += 1
                     if closed != brute:
                         bad.append((q, str(g), deg_f, closed, brute))

@@ -209,20 +209,12 @@ def class_count(spec: CosetSpec, mu: MultiIndex, mean: Fraction) -> int:
     return int(value)
 
 
-def count_cycle_type_in_coset(spec: CosetSpec, mu: MultiIndex) -> int:
-    """Number of elements of tau*H with cycle type mu (norm(mu) = N): |H|
-    times the mean of binom(X, mu), the indicator of that cycle type."""
-    n = spec.n
-    if mu.norm != n:
-        raise ValueError(f"cycle type of norm {mu.norm} on {n} points")
-    return class_count(spec, mu, expected_binom_on_coset(spec, mu))
-
-
 def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
     """One table per slot (block i, position k), in enumerate_h_structured
     order: the slice of the points (i, j, k), j < r_i, and for each sigma of
     S_{r_i}, in enumerate_sn order, the images of tau*h on those points when h
-    holds sigma in that slot."""
+    holds sigma in that slot.  The points are flattened to 0, ..., N-1 in
+    lexicographic (i, j, k) order."""
     tables = []
     base = 0
     for d, r in spec.blocks:

@@ -1,4 +1,4 @@
-"""The division-symbol algebra over F_q[t].
+"""The division-symbol algebra over F_q[t], kept as the tests' oracle.
 
 A SymbolSum is an exact-rational linear combination of symbols eps_g indexed
 by monic polynomials g, multiplying by eps_g * eps_h = eps_{g*h}; the identity
@@ -8,13 +8,9 @@ multiplicative (eps_t^2 evaluates to 0 at f = t while eps_t evaluates to 1),
 so products must be expanded into monomial symbols before evaluating; the
 operators here do exactly that, guarded by a term-count cap.
 
-Evaluation at one f is linear, though, and kills an ideal: the symbols eps_g
-with g not dividing f span it, since a multiple g*h of such a g does not
-divide f either.  So evaluation at f factors through the quotient by that
-ideal, and an expansion read only at f may drop every key that does not
-divide f as soon as it is formed.  frobenius_stats.chi_symbolic expands in
-that quotient; SymbolSum keeps the whole expansion, which the tests use as
-its oracle.
+frobenius_stats.chi_symbolic expands the same products in the quotient by the
+symbols that vanish at f; SymbolSum keeps the whole expansion, and the tests
+evaluate it at f as the oracle of that route.
 
 Averaging eps_g over all monic f of degree N gives q^(-deg g) while
 deg g <= N and 0 beyond, which is what the one-variable truncation
@@ -23,14 +19,11 @@ exponent-tuple dict that charpoly._mul_truncated multiplies with top (N,).
 Setting eps to 1, the sum of its values, recovers the mean exactly.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
-from .errors import CapExceeded
-from .polynomial import Poly, enumerate_monic, parse_poly, poly_sort_key, signed_terms
-
-DEFAULT_TERM_CAP = 10 ** 6
+from orbitstat.errors import CapExceeded
+from orbitstat.frobenius_stats import DEFAULT_TERM_CAP
+from orbitstat.polynomial import Poly, parse_poly, poly_sort_key, signed_terms
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -226,27 +219,3 @@ def lambda_map(a: SymbolSum, n: int) -> dict[tuple[int], Fraction]:
             out[(dg,)] = out.get((dg,), _F0) + c / q ** dg
     return {k: v for k, v in out.items() if v}
 
-
-def expectation_epsilon(g: Poly, n: int) -> Fraction:
-    """Closed-form mean of eps_g over monic degree-n polynomials."""
-    if not g.is_monic:
-        raise ValueError("symbols are indexed by monic polynomials")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if g.degree > n:
-        return _F0
-    return Fraction(1, g.ctx.q ** g.degree)
-
-
-def expectation_epsilon_oracle(g: Poly, n: int, cap: int = 10 ** 6) -> Fraction:
-    """Same mean by exhaustive enumeration of the monic degree-n space."""
-    if not g.is_monic:
-        raise ValueError("symbols are indexed by monic polynomials")
-    space = g.ctx.q ** n
-    if space > cap:
-        raise CapExceeded(f"enumeration of {space} polynomials exceeds cap {cap}")
-    hits = 0
-    for f in enumerate_monic(n, g.ctx):
-        if g.degree <= n and (f % g).is_zero:
-            hits += 1
-    return Fraction(hits, space)

@@ -1,12 +1,15 @@
 """Binomial statistics, basis conversion, S_r means, and truncated series."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitstat import charpoly
 from orbitstat.charpoly import (
+    EXPANSION_LIMIT,
     CharPoly,
     _exp_truncated,
     _mul_truncated,
@@ -14,9 +17,11 @@ from orbitstat.charpoly import (
     binom_eval,
     g_series_identity_check,
     sn_expectation_closed,
-    sn_expectation_oracle,
 )
+from orbitstat.errors import CapExceeded
 from orbitstat.symmetric import MultiIndex, multi_indices_up_to
+
+from coset_walk import sn_expectation_oracle
 
 
 def mi(text):
@@ -82,6 +87,36 @@ def test_parse_and_str():
     for bad in ("", "Y1", "binom(2)", "X0"):
         with pytest.raises(ValueError):
             CharPoly.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        ("X1^999999", ["999999 binomial terms", f"limit of {EXPANSION_LIMIT}"]),
+        ("X1^100*X2^100*X3^100*X4^100", ["X1^100*X2^100*X3^100*X4^100", "100000000"]),
+        ("2*X1^40*X2^40*X3^40 + X1", ["X1^40*X2^40*X3^40", "64000"]),
+        ("X1^3000", ["3000!", f"{sys.get_int_max_str_digits()} digits"]),
+        ("X1^1000*X1^800", ["X1^1800", "1800!"]),
+    ],
+    ids=["one-variable", "four-variables", "in-a-sum", "factorial", "merged-powers"],
+)
+def test_an_expansion_past_its_limit_is_refused_before_it_is_built(monkeypatch, text, words):
+    def refuse(n):
+        raise AssertionError(f"Stirling row {n} built")
+
+    monkeypatch.setattr(charpoly, "_stirling2_row", refuse)
+    with pytest.raises(CapExceeded) as info:
+        CharPoly.parse(text)
+    message = str(info.value)
+    assert "\n" not in message and "no flag" in message
+    for word in words:
+        assert word in message
+
+
+def test_an_expansion_at_its_limit_is_built():
+    P = CharPoly.parse("X1^100*X2^100")
+    assert len(P.terms) == EXPANSION_LIMIT
+    assert P.terms[mi("1:100,2:100")] == math.factorial(100) ** 2
 
 
 @given(

@@ -506,12 +506,23 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
         ),
         (("necklace", "--q", "65521", "--kmax", "2"), ["sieve limit", "no flag"]),
         (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
+        (("eval", "--q", "2", "t^2+1", "--stat", "X1^999999"), ["limit", "no flag"]),
+        (
+            ("eval", "--q", "2", "t", "--stat", "X1^100*X2^100*X3^100*X4^100"),
+            ["limit", "no flag"],
+        ),
+        (("ensemble", "--q", "2", "--d", "3", "--stat", "X1^3000"), ["limit", "no flag"]),
+        (("factor", "--q", "2", "t^99999999999"), ["limit", "no flag"]),
         (
             ("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--filter", "maxmult=x"),
             ["--filter 'maxmult=x'", "all, squarefree, or maxmult=m"],
         ),
     ],
-    ids=["ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit", "filter"],
+    ids=[
+        "ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit",
+        "expansion-terms", "expansion-variables", "expansion-factorial", "degree-limit",
+        "filter",
+    ],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):
     code, out, err = run(capsys, *argv)
@@ -527,6 +538,14 @@ def test_huge_monomial_ends_without_a_traceback(capsys):
     # error comes right after the parse
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1500")
+    assert time.perf_counter() - start < 2.5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for word in ("X1^1500", f"{sys.get_int_max_str_digits()} digits", "no flag"):
+        assert word in err
+    # ensemble prints its statistic through the same guard, before its sum
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ensemble", "--q", "2", "--d", "3", "--stat", "X1^1500")
     assert time.perf_counter() - start < 2.5
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitstat.charpoly import _mul_truncated
-from orbitstat.division_algebra import (
-    SymbolSum,
-    expectation_epsilon,
-    expectation_epsilon_oracle,
-    lambda_map,
-)
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.polynomial import Poly, enumerate_monic, monic_from_index, parse_poly, poly_gcd
+from orbitstat.verify import (
+    _expectation_epsilon as expectation_epsilon,
+    _expectation_epsilon_oracle as expectation_epsilon_oracle,
+)
+
+from symbol_sum import SymbolSum, lambda_map
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from orbitstat import frobenius_stats, polynomial
 from orbitstat.charpoly import CharPoly, sn_expectation_closed
-from orbitstat.division_algebra import SymbolSum
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.frobenius_stats import (
@@ -38,6 +37,7 @@ from orbitstat.polynomial import (
 from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
 
 from coset_walk import equal_expectation_check, expected_k_cycles
+from symbol_sum import SymbolSum
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -165,6 +165,8 @@ def test_parse_forms():
     # terms accumulate in the field
     assert parse_poly("5*t+7", F4).coeffs == (1, 1)
     assert parse_poly("[0,1]*t+[0,1]*t+t-t^0", F9).coeffs == (2, F9.index_of((1, 2)))
+    # high degrees within ENUMERATION_LIMIT still parse
+    assert parse_poly("t^100000+t", F2).degree == 100000
 
 
 def test_poly_takes_element_indices_only():
@@ -179,7 +181,8 @@ def test_poly_takes_element_indices_only():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "t^", "x+1", "t**2", "[1,1", "t^-1"):
+    # a degree past ENUMERATION_LIMIT is refused before its 10^11 coefficients
+    for bad in ("", "t^", "x+1", "t**2", "[1,1", "t^-1", "t^99999999999+1"):
         with pytest.raises(ValueError):
             parse_poly(bad, F2)
 

@@ -17,16 +17,13 @@ PUBLIC = [
     "MultiIndex",
     "Permutation",
     "Poly",
-    "SymbolSum",
     "binom_eval",
     "block_spec",
     "chi_formula",
     "chi_oracle",
     "chi_symbolic",
     "coset_histogram",
-    "count_cycle_type_in_coset",
     "count_irreducibles",
-    "cycle_type",
     "cycle_type_distribution",
     "ensemble_formula",
     "ensemble_sum",
@@ -34,15 +31,12 @@ PUBLIC = [
     "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
-    "expectation_epsilon",
-    "expectation_epsilon_oracle",
     "expected_binom_on_coset",
     "factor",
     "format_field_spec",
     "format_poly",
     "g_series_identity_check",
     "is_irreducible",
-    "lambda_map",
     "m_projection",
     "make_field",
     "multi_indices_up_to",

@@ -1,5 +1,6 @@
 """README examples: every `$ orbitstat ...` block prints exactly the lines
-shown under it, and the Library block runs and prints what its comments say."""
+shown under it, the Library block runs and prints what its comments say, and
+the module map names exactly the modules of the package."""
 
 import pathlib
 import re
@@ -9,7 +10,8 @@ import pytest
 
 from orbitstat.cli import main
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
 COMMANDS = [body for lang, body in BLOCKS if body.startswith("$ orbitstat ")]
 LIBRARY = [body for lang, body in BLOCKS if lang == "python"]
@@ -31,3 +33,13 @@ def test_library_block_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
     assert capsys.readouterr().out == "".join(line + "\n" for line in printed)
+
+
+def test_module_map_names_every_module():
+    # the package's entry points are not modules of the library
+    modules = {path.stem for path in (ROOT / "src" / "orbitstat").glob("*.py")}
+    modules -= {"__init__", "__main__"}
+    section = README.split("Module map:\n", 1)[1].split("\n## ", 1)[0]
+    mapped = re.findall(r"^- `(\w+)`:", section, re.M)
+    assert len(mapped) == len(set(mapped))
+    assert set(mapped) == modules

@@ -20,17 +20,17 @@ from orbitstat.symmetric import (
     block_multisets,
     centralizer_order,
     count_block_multisets,
-    cycle_type,
     enumerate_h_structured,
     enumerate_sn,
     m_projection,
     multi_indices_up_to,
     partition_counts,
     partitions,
-    structured_to_permutation,
     _sn_list,
 )
 from orbitstat.young_stats import coset_histogram
+
+from coset_walk import structured_to_permutation, tau
 
 P_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
@@ -71,12 +71,12 @@ def test_cycles_and_cycle_type():
     s = Permutation((1, 0, 3, 4, 2, 5))
     assert s.cycles() == [(0, 1), (2, 3, 4), (5,)]
     assert s.cycle_type() == MultiIndex.from_dict({1: 1, 2: 1, 3: 1})
-    assert cycle_type(Permutation.identity(4)) == MultiIndex.from_dict({1: 4})
+    assert Permutation.identity(4).cycle_type() == MultiIndex.from_dict({1: 4})
 
 
 @given(perms(6), perms(6))
 def test_cycle_type_is_a_conjugacy_invariant(a, g):
-    assert cycle_type(g * a * g.inverse()) == cycle_type(a)
+    assert (g * a * g.inverse()).cycle_type() == a.cycle_type()
 
 
 def test_enumerate_sn_is_lexicographic():
@@ -91,8 +91,8 @@ def test_cached_sn_list_equals_enumerate_sn():
     hashes, in enumerate_sn order."""
     for r in range(7):
         cached = _sn_list(r)
-        checked = tuple(enumerate_sn(r))
-        assert cached == checked
+        checked = tuple(Permutation(images) for images in iterperms(range(r)))
+        assert cached == checked == tuple(enumerate_sn(r))
         assert [hash(p) for p in cached] == [hash(p) for p in checked]
 
 
@@ -193,18 +193,18 @@ def test_spec_rejects_bad_blocks():
 
 def test_tau_frozen_examples():
     # a single block of degree 2 with one copy: tau swaps the two points
-    assert CosetSpec(((2, 1),)).tau().images == (1, 0)
+    assert tau(CosetSpec(((2, 1),))).images == (1, 0)
     # degree 3: a 3-cycle on the flattened points
-    assert CosetSpec(((3, 1),)).tau().images == (1, 2, 0)
+    assert tau(CosetSpec(((3, 1),))).images == (1, 2, 0)
     # two copies of degree 2: independent swaps per copy
-    assert CosetSpec(((2, 2),)).tau().images == (1, 0, 3, 2)
+    assert tau(CosetSpec(((2, 2),))).images == (1, 0, 3, 2)
     # degree-1 blocks contribute fixed points
-    assert CosetSpec(((1, 2),)).tau() == Permutation.identity(2)
+    assert tau(CosetSpec(((1, 2),))) == Permutation.identity(2)
 
 
 def test_tau_cycle_type():
     spec = CosetSpec(((1, 2), (2, 1), (3, 1)))
-    assert cycle_type(spec.tau()) == MultiIndex.from_dict({1: 2, 2: 1, 3: 1})
+    assert tau(spec).cycle_type() == MultiIndex.from_dict({1: 2, 2: 1, 3: 1})
 
 
 def test_h_enumeration_counts_and_indexing():
@@ -230,12 +230,12 @@ def membership_histogram(spec):
             for k in range(d):
                 coords.append((i, k))
     n = spec.n
-    tau = spec.tau()
+    cycling = tau(spec)
     hist = {}
     for images in iterperms(range(n)):
         if any(coords[x] != coords[y] for x, y in enumerate(images)):
             continue
-        ct = cycle_type(tau * Permutation(images))
+        ct = (cycling * Permutation(images)).cycle_type()
         hist[ct] = hist.get(ct, 0) + 1
     return hist
 

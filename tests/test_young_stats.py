@@ -18,11 +18,9 @@ from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
     centralizer_order,
-    cycle_type,
     enumerate_h_structured,
     multi_indices_up_to,
     partitions,
-    structured_to_permutation,
 )
 from orbitstat.verify import (
     check_coset_statistics,
@@ -33,13 +31,18 @@ from orbitstat.young_stats import (
     _block_factor,
     coset_histogram,
     coset_means,
-    count_cycle_type_in_coset,
     cycle_type_distribution,
     expected_binom_on_coset,
     slot_tables,
 )
 
-from coset_walk import expected_k_cycles, whole_coset_histogram
+from coset_walk import (
+    count_cycle_type_in_coset,
+    expected_k_cycles,
+    structured_to_permutation,
+    tau,
+    whole_coset_histogram,
+)
 
 
 def spec(text):
@@ -256,10 +259,10 @@ def test_blocks_share_one_factor_beyond_their_reach():
 
 def reference_histogram(s):
     """Cycle types of tau*h, with each h built and composed as a Permutation."""
-    tau = s.tau()
+    cycling = tau(s)
     hist = {}
     for h in enumerate_h_structured(s):
-        ct = cycle_type(tau * structured_to_permutation(s, h))
+        ct = (cycling * structured_to_permutation(s, h)).cycle_type()
         hist[ct] = hist.get(ct, 0) + 1
     return hist
 
@@ -276,10 +279,10 @@ def test_slot_tables_hold_the_images_of_tau_h_on_each_slot():
     """Entry sigma of a slot's table is tau*h on that slot's points, for h
     composed as a Permutation, on every h of every spec with n <= 6."""
     for s in enumerate_coset_specs(6):
-        tau = s.tau()
+        cycling = tau(s)
         tables = slot_tables(s)
         for h in enumerate_h_structured(s):
-            images = (tau * structured_to_permutation(s, h)).images
+            images = (cycling * structured_to_permutation(s, h)).images
             for (sl, table), sigma in zip(tables, itertools.chain.from_iterable(h)):
                 assert table[sigma] == images[sl], (str(s), h)
 
