@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded
+from .errors import CapExceeded, read_int
 from .polynomial import signed_terms
 from .symmetric import DEFAULT_GROUP_CAP, MultiIndex, enumerate_sn, multi_indices_up_to
 
@@ -227,8 +227,12 @@ class CharPoly:
             m = re.match(r"^(\d+(?:/\d+)?)(?:\*(.+))?$", chunk)
             if not m:
                 raise ValueError(f"bad term {chunk!r}")
+            num, _, den = m.group(1).partition("/")
             try:
-                coeff = Fraction(m.group(1))
+                coeff = Fraction(
+                    read_int(num, chunk, "the term"),
+                    read_int(den, chunk, "the term") if den else 1,
+                )
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in term {chunk!r}") from None
             body = m.group(2)
@@ -241,8 +245,8 @@ class CharPoly:
             m = cls._MONO_RE.match(factor_text)
             if not m:
                 raise ValueError(f"bad factor {factor_text!r} in {chunk!r}")
-            k = int(m.group(1))
-            a = int(m.group(2)) if m.group(2) else 1
+            k = read_int(m.group(1), chunk, "the term")
+            a = read_int(m.group(2), chunk, "the term") if m.group(2) else 1
             powers[k] = powers.get(k, 0) + a
         return cls.from_monomial(powers, coeff)
 

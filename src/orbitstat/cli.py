@@ -6,7 +6,7 @@ Subcommands:
 * necklace  irreducible counts and the weighted count identity
 * eval      coset statistics of one polynomial (formula, symbolic, oracle)
 * ensemble  accumulate a statistic over all monic polynomials of a degree,
-            by counting factorization types
+            by the Euler product over the irreducibles
 * young     closed-form and enumerated statistics of a block coset
 * verify    run the cross-validation battery
 
@@ -58,12 +58,13 @@ from .young_stats import (
 
 
 def _decimal6(fr: Fraction) -> str:
-    """Round-half-up 6-place decimal, in integer arithmetic."""
+    """Round-half-up 6-place decimal, in integer arithmetic; the whole part
+    has no more digits than the value, so it prints whenever the value does."""
     sign = "-" if fr < 0 else ""
     a = abs(fr)
     scaled = (a.numerator * 10 ** 6 + a.denominator // 2) // a.denominator
-    digits = f"{scaled:07d}"
-    return f"{sign}{digits[:-6]}.{digits[-6:]}"
+    whole, places = divmod(scaled, 10 ** 6)
+    return f"{sign}{whole}.{places:06d}"
 
 
 def _exact_text(fr: Fraction) -> str:
@@ -219,8 +220,8 @@ def cmd_eval(args):
 def cmd_ensemble(args):
     ctx = _ctx(args)
     P, stat_text = _stat(args)
-    predicate = parse_predicate(args.filter)
-    total, count = ensemble_formula(args.d, ctx, P, predicate, cap=args.cap_enum)
+    maxmult = parse_predicate(args.filter)
+    total, count = ensemble_formula(args.d, ctx, P, maxmult, cap=args.cap_enum)
     scaled = Fraction(total) / ctx.q ** args.d
     lines = [
         f"field = {format_field_spec(ctx)}",
@@ -228,7 +229,7 @@ def cmd_ensemble(args):
         f"stat = {stat_text}",
         f"filter = {args.filter}",
         f"sum = {_frac_text(total, 'sum')}",
-        f"count = {count}",
+        f"count = {_printed(count, 'count has')}",
     ]
     payload = {
         "field": format_field_spec(ctx),
@@ -378,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap-enum",
         type=int,
         default=DEFAULT_ENUM_CAP,
-        help="largest number of factorization types (block multisets) of degree d",
+        help="largest number of steps of the ensemble series: coefficients built "
+        "plus coefficient pairs multiplied, over the whole statistic",
     )
     _add_common(p)
 

@@ -34,6 +34,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .errors import _shown, read_int
+
 Q_LIMIT = 1 << 16
 
 
@@ -289,10 +291,13 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
     candidate in constant-first lexicographic order is picked, so the default
     is deterministic.  Equal normalized inputs give the same object.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"extension degree must be a positive integer, got {e}")
+    if isinstance(p, int) and p >= 2 and (p > Q_LIMIT or e >= Q_LIMIT.bit_length()):
+        # p^e > 2^16 either way: refused before a primality test or a power
+        raise ValueError(f"q = {p}^{e} exceeds the supported bound {Q_LIMIT}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     q = p ** e
     if q > Q_LIMIT:
         raise ValueError(f"q = {q} exceeds the supported bound {Q_LIMIT}")
@@ -324,7 +329,7 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(
             f"bad --mod {text!r}: expected a bracketed list of integers such as [1,1,1]"
         )
-    return [int(c) for c in text[1:-1].split(",") if c]
+    return [read_int(c, text, "--mod") for c in text[1:-1].split(",") if c]
 
 
 def parse_field_spec(text: str) -> FieldCtx:
@@ -344,9 +349,12 @@ def parse_field_spec(text: str) -> FieldCtx:
     if not m:
         raise ValueError(f"bad --q {body!r}: expected a prime power such as 8 or 2^3")
     if m.group(2) is None:
-        p, e = prime_power(int(m.group(1)))
+        q = read_int(m.group(1), body, "--q")
+        if q > Q_LIMIT:  # refused before it is factored
+            raise ValueError(f"q = {_shown(body)} exceeds the supported bound {Q_LIMIT}")
+        p, e = prime_power(q)
     else:
-        p, e = int(m.group(1)), int(m.group(2))
+        p, e = (read_int(x, body, "--q") for x in m.groups())
     return make_field(p, e, modulus)
 
 

@@ -17,23 +17,26 @@ the CLI's --method:
 * chi_oracle(spec, P) enumerates the coset and averages directly.
 
 Ensemble sums accumulate the closed form over all monic f of a given degree,
-optionally filtered by a predicate on the block spec.  ensemble_formula
-counts the f of each block spec with the Moebius necklace counts and
-evaluates the closed form once per spec; ensemble_sum factors every f and is
-kept as its oracle.
+optionally filtered by a bound m on the multiplicity of every factor.
+ensemble_formula takes the Euler product over the irreducibles, with the
+necklace counts N_k as exponents: for all f it is the equal-expectation
+closed form q^d / z_mu per term, and under a bound a series in u truncated
+at u^d, whose work grows polynomially in d.  ensemble_sum factors every f
+and is kept as its oracle; factorization_types counts the f of each block
+spec for verify's tally check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .charpoly import CharPoly
-from .errors import CapExceeded
+from .charpoly import CharPoly, _mul_truncated, sn_expectation_closed
+from .errors import CapExceeded, read_int
 from .polynomial import (
-    Factorization,
     Poly,
     _divmod,
     _irreducible_tuples,
@@ -49,9 +52,15 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     block_multisets,
+    centralizer_order,
     count_block_multisets,
 )
-from .young_stats import _block_reach, coset_histogram, expected_binom_on_coset
+from .young_stats import (
+    _block_factor,
+    _block_reach,
+    coset_histogram,
+    expected_binom_on_coset,
+)
 
 DEFAULT_ENUM_CAP = 10 ** 6
 DEFAULT_TERM_CAP = 10 ** 6
@@ -179,51 +188,39 @@ def xk_of_f(f: Poly, k: int) -> Fraction:
 # Ensembles
 # ---------------------------------------------------------------------------
 
-# Filters read only is_squarefree and max_multiplicity, which a Factorization
-# and a CosetSpec both have, so each works on either.
+# A filter is the bound m on the multiplicity of every irreducible factor of
+# f: None for all, 1 for squarefree, m for maxmult=m.
 
-def predicate_squarefree(fac: Factorization | CosetSpec) -> bool:
-    return fac.is_squarefree
-
-
-def predicate_max_multiplicity(m: int) -> Callable[[Factorization | CosetSpec], bool]:
-    if m < 1:
-        raise ValueError("multiplicity bound must be >= 1")
-
-    def pred(fac: Factorization | CosetSpec) -> bool:
-        return fac.max_multiplicity <= m
-
-    return pred
-
-
-def parse_predicate(
-    text: Optional[str],
-) -> Optional[Callable[[Factorization | CosetSpec], bool]]:
-    """Map "all"/None, "squarefree", "maxmult=m" to a filter."""
+def parse_predicate(text: Optional[str]) -> Optional[int]:
+    """Map "all"/None, "squarefree", "maxmult=m" to the multiplicity bound
+    of the filter: None, 1 and m."""
     if text is None or text == "all":
         return None
     if text == "squarefree":
-        return predicate_squarefree
+        return 1
     if text.startswith("maxmult="):
         try:
-            return predicate_max_multiplicity(int(text[8:]))
+            m = read_int(text[8:], text, "--filter")
+        except CapExceeded:
+            raise
         except ValueError:
-            pass
+            m = 0
+        if m >= 1:
+            return m
     raise ValueError(
         f"bad --filter {text!r}: expected all, squarefree, or maxmult=m "
         "with an integer m >= 1"
     )
 
 
-def factored_types(
-    d: int, ctx, predicate: Optional[Callable[[CosetSpec], bool]] = None
-) -> Counter:
-    """Block spec of every monic f of degree d that passes predicate, tallied
-    by factoring each f: the oracle for factorization_types."""
+def factored_types(d: int, ctx, maxmult: Optional[int] = None) -> Counter:
+    """Block spec of every monic f of degree d whose factors have
+    multiplicity at most maxmult (any, for None), tallied by factoring each
+    f: the oracle for factorization_types."""
     tally: Counter = Counter()
     for f in enumerate_monic(d, ctx):
         spec = block_spec(f)
-        if predicate is None or predicate(spec):
+        if maxmult is None or spec.max_multiplicity <= maxmult:
             tally[spec] += 1
     return tally
 
@@ -232,7 +229,7 @@ def ensemble_sum(
     d: int,
     ctx,
     P: CharPoly,
-    predicate: Optional[Callable[[CosetSpec], bool]] = None,
+    maxmult: Optional[int] = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Fraction, int]:
     """(sum of chi over surviving monic f of degree d, surviving count), by
@@ -244,7 +241,7 @@ def ensemble_sum(
         raise CapExceeded(
             f"ensemble over {space} polynomials exceeds cap {cap}; raise it with --cap-enum"
         )
-    tally = factored_types(d, ctx, predicate)
+    tally = factored_types(d, ctx, maxmult)
     total = sum((n_f * chi_formula(spec, P) for spec, n_f in tally.items()), _F0)
     return total, sum(tally.values())
 
@@ -281,44 +278,170 @@ def factorization_types(
     return out
 
 
-def _blocks_seen_by(spec: CosetSpec, mu: MultiIndex) -> CosetSpec:
-    """The part of spec that binom(X, mu) sees on the coset.
+def _check_count(d: int, q: int) -> None:
+    """Refuse a degree whose population q^d has more digits than Python
+    prints, deciding by log10(q^d) unless it is within 1 of the limit."""
+    digits = sys.get_int_max_str_digits()
+    size = d * math.log10(q)
+    if digits and size > digits - 1 and (size > digits + 1 or q ** d >= 10 ** digits):
+        raise CapExceeded(
+            f"the ensemble of degree {d} over F_{q} has q^d = {q}^{d} polynomials, "
+            f"a count of more than {digits} digits, Python's limit for printing "
+            "an integer, which no flag raises"
+        )
 
-    A block (d, r) enters the k-cycle counts only for k of mu with d | k.
-    Its factor holds S_r means of binom(X, {k/d: a_k}) with a <= mu, which
-    depend on r only through whether r reaches sum of a_k * k/d, and that
-    sum is at most the reach sum of m_k * k/d, so r can be cut to it.
-    """
-    seen = []
-    for d, r in spec.blocks:
-        reach = _block_reach(d, mu)
-        if reach:
-            seen.append((d, min(r, reach)))
-    return CosetSpec(tuple(seen))
+
+def _filter_counts(d: int, q: int, m: int) -> list[int]:
+    """The number of monic f of each degree n <= d whose factors have
+    multiplicity at most m: the u^n coefficients of
+    prod_k (sum_{r <= m} u^(kr))^(N_k) = (1 - q u^(m+1)) / (1 - q u),
+    that is q^n, less q^(n-m) once n > m."""
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * q)
+    return [powers[n] - (powers[n - m] if n > m else 0) for n in range(d + 1)]
+
+
+def _euler_factor(k: int, d: int, m: int, mu: MultiIndex, spend) -> dict:
+    """G_k = (F_k - A_k) / A_k truncated at u^d, scaled by z_mu, on exponent
+    tuples (u, a): F_k = sum_{r <= m} u^(kr) B_{k,r}(z) is the Euler factor
+    of one irreducible of degree k, and A_k = sum_{r <= m} u^(kr) its value
+    at z = 0, so G_k has no term free of z.  Dividing by A_k multiplies
+    each z-coefficient, a series in v = u^k, by (1 - v) / (1 - v^(m+1))."""
+    reach = _block_reach(k, mu)
+    top = d // k  # the largest power of v within u^d
+    spend((top + 1) * len(_block_factor(k, min(m, reach, top), mu)))
+    series: dict[tuple[int, ...], list[int]] = {}  # a -> coefficients of v^0..v^top
+    for r in range(1, min(m, top) + 1):
+        for a, c in _block_factor(k, min(r, reach), mu).items():
+            if any(a):
+                series.setdefault(a, [0] * (top + 1))[r] = c
+    out = {}
+    for a, h in series.items():
+        g = [h[0]] + [h[r] - h[r - 1] for r in range(1, top + 1)]
+        for r in range(m + 1, top + 1):
+            g[r] += g[r - m - 1]
+        for r, c in enumerate(g):
+            if c:
+                out[(k * r,) + a] = c
+    return out
+
+
+def _series_mean_sum(
+    d: int, q: int, mu: MultiIndex, counts: list[int], m: int, spend
+) -> Fraction:
+    """Sum of the coset mean of binom(X, mu) over the monic f of degree d
+    whose factors have multiplicity at most m: the u^d z^mu coefficient of
+    the Euler product prod_k F_k^(N_k) = prod_k A_k^(N_k) * prod_k (1 + G_k)^(N_k).
+
+    The first product is the series of counts.  G_k is 0 in the box unless k
+    divides a part of mu, and each of its terms holds at least one cycle
+    counted at a multiple of k, so (1 + G_k)^(N_k) = sum_j C(N_k, j) G_k^j
+    stops at j = J_k, the sum of those m_k, however large d is.  The G_k are
+    integers scaled by D = z_mu, so each sum is scaled by D^(J_k), and the
+    product is divided by D to the sum of the J_k at the end.  The last sum
+    and the counts are not multiplied in: only their pairs with the product
+    so far that land on u^d z^mu are read."""
+    top = (d,) + tuple(e for _, e in mu.items())
+    one = (0,) * len(top)
+    scale = centralizer_order(mu)
+    factors = []
+    shift = 0
+    for k in range(1, d + 1):
+        if not _block_reach(k, mu):
+            continue
+        g = _euler_factor(k, d, m, mu, spend)
+        if not g:
+            continue
+        powers = [{one: 1}, g]
+        while len(powers) <= min(d // k, sum(e for j, e in mu.items() if j % k == 0)):
+            spend(len(powers[-1]) * len(g))
+            power = _mul_truncated(powers[-1], g, top)
+            if not power:
+                break
+            powers.append(power)
+        J = len(powers) - 1
+        n_k = necklace_count(k, q)
+        factor_k: dict[tuple[int, ...], int] = {}
+        for j, power in enumerate(powers):
+            w = math.comb(n_k, j) * scale ** (J - j)
+            for a, c in power.items():
+                factor_k[a] = factor_k.get(a, 0) + w * c
+        factors.append(factor_k)
+        shift += J
+    *factors, last = factors or [{one: 1}]
+    acc = factors[0] if factors else {one: 1}
+    for factor_k in factors[1:]:
+        spend(len(acc) * len(factor_k))
+        acc = _mul_truncated(acc, factor_k, top)
+    by_z: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for b, y in last.items():
+        by_z.setdefault(b[1:], []).append((b[0], y))
+    pairs = [
+        (a[0], x, by_z.get(tuple(map(int.__sub__, top[1:], a[1:])), ()))
+        for a, x in acc.items()
+    ]
+    spend(sum(len(row) for _, _, row in pairs))
+    total = sum(
+        x * y * counts[d - u - v] for u, x, row in pairs for v, y in row if u + v <= d
+    )
+    return Fraction(total, scale ** shift)
+
+
+def _series_sum(d: int, q: int, P: CharPoly, m: int, cap: int) -> tuple[Fraction, int]:
+    """ensemble_formula for the multiplicity bound m, by the Euler product
+    truncated at u^d; cap bounds the coefficients built plus the coefficient pairs
+    multiplied, over the whole statistic, checked before each step."""
+    counts = _filter_counts(d, q, m)
+    work = 0
+
+    def spend(steps: int) -> None:
+        nonlocal work
+        work += steps
+        if work > cap:
+            raise CapExceeded(
+                f"the ensemble series would reach {work} steps (coefficients "
+                f"built plus coefficient pairs multiplied), beyond the cap {cap}; "
+                "raise it with --cap-enum"
+            )
+
+    total = sum(
+        (c * _series_mean_sum(d, q, mu, counts, m, spend)
+         for mu, c in P.terms.items() if mu.norm <= d),
+        _F0,
+    )
+    return total, counts[d]
 
 
 def ensemble_formula(
     d: int,
     ctx,
     P: CharPoly,
-    predicate: Optional[Callable[[CosetSpec], bool]] = None,
+    maxmult: Optional[int] = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Fraction, int]:
-    """ensemble_sum by factorization types, with no polynomial enumerated.
+    """ensemble_sum by the Euler product over the irreducibles, with no
+    polynomial or factorization type enumerated.
 
-    chi at f depends only on the block spec of f, so each term binom(X, mu)
-    of P is evaluated once per distinct part of a spec that it sees, and
-    weighted by the number of f that share that part.
+    The coset mean of binom(X, mu) at f is the z^mu coefficient of the
+    product of the block factors B_{k,r}(z) of f, one per factor p^r of
+    degree k, so summing u^(deg f) times it over the f that pass the filter
+    gives prod_k F_k^(N_k), with F_k = sum over the allowed r of
+    u^(kr) B_{k,r}(z).  With no bound that applies at degree d (all, or
+    maxmult=m with m >= d) this is 1/(1 - qu) * exp(sum_k z_k (qu)^k / k):
+    each mean is the S_d mean 1/z_mu for |mu| <= d, and the sum is q^d
+    times it.  Otherwise the product is truncated at u^d and z^mu.  A count
+    q^d too long to print is refused before any work.
     """
-    types = factorization_types(d, ctx.q, cap)
-    if predicate is not None:
-        types = {spec: n_f for spec, n_f in types.items() if predicate(spec)}
-    total = _F0
-    for mu, c in P.terms.items():
-        weights: Counter = Counter()
-        for spec, n_f in types.items():
-            weights[_blocks_seen_by(spec, mu)] += n_f
-        total += c * sum(
-            (n_f * expected_binom_on_coset(spec, mu) for spec, n_f in weights.items()), _F0
-        )
-    return total, sum(types.values())
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    if maxmult is not None and maxmult < 1:
+        raise ValueError("multiplicity bound must be >= 1")
+    q = ctx.q
+    _check_count(d, q)
+    if maxmult is None or maxmult >= d:
+        count = q ** d
+        return sum(
+            (c * count * sn_expectation_closed(mu, d) for mu, c in P.terms.items()), _F0
+        ), count
+    return _series_sum(d, q, P, maxmult, cap)

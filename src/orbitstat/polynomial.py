@@ -53,7 +53,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded
+from .errors import CapExceeded, read_int
 from .finite_field import FieldCtx, prime_factors
 from .symmetric import CosetSpec
 
@@ -435,7 +435,9 @@ def _coef_from_text(text: str, ctx: FieldCtx, poly: str) -> int:
     vector = text.startswith("[")
     parts = text[1:-1].split(",") if vector else [text]
     try:
-        digits = [int(x) for x in parts] if text != "[]" else []
+        digits = [read_int(x, poly, "the polynomial") for x in parts] if text != "[]" else []
+    except CapExceeded:
+        raise
     except ValueError:
         raise ValueError(
             f"bad coefficient {text!r} in {poly!r}: expected an integer "
@@ -482,7 +484,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         elif m.group("exp") is None:
             exp = 1
         else:
-            exp = int(m.group("exp"))
+            exp = read_int(m.group("exp"), text, "the polynomial")
             if exp > ENUMERATION_LIMIT:
                 raise CapExceeded(
                     f"the degree {exp} in {text!r} is beyond the limit "

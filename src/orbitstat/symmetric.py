@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapExceeded
+from .errors import CapExceeded, read_int
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -127,7 +127,8 @@ class MultiIndex:
             )
         counts: dict[int, int] = {}
         for part in s.split(","):
-            k, m = map(int, part.split(":"))
+            k, m = part.split(":")
+            k, m = read_int(k, text, "the multi-index"), read_int(m, text, "the multi-index")
             counts[k] = counts.get(k, 0) + m
         return cls.from_dict(counts)
 
@@ -183,7 +184,11 @@ class CosetSpec:
                 f"bad --blocks {text!r}: expected d^r entries with integers "
                 "d and r, as in 1^2,2^1"
             )
-        blocks = [tuple(map(int, part.split("^"))) for part in s.split(",")]
+        blocks = []
+        for part in s.split(","):
+            d, r = part.split("^")
+            what = "the block spec"
+            blocks.append((read_int(d, text, what), read_int(r, text, what)))
         return cls(tuple(blocks))
 
     def __str__(self):

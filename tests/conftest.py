@@ -2,7 +2,7 @@
 
 import pytest
 
-from orbitstat import polynomial, young_stats
+from orbitstat import frobenius_stats, polynomial, young_stats
 
 
 @pytest.fixture
@@ -49,3 +49,18 @@ def factor_divisions(monkeypatch):
 
     monkeypatch.setattr(polynomial, "_divmod", counted)
     return divisions
+
+
+@pytest.fixture
+def series_products(monkeypatch):
+    """The list of the box tops of the truncated products that the ensemble
+    series multiplies from then on, one entry per _mul_truncated call."""
+    products = []
+    mul = frobenius_stats._mul_truncated
+
+    def counted(f, g, top):
+        products.append(top)
+        return mul(f, g, top)
+
+    monkeypatch.setattr(frobenius_stats, "_mul_truncated", counted)
+    return products

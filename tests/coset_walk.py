@@ -18,8 +18,17 @@ type, read off the closed-form mean.
 expected_k_cycles is the mean number of k-cycles on a coset, counted
 straight from the blocks.
 
-equal_expectation_check puts the ensemble mean of binom(X, mu) over the
-monic polynomials of degree d next to the S_d mean and its necklace
+ensemble_walk is the oracle for frobenius_stats.ensemble_formula: it walks
+the factorization types of degree d, and for each term binom(X, mu) of the
+statistic evaluates the coset closed form once per distinct part of a type
+that mu sees, weighted by the number of f that share it.
+
+ensemble_cycle_types walks the same types but reads each coset's closed-form
+cycle-type histogram instead, which gives every statistic at once: the
+oracle for sweeps over many mu.
+
+equal_expectation_check puts the walk's ensemble mean of binom(X, mu) over
+the monic polynomials of degree d next to the S_d mean and its necklace
 product form.
 """
 
@@ -27,10 +36,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Optional
 
 from orbitstat.charpoly import CharPoly, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
-from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, ensemble_formula
+from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, factorization_types
 from orbitstat.polynomial import divisors, necklace_count
 from orbitstat.symmetric import (
     DEFAULT_GROUP_CAP,
@@ -41,8 +52,10 @@ from orbitstat.symmetric import (
     enumerate_sn,
 )
 from orbitstat.young_stats import (
+    _block_reach,
     class_count,
     cycle_lengths,
+    cycle_type_distribution,
     expected_binom_on_coset,
     slot_tables,
 )
@@ -132,6 +145,63 @@ def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
     return Fraction(total, k)
 
 
+# the oracle tests walk each degree once per statistic and filter
+_factorization_types = lru_cache(maxsize=None)(factorization_types)
+
+
+def ensemble_walk(
+    d: int,
+    ctx,
+    P: CharPoly,
+    maxmult: Optional[int] = None,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[Fraction, int]:
+    """(sum of chi over the monic f of degree d whose factors have
+    multiplicity at most maxmult, their count), by factorization types: chi
+    at f depends only on the block spec of f, so each term binom(X, mu) of P
+    is evaluated once per distinct part of a spec that it sees, and weighted
+    by the number of f that share that part.  cap bounds the number of
+    block multisets walked.
+
+    A block (k, r) enters the cycle counts of mu only if k divides a part of
+    mu.  Its factor holds S_r means of binom(X, {j/k: a_j}) with a <= mu,
+    which depend on r only through whether r reaches sum of a_j * j/k, and
+    that sum is at most the reach sum of m_j * j/k, so r is cut to it.
+    """
+    types = _factorization_types(d, ctx.q, cap)
+    if maxmult is not None:
+        types = {spec: n_f for spec, n_f in types.items() if spec.max_multiplicity <= maxmult}
+    total = Fraction(0)
+    for mu, c in P.terms.items():
+        reach = {k: _block_reach(k, mu) for k in range(1, d + 1)}
+        weights: Counter = Counter()
+        for spec, n_f in types.items():
+            seen = sorted((k, min(r, reach[k])) for k, r in spec.blocks if reach[k])
+            weights[tuple(seen)] += n_f
+        for seen, n_f in weights.items():
+            total += c * n_f * expected_binom_on_coset(CosetSpec(seen), mu)
+    return total, sum(types.values())
+
+
+_histogram = lru_cache(maxsize=None)(cycle_type_distribution)
+
+
+def ensemble_cycle_types(
+    d: int, q: int, maxmult: Optional[int] = None
+) -> dict[MultiIndex, Fraction]:
+    """Sum over the monic f of degree d whose factors have multiplicity at
+    most maxmult of the share of each cycle type in the coset of f, by
+    factorization types and the closed-form histogram of each.  The ensemble
+    sum of P is the sum over cycle types ct of this weight times P at ct."""
+    out: dict[MultiIndex, Fraction] = {}
+    for spec, n_f in _factorization_types(d, q, DEFAULT_ENUM_CAP).items():
+        if maxmult is None or spec.max_multiplicity <= maxmult:
+            share = Fraction(n_f, spec.order_h())
+            for ct, count in _histogram(spec).items():
+                out[ct] = out.get(ct, 0) + share * count
+    return out
+
+
 @dataclass(frozen=True)
 class EqualExpectationReport:
     """The three routes to the mean of binom(X, mu) over monic degree-d f."""
@@ -154,7 +224,7 @@ def equal_expectation_check(
     """Compare the polynomial-ensemble mean, the S_d mean, and the S_d mean
     rescaled by necklace-count factors (which the count relations force to 1).
     """
-    total, _ = ensemble_formula(d, ctx, CharPoly.binom(mu), cap=cap)
+    total, _ = ensemble_walk(d, ctx, CharPoly.binom(mu), cap=cap)
     ensemble_mean = total / ctx.q ** d
     symmetric_mean = sn_expectation_closed(mu, d)
     product_form = symmetric_mean

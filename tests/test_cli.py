@@ -357,6 +357,83 @@ def test_ensemble_reaches_large_fields(capsys):
     assert "scaled = 1\n" in out
 
 
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (("ensemble", "--q", "2", "--d", "30", "--filter", "squarefree", "--mu", "1:2"), 0.5),
+        (("ensemble", "--q", "2", "--d", "100", "--filter", "squarefree", "--mu", "1:2"), 1.0),
+        (("ensemble", "--q", "3", "--d", "40", "--filter", "maxmult=2", "--mu", "1:2,2:1"), 1.0),
+        (("ensemble", "--q", "65521", "--d", "20", "--mu", "1:2,3:1"), 0.5),
+        (("ensemble", "--q", "3", "--d", "9012", "--mu", "1:1"), 1.0),
+    ],
+    ids=["squarefree-30", "squarefree-100", "maxmult-40", "q65521-20", "count-at-limit"],
+)
+def test_ensemble_answers_large_degrees_under_the_default_caps(capsys, argv, limit):
+    # the Euler product's work grows polynomially in d; the type walk took
+    # 4.5 s at d = 30 and refused d >= 34
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < limit
+    assert code == 0 and err == ""
+    q, d = int(argv[2]), int(argv[4])
+    assert f"d = {d}\n" in out and "scaled = " in out
+    if "--filter" not in argv:
+        assert f"count = {q ** d}\n" in out
+
+
+@pytest.mark.parametrize("d", ["100000", "1000000000"])
+def test_an_ensemble_too_large_to_count_is_refused_at_once(capsys, d):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ensemble", "--q", "2", "--d", d, "--mu", "1:1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"2^{d}" in err and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "no flag" in err
+
+
+_LONG = "9" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("factor", "--q", "2", f"t^{_LONG}"), "the polynomial"),
+        (("factor", "--q", _LONG, "t"), "--q"),
+        (("eval", "--q", "2", "t", "--stat", f"X1^{_LONG}"), "the term"),
+        (("eval", "--q", "2", "t", "--stat", f"{_LONG}*X1"), "the term"),
+        (("eval", "--q", "2", "t", "--stat", f"binom(1:{_LONG})"), "the multi-index"),
+        (("ensemble", "--q", "2", "--d", "3", "--mu", f"1:{_LONG}"), "the multi-index"),
+        (("young", "--blocks", f"1^{_LONG}", "--mu", "1:1"), "the block spec"),
+        (("factor", "--q", "4", "--mod", f"[1,{_LONG},1]", "t"), "--mod"),
+        (("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--filter", f"maxmult={_LONG}"),
+         "--filter"),
+    ],
+    ids=["factor-degree", "field", "stat-power", "stat-coefficient", "stat-binom",
+         "ensemble-mu", "young-blocks", "field-modulus", "filter"],
+)
+def test_a_literal_too_long_to_read_names_the_input_and_the_limit(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {what} ") and err.count("\n") == 1
+    assert f"{len(_LONG)} digits, more than {sys.get_int_max_str_digits()}" in err
+    assert "no flag" in err and "set_int_max_str_digits" not in err
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize(
+    "q", ["1000000000000000003", "99999999999999999989^2", "2^99999999999", "65537", "2^17"]
+)
+def test_a_field_beyond_the_bound_is_refused_before_any_prime_test(capsys, q):
+    # a large q was once factored, and a large p tested, by trial division,
+    # and a large e raised p to it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "factor", "--q", q, "t")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: q = {q} exceeds the supported bound 65536\n"
+
+
 def test_printed_statistic_parses_back(capsys):
     code, first, _ = run(capsys, "eval", "--q", "2", "t^2", "--stat=X1-X2")
     assert code == 0
@@ -488,7 +565,11 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
 @pytest.mark.parametrize(
     "argv,words",
     [
-        (("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--cap-enum", "4"), ["--cap-enum"]),
+        (
+            ("ensemble", "--q", "2", "--d", "3", "--mu", "1:2", "--filter", "squarefree",
+             "--cap-enum", "4"),
+            ["--cap-enum", "coefficient pairs"],
+        ),
         (
             ("eval", "--q", "2", "t^3", "--mu", "1:2", "--method", "symbolic",
              "--cap-terms", "1"),
@@ -517,11 +598,12 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
             ("ensemble", "--q", "2", "--d", "3", "--mu", "1:1", "--filter", "maxmult=x"),
             ["--filter 'maxmult=x'", "all, squarefree, or maxmult=m"],
         ),
+        (("ensemble", "--q", "3", "--d", "9013", "--mu", "1:1"), ["3^9013", "limit", "no flag"]),
     ],
     ids=[
         "ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit",
         "expansion-terms", "expansion-variables", "expansion-factorial", "degree-limit",
-        "filter",
+        "filter", "ensemble-count",
     ],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitstat import frobenius_stats, polynomial
-from orbitstat.charpoly import CharPoly, sn_expectation_closed
+from orbitstat.charpoly import CharPoly, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
 from orbitstat.frobenius_stats import (
@@ -21,8 +21,6 @@ from orbitstat.frobenius_stats import (
     ensemble_sum,
     factorization_types,
     parse_predicate,
-    predicate_max_multiplicity,
-    predicate_squarefree,
     xk_of_f,
 )
 from orbitstat.polynomial import (
@@ -36,7 +34,12 @@ from orbitstat.polynomial import (
 )
 from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
 
-from coset_walk import equal_expectation_check, expected_k_cycles
+from coset_walk import (
+    ensemble_cycle_types,
+    ensemble_walk,
+    equal_expectation_check,
+    expected_k_cycles,
+)
 from symbol_sum import SymbolSum
 
 F2 = make_field(2)
@@ -235,9 +238,7 @@ def test_chi_routes_agree_over_extension_field(idx):
 def test_ensemble_frozen_values():
     total, count = ensemble_sum(2, F2, CharPoly.binom(mi("2:1")))
     assert (total, count) == (2, 4)
-    total, count = ensemble_sum(
-        2, F2, CharPoly.binom(mi("1:1")), predicate=predicate_squarefree
-    )
+    total, count = ensemble_sum(2, F2, CharPoly.binom(mi("1:1")), maxmult=1)
     assert (total, count) == (2, 2)
 
 
@@ -269,10 +270,10 @@ def test_ensemble_formula_matches_the_oracle(q):
     for d in range(0, 6):
         if q ** d > 4096:
             break
-        for text in ("all", "squarefree", "maxmult=2"):
-            pred = parse_predicate(text)
-            assert ensemble_formula(d, ctx, MIXED, pred) == ensemble_sum(
-                d, ctx, MIXED, pred
+        for text in ("all", "squarefree", "maxmult=2", "maxmult=3"):
+            m = parse_predicate(text)
+            assert ensemble_formula(d, ctx, MIXED, m) == ensemble_sum(
+                d, ctx, MIXED, m
             ), (q, d, text)
 
 
@@ -291,10 +292,10 @@ def test_ensemble_formula_counts(q, d, m):
     ctx = FIELDS[q]
     nothing = CharPoly()
     assert ensemble_formula(d, ctx, nothing) == (0, q ** d)
-    _, squarefree = ensemble_formula(d, ctx, nothing, predicate_squarefree)
+    _, squarefree = ensemble_formula(d, ctx, nothing, 1)
     if d >= 2:
         assert squarefree == q ** d - q ** (d - 1)
-    _, bounded = ensemble_formula(d, ctx, nothing, predicate_max_multiplicity(m))
+    _, bounded = ensemble_formula(d, ctx, nothing, m)
     if d > m:
         assert bounded == q ** d - q ** (d - m)
 
@@ -317,44 +318,150 @@ def test_ensemble_formula_mean_with_repeated_cycles():
 
 
 def test_ensemble_formula_cap_counts_block_multisets():
+    # the type walk, now the oracle in coset_walk, keeps the block multiset cap
     P = CharPoly.binom(mi("1:1"))
-    assert ensemble_formula(3, F2, P, cap=5) == ensemble_sum(3, F2, P)
+    assert ensemble_walk(3, F2, P, cap=5) == ensemble_sum(3, F2, P)
     with pytest.raises(CapExceeded, match="--cap-enum"):
-        ensemble_formula(3, F2, P, cap=4)
+        ensemble_walk(3, F2, P, cap=4)
+    with pytest.raises(ValueError):
+        ensemble_walk(-1, F2, P)
     with pytest.raises(ValueError):
         ensemble_formula(-1, F2, P)
 
 
 def test_predicates_accept_specs():
-    mm2 = predicate_max_multiplicity(2)
+    # the filter reads max_multiplicity, which a spec and a factorization share
     for f in enumerate_monic(4, F2):
         fac = factor(f)
         spec = fac.spec
-        assert predicate_squarefree(spec) == predicate_squarefree(fac)
-        assert mm2(spec) == mm2(fac)
-    assert predicate_squarefree(CosetSpec.parse("1^1,2^1"))
+        assert spec.max_multiplicity == fac.max_multiplicity
+        assert spec.is_squarefree == fac.is_squarefree
+    assert CosetSpec.parse("1^1,2^1").is_squarefree
 
 
 def test_predicates():
     assert parse_predicate("all") is None
     assert parse_predicate(None) is None
-    sf = parse_predicate("squarefree")
-    mm = parse_predicate("maxmult=2")
-    f = parse_poly("t^2", F2)
-    assert not sf(factor(f))
-    assert mm(factor(f))
-    assert not mm(factor(parse_poly("t^3", F2)))
-    with pytest.raises(ValueError):
-        parse_predicate("weird")
-    with pytest.raises(ValueError):
-        predicate_max_multiplicity(0)
+    assert parse_predicate("squarefree") == 1
+    assert parse_predicate("maxmult=2") == 2
+    f2, f3 = (factor(parse_poly(t, F2)) for t in ("t^2", "t^3"))
+    assert f2.max_multiplicity > parse_predicate("squarefree")
+    assert f2.max_multiplicity <= parse_predicate("maxmult=2") < f3.max_multiplicity
+    for text in ("weird", "maxmult=0", "maxmult=x", "maxmult=-1"):
+        with pytest.raises(ValueError):
+            parse_predicate(text)
+    with pytest.raises(ValueError, match="multiplicity bound"):
+        ensemble_formula(3, F2, binom("1:1"), 0)
 
 
 def test_maxmult_one_is_squarefree():
-    mm1 = predicate_max_multiplicity(1)
+    m = parse_predicate("maxmult=1")
     for f in enumerate_monic(4, F2):
         fac = factor(f)
-        assert mm1(fac) == predicate_squarefree(fac)
+        assert (fac.max_multiplicity <= m) == fac.is_squarefree
+
+
+
+# -- ensembles by the Euler product --------------------------------------------
+
+FILTERS = ("all", "squarefree", "maxmult=2", "maxmult=3")
+
+
+@pytest.mark.parametrize("q,dmax", [(2, 10), (3, 10), (4, 10), (5, 10), (9, 10), (65521, 12)])
+def test_the_series_equals_the_type_walk_for_every_mu(q, dmax):
+    # every mu of norm <= d + 1, read off the walk's cycle-type weights
+    ctx = FIELDS[q]
+    for d in range(dmax + 1):
+        mus = list(multi_indices_up_to(d + 1))
+        for text in FILTERS:
+            m = parse_predicate(text)
+            weights = ensemble_cycle_types(d, q, m).items()
+            for mu in mus:
+                walk = sum(w * binom_eval(mu, ct) for ct, w in weights)
+                assert ensemble_formula(d, ctx, CharPoly.binom(mu), m)[0] == walk, (d, text, mu)
+
+
+STATISTICS = [
+    MIXED,
+    CharPoly.parse("binom(1:2,2:1) - 3*binom(3:1) + X1*X4"),
+    CharPoly.parse("X1^3 + 1/7*binom(2:2) - binom(1:1,5:1)"),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 65521])
+def test_the_series_equals_the_moved_type_walk(q):
+    ctx = FIELDS[q]
+    for d in range(11):
+        for text in FILTERS:
+            m = parse_predicate(text)
+            for P in STATISTICS:
+                assert ensemble_formula(d, ctx, P, m) == ensemble_walk(d, ctx, P, m), (d, text, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 65521, 2 ** 16]),
+    st.integers(0, 100),
+    st.sampled_from([None, 1, 2, 3, 5]),
+    st.sampled_from(["1:1", "1:2", "2:1", "3:1", "1:1,2:1"]),
+)
+def test_series_counts_to_degree_100(q, d, m, mu):
+    _, count = ensemble_formula(d, FIELDS[q], binom(mu), m)
+    if m is None or d <= m:
+        assert count == q ** d
+    else:
+        assert count == q ** d - q ** (d - m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 3, 65521]),
+    st.integers(0, 100),
+    st.integers(0, 3),
+    st.sampled_from(["", "1:1", "1:2", "2:1", "3:1", "1:1,2:1", "1:3", "4:1,2:1"]),
+)
+def test_the_product_with_m_at_least_d_is_the_closed_form(q, d, extra, mu):
+    # the truncated product, forced past the closed form, with every
+    # multiplicity allowed
+    P = CharPoly.parse(f"2*binom({mu}) - 1/3") if mu else CharPoly.parse("5")
+    series = frobenius_stats._series_sum(d, q, P, d + extra, 10 ** 7)
+    closed = (sum(c * q ** d * sn_expectation_closed(nu, d) for nu, c in P.terms.items()), q ** d)
+    assert series == closed == ensemble_formula(d, FIELDS[q], P)
+
+
+def test_the_filtered_mean_nears_its_limit():
+    # squarefree over F_2: each linear factor divides f with probability
+    # 1/(q + 1) in the limit, independently, so binom(X_1, 2) tends to
+    # C(q, 2)/(q + 1)^2 = 1/9
+    total, count = ensemble_formula(100, F2, binom("1:2"), 1)
+    assert abs(total / count - Fraction(1, 9)) < Fraction(1, 10 ** 28)
+
+
+def test_a_filter_statistic_takes_few_products(series_products):
+    ensemble_formula(30, F2, MIXED)
+    ensemble_formula(30, F2, MIXED, 30)
+    assert series_products == []  # all, and maxmult=m with m >= d, take the closed form
+    ensemble_formula(30, F2, binom("1:2"), 1)
+    assert series_products == [(30, 2)]  # G_1^2, the one power in the box
+
+
+def test_the_series_cap_counts_the_whole_statistic():
+    def least_cap(P):
+        # the least cap under which the series answers, by bisection
+        low, high = 0, 10 ** 6
+        while low < high:
+            mid = (low + high) // 2
+            try:
+                frobenius_stats._series_sum(30, 2, P, 1, mid)
+                high = mid
+            except CapExceeded as exc:
+                assert "--cap-enum" in str(exc)
+                low = mid + 1
+        return low
+
+    one, other = binom("1:2"), binom("2:1")
+    assert 0 < least_cap(one) < least_cap(one + other)
+    assert least_cap(one + other) == least_cap(one) + least_cap(other)
 
 
 def test_equal_expectation_report():

@@ -91,6 +91,26 @@ CASES = {
     ],
     "ensemble_q8": ["ensemble", "--q", "8", "--d", "2", "--mu", "1:2", "--filter", "maxmult=1"],
     "ensemble_q9": ["ensemble", "--q", "9", "--d", "2", "--stat", "X1+X2"],
+    "ensemble_q9_d0_json": [
+        "ensemble", "--q", "9", "--d", "0", "--stat", "X1+3", "--format", "json",
+    ],
+    "ensemble_q65521_d12": [
+        "ensemble", "--q", "65521", "--d", "12", "--stat", "binom(1:2,3:1)-X2+1/5*X4^2",
+    ],
+    "ensemble_q2_d16_squarefree": [
+        "ensemble", "--q", "2", "--d", "16", "--mu", "1:2,2:1,4:1", "--filter", "squarefree",
+    ],
+    "ensemble_q3_d10_maxmult3": [
+        "ensemble", "--q", "3", "--d", "10", "--stat", "X1^2-2*binom(2:1,4:1)+1/3",
+        "--filter", "maxmult=3",
+    ],
+    "ensemble_q9_d6_maxmult2_json": [
+        "ensemble", "--q", "9", "--d", "6", "--mu", "2:1,3:1", "--filter", "maxmult=2",
+        "--format", "json",
+    ],
+    "ensemble_q5_d9_squarefree_stat": [
+        "ensemble", "--q", "5", "--d", "9", "--stat", "X1*X2+X3", "--filter", "squarefree",
+    ],
     "young_histogram_mixed": ["young", "--blocks", "3^2,1^3,2^2", "--histogram"],
     "young_histogram_25920": ["young", "--blocks", "1^6,2^3", "--histogram"],
     "young_histogram_json": ["young", "--blocks", "1^3,2^2", "--histogram", "--format", "json"],

@@ -12,7 +12,7 @@ from orbitstat import young_stats
 from orbitstat.charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectation_closed
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
-from orbitstat.frobenius_stats import chi_formula, chi_oracle, ensemble_formula
+from orbitstat.frobenius_stats import chi_formula, chi_oracle
 from orbitstat.symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
@@ -38,6 +38,7 @@ from orbitstat.young_stats import (
 
 from coset_walk import (
     count_cycle_type_in_coset,
+    ensemble_walk,
     expected_k_cycles,
     structured_to_permutation,
     tau,
@@ -225,7 +226,7 @@ def test_statistics_read_one_product_per_term(monkeypatch):
     chi_formula(spec("1^12,2^6,4^3"), P)
     assert calls == [[mu] for mu in P.terms]
     calls.clear()
-    ensemble_formula(4, make_field(3), CharPoly.parse("binom(1:2)+binom(2:1)"))
+    ensemble_walk(4, make_field(3), CharPoly.parse("binom(1:2)+binom(2:1)"))
     assert calls and all(len(mus) == 1 for mus in calls)
 
 
