@@ -130,27 +130,18 @@ class CharPoly:
             if a < 0:
                 raise ValueError(f"exponent of X_{k} must be >= 0")
         _check_expansion(powers)
-        expansions = []
-        for k, a in sorted(powers.items()):
-            if a == 0:
-                continue
-            expansions.append(
-                [(k, j, _stirling2(a, j) * math.factorial(j)) for j in range(1, a + 1)]
-            )
-        out: dict[MultiIndex, Fraction] = {}
-        stack = [({}, coeff, 0)]
-        while stack:
-            counts, c, pos = stack.pop()
-            if pos == len(expansions):
-                mu = MultiIndex.from_dict(counts)
-                out[mu] = out.get(mu, _F0) + c
-                continue
-            for k, j, weight in expansions[pos]:
-                if weight:
-                    nxt = dict(counts)
-                    nxt[k] = j
-                    stack.append((nxt, c * weight, pos + 1))
-        return cls(out)
+        # per variable, its terms j = a, ..., 1; every choice of one term per
+        # variable is one basis element, built by the validating MultiIndex
+        expansions = [
+            [(k, j, _stirling2(a, j) * math.factorial(j)) for j in range(a, 0, -1)]
+            for k, a in sorted(powers.items())
+            if a
+        ]
+        return cls({
+            MultiIndex(tuple((k, j) for k, j, _ in choice)):
+                coeff * math.prod(weight for _, _, weight in choice)
+            for choice in itertools.product(*expansions)
+        })
 
     # -- algebra ------------------------------------------------------------
 
@@ -163,12 +154,7 @@ class CharPoly:
         return CharPoly(out)
 
     def __sub__(self, other):
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out.get(mu, _F0) - c
-        return CharPoly(out)
+        return self + -other if isinstance(other, CharPoly) else NotImplemented
 
     def __neg__(self):
         return CharPoly({mu: -c for mu, c in self.terms.items()})

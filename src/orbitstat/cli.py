@@ -14,6 +14,10 @@ All quantities are exact rationals; text output appends a 6-place decimal for
 non-integers and JSON carries numerator and denominator.  Output is byte
 identical from run to run unless --timing is given.  Exit status is 0 on
 success, 1 on errors or on any disagreement between routes.
+
+Each handler writes every `key = value` field once, through _put (or
+_put_frac for a rational), which adds it to the text lines and to the JSON
+payload together, so the two formats list the same fields in one order.
 """
 
 from __future__ import annotations
@@ -73,15 +77,6 @@ def _exact_text(fr: Fraction) -> str:
     return f"{fr} ({_decimal6(fr)})"
 
 
-def _frac_text(value, name: str) -> str:
-    return _printed(Fraction(value), f"{name} needs an integer of", _exact_text)
-
-
-def _frac_json(value) -> dict:
-    fr = Fraction(value)
-    return {"num": fr.numerator, "den": fr.denominator, "decimal": _decimal6(fr)}
-
-
 def _ctx(args):
     spec = f"q={args.q}"
     if args.mod:
@@ -111,18 +106,38 @@ def _stat(args) -> tuple[CharPoly, str]:
     return P, _printed(P, f"the statistic {args.stat or args.mu} has a coefficient of")
 
 
-def _add_values(lines, payload, values: dict[str, Fraction]) -> None:
+def _put(lines: list, payload: dict, key: str, value, text=None) -> None:
+    """Write one reported field: value to the JSON payload under key, and
+    `key = text` to the text lines, text defaulting to str(value)."""
+    lines.append(f"{key} = {value if text is None else text}")
+    payload[key] = value
+
+
+def _put_frac(lines: list, payload: dict, key: str, value) -> None:
+    """_put of an exact rational: numerator, denominator and decimal in the
+    JSON, _exact_text in the text, made first, so that a value too long to
+    print fails by name."""
+    fr = Fraction(value)
+    text = _printed(fr, f"{key} needs an integer of", _exact_text)
+    json_value = {"num": fr.numerator, "den": fr.denominator, "decimal": _decimal6(fr)}
+    _put(lines, payload, key, json_value, text)
+
+
+def _add_values(lines, payload, values: dict[str, Fraction]) -> int:
+    """Write the values of the routes run; with --method both, formula and
+    oracle, also whether they agree, the exit code being 1 when they do not."""
     payload["values"] = {}
     for name, val in values.items():
-        lines.append(f"{name} = {_frac_text(val, name)}")
-        payload["values"][name] = _frac_json(val)
+        _put_frac(lines, payload["values"], name, val)
+    if "formula" in values and "oracle" in values:
+        return _agree(lines, payload, values["formula"] == values["oracle"])
+    return 0
 
 
 def _agree(lines, payload, same: bool) -> int:
     """Record whether the formula and the oracle agree (--method both); the
     exit code is 1 when they do not."""
-    lines.append(f"agree = {'yes' if same else 'NO'}")
-    payload["agree"] = same
+    _put(lines, payload, "agree", same, "yes" if same else "NO")
     return 0 if same else 1
 
 
@@ -134,27 +149,20 @@ def cmd_factor(args):
     ctx = _ctx(args)
     f = parse_poly(args.poly, ctx)
     fac = factor(f)
-    spec = fac.spec
-    lines = [
-        f"field = {format_field_spec(ctx)}",
-        f"f = {format_poly(f)}",
-        f"factorization = {fac}",
-    ]
+    lines, payload = [], {}
+    _put(lines, payload, "field", format_field_spec(ctx))
+    _put(lines, payload, "f", format_poly(f))
+    lines.append(f"factorization = {fac}")
+    payload["unit"] = ctx.element_text(fac.unit)
+    payload["factors"] = []
     for p, r in fac.factors:
         lines.append(f"  {format_poly(p)}  degree={p.degree} multiplicity={r}")
-    lines.append(f"blocks = {spec}")
-    lines.append(f"squarefree = {'yes' if fac.is_squarefree else 'no'}")
-    payload = {
-        "field": format_field_spec(ctx),
-        "f": format_poly(f),
-        "unit": ctx.element_text(fac.unit),
-        "factors": [
+        payload["factors"].append(
             {"poly": format_poly(p), "degree": p.degree, "multiplicity": r}
-            for p, r in fac.factors
-        ],
-        "blocks": str(spec),
-        "squarefree": fac.is_squarefree,
-    }
+        )
+    _put(lines, payload, "blocks", str(fac.spec))
+    sqf = fac.is_squarefree
+    _put(lines, payload, "squarefree", sqf, "yes" if sqf else "no")
     return 0, payload, lines
 
 
@@ -169,8 +177,9 @@ def cmd_necklace(args):
         k += 1
     check_sieve_size(k, ctx)
     count_irreducibles(args.kmax, ctx)  # the top degree first: one sieve a halving
-    rows = []
-    lines = [f"field = {format_field_spec(ctx)}"]
+    lines, payload = [], {}
+    _put(lines, payload, "field", format_field_spec(ctx))
+    rows = payload["rows"] = []
     all_ok = True
     for k in range(1, args.kmax + 1):
         res = necklace_check(k, ctx)
@@ -183,7 +192,7 @@ def cmd_necklace(args):
             f"k={k} weighted_sum={res.lhs} q^k={res.rhs} {'ok' if ok else 'FAIL'}"
         )
     lines.append("identity = " + ("ok" if all_ok else "FAIL"))
-    payload = {"field": format_field_spec(ctx), "rows": rows, "all_ok": all_ok}
+    payload["all_ok"] = all_ok
     return (0 if all_ok else 1), payload, lines
 
 
@@ -200,21 +209,11 @@ def cmd_eval(args):
         values["symbolic"] = chi_symbolic(f, P, args.cap_terms)
     if args.method in ("oracle", "both"):
         values["oracle"] = chi_oracle(spec, P, args.cap_group)
-    lines = [
-        f"field = {format_field_spec(ctx)}",
-        f"f = {format_poly(f)}",
-        f"stat = {stat_text}",
-    ]
-    payload = {
-        "field": format_field_spec(ctx),
-        "f": format_poly(f),
-        "stat": stat_text,
-    }
-    _add_values(lines, payload, values)
-    code = 0
-    if args.method == "both":
-        code = _agree(lines, payload, values["formula"] == values["oracle"])
-    return code, payload, lines
+    lines, payload = [], {}
+    _put(lines, payload, "field", format_field_spec(ctx))
+    _put(lines, payload, "f", format_poly(f))
+    _put(lines, payload, "stat", stat_text)
+    return _add_values(lines, payload, values), payload, lines
 
 
 def cmd_ensemble(args):
@@ -222,32 +221,16 @@ def cmd_ensemble(args):
     P, stat_text = _stat(args)
     maxmult = parse_predicate(args.filter)
     total, count = ensemble_formula(args.d, ctx, P, maxmult, cap=args.cap_enum)
-    scaled = Fraction(total) / ctx.q ** args.d
-    lines = [
-        f"field = {format_field_spec(ctx)}",
-        f"d = {args.d}",
-        f"stat = {stat_text}",
-        f"filter = {args.filter}",
-        f"sum = {_frac_text(total, 'sum')}",
-        f"count = {_printed(count, 'count has')}",
-    ]
-    payload = {
-        "field": format_field_spec(ctx),
-        "d": args.d,
-        "stat": stat_text,
-        "filter": args.filter,
-        "sum": _frac_json(total),
-        "count": count,
-    }
-    if count:
-        mean = Fraction(total) / count
-        lines.append(f"mean = {_frac_text(mean, 'mean')}")
-        payload["mean"] = _frac_json(mean)
-    else:
-        lines.append("mean = n/a")
-        payload["mean"] = None
-    lines.append(f"scaled = {_frac_text(scaled, 'scaled')}")
-    payload["scaled"] = _frac_json(scaled)
+    lines, payload = [], {}
+    _put(lines, payload, "field", format_field_spec(ctx))
+    _put(lines, payload, "d", args.d)
+    _put(lines, payload, "stat", stat_text)
+    _put(lines, payload, "filter", args.filter)
+    _put_frac(lines, payload, "sum", total)
+    _put(lines, payload, "count", count, _printed(count, "count has"))
+    # count is q^d, or q^d - q^(d-m) >= 1 once d > m: never 0
+    _put_frac(lines, payload, "mean", Fraction(total) / count)
+    _put_frac(lines, payload, "scaled", Fraction(total) / ctx.q ** args.d)
     return 0, payload, lines
 
 
@@ -255,8 +238,10 @@ def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
     order_h = spec.order_h()
     order_text = _printed(order_h, "order_h has")
-    lines = [f"blocks = {spec}", f"n = {spec.n}", f"order_h = {order_text}"]
-    payload = {"blocks": str(spec), "n": spec.n, "order_h": order_h}
+    lines, payload = [], {}
+    _put(lines, payload, "blocks", str(spec))
+    _put(lines, payload, "n", spec.n)
+    _put(lines, payload, "order_h", order_h, order_text)
     if args.histogram:
         if args.method == "oracle":
             hist = coset_histogram(spec, args.cap_group)
@@ -273,8 +258,7 @@ def cmd_young(args):
             code = _agree(lines, payload, hist == coset_histogram(spec, args.cap_group))
         return code, payload, lines
     mu = MultiIndex.parse(args.mu)
-    lines.append(f"mu = {mu}")
-    payload["mu"] = str(mu)
+    _put(lines, payload, "mu", str(mu))
     values: dict[str, Fraction] = {}
     counted = mu.norm == spec.n
     if counted or args.method in ("formula", "both"):
@@ -283,14 +267,9 @@ def cmd_young(args):
         values["formula"] = formula
     if args.method in ("oracle", "both"):
         values["oracle"] = chi_oracle(spec, CharPoly.binom(mu), args.cap_group)
-    _add_values(lines, payload, values)
-    code = 0
-    if args.method == "both":
-        code = _agree(lines, payload, values["formula"] == values["oracle"])
+    code = _add_values(lines, payload, values)
     if counted:
-        cnt = class_count(spec, mu, formula)
-        lines.append(f"class_count = {cnt}")
-        payload["class_count"] = cnt
+        _put(lines, payload, "class_count", class_count(spec, mu, formula))
     return code, payload, lines
 
 

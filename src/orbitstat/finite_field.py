@@ -40,17 +40,9 @@ Q_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, plenty for n <= 2**16."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime: its one prime factor is n itself, found by the
+    trial division of prime_factors, plenty for n <= 2**16."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_power(q: int) -> tuple[int, int]:

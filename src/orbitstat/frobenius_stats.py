@@ -236,10 +236,12 @@ def ensemble_sum(
     factoring every f: the oracle for ensemble_formula."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    space = ctx.q ** d
-    if space > cap:
+    # q^d >= 2^d > cap once d passes the bit length of cap, so q^d is only
+    # built when it has at most about 16 times as many bits as cap
+    if d > cap.bit_length() or ctx.q ** d > cap:
         raise CapExceeded(
-            f"ensemble over {space} polynomials exceeds cap {cap}; raise it with --cap-enum"
+            f"ensemble over {ctx.q}^{d} polynomials exceeds cap {cap}; "
+            "raise it with --cap-enum"
         )
     tally = factored_types(d, ctx, maxmult)
     total = sum((n_f * chi_formula(spec, P) for spec, n_f in tally.items()), _F0)

@@ -4,6 +4,8 @@ Every check here compares two or three independently implemented ways of
 computing the same quantity and demands exact equality of rationals.  The
 default scales are the ones the acceptance suite runs at; smaller scales are
 available through keyword arguments (the CLI exposes a quick preset).
+Each check collects its failures in a list and ends through _verdict, which
+turns that list and the check's success detail into its CheckResult.
 """
 
 from __future__ import annotations
@@ -76,6 +78,17 @@ class CheckResult:
         return f"[{'ok' if self.ok else 'FAIL'}] {self.name}: {self.detail}"
 
 
+def _verdict(
+    name: str, bad: list, detail: str, failed: str = "mismatches: ", shown=3
+) -> CheckResult:
+    """The one ending of every check: ok with detail when bad is empty, else
+    a failure printing failed and the first shown entries of bad (all of them
+    when shown is None)."""
+    if bad:
+        return CheckResult(name, False, f"{failed}{bad[:shown]}")
+    return CheckResult(name, True, detail)
+
+
 def _field(q: int) -> FieldCtx:
     p, e = prime_power(q)
     return make_field(p, e)
@@ -140,11 +153,8 @@ def check_necklace(qs: Sequence[int] = (2, 3, 4, 5), kmax: int = 8) -> CheckResu
             sieved = count_irreducibles(k, ctx)
             if sieved != necklace_count(k, q):
                 bad.append((q, k, "N_k", sieved, necklace_count(k, q)))
-    if bad:
-        return CheckResult("necklace-count", False, f"failed at {bad}")
-    return CheckResult(
-        "necklace-count", True, f"{n} count identities hold for q in {tuple(qs)}, k <= {kmax}"
-    )
+    detail = f"{n} count identities hold for q in {tuple(qs)}, k <= {kmax}"
+    return _verdict("necklace-count", bad, detail, "failed at ", None)
 
 
 def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResult:
@@ -170,13 +180,8 @@ def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> Check
                 n += 1
                 if not ens == sym == prod_form:
                     bad.append((q, d, str(mu), ens, sym, prod_form))
-    if bad:
-        return CheckResult("equal-expectation", False, f"mismatches: {bad[:3]}")
-    return CheckResult(
-        "equal-expectation",
-        True,
-        f"{n} means agree across ensemble, symmetric-group, and product routes",
-    )
+    detail = f"{n} means agree across ensemble, symmetric-group, and product routes"
+    return _verdict("equal-expectation", bad, detail)
 
 
 def check_chi_routes(
@@ -201,14 +206,11 @@ def check_chi_routes(
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))
-    if bad:
-        return CheckResult("chi-routes", False, f"mismatches: {bad[:3]}")
-    return CheckResult(
-        "chi-routes", True, f"{n} (f, mu) pairs agree across all three routes"
-    )
+    detail = f"{n} (f, mu) pairs agree across all three routes"
+    return _verdict("chi-routes", bad, detail)
 
 
-def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckResult:
+def check_coset_statistics(nmax: int = 8) -> CheckResult:
     """For every block spec: the closed-form histogram equals the enumerated
     one, the closed-form coset means of binom(X, mu), all read off one block
     product per spec, match the enumerated histogram, and for |mu| = n the
@@ -218,7 +220,7 @@ def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckRe
     bad = []
     nspecs = 0
     n = 0
-    for spec in enumerate_coset_specs(nmax, h_cap):
+    for spec in enumerate_coset_specs(nmax):
         hist = coset_histogram(spec)
         order = spec.order_h()
         nspecs += 1
@@ -245,13 +247,8 @@ def check_coset_statistics(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckRe
             total += cnt
         if total != order:
             bad.append(("total", str(spec), total, order))
-    if bad:
-        return CheckResult("coset-statistics", False, f"mismatches: {bad[:3]}")
-    return CheckResult(
-        "coset-statistics",
-        True,
-        f"{n} statistics verified against full enumeration of {nspecs} specs",
-    )
+    detail = f"{n} statistics verified against full enumeration of {nspecs} specs"
+    return _verdict("coset-statistics", bad, detail)
 
 
 def check_sym_expectation(rmax: int = 8) -> CheckResult:
@@ -273,17 +270,15 @@ def check_sym_expectation(rmax: int = 8) -> CheckResult:
             n += 1
             if closed != brute:
                 bad.append((r, str(mu), closed, brute))
-    if bad:
-        return CheckResult("sym-expectation", False, f"mismatches: {bad[:3]}")
-    return CheckResult("sym-expectation", True, f"{n} means agree for r <= {rmax}")
+    return _verdict("sym-expectation", bad, f"{n} means agree for r <= {rmax}")
 
 
-def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> CheckResult:
+def check_projection_measure(nmax: int = 8) -> CheckResult:
     """Cycle counts of tau*h decompose through the block projections, and the
     projection tuple map is exactly |H| / prod(r_i!) to one."""
     bad = []
     nspecs = 0
-    for spec in enumerate_coset_specs(nmax, h_cap):
+    for spec in enumerate_coset_specs(nmax):
         blocks = spec.blocks
         tables = slot_tables(spec)
         images = list(range(spec.n))
@@ -313,13 +308,8 @@ def check_projection_measure(nmax: int = 8, h_cap: int = DEFAULT_H_CAP) -> Check
             seen[ms] = seen.get(ms, 0) + 1
         if len(seen) != image_size or set(seen.values()) != {fiber}:
             bad.append(("fibers", str(spec), len(seen), sorted(set(seen.values()))))
-    if bad:
-        return CheckResult("projection-measure", False, f"mismatches: {bad[:3]}")
-    return CheckResult(
-        "projection-measure",
-        True,
-        f"cycle decomposition and uniform fibers hold for {nspecs} specs",
-    )
+    detail = f"cycle decomposition and uniform fibers hold for {nspecs} specs"
+    return _verdict("projection-measure", bad, detail)
 
 
 def check_generating_series(
@@ -333,13 +323,8 @@ def check_generating_series(
         for r in range(1, rmax + 1)
         if not g_series_identity_check(d, r, t_cap)
     ]
-    if bad:
-        return CheckResult("generating-series", False, f"failed at {bad}")
-    return CheckResult(
-        "generating-series",
-        True,
-        f"identity holds for d <= {dmax}, r <= {rmax}, weight cap {t_cap}",
-    )
+    detail = f"identity holds for d <= {dmax}, r <= {rmax}, weight cap {t_cap}"
+    return _verdict("generating-series", bad, detail, "failed at ", None)
 
 
 def _expectation_epsilon(g: Poly, n: int) -> Fraction:
@@ -369,11 +354,8 @@ def check_divisor_average(qs: Sequence[int] = (2, 3), nmax: int = 4) -> CheckRes
                     n += 1
                     if closed != brute:
                         bad.append((q, str(g), deg_f, closed, brute))
-    if bad:
-        return CheckResult("divisor-average", False, f"mismatches: {bad[:3]}")
-    return CheckResult(
-        "divisor-average", True, f"{n} symbol means agree for q in {tuple(qs)}, n <= {nmax}"
-    )
+    detail = f"{n} symbol means agree for q in {tuple(qs)}, n <= {nmax}"
+    return _verdict("divisor-average", bad, detail)
 
 
 def check_known_values(
@@ -420,9 +402,7 @@ def check_known_values(
                     n += 1
                     if got != want:
                         bad.append((q, str(f), str(mu), got, want))
-    if bad:
-        return CheckResult("known-values", False, f"mismatches: {bad[:3]}")
-    return CheckResult("known-values", True, f"{n} frozen values reproduced")
+    return _verdict("known-values", bad, f"{n} frozen values reproduced")
 
 
 def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResult:
@@ -443,13 +423,8 @@ def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResul
             n += 1
             if len(set(vals)) != 1:
                 bad.append((q, str(mu), vals))
-    if bad:
-        return CheckResult("stabilization", False, f"non-constant: {bad[:3]}")
-    return CheckResult(
-        "stabilization",
-        True,
-        f"{n} statistics constant in degree for q in {tuple(qs)}, d <= {dmax}",
-    )
+    detail = f"{n} statistics constant in degree for q in {tuple(qs)}, d <= {dmax}"
+    return _verdict("stabilization", bad, detail, "non-constant: ")
 
 
 # name -> (check, the keyword arguments of its quick scale); a full-scale run

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -245,6 +246,11 @@ def test_ensemble_frozen_values():
 def test_ensemble_cap():
     with pytest.raises(CapExceeded):
         ensemble_sum(25, F2, CharPoly.binom(mi("1:1")), cap=10 ** 6)
+    # the cap is decided before q^d is built: 3^(10^8) would take minutes
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="3\\^100000000 polynomials"):
+        ensemble_sum(10 ** 8, make_field(3), CharPoly())
+    assert time.perf_counter() - start < 1
 
 
 # -- ensembles by factorization types -----------------------------------------

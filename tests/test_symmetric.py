@@ -128,7 +128,7 @@ def test_multi_index_parse_and_str():
         MultiIndex.parse("0:1")
 
 
-def test_partition_counts():
+def test_partition_counts_up_to_8():
     for n, want in P_COUNTS.items():
         assert sum(1 for _ in partitions(n)) == want
     assert sum(1 for _ in multi_indices_up_to(6)) == sum(
