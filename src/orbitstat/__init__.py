@@ -59,7 +59,6 @@ from .symmetric import (
     MultiIndex,
     Permutation,
     enumerate_sn,
-    m_projection,
     multi_indices_up_to,
     partitions,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "format_poly",
     "g_series_identity_check",
     "is_irreducible",
-    "m_projection",
     "make_field",
     "multi_indices_up_to",
     "necklace_check",

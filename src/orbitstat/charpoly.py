@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded, read_int
+from .errors import CapExceeded, prints, read_int
 from .polynomial import signed_terms
 from .symmetric import DEFAULT_GROUP_CAP, MultiIndex, enumerate_sn, multi_indices_up_to
 
@@ -59,12 +59,6 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
-def _power_of_ten(digits: int) -> int:
-    """10^digits, the least integer with more than that many digits."""
-    return 10 ** digits
-
-
 def _check_expansion(powers: dict[int, int]) -> None:
     """Refuse the monomial prod_k X_k^{a_k} before its expansion is built:
     it has prod_k a_k binomial terms, and the term binom(X_k, a_k) of X_k^{a_k}
@@ -76,13 +70,12 @@ def _check_expansion(powers: dict[int, int]) -> None:
             f"the monomial {text} expands into {terms} binomial terms, beyond "
             f"the limit of {EXPANSION_LIMIT} a monomial, which no flag raises"
         )
-    digits = sys.get_int_max_str_digits()
     top = max(powers.values(), default=0)
-    if digits and math.factorial(top) >= _power_of_ten(digits):
+    if not prints(math.factorial(top)):
         raise CapExceeded(
             f"the monomial {text} expands with the coefficient {top}! of more "
-            f"than {digits} digits, Python's limit for printing an integer, "
-            "which no flag raises"
+            f"than {sys.get_int_max_str_digits()} digits, Python's limit for "
+            "printing an integer, which no flag raises"
         )
 
 

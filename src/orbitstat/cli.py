@@ -31,6 +31,7 @@ import time
 from fractions import Fraction
 
 from .charpoly import CharPoly
+from .errors import prints
 from .finite_field import format_field_spec, parse_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
@@ -84,16 +85,20 @@ def _ctx(args):
     return parse_field_spec(spec)
 
 
-def _printed(value, subject: str, show=str) -> str:
+def _printed(value, subject: str, show=str, ints=()) -> str:
     """show(value), or a one-line error when an integer in it has more digits
-    than Python prints; subject names the value, e.g. "order_h has"."""
+    than Python prints; subject names the value, e.g. "order_h has".  The
+    integers of ints are tested first, by errors.prints, so that a value
+    holding one too long fails before any of it is formatted."""
     try:
-        return show(value)
+        if all(map(prints, ints)):
+            return show(value)
     except ValueError:
-        raise ValueError(
-            f"{subject} more than {sys.get_int_max_str_digits()} digits, "
-            "Python's limit for printing an integer, which no flag raises"
-        ) from None
+        pass
+    raise ValueError(
+        f"{subject} more than {sys.get_int_max_str_digits()} digits, "
+        "Python's limit for printing an integer, which no flag raises"
+    )
 
 
 def _stat(args) -> tuple[CharPoly, str]:
@@ -103,7 +108,9 @@ def _stat(args) -> tuple[CharPoly, str]:
         P = CharPoly.binom(MultiIndex.parse(args.mu))
     else:
         P = CharPoly.parse(args.stat)
-    return P, _printed(P, f"the statistic {args.stat or args.mu} has a coefficient of")
+    subject = f"the statistic {args.stat or args.mu} has a coefficient of"
+    ints = [n for c in P.terms.values() for n in (c.numerator, c.denominator)]
+    return P, _printed(P, subject, ints=ints)
 
 
 def _put(lines: list, payload: dict, key: str, value, text=None) -> None:

@@ -1,6 +1,8 @@
-"""Shared exception types, and the one reader of decimal literals."""
+"""Shared exception types, the one reader of decimal literals, and the one
+test of whether Python prints an integer."""
 
 import sys
+from functools import lru_cache
 
 
 class CapExceeded(ValueError):
@@ -36,3 +38,23 @@ def read_int(digits: str, source: str, what: str) -> int:
             f"digits, more than {sys.get_int_max_str_digits()}, Python's limit "
             "for reading an integer, which no flag raises"
         ) from None
+
+
+@lru_cache(maxsize=None)
+def _power_of_ten(digits: int) -> int:
+    """10^digits, the least integer with more than that many digits."""
+    return 10 ** digits
+
+
+def prints(value: int) -> bool:
+    """Whether str(value) is within Python's limit on the digits of an
+    integer it prints.  A b-bit integer has more than (b - 1) log10(2) and
+    less than b log10(2) + 1 digits, so the bit length decides, and only
+    an integer near the limit is compared with a power of ten."""
+    limit = sys.get_int_max_str_digits()
+    bits = abs(value).bit_length()
+    if not limit or bits * 0.30103 + 1 <= limit:
+        return True
+    if (bits - 1) * 0.30102 >= limit:
+        return False
+    return abs(value) < _power_of_ten(limit)

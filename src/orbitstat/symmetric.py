@@ -9,9 +9,12 @@ A CosetSpec is a multiset of blocks (d_i, r_i).  Block i contributes the index
 points {(i, j, k) : 0 <= j < r_i, 0 <= k < d_i}.  The subgroup H is the
 product of one copy of S_{r_i} per slot (i, k), acting on the j coordinate,
 and tau is the block-cycling permutation (i, j, k) -> (i, j, k+1 mod d_i),
-which normalizes H.  The statistics downstream live on the coset tau*H; the
-enumeration oracles flatten its points with young_stats.slot_tables, and H
-here is a tuple of slots (enumerate_h_structured), not a permutation.
+which normalizes H.  The statistics downstream live on the coset tau*H,
+which young_stats.walk_coset walks slot by slot on the points laid out by
+young_stats.slot_tables; no element of H is built here.
+
+cycle_lengths is the one cycle counter: Permutation.cycle_type counts
+through it, and so do the coset walks, on plain image lists.
 """
 
 from __future__ import annotations
@@ -60,28 +63,32 @@ class Permutation:
             out[y] = x
         return Permutation(tuple(out))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition, each cycle starting at its smallest point."""
-        seen = set()
-        out = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen.add(x)
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
-
     def cycle_type(self) -> "MultiIndex":
         counts: dict[int, int] = {}
-        for cyc in self.cycles():
-            counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-        return MultiIndex.from_dict(counts)
+        for length in cycle_lengths(self.images):
+            counts[length] = counts.get(length, 0) + 1
+        # the lengths come sorted, so the counts are already in k order
+        return _multi_index(tuple(counts.items()))
+
+
+def cycle_lengths(images) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation with these images: the one
+    cycle counter, for Permutation.cycle_type and for the image lists of the
+    coset walks."""
+    seen = bytearray(len(images))
+    lengths = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = images[x]
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return tuple(lengths)
 
 
 @dataclass(frozen=True, order=True)
@@ -275,41 +282,6 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
 def _sn_list(r: int) -> tuple[Permutation, ...]:
     """S_r in enumerate_sn order, with no cap: its callers check |H| first."""
     return tuple(_sn(r))
-
-
-StructuredH = tuple  # per block: a tuple of d_i permutations of {0..r_i-1}
-
-
-def enumerate_h_structured(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Iterator[StructuredH]:
-    """H as slot tuples, one S_{r_i} element per (block, k) slot.
-
-    The last slot varies fastest; each slot runs in enumerate_sn order.
-    """
-    if spec.order_h() > cap:
-        raise CapExceeded(f"|H| = {spec.order_h()} exceeds cap {cap}; raise it with --cap-group")
-    slot_pools = []
-    for d, r in spec.blocks:
-        slot_pools.extend([_sn_list(r)] * d)
-    shape = [d for d, _ in spec.blocks]
-    for flat in itertools.product(*slot_pools):
-        out = []
-        pos = 0
-        for d in shape:
-            out.append(tuple(flat[pos : pos + d]))
-            pos += d
-        yield tuple(out)
-
-
-def m_projection(h: StructuredH, spec: CosetSpec, i: int) -> Permutation:
-    """Collapse block i of h to one S_{r_i} element.
-
-    Walking the slots in k order composes them with the later slot on the
-    left, which is exactly how tau*h moves the j coordinate around block i.
-    """
-    images = tuple(range(spec.blocks[i][1]))
-    for perm in h[i]:
-        images = tuple(perm.images[y] for y in images)
-    return Permutation(images)
 
 
 def centralizer_order(mu: MultiIndex) -> int:

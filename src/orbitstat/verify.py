@@ -47,9 +47,8 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     block_multisets,
-    enumerate_h_structured,
+    cycle_lengths,
     enumerate_sn,
-    m_projection,
     multi_indices_up_to,
     partitions,
 )
@@ -57,12 +56,9 @@ from .young_stats import (
     class_count,
     coset_histogram,
     coset_means,
-    cycle_lengths,
     cycle_type_distribution,
-    slot_tables,
+    walk_coset,
 )
-
-DEFAULT_H_CAP = 10 ** 4
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -94,12 +90,27 @@ def _field(q: int) -> FieldCtx:
     return make_field(p, e)
 
 
-def enumerate_coset_specs(nmax: int, h_cap: int = DEFAULT_H_CAP) -> Iterator[CosetSpec]:
-    """All block multisets with 1 <= sum(d*r) <= nmax and |H| <= h_cap."""
+def enumerate_coset_specs(nmax: int) -> Iterator[CosetSpec]:
+    """All block multisets with 1 <= sum(d*r) <= nmax and |H| <= 10^4."""
     for n in range(1, nmax + 1):
         for spec in block_multisets(n):
-            if spec.order_h() <= h_cap:
+            if spec.order_h() <= 10 ** 4:
                 yield spec
+
+
+def _block_projections(blocks, entries) -> tuple[tuple[int, ...], ...]:
+    """The projection of each block of h to S_r, as an image tuple: the
+    sigmas of its slots, read off walk_coset's (sigma, images) entries and
+    composed in k order with the later slot on the left, which is how tau*h
+    moves the j coordinate around the block."""
+    out = []
+    slots = iter(entries)
+    for d, r in blocks:
+        images = range(r)
+        for sigma, _ in itertools.islice(slots, d):
+            images = tuple(map(sigma.images.__getitem__, images))
+        out.append(images)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -257,10 +268,7 @@ def check_sym_expectation(rmax: int = 8) -> CheckResult:
     bad = []
     n = 0
     for r in range(1, rmax + 1):
-        hist: dict[MultiIndex, int] = {}
-        for sigma in enumerate_sn(r):
-            ct = sigma.cycle_type()
-            hist[ct] = hist.get(ct, 0) + 1
+        hist = Counter(sigma.cycle_type() for sigma in enumerate_sn(r))
         order = math.factorial(r)
         for mu in multi_indices_up_to(r + 1):
             closed = sn_expectation_closed(mu, r)
@@ -280,24 +288,17 @@ def check_projection_measure(nmax: int = 8) -> CheckResult:
     nspecs = 0
     for spec in enumerate_coset_specs(nmax):
         blocks = spec.blocks
-        tables = slot_tables(spec)
-        images = list(range(spec.n))
         order = spec.order_h()
-        image_size = 1
-        for _, r in blocks:
-            image_size *= math.factorial(r)
+        image_size = math.prod(math.factorial(r) for _, r in blocks)
         fiber = order // image_size
         seen: dict[tuple, int] = {}
         nspecs += 1
-        for h in enumerate_h_structured(spec):
-            for (sl, table), sigma in zip(tables, itertools.chain.from_iterable(h)):
-                images[sl] = table[sigma]
-            ms = tuple(m_projection(h, spec, i) for i in range(len(blocks)))
+        for entries, images in walk_coset(spec):
+            ms = _block_projections(blocks, entries)
             # each l-cycle of block i's projection is a (d_i * l)-cycle of tau*h
-            predicted = Counter()
-            for (d, _), m in zip(blocks, ms):
-                for ell, count in m.cycle_type().items():
-                    predicted[d * ell] += count
+            predicted = Counter(
+                d * ell for (d, _), m in zip(blocks, ms) for ell in cycle_lengths(m)
+            )
             ct = Counter(cycle_lengths(images))
             if ct != predicted:
                 bad.extend(

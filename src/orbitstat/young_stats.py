@@ -34,26 +34,25 @@ together.  The oracle walks each distinct block's coset on its own d*r points,
 all (r!)^d elements of it, tallies their sorted cycle lengths, and convolves
 the tallies over the blocks.  It relies on no fact about S_r: block
 independence is the one step it shares with the closed forms, and verify's
-projection-measure check tests that step on every h of the whole H.  Each
-walk is in enumerate_h_structured order on plain image lists: a table per
-slot (slot_tables), built before the walk, gives the images of tau*h on that
-slot's points for each element of S_r, so each tau*h is written slot by slot
-into one reused list and its cycles are counted there (cycle_lengths), with
-no Permutation per element.
+projection-measure check tests that step on every h of the whole H.  Both
+run on walk_coset, the one walk of a coset: a product of one table per slot
+(slot_tables) writes each tau*h slot by slot into one reused list of images,
+whose cycles symmetric.cycle_lengths counts, with no Permutation per element.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .charpoly import _mul_truncated
-from .errors import CapExceeded
+from .errors import CapExceeded, prints
 from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
@@ -61,6 +60,7 @@ from .symmetric import (
     _multi_index,
     _sn_list,
     centralizer_order,
+    cycle_lengths,
     partition_counts,
     partitions,
 )
@@ -210,10 +210,10 @@ def class_count(spec: CosetSpec, mu: MultiIndex, mean: Fraction) -> int:
 
 
 def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
-    """One table per slot (block i, position k), in enumerate_h_structured
-    order: the slice of the points (i, j, k), j < r_i, and for each sigma of
-    S_{r_i}, in enumerate_sn order, the images of tau*h on those points when h
-    holds sigma in that slot.  The points are flattened to 0, ..., N-1 in
+    """One table per slot (block i, position k), in walk_coset order: the
+    slice of the points (i, j, k), j < r_i, and for each sigma of S_{r_i},
+    in enumerate_sn order, the images of tau*h on those points when h holds
+    sigma in that slot.  The points are flattened to 0, ..., N-1 in
     lexicographic (i, j, k) order."""
     tables = []
     base = 0
@@ -229,35 +229,39 @@ def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
     return tables
 
 
-def cycle_lengths(images: list[int]) -> tuple[int, ...]:
-    """Sorted cycle lengths of the permutation with these images."""
-    seen = bytearray(len(images))
-    lengths = []
-    for start, done in enumerate(seen):
-        if done:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = images[x]
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    return tuple(lengths)
+def _check_order(spec: CosetSpec, cap: int) -> None:
+    """Refuse |H| > cap, naming --cap-group, and an |H| too long to print by
+    its spec."""
+    order = spec.order_h()
+    if order > cap:
+        what = f"|H| = {order}" if prints(order) else (
+            f"|H| of {spec}, a number of more than {sys.get_int_max_str_digits()} digits,"
+        )
+        raise CapExceeded(f"{what} exceeds cap {cap}; raise it with --cap-group")
+
+
+def walk_coset(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple]:
+    """Every h of H, refused when |H| > cap: one S_{r_i} element per slot,
+    the last slot varying fastest and each in enumerate_sn order.  Each h
+    comes as its slots' (sigma, images) entries of slot_tables and the
+    images of tau*h on all N points, one list rewritten in place for each h."""
+    _check_order(spec, cap)
+    tables = slot_tables(spec)
+    slices = [sl for sl, _ in tables]
+    images = list(range(spec.n))
+    for entries in itertools.product(*(table.items() for _, table in tables)):
+        for sl, (_, values) in zip(slices, entries):
+            images[sl] = values
+        yield entries, images
 
 
 @lru_cache(maxsize=None)
 def _block_tally(d: int, r: int) -> Mapping[tuple[int, ...], int]:
     """Sorted cycle lengths of tau*h -> count, over all (r!)^d elements h of
-    the one-block coset (d, r), met in enumerate_h_structured order."""
-    tables = slot_tables(CosetSpec(((d, r),)))
-    slices = [sl for sl, _ in tables]
-    images = list(range(d * r))
+    the one-block coset (d, r), met in walk_coset order.  Its caller has
+    checked the whole |H|, so the block's own order is its cap."""
     tally: dict[tuple[int, ...], int] = {}
-    for choice in itertools.product(*(table.values() for _, table in tables)):
-        for sl, values in zip(slices, choice):
-            images[sl] = values
+    for _, images in walk_coset(CosetSpec(((d, r),)), math.factorial(r) ** d):
         key = cycle_lengths(images)
         tally[key] = tally.get(key, 0) + 1
     return MappingProxyType(tally)
@@ -266,11 +270,9 @@ def _block_tally(d: int, r: int) -> Mapping[tuple[int, ...], int]:
 def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by direct enumeration of
     each block's coset, convolved over the blocks in order.  The counts come
-    in the order in which a walk of all of H in enumerate_h_structured order
-    first meets each cycle type."""
-    order = spec.order_h()
-    if order > cap:
-        raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
+    in the order in which a walk_coset of all of H first meets each cycle
+    type."""
+    _check_order(spec, cap)
     tally: dict[tuple[int, ...], int] = {(): 1}
     for d, r in spec.blocks:
         block = _block_tally(d, r).items()

@@ -1,15 +1,16 @@
 """Test oracles for charpoly, symmetric, young_stats and frobenius_stats.
 
-tau and structured_to_permutation build tau and each h of H as whole
-Permutations of the N points, flattened in lexicographic (i, j, k) order:
-the tests' own copy of the point layout, against which young_stats'
-slot_tables is checked.
+h_by_slots lists H as the product of enumerate_sn per slot, each h a tuple
+of blocks, each block a tuple of its d slots' elements of S_r: the tests'
+own copy of the order of young_stats.walk_coset.  tau and
+structured_to_permutation build tau and each such h as whole Permutations of
+the N points, flattened in lexicographic (i, j, k) order: the tests' own
+copy of the point layout, against which young_stats' slot_tables is checked.
 
 whole_coset_histogram is the oracle for coset_histogram, which walks each
 block's coset on its own and convolves the results.  This walks every h of
-the whole H at once, in enumerate_h_structured order, with no use of block
-independence beyond the slot tables, and counts the cycles of each tau*h on
-all n points.
+the whole H at once on walk_coset, with no use of block independence beyond
+the slot tables, and counts the cycles of each tau*h on all n points.
 
 sn_expectation_oracle is the S_r mean of binom(X, mu) by enumerating S_r,
 and count_cycle_type_in_coset the number of elements of tau*H of one cycle
@@ -40,7 +41,6 @@ from functools import lru_cache
 from typing import Optional
 
 from orbitstat.charpoly import CharPoly, binom_eval, sn_expectation_closed
-from orbitstat.errors import CapExceeded
 from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, factorization_types
 from orbitstat.polynomial import divisors, necklace_count
 from orbitstat.symmetric import (
@@ -48,16 +48,15 @@ from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
     Permutation,
-    StructuredH,
+    cycle_lengths,
     enumerate_sn,
 )
 from orbitstat.young_stats import (
     _block_reach,
     class_count,
-    cycle_lengths,
     cycle_type_distribution,
     expected_binom_on_coset,
-    slot_tables,
+    walk_coset,
 )
 
 
@@ -83,7 +82,20 @@ def tau(spec: CosetSpec) -> Permutation:
     return Permutation(tuple(images))
 
 
-def structured_to_permutation(spec: CosetSpec, h: StructuredH) -> Permutation:
+def h_by_slots(spec: CosetSpec):
+    """Every h of H, one element of S_r per slot (block i, position k), the
+    last slot varying fastest and each in enumerate_sn order, as a tuple of
+    blocks, each a tuple of its d slots' elements."""
+    pools = [tuple(enumerate_sn(r)) for d, r in spec.blocks for _ in range(d)]
+    for flat in itertools.product(*pools):
+        h = []
+        for d, _ in spec.blocks:
+            h.append(flat[:d])
+            flat = flat[d:]
+        yield tuple(h)
+
+
+def structured_to_permutation(spec: CosetSpec, h: tuple) -> Permutation:
     """Flatten a slot tuple to a permutation of the N points."""
     images = [0] * spec.n
     offs = _offsets(spec)
@@ -119,18 +131,10 @@ def whole_coset_histogram(
     spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP
 ) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by direct enumeration: h
-    runs in enumerate_h_structured order, and each tau*h is written slot by
-    slot into one list of images."""
-    order = spec.order_h()
-    if order > cap:
-        raise CapExceeded(f"|H| = {order} exceeds cap {cap}; raise it with --cap-group")
-    tables = slot_tables(spec)
-    slices = [sl for sl, _ in tables]
-    images = list(range(spec.n))
+    runs in walk_coset order, and each tau*h is counted on its list of
+    images."""
     tally: dict[tuple[int, ...], int] = {}
-    for choice in itertools.product(*(table.values() for _, table in tables)):
-        for sl, values in zip(slices, choice):
-            images[sl] = values
+    for _, images in walk_coset(spec, cap):
         key = cycle_lengths(images)
         tally[key] = tally.get(key, 0) + 1
     return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}

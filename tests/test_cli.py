@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from orbitstat import finite_field, young_stats
+from orbitstat import cli, finite_field, young_stats
 from orbitstat.cli import main
+from orbitstat.errors import prints
 
 
 def run(capsys, *argv):
@@ -585,6 +586,10 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
              "--cap-group", "2"),
             ["--cap-group"],
         ),
+        (
+            ("eval", "--q", "2", "t^2000", "--mu", "1:1", "--method", "oracle"),
+            ["--cap-group", "1^2000", f"{sys.get_int_max_str_digits()} digits"],
+        ),
         (("necklace", "--q", "65521", "--kmax", "2"), ["sieve limit", "no flag"]),
         (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
         (("eval", "--q", "2", "t^2+1", "--stat", "X1^999999"), ["limit", "no flag"]),
@@ -601,9 +606,9 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
         (("ensemble", "--q", "3", "--d", "9013", "--mu", "1:1"), ["3^9013", "limit", "no flag"]),
     ],
     ids=[
-        "ensemble", "symbolic", "coset", "histogram", "sieve", "histogram-limit",
-        "expansion-terms", "expansion-variables", "expansion-factorial", "degree-limit",
-        "filter", "ensemble-count",
+        "ensemble", "symbolic", "coset", "histogram", "coset-unprintable", "sieve",
+        "histogram-limit", "expansion-terms", "expansion-variables", "expansion-factorial",
+        "degree-limit", "filter", "ensemble-count",
     ],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):
@@ -612,6 +617,37 @@ def test_cap_errors_name_their_flag(capsys, argv, words):
     assert err.startswith("error: ") and err.count("\n") == 1
     for word in words:
         assert word in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monkeypatch):
+    # each coefficient is tested by its bit length, so the text of a
+    # statistic with one too long is never built
+    def formatted(self):
+        raise AssertionError("the statistic was formatted")
+
+    monkeypatch.setattr(cli.CharPoly, "__str__", formatted)
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1500")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: the statistic X1^1500 has a coefficient of more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an "
+        "integer, which no flag raises\n"
+    )
+
+
+def test_prints_agrees_with_str_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    edge = 10 ** limit
+    for bits in range(edge.bit_length() - 8, edge.bit_length() + 8):
+        for value in (2 ** bits - 1, 2 ** bits, 3 << (bits - 2), edge - 1, edge, edge + 1):
+            for signed in (value, -value):
+                try:
+                    shown = bool(str(signed))
+                except ValueError:
+                    shown = False
+                assert prints(signed) == shown, (bits, value == edge)
+    assert prints(0) and prints(-1) and not prints(2 ** 10 ** 6)
 
 
 def test_huge_monomial_ends_without_a_traceback(capsys):

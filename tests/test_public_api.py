@@ -37,7 +37,6 @@ PUBLIC = [
     "format_poly",
     "g_series_identity_check",
     "is_irreducible",
-    "m_projection",
     "make_field",
     "multi_indices_up_to",
     "necklace_check",

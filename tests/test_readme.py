@@ -43,3 +43,37 @@ def test_module_map_names_every_module():
     mapped = re.findall(r"^- `(\w+)`:", section, re.M)
     assert len(mapped) == len(set(mapped))
     assert set(mapped) == modules
+
+
+def test_module_map_names_only_what_exists():
+    """Every backticked identifier of the module map (and its note on the test
+    oracles) names a module of the package, something defined in one, or in
+    tests/coset_walk.py or tests/symbol_sum.py; a bare name may be a method
+    of any of their classes, a dotted one is looked up part by part."""
+    import importlib
+
+    import coset_walk
+    import symbol_sum
+
+    names = {path.stem for path in (ROOT / "src" / "orbitstat").glob("*.py")}
+    names -= {"__init__", "__main__"}
+    modules = {name: importlib.import_module(f"orbitstat.{name}") for name in names}
+    scopes = [*modules.values(), coset_walk, symbol_sum]
+    classes = [v for scope in scopes for v in vars(scope).values() if isinstance(v, type)]
+    section = README.split("Module map:\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", section)
+    idents = [s for s in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", s)]
+    assert len(idents) >= 50
+
+    def resolves(ident):
+        head, *rest = ident.split(".")
+        found = [modules[head]] if head in modules else [
+            vars(scope)[head] for scope in scopes if head in vars(scope)
+        ]
+        if not rest:
+            return bool(found) or any(hasattr(cls, head) for cls in classes)
+        for part in rest:
+            found = [getattr(obj, part) for obj in found if hasattr(obj, part)]
+        return bool(found)
+
+    assert [ident for ident in idents if not resolves(ident)] == []

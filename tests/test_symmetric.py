@@ -20,17 +20,16 @@ from orbitstat.symmetric import (
     block_multisets,
     centralizer_order,
     count_block_multisets,
-    enumerate_h_structured,
     enumerate_sn,
-    m_projection,
     multi_indices_up_to,
     partition_counts,
     partitions,
     _sn_list,
 )
-from orbitstat.young_stats import coset_histogram
+from orbitstat.verify import _block_projections
+from orbitstat.young_stats import coset_histogram, walk_coset
 
-from coset_walk import structured_to_permutation, tau
+from coset_walk import h_by_slots, structured_to_permutation, tau
 
 P_COUNTS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22}
 
@@ -69,7 +68,6 @@ def test_composition_associative(a, b, c):
 
 def test_cycles_and_cycle_type():
     s = Permutation((1, 0, 3, 4, 2, 5))
-    assert s.cycles() == [(0, 1), (2, 3, 4), (5,)]
     assert s.cycle_type() == MultiIndex.from_dict({1: 1, 2: 1, 3: 1})
     assert Permutation.identity(4).cycle_type() == MultiIndex.from_dict({1: 4})
 
@@ -210,12 +208,11 @@ def test_tau_cycle_type():
 def test_h_enumeration_counts_and_indexing():
     for text in ("1^2", "2^2", "1^2,2^1", "3^1,1^3"):
         spec = CosetSpec.parse(text)
-        hs = list(enumerate_h_structured(spec))
+        hs = [(entries, tuple(images)) for entries, images in walk_coset(spec)]
         assert len(hs) == spec.order_h()
         assert len(set(hs)) == len(hs)
-        for h in hs:
-            perm = structured_to_permutation(spec, h)
-            assert perm.n == spec.n
+        for _, images in hs:
+            assert sorted(images) == list(range(spec.n))
 
 
 # -- the coset, against a from-scratch membership test -----------------------
@@ -250,50 +247,58 @@ def test_coset_matches_membership_filter(text):
 
 def test_structured_h_flattens_to_distinct_permutations():
     spec = CosetSpec.parse("1^2,2^2")
-    hs = {structured_to_permutation(spec, h) for h in enumerate_h_structured(spec)}
+    hs = {structured_to_permutation(spec, h) for h in h_by_slots(spec)}
     assert len(hs) == 2 * 2 * 2
     assert Permutation.identity(spec.n) in hs
 
 
+def slots(*sigmas):
+    """Walk entries holding these slot elements; the projection reads only
+    the sigmas."""
+    return [(sigma, None) for sigma in sigmas]
+
+
 def test_m_projection_frozen_example():
     spec = CosetSpec(((2, 2),))
-    hs = list(enumerate_h_structured(spec))
-    for h in hs:
-        m = m_projection(h, spec, 0)
-        assert m.n == 2
+    ms = [_block_projections(spec.blocks, entries) for entries, _ in walk_coset(spec)]
+    assert len(ms) == 4
+    for (m,) in ms:
+        assert sorted(m) == [0, 1]
     # the projection of the identity is the identity
-    ident = hs[0]
-    assert m_projection(ident, spec, 0) == Permutation.identity(2)
+    assert ms[0] == ((0, 1),)
 
 
 def test_m_projection_composes_slots_in_order():
     # one block (2, 2): slots are the two positions, each holding an S_2
     # element; the projection multiplies position 1 after position 0
-    spec = CosetSpec(((2, 2),))
+    blocks = ((2, 2),)
     swap = Permutation((1, 0))
     ident = Permutation.identity(2)
-    for slots, want in [
-        ((swap, ident), swap),
-        ((ident, swap), swap),
-        ((swap, swap), ident),
+    for h, want in [
+        (slots(swap, ident), swap),
+        (slots(ident, swap), swap),
+        (slots(swap, swap), ident),
     ]:
-        h = (slots,)
-        assert m_projection(h, spec, 0) == want
+        assert _block_projections(blocks, h) == (want.images,)
 
 
 def test_m_projection_puts_later_slots_on_the_left():
-    # S_3 does not commute, so the order of the slots shows
-    spec = CosetSpec(((2, 3),))
+    # S_3 does not commute, so the order of the slots shows, in a block with
+    # d = 2 after a block with d = 1 and before one with d = 3
     a, b = Permutation((1, 2, 0)), Permutation((1, 0, 2))
     assert b * a != a * b
-    assert m_projection(((a, b),), spec, 0) == b * a
+    assert _block_projections(((2, 3),), slots(a, b)) == ((b * a).images,)
+    blocks = ((1, 2), (2, 3), (3, 3))
+    swap = Permutation((1, 0))
+    h = slots(swap, a, b, a, b, b)
+    assert _block_projections(blocks, h) == (swap.images, (b * a).images, (b * b * a).images)
 
 
 def test_enumeration_caps_name_the_flag():
     with pytest.raises(CapExceeded, match="--cap-group"):
         list(enumerate_sn(5, cap=100))
     with pytest.raises(CapExceeded, match="--cap-group"):
-        list(enumerate_h_structured(CosetSpec.parse("1^4"), cap=10))
+        list(walk_coset(CosetSpec.parse("1^4"), cap=10))
 
 
 def test_block_multisets_are_the_specs_of_total_n():

@@ -18,7 +18,6 @@ from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
     centralizer_order,
-    enumerate_h_structured,
     multi_indices_up_to,
     partitions,
 )
@@ -34,12 +33,14 @@ from orbitstat.young_stats import (
     cycle_type_distribution,
     expected_binom_on_coset,
     slot_tables,
+    walk_coset,
 )
 
 from coset_walk import (
     count_cycle_type_in_coset,
     ensemble_walk,
     expected_k_cycles,
+    h_by_slots,
     structured_to_permutation,
     tau,
     whole_coset_histogram,
@@ -262,7 +263,7 @@ def reference_histogram(s):
     """Cycle types of tau*h, with each h built and composed as a Permutation."""
     cycling = tau(s)
     hist = {}
-    for h in enumerate_h_structured(s):
+    for h in h_by_slots(s):
         ct = (cycling * structured_to_permutation(s, h)).cycle_type()
         hist[ct] = hist.get(ct, 0) + 1
     return hist
@@ -278,14 +279,18 @@ def test_enumeration_matches_composed_permutations_on_every_small_spec():
 
 def test_slot_tables_hold_the_images_of_tau_h_on_each_slot():
     """Entry sigma of a slot's table is tau*h on that slot's points, for h
-    composed as a Permutation, on every h of every spec with n <= 6."""
+    composed as a Permutation, on every h of every spec with n <= 6; and
+    walk_coset meets the h in the order of the product of enumerate_sn per
+    slot, each as its slots' table entries and the images of tau*h."""
     for s in enumerate_coset_specs(6):
         cycling = tau(s)
         tables = slot_tables(s)
-        for h in enumerate_h_structured(s):
-            images = (cycling * structured_to_permutation(s, h)).images
-            for (sl, table), sigma in zip(tables, itertools.chain.from_iterable(h)):
-                assert table[sigma] == images[sl], (str(s), h)
+        for (entries, images), h in zip(walk_coset(s), h_by_slots(s), strict=True):
+            want = (cycling * structured_to_permutation(s, h)).images
+            sigmas = tuple(itertools.chain.from_iterable(h))
+            for (sl, table), sigma, entry in zip(tables, sigmas, entries, strict=True):
+                assert table[sigma] == want[sl] and entry == (sigma, table[sigma]), (str(s), h)
+            assert tuple(images) == want, (str(s), h)
 
 
 def test_per_block_histogram_equals_the_whole_walk_on_every_small_spec():
