@@ -285,12 +285,13 @@ def g_series_identity_check(
     together bound e, and with it every a_l, by one box."""
     if d < 1 or r < 0 or t_degree_cap < 0:
         raise ValueError("need d >= 1, r >= 0 and t_degree_cap >= 0")
+    group = enumerate_sn(r, cap)  # refuses r! > cap before the r + 1 tuples of z
     top = (min(r, t_degree_cap // d),) * (r + 1)
     one = (0,) * (r + 1)
     z = {ell: (ell,) + one[1:ell] + (1,) + one[ell + 1 :] for ell in range(1, r + 1)}
     total: dict[tuple[int, ...], Fraction] = {}
     count = 0
-    for sigma in enumerate_sn(r, cap):
+    for sigma in group:
         prod = {one: _F1}
         for ell, m in sigma.cycle_type().items():
             for _ in range(m):

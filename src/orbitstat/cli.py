@@ -13,7 +13,13 @@ Subcommands:
 All quantities are exact rationals; text output appends a 6-place decimal for
 non-integers and JSON carries numerator and denominator.  Output is byte
 identical from run to run unless --timing is given.  Exit status is 0 on
-success, 1 on errors or on any disagreement between routes.
+success, 1 on errors or on any disagreement between routes, and 2 on a
+malformed command line, which argparse ends with a usage line.
+
+Each command has its own parser, built from one table (_COMMANDS) on first
+use, and a well-formed command line runs only that parser.  The whole tree,
+built from the same table, answers the rest (no arguments, -h, an unknown
+command, leftover arguments) in its own words.
 
 Each handler writes every `key = value` field once, through _put (or
 _put_frac for a rational), which adds it to the text lines and to the JSON
@@ -296,7 +302,7 @@ def cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parsers
 # ---------------------------------------------------------------------------
 
 def _add_common(p, field=True):
@@ -324,23 +330,17 @@ def _add_stat_group(p):
     g.add_argument("--stat", help="statistic expression, e.g. 'X1 + 2*binom(2:1)'")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="orbitstat",
-        description="Exact cycle statistics of polynomial factorizations "
-        "over finite fields.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("factor", help="factor a polynomial")
+def _add_factor(p):
     p.add_argument("poly", help="polynomial, e.g. 't^4+t' or '[0,1,0,0,1]'")
     _add_common(p)
 
-    p = sub.add_parser("necklace", help="irreducible counts and the count identity")
+
+def _add_necklace(p):
     p.add_argument("--kmax", type=int, default=8, help="largest degree checked")
     _add_common(p)
 
-    p = sub.add_parser("eval", help="coset statistics of one polynomial")
+
+def _add_eval(p):
     p.add_argument("poly", help="monic polynomial")
     _add_stat_group(p)
     p.add_argument(
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-terms", type=int, default=DEFAULT_TERM_CAP)
     _add_common(p)
 
-    p = sub.add_parser("ensemble", help="sum a statistic over monic polynomials")
+
+def _add_ensemble(p):
     p.add_argument("--d", type=int, required=True, help="degree of the ensemble")
     _add_stat_group(p)
     p.add_argument(
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
 
-    p = sub.add_parser("young", help="statistics of a block coset")
+
+def _add_young(p):
     p.add_argument("--blocks", required=True, help="block spec, e.g. 1^2,2^1")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mu", help="cycle-count multi-index")
@@ -389,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
     _add_common(p, field=False)
 
-    p = sub.add_parser("verify", help="run the cross-validation battery")
+
+def _add_verify(p):
     p.add_argument("--quick", action="store_true", help="reduced scales")
     p.add_argument(
         "--checks",
@@ -398,31 +401,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, field=False)
 
-    return ap
 
-
-_HANDLERS = {
-    "factor": cmd_factor,
-    "necklace": cmd_necklace,
-    "eval": cmd_eval,
-    "ensemble": cmd_ensemble,
-    "young": cmd_young,
-    "verify": cmd_verify,
+# name -> (handler, help, add_arguments), in the order that -h lists them
+_COMMANDS = {
+    "factor": (cmd_factor, "factor a polynomial", _add_factor),
+    "necklace": (cmd_necklace, "irreducible counts and the count identity", _add_necklace),
+    "eval": (cmd_eval, "coset statistics of one polynomial", _add_eval),
+    "ensemble": (cmd_ensemble, "sum a statistic over monic polynomials", _add_ensemble),
+    "young": (cmd_young, "statistics of a block coset", _add_young),
+    "verify": (cmd_verify, "run the cross-validation battery", _add_verify),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: orbitstat and a subparser for each command."""
+    ap = argparse.ArgumentParser(
+        prog="orbitstat",
+        description="Exact cycle statistics of polynomial factorizations "
+        "over finite fields.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return ap
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once: parse_args returns a fresh Namespace and
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, the same as the tree's subparser of that
+    name, built on first use: parse_args returns a fresh Namespace and
     leaves the parser unchanged, so one parser serves every call."""
-    return build_parser()
+    p = argparse.ArgumentParser(prog=f"orbitstat {name}")
+    _COMMANDS[name][2](p)
+    p.set_defaults(command=name)
+    return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, the tree's Namespace.  A command line that
+    starts with a command's name goes to that command's parser alone.  The
+    whole tree answers the rest (no arguments, -h, an unknown command) and
+    reports what the command's parser left over, so that each usage line
+    and error reads as the tree writes it."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     t0 = time.perf_counter()
     try:
-        code, payload, lines = _HANDLERS[args.command](args)
+        code, payload, lines = _COMMANDS[args.command][0](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

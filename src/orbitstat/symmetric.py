@@ -22,11 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapExceeded, read_int
+from .errors import CapExceeded, prints, read_int
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -266,14 +267,30 @@ def _sn(n: int) -> Iterator[Permutation]:
         yield sigma
 
 
+def _elements_text(n: int) -> str:
+    """The count of a refusal of S_n, n! written out when Python prints it;
+    an n! whose log (by lgamma) is a digit past the limit is not computed."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or math.lgamma(n + 1) < (limit + 1) * math.log(10):
+        order = math.factorial(n)
+        if prints(order):
+            return f"{order} elements,"
+    return f"{n}! elements, a number of more than {limit} digits,"
+
+
 def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
-    """All of S_n in lexicographic image order; refuses n! > cap."""
+    """All of S_n in lexicographic image order; refuses n! > cap, found by
+    multiplying 2 * 3 * ... only until the product passes cap."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if math.factorial(n) > cap:
+    order = 1
+    for k in range(2, n + 1):
+        if order > cap:
+            break
+        order *= k
+    if order > cap:
         raise CapExceeded(
-            f"S_{n} has {math.factorial(n)} elements, beyond cap {cap}; "
-            "raise it with --cap-group"
+            f"S_{n} has {_elements_text(n)} beyond cap {cap}; raise it with --cap-group"
         )
     return _sn(n)
 

@@ -1,5 +1,6 @@
 """Command line behavior: output shape, determinism, and exit codes."""
 
+import argparse
 import json
 import sys
 import time
@@ -321,6 +322,78 @@ def test_one_parser_serves_every_call(capsys):
     with pytest.raises(SystemExit):
         main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])
     assert capsys.readouterr() == failed
+
+
+# one golden case of each command, by its name in tests/golden
+ONE_OF_EACH = {
+    "factor": "factor_q2_split",
+    "necklace": "necklace_q3",
+    "eval": "symbolic_q2",
+    "ensemble": "ensemble_q2",
+    "young": "young_class_count",
+    "verify": "verify_quick_coset_means",
+}
+
+
+def test_a_command_line_builds_only_its_own_parser(capsys, monkeypatch):
+    """With the whole tree's builder raising, one well-formed command line of
+    each command still prints its golden output, and six commands run twice
+    build one parser each."""
+    from test_golden_cli import CASES, GOLDEN
+
+    for value in vars(cli).values():  # forget the parsers built so far
+        if getattr(value, "__module__", None) == cli.__name__ and hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+    def no_tree():
+        raise AssertionError("the whole tree was built")
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", no_tree)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        for name, case in ONE_OF_EACH.items():
+            code, out, err = run(capsys, *CASES[case])
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN / f"{case}.txt").read_text()
+    assert built == [f"orbitstat {name}" for name in ONE_OF_EACH]
+    assert list(ONE_OF_EACH) == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "-h"] for name in ONE_OF_EACH),
+        ["eval", "--q"],
+        ["ensemble", "--q", "2", "--d", "x", "--mu", "1:1"],
+        ["eval", "--q", "2", "t", "--mu", "1:1", "--method", "fastest"],
+        ["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"],
+        ["young", "--mu", "1:1"],
+        ["factor", "--q", "2", "t", "--extra"],
+        ["cohomology", "--q", "2"],
+        [],
+    ],
+    ids=[
+        *(f"{name}-help" for name in ONE_OF_EACH),
+        "missing-value", "non-integer-d", "bad-method", "mu-with-stat", "missing-blocks",
+        "leftover", "unknown-command", "no-arguments",
+    ],
+)
+def test_usage_errors_read_as_the_whole_tree_writes_them(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as stopped:
+            parse(list(argv))
+        return stopped.value.code, capsys.readouterr()
+
+    tree = outcome(cli.build_parser().parse_args)
+    assert outcome(main) == tree
+    assert tree[0] == (0 if argv[1:] == ["-h"] else 2)
 
 
 def test_output_is_byte_deterministic(capsys):

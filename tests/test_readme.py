@@ -1,6 +1,7 @@
 """README examples: every `$ orbitstat ...` block prints exactly the lines
-shown under it, the Library block runs and prints what its comments say, and
-the module map names exactly the modules of the package."""
+shown under it, the Library block runs and prints what its comments say, the
+module map names exactly the modules of the package, and the list of
+subcommands names exactly the commands of the cli."""
 
 import pathlib
 import re
@@ -8,6 +9,7 @@ import shlex
 
 import pytest
 
+from orbitstat import cli
 from orbitstat.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -77,3 +79,13 @@ def test_module_map_names_only_what_exists():
         return bool(found)
 
     assert [ident for ident in idents if not resolves(ident)] == []
+
+
+def test_subcommand_lists_name_the_commands_of_the_cli():
+    """README's "Six subcommands: ..." sentence and the cli docstring's list
+    name exactly the commands of cli's table, in its order."""
+    count, names = re.search(r"^(\w+) subcommands: (.*?)\.", README, re.M | re.S).groups()
+    listed = re.findall(r"`(\w+)`", names)
+    numbers = "zero one two three four five six seven eight nine ten".split()
+    assert numbers.index(count.lower()) == len(listed)
+    assert listed == re.findall(r"^\* (\w+) ", cli.__doc__, re.M) == list(cli._COMMANDS)

@@ -6,12 +6,15 @@ histogram of tau*H can be computed by filtering the whole symmetric group.
 """
 
 import math
+import sys
+import time
 from collections import Counter
 from itertools import islice, permutations as iterperms
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitstat.charpoly import g_series_identity_check
 from orbitstat.errors import CapExceeded
 from orbitstat.symmetric import (
     CosetSpec,
@@ -97,6 +100,33 @@ def test_cached_sn_list_equals_enumerate_sn():
 def test_enumerate_sn_cap():
     with pytest.raises(CapExceeded):
         list(enumerate_sn(12, cap=10 ** 6))
+
+
+@pytest.mark.parametrize("n", [2000, 100000])
+def test_enumerate_sn_refuses_an_unprintable_order_at_once(n):
+    # n! is never written out, and 100000! is never computed
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as refused:
+        enumerate_sn(n)
+    assert time.perf_counter() - start < 0.01
+    assert str(refused.value) == (
+        f"S_{n} has {n}! elements, a number of more than "
+        f"{sys.get_int_max_str_digits()} digits, beyond cap 1000000; "
+        "raise it with --cap-group"
+    )
+    with pytest.raises(CapExceeded, match="--cap-group") as refused:
+        g_series_identity_check(1, n, 2)
+    assert "\n" not in str(refused.value)
+    assert "set_int_max_str_digits" not in str(refused.value)
+
+
+def test_enumerate_sn_prints_an_order_within_the_digit_limit():
+    with pytest.raises(CapExceeded) as refused:
+        enumerate_sn(9, cap=40320)
+    assert str(refused.value) == (
+        "S_9 has 362880 elements, beyond cap 40320; raise it with --cap-group"
+    )
+    assert len(list(enumerate_sn(8, cap=40320))) == 40320
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
