@@ -43,15 +43,12 @@ from .polynomial import (
     Factorization,
     Poly,
     count_irreducibles,
-    enumerate_irreducibles,
     enumerate_monic,
     factor,
     format_poly,
-    is_irreducible,
     necklace_check,
     necklace_count,
     parse_poly,
-    poly_gcd,
 )
 from .symmetric import (
     DEFAULT_GROUP_CAP,
@@ -97,7 +94,6 @@ __all__ = [
     "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",
-    "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
     "expected_binom_on_coset",
@@ -105,7 +101,6 @@ __all__ = [
     "format_field_spec",
     "format_poly",
     "g_series_identity_check",
-    "is_irreducible",
     "make_field",
     "multi_indices_up_to",
     "necklace_check",
@@ -114,7 +109,6 @@ __all__ = [
     "parse_poly",
     "parse_predicate",
     "partitions",
-    "poly_gcd",
     "prime_power",
     "run_all",
     "sn_expectation_closed",

@@ -162,9 +162,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         return self.power(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, k: int) -> int:
         """a**k for k >= 0, with 0**0 = 1."""
         if self.e == 1:

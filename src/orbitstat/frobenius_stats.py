@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charpoly import CharPoly, _mul_truncated, sn_expectation_closed
-from .errors import CapExceeded, read_int
+from .errors import CapExceeded, prints, read_int
 from .polynomial import (
     Poly,
     _divmod,
@@ -96,10 +96,14 @@ def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fr
     return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
 
-def _spend_terms(work: int, term_cap: int) -> None:
-    if work > term_cap:
+def _spend_terms(work: Optional[int], term_cap: int) -> None:
+    """Refuse a work count beyond term_cap; None stands for a count with
+    more digits than Python prints."""
+    if work is None or work > term_cap:
+        shown = work is not None and prints(work)
+        steps = work if shown else f"at least 10^{sys.get_int_max_str_digits()}"
         raise CapExceeded(
-            f"the symbolic route would reach {work} steps (candidate symbols "
+            f"the symbolic route would reach {steps} steps (candidate symbols "
             f"tested against f plus term pairs multiplied), beyond the cap "
             f"{term_cap}; raise it with --cap-terms, or for coset statistics "
             "use the factored route"
@@ -131,6 +135,13 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     _check_monic(f)
     ctx, fc = f.ctx, f.coeffs
     ks = sorted({k for mu in P.terms for k, _ in mu.items()})
+    # the N_k > q^k / (10k) candidates of the largest k alone may have more
+    # digits than Python prints: decided by k*log10(q), before divisors(k),
+    # O(k) steps, or q^k is computed
+    digits = sys.get_int_max_str_digits()
+    if ks and digits and prints(term_cap):
+        if ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > digits:
+            _spend_terms(None, term_cap)
     work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
     _spend_terms(work, term_cap)
     # the irreducibles of each degree that divide f, each tested once, as

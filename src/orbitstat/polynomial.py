@@ -1,12 +1,13 @@
 """Univariate polynomials over F_q: exact arithmetic, deterministic
 factorization and irreducible enumeration.
 
-A Poly holds its field and an ascending tuple of element indices (see
+A Poly is a value: its field and an ascending tuple of element indices (see
 finite_field) with no trailing zeros; the zero polynomial is the empty tuple
-(degree -1).  Every operation runs on those int tuples: over a prime field
-with native integer arithmetic and one reduction mod p per coefficient, over
-an extension through the field's exp/log tables.  Poly(ctx, coeffs) takes
-indices, and Poly.coeffs, leading and evaluate give them back.
+(degree -1).  Poly(ctx, coeffs) takes indices, and Poly.coeffs and leading
+give them back.  The arithmetic is one set of functions on those int tuples
+(_mul, _divmod, _gcd, _powmod, _is_irreducible): over a prime field with
+native integer arithmetic and one reduction mod p per coefficient, over an
+extension through the field's exp/log tables.
 
 Monic polynomials of degree d are enumerated by counting their lower
 coefficient vector in base q with the constant coefficient as the fastest
@@ -20,10 +21,9 @@ distinct-degree parts via gcd with t^(q^k)-t, then Cantor-Zassenhaus
 equal-degree splitting.  The splitting draws from a PRNG seeded with a
 constant, and the factors are unique and sorted, so factor() is deterministic
 and never needs the sieve: it works for every field the package supports.
-The pipeline runs on coefficient tuples from end to end, through one
-tuple-level gcd and one powering modulo a polynomial (which poly_gcd,
-pow_mod and is_irreducible wrap for Polys), and makes Polys only of the
-factors it returns.
+The pipeline runs on coefficient tuples from end to end, through the one
+tuple-level gcd and powering modulo a polynomial, and makes Polys only of
+the factors it returns.
 
 Irreducible enumeration is a sieve over one flag per monic polynomial of
 degree K, kept in coefficient-lex order (c0 the top digit).  Write
@@ -143,7 +143,9 @@ def _poly(ctx: FieldCtx, c: tuple) -> "Poly":
 
 
 class Poly:
-    """A polynomial over a fixed F_q; immutable by convention."""
+    """A polynomial over a fixed F_q, as a value: its field and its trimmed
+    tuple of element indices, compared and hashed by them.  It has no
+    arithmetic of its own; every operation runs on the tuples."""
 
     __slots__ = ("ctx", "_c")
 
@@ -157,26 +159,6 @@ class Poly:
                 )
         self.ctx = ctx
         self._c = _trim(items)
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "Poly":
-        return _poly(ctx, ())
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "Poly":
-        return _poly(ctx, (1,))
-
-    @classmethod
-    def x(cls, ctx: FieldCtx) -> "Poly":
-        return _poly(ctx, (0, 1))
-
-    @classmethod
-    def constant(cls, ctx: FieldCtx, value) -> "Poly":
-        return cls(ctx, (value,))
-
-    # -- structure ----------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -218,95 +200,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r}, {self.ctx!r})"
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("polynomials over different fields")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        add = self.ctx.add
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return _poly(self.ctx, _trim(out))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return _poly(self.ctx, tuple(map(self.ctx.neg, self._c)))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _poly(self.ctx, _mul(self.ctx, self._c, other._c))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative polynomial exponent")
-        result = Poly.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other._c:
-            raise ZeroDivisionError("division by the zero polynomial")
-        quot, rem = _divmod(self.ctx, self._c, other._c)
-        return _poly(self.ctx, quot), _poly(self.ctx, rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- assorted helpers ---------------------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero or self.is_monic:
-            return self
-        return _poly(self.ctx, _monic(self.ctx, self._c))
-
-    def derivative(self) -> "Poly":
-        return _poly(self.ctx, _derivative(self.ctx, self._c))
-
-    def evaluate(self, point: int) -> int:
-        """The value at the element index point, by Horner's rule."""
-        ctx = self.ctx
-        Poly.constant(ctx, point)  # refuses anything but an element index
-        acc = 0
-        for c in reversed(self._c):
-            acc = ctx.add(ctx.mul(acc, point), c)
-        return acc
-
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
 
 
 def _monic(ctx: FieldCtx, c: tuple) -> tuple[int, ...]:
@@ -350,24 +243,6 @@ def _minus_t(ctx: FieldCtx, s: tuple) -> tuple[int, ...]:
     c = list(s) + [0] * (2 - len(s))
     c[1] = ctx.sub(c[1], 1)
     return _trim(c)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    if a.ctx != b.ctx:
-        raise ValueError("polynomials over different fields")
-    return _poly(a.ctx, _gcd(a.ctx, a._c, b._c))
-
-
-def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    """base**exp reduced mod a polynomial of degree >= 1."""
-    if mod.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    if exp < 0:
-        raise ValueError("negative exponent")
-    if base.ctx != mod.ctx:
-        raise ValueError("polynomials over different fields")
-    return _poly(base.ctx, _powmod(base.ctx, base._c, exp, mod._c))
 
 
 def divisors(n: int) -> list[int]:
@@ -715,24 +590,14 @@ def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
         yield _index_digits(idx, d, q) + (1,)
 
 
-def enumerate_irreducibles(d: int, ctx: FieldCtx) -> Iterator[Poly]:
-    """Monic irreducibles of degree d, coefficient-lex order (memoized)."""
-    for c in _irreducible_tuples(d, ctx):
-        yield _poly(ctx, c)
-
-
-def is_irreducible(f: Poly) -> bool:
-    """Deterministic irreducibility test (Frobenius fixed-point criterion).
-
-    f of degree d >= 1 is irreducible iff t^(q^d) == t mod f and, for every
-    prime l dividing d, gcd(t^(q^(d/l)) - t, f) = 1.  Constants and zero are
-    units or zero, never irreducible.
-    """
-    return _is_irreducible(f.ctx, f._c)
-
-
 def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:
-    """is_irreducible on a trimmed tuple; every linear polynomial is."""
+    """Deterministic irreducibility test of a trimmed tuple (Frobenius
+    fixed-point criterion).
+
+    c of degree d >= 1 is irreducible iff t^(q^d) == t mod c and, for every
+    prime l dividing d, gcd(t^(q^(d/l)) - t, c) = 1.  Every linear polynomial
+    is; constants and zero are units or zero, never irreducible.
+    """
     d = len(c) - 1
     if d < 2:
         return d == 1
@@ -782,12 +647,6 @@ class Factorization:
     ctx: FieldCtx
     unit: int
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        out = Poly.constant(self.ctx, self.unit)
-        for p, r in self.factors:
-            out = out * p ** r
-        return out
 
     @property
     def is_squarefree(self) -> bool:

@@ -1,9 +1,9 @@
 """Permutations, cycle types and block-cycling cosets of Young subgroups.
 
-A Permutation stores its image tuple on {0, ..., n-1}; composition follows
-(a * b)(x) = a(b(x)), so b acts first.  A MultiIndex mu = {k: mu_k} doubles as
-the exponent of a cycle statistic and, when its norm equals n, as a cycle
-type.
+A Permutation is a validated image tuple on {0, ..., n-1}, read for its
+images and its cycle type; nothing here composes permutations.  A MultiIndex
+mu = {k: mu_k} doubles as the exponent of a cycle statistic and, when its
+norm equals n, as a cycle type.
 
 A CosetSpec is a multiset of blocks (d_i, r_i).  Block i contributes the index
 points {(i, j, k) : 0 <= j < r_i, 0 <= k < d_i}.  The subgroup H is the
@@ -39,30 +39,6 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("permutations of different sizes")
-        return Permutation(tuple(self.images[y] for y in other.images))
-
-    def inverse(self) -> "Permutation":
-        out = [0] * self.n
-        for x, y in enumerate(self.images):
-            out[y] = x
-        return Permutation(tuple(out))
 
     def cycle_type(self) -> "MultiIndex":
         counts: dict[int, int] = {}

@@ -36,6 +36,7 @@ from .frobenius_stats import (
 )
 from .polynomial import (
     Poly,
+    _divmod,
     count_irreducibles,
     divisors,
     enumerate_monic,
@@ -336,7 +337,8 @@ def _expectation_epsilon(g: Poly, n: int) -> Fraction:
 
 def _expectation_epsilon_oracle(g: Poly, n: int) -> Fraction:
     """Same mean by enumerating all q^n monic polynomials of degree n."""
-    hits = sum(1 for f in enumerate_monic(n, g.ctx) if (f % g).is_zero)
+    ctx, gc = g.ctx, g.coeffs
+    hits = sum(1 for f in enumerate_monic(n, ctx) if not _divmod(ctx, f.coeffs, gc)[1])
     return Fraction(hits, g.ctx.q ** n)
 
 
@@ -372,7 +374,7 @@ def check_known_values(
     mu2 = MultiIndex.from_dict({2: 1})
     for q in qs:
         ctx = _field(q)
-        f = Poly.x(ctx) ** 2
+        f = Poly(ctx, (0, 0, 1))
         spec = block_spec(f)
         values = (
             (chi_formula(spec, CharPoly.binom(mu2)), Fraction(1, 2)),

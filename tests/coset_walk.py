@@ -6,6 +6,8 @@ own copy of the order of young_stats.walk_coset.  tau and
 structured_to_permutation build tau and each such h as whole Permutations of
 the N points, flattened in lexicographic (i, j, k) order: the tests' own
 copy of the point layout, against which young_stats' slot_tables is checked.
+compose multiplies two Permutations on their image tuples, the right factor
+acting first, as tau*h does.
 
 whole_coset_histogram is the oracle for coset_histogram, which walks each
 block's coset on its own and convolves the results.  This walks every h of
@@ -70,6 +72,11 @@ def _offsets(spec: CosetSpec) -> list[int]:
     return offs
 
 
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """a * b, which sends x to a(b(x)): b acts first."""
+    return Permutation(tuple(a.images[y] for y in b.images))
+
+
 def tau(spec: CosetSpec) -> Permutation:
     """The block-cycling permutation (i, j, k) -> (i, j, k+1 mod d_i)."""
     images = [0] * spec.n
@@ -104,7 +111,7 @@ def structured_to_permutation(spec: CosetSpec, h: tuple) -> Permutation:
         for k in range(d):
             perm = h[i][k]
             for j in range(r):
-                images[base + j * d + k] = base + perm(j) * d + k
+                images[base + j * d + k] = base + perm.images[j] * d + k
     return Permutation(tuple(images))
 
 

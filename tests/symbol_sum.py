@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from orbitstat.errors import CapExceeded
 from orbitstat.frobenius_stats import DEFAULT_TERM_CAP
-from orbitstat.polynomial import Poly, parse_poly, poly_sort_key, signed_terms
+from orbitstat.polynomial import Poly, _divmod, _mul, parse_poly, poly_sort_key, signed_terms
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -57,7 +57,7 @@ class SymbolSum:
 
     @classmethod
     def one(cls, ctx) -> "SymbolSum":
-        return cls(ctx, {Poly.one(ctx): _F1})
+        return cls(ctx, {Poly(ctx, (1,)): _F1})
 
     @classmethod
     def symbol(cls, g: Poly, coeff=1) -> "SymbolSum":
@@ -109,7 +109,7 @@ class SymbolSum:
         out: dict[Poly, Fraction] = {}
         for g, c in self.terms.items():
             for h, e in other.terms.items():
-                key = g * h
+                key = Poly(self.ctx, _mul(self.ctx, g.coeffs, h.coeffs))
                 out[key] = out.get(key, _F0) + c * e
         return SymbolSum(self.ctx, out)
 
@@ -158,7 +158,7 @@ class SymbolSum:
         for g, c in self.terms.items():
             if g.degree > fdeg:
                 continue
-            if (f % g).is_zero:
+            if not _divmod(f.ctx, f.coeffs, g.coeffs)[1]:
                 total += c
         return total
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from orbitstat import cli, finite_field, young_stats
+from orbitstat import cli, finite_field, frobenius_stats, young_stats
 from orbitstat.cli import main
 from orbitstat.errors import prints
 
@@ -677,11 +677,16 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
             ["--filter 'maxmult=x'", "all, squarefree, or maxmult=m"],
         ),
         (("ensemble", "--q", "3", "--d", "9013", "--mu", "1:1"), ["3^9013", "limit", "no flag"]),
+        *[
+            (("eval", "--q", "2", "t", "--mu", f"{k}:1", "--method", "symbolic"),
+             ["--cap-terms", f"at least 10^{sys.get_int_max_str_digits()} steps"])
+            for k in (100000, 10 ** 9)
+        ],
     ],
     ids=[
         "ensemble", "symbolic", "coset", "histogram", "coset-unprintable", "sieve",
         "histogram-limit", "expansion-terms", "expansion-variables", "expansion-factorial",
-        "degree-limit", "filter", "ensemble-count",
+        "degree-limit", "filter", "ensemble-count", "symbolic-unprintable", "symbolic-huge-k",
     ],
 )
 def test_cap_errors_name_their_flag(capsys, argv, words):
@@ -691,6 +696,23 @@ def test_cap_errors_name_their_flag(capsys, argv, words):
     for word in words:
         assert word in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_a_huge_symbolic_cycle_length_is_refused_before_its_divisors(capsys, monkeypatch):
+    # divisors(k) takes O(k) steps and N_k needs q^k: the refusal is read off
+    # k*log10(q) before either
+    k = 10 ** 9
+    count = frobenius_stats.necklace_count
+
+    def counted(d, q):
+        assert d != k, "N_k was computed"
+        return count(d, q)
+
+    monkeypatch.setattr(frobenius_stats, "necklace_count", counted)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--mu", f"{k}:1", "--method", "symbolic")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and "--cap-terms" in err
 
 
 def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monkeypatch):

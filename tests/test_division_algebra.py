@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 from orbitstat.charpoly import _mul_truncated
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
-from orbitstat.polynomial import Poly, enumerate_monic, monic_from_index, parse_poly, poly_gcd
+from orbitstat.polynomial import Poly, _gcd, enumerate_monic, monic_from_index, parse_poly
 from orbitstat.verify import (
     _expectation_epsilon as expectation_epsilon,
     _expectation_epsilon_oracle as expectation_epsilon_oracle,
 )
 
+from poly_oracle import product
 from symbol_sum import SymbolSum, lambda_map
 
 F2 = make_field(2)
@@ -27,6 +28,7 @@ F4 = make_field(2, 2)
 
 T = parse_poly("t", F2)
 T1 = parse_poly("t+1", F2)
+T_T1 = parse_poly("t^2+t", F2)  # t * (t+1)
 
 
 def monics(ctx, dmax):
@@ -41,14 +43,14 @@ def test_symbol_product_multiplies_subscripts():
     a = SymbolSum.symbol(T)
     b = SymbolSum.symbol(T1)
     prod = a.mul(b)
-    assert prod.terms == {T * T1: Fraction(1)}
+    assert prod.terms == {T_T1: Fraction(1)}
 
 
 def test_symbols_require_monic_keys():
     with pytest.raises(ValueError):
         SymbolSum.symbol(parse_poly("2*t", F3))
     with pytest.raises(ValueError):
-        SymbolSum.symbol(Poly.zero(F2))
+        SymbolSum.symbol(Poly(F2))
 
 
 def test_linearity_and_scalars():
@@ -70,15 +72,15 @@ def test_pow_matches_repeated_mul():
 def test_evaluation_is_divisibility():
     f = parse_poly("t^3+t", F2)  # t * (t+1)^2
     assert SymbolSum.symbol(T).evaluate(f) == 1
-    assert SymbolSum.symbol(T1 * T1).evaluate(f) == 1
-    assert SymbolSum.symbol(T * T).evaluate(f) == 0
-    s = SymbolSum.symbol(T, 3) + SymbolSum.symbol(T * T, 5)
+    assert SymbolSum.symbol(parse_poly("t^2+1", F2)).evaluate(f) == 1
+    assert SymbolSum.symbol(parse_poly("t^2", F2)).evaluate(f) == 0
+    s = SymbolSum.symbol(T, 3) + SymbolSum.symbol(parse_poly("t^2", F2), 5)
     assert s.evaluate(f) == 3
 
 
 def test_evaluation_is_not_termwise_multiplicative():
     """[t^2 | t^2+t] = 0 even though [t | t^2+t] = 1 twice over."""
-    f = T * T1
+    f = T_T1
     et = SymbolSum.symbol(T)
     assert et.evaluate(f) * et.evaluate(f) == 1
     assert et.mul(et).evaluate(f) == 0
@@ -89,11 +91,12 @@ def test_evaluation_is_multiplicative_on_coprime_subscripts():
         for g in enumerate_monic(dg, F2):
             for dh in range(0, 3):
                 for h in enumerate_monic(dh, F2):
-                    if poly_gcd(g, h).degree != 0:
+                    if len(_gcd(F2, g.coeffs, h.coeffs)) != 1:
                         continue
+                    gh = SymbolSum.symbol(Poly(F2, product(F2, g.coeffs, h.coeffs)))
                     for df in range(0, 5):
                         for f in enumerate_monic(df, F2):
-                            both = SymbolSum.symbol(g * h).evaluate(f)
+                            both = gh.evaluate(f)
                             split = SymbolSum.symbol(g).evaluate(
                                 f
                             ) * SymbolSum.symbol(h).evaluate(f)
@@ -103,7 +106,7 @@ def test_evaluation_is_multiplicative_on_coprime_subscripts():
 def test_evaluate_rejects_zero_and_foreign_fields():
     s = SymbolSum.symbol(T)
     with pytest.raises(ValueError):
-        s.evaluate(Poly.zero(F2))
+        s.evaluate(Poly(F2))
     with pytest.raises(ValueError):
         s.evaluate(parse_poly("t", F3))
 
@@ -112,7 +115,7 @@ def test_parse_round_trip():
     s = SymbolSum.parse("3*eps(t^2+t) + 1/2*eps(t) - eps(1)", F2)
     assert s.terms[parse_poly("t^2+t", F2)] == 3
     assert s.terms[T] == Fraction(1, 2)
-    assert s.terms[Poly.one(F2)] == -1
+    assert s.terms[Poly(F2, (1,))] == -1
     assert SymbolSum.parse(str(s), F2).terms == s.terms
     with pytest.raises(ValueError):
         SymbolSum.parse("eps(2*t)", F3)  # keys must be monic
@@ -143,7 +146,7 @@ def test_str_parses_back(terms):
 
 
 def test_pow_does_not_square_past_the_last_bit():
-    s = SymbolSum(F2, {T: 1, T1: 2, T * T1: 3})
+    s = SymbolSum(F2, {T: 1, T1: 2, T_T1: 3})
     assert s.pow(1, term_cap=4) == s  # s * s would touch 9 > 4 term pairs
     assert s.pow(0, term_cap=4) == SymbolSum.one(F2)
     with pytest.raises(CapExceeded):
@@ -162,7 +165,7 @@ def test_term_cap_guards_products():
 # -- the nilpotent collapse --------------------------------------------------
 
 def test_lambda_map_sends_degree_to_eps_power():
-    a = SymbolSum.symbol(T * T1, 6)  # degree 2
+    a = SymbolSum.symbol(T_T1, 6)  # degree 2
     assert lambda_map(a, 4) == {(2,): Fraction(6, 4)}  # 6 / q^2 at eps^2
 
 
@@ -193,7 +196,7 @@ def test_expectation_closed_form():
     assert expectation_epsilon(T, 3) == Fraction(1, 2)
     assert expectation_epsilon(parse_poly("t^2+t+1", F2), 3) == Fraction(1, 4)
     assert expectation_epsilon(parse_poly("t^4", F2), 3) == 0
-    assert expectation_epsilon(Poly.one(F2), 0) == 1
+    assert expectation_epsilon(Poly(F2, (1,)), 0) == 1
 
 
 def test_expectation_matches_oracle_small():

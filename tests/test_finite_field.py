@@ -11,7 +11,7 @@ from orbitstat.finite_field import (
     parse_field_spec,
     prime_power,
 )
-from orbitstat.polynomial import Poly
+from orbitstat.polynomial import Poly, _mul
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -129,8 +129,12 @@ def test_str_forms():
 
 
 def test_mixed_field_operations_rejected():
-    with pytest.raises(ValueError):
-        Poly.one(F2) + Poly.one(F3)
+    # a Poly is a value with its field: equal coefficients over two fields
+    # differ, and it has no arithmetic to mix them in
+    one2, one3 = Poly(F2, (1,)), Poly(F3, (1,))
+    assert one2 != one3
+    with pytest.raises(TypeError):
+        one2 + one3
 
 
 def test_parse_field_spec_forms():
@@ -157,7 +161,8 @@ def test_equal_parameters_give_interchangeable_contexts():
     k1 = make_field(2, 2)
     k2 = make_field(2, 2)
     assert k1 == k2 and isinstance(k1, FieldCtx)
-    assert Poly(k1, (2,)) + Poly(k2, (3,)) == Poly.one(k1)
+    assert Poly(k1, (2,)) == Poly(k2, (2,)) and hash(Poly(k1, (2,))) == hash(Poly(k2, (2,)))
+    assert _mul(k1, (2,), (3,)) == _mul(k2, (2,), (3,)) == (1,)
 
 
 def test_one_shared_context_per_field():

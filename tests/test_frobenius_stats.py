@@ -26,8 +26,8 @@ from orbitstat.frobenius_stats import (
 )
 from orbitstat.polynomial import (
     Poly,
+    _irreducible_tuples,
     divisors,
-    enumerate_irreducibles,
     enumerate_monic,
     factor,
     monic_from_index,
@@ -41,6 +41,7 @@ from coset_walk import (
     equal_expectation_check,
     expected_k_cycles,
 )
+from poly_oracle import product
 from symbol_sum import SymbolSum
 
 F2 = make_field(2)
@@ -167,7 +168,8 @@ def full_expansion(ctx, mu):
     for k, m in mu.items():
         s_k = SymbolSum(
             ctx,
-            {p ** (k // d): d for d in divisors(k) for p in enumerate_irreducibles(d, ctx)},
+            {Poly(ctx, product(ctx, *[p] * (k // d))): d
+             for d in divisors(k) for p in _irreducible_tuples(d, ctx)},
         )
         total = total.mul(s_k.pow(m))
         pref *= Fraction(1, k ** m * math.factorial(m))
@@ -205,12 +207,12 @@ def test_symbolic_route_is_zero_beyond_deg_f():
 def products_of_powers(draw, ctx, dmax):
     """A monic f of degree 1..dmax drawn as a product of powers of random
     monic polynomials, so repeated and shared factors are common."""
-    f = Poly.one(ctx)
+    f = Poly(ctx, (1,))
     while f.degree < 1 or (f.degree < dmax and draw(st.booleans())):
         room = dmax - f.degree
         d = draw(st.integers(1, room))
         g = monic_from_index(d, ctx, draw(st.integers(0, ctx.q ** d - 1)))
-        f = f * g ** draw(st.integers(1, room // d))
+        f = Poly(ctx, product(ctx, f.coeffs, *[g.coeffs] * draw(st.integers(1, room // d))))
     return f
 
 

@@ -2,9 +2,11 @@
 
 The irreducibility oracle here is deliberate brute force: trial division by
 every lower-degree monic polynomial, built straight from coefficient tuples.
-It shares no code with the sieve or with the Frobenius test it checks.  The
-randomized equal-degree splitting inside factor() is checked against trial
-division by the sieve's irreducibles.
+It shares no code with the sieve, and only the one division (_divmod) with
+the Frobenius test it checks.  The randomized equal-degree splitting inside
+factor() is checked against trial division by the sieve's irreducibles.  The
+arithmetic is tested on the coefficient tuples that factor, the sieve and the
+symbolic route run on.
 """
 
 import functools
@@ -19,22 +21,29 @@ from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field, parse_field_spec
 from orbitstat.polynomial import (
     Poly,
+    _derivative,
+    _divmod,
+    _gcd,
+    _irreducible_tuples,
+    _is_irreducible,
+    _monic,
+    _mul,
+    _powmod,
+    _trim,
     count_irreducibles,
     divisors,
-    enumerate_irreducibles,
     enumerate_monic,
     factor,
     format_poly,
-    is_irreducible,
     monic_from_index,
     necklace_check,
     necklace_count,
     parse_poly,
-    poly_gcd,
     poly_sort_key,
-    pow_mod,
 )
 from orbitstat.verify import check_necklace
+
+from poly_oracle import expand, product
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -59,7 +68,7 @@ def brute_irreducible(f):
         return False
     for d in range(1, f.degree // 2 + 1):
         for g in brute_monic(d, f.ctx):
-            if g.divides(f):
+            if not _divmod(f.ctx, f.coeffs, g.coeffs)[1]:
                 return False
     return True
 
@@ -70,11 +79,11 @@ def trial_equal_degree(g, k):
     if g.degree == k:
         return [g]
     out = []
-    for cand in enumerate_irreducibles(k, g.ctx):
-        quot, rem = divmod(g, cand)
-        if rem.is_zero:
+    for cand in irreducibles(k, g.ctx):
+        quot, rem = _divmod(g.ctx, g.coeffs, cand.coeffs)
+        if not rem:
             out.append(cand)
-            g = quot
+            g = Poly(g.ctx, quot)
             if g.degree == k:
                 out.append(g)
                 break
@@ -84,68 +93,87 @@ def trial_equal_degree(g, k):
     return out
 
 
+def irreducibles(d, ctx):
+    """The sieve's monic irreducibles of degree d, as Polys, in its order."""
+    return [Poly(ctx, c) for c in _irreducible_tuples(d, ctx)]
+
+
 def polys(ctx, max_deg=6):
     return st.lists(
         st.integers(0, ctx.q - 1), min_size=0, max_size=max_deg + 1
     ).map(lambda idxs: Poly(ctx, idxs))
 
 
-# -- arithmetic --------------------------------------------------------------
+def add(ctx, a, b):
+    """The sum of two coefficient tuples, trimmed."""
+    return _trim([ctx.add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def evaluate(ctx, c, point):
+    """The value of a coefficient tuple at an element index, by Horner's rule."""
+    return functools.reduce(lambda acc, x: ctx.add(ctx.mul(acc, point), x), reversed(c), 0)
+
+
+# -- arithmetic on coefficient tuples ----------------------------------------
 
 @given(polys(F5), polys(F5), polys(F5))
 def test_ring_axioms(f, g, h):
-    assert f + g == g + f
-    assert (f + g) + h == f + (g + h)
-    assert f * (g + h) == f * g + f * h
-    assert (f * g) * h == f * (g * h)
+    f, g, h = f.coeffs, g.coeffs, h.coeffs
+    assert add(F5, f, g) == add(F5, g, f)
+    assert add(F5, add(F5, f, g), h) == add(F5, f, add(F5, g, h))
+    assert _mul(F5, f, g) == _mul(F5, g, f)
+    assert _mul(F5, f, add(F5, g, h)) == add(F5, _mul(F5, f, g), _mul(F5, f, h))
+    assert _mul(F5, _mul(F5, f, g), h) == _mul(F5, f, _mul(F5, g, h))
 
 
 @given(polys(F3), polys(F3))
 def test_divmod_invariant(f, g):
-    if g.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divmod(f, g)
+    if g.is_zero:  # _divmod takes a nonzero divisor
         return
-    q, r = divmod(f, g)
-    assert f == q * g + r
-    assert r.is_zero or r.degree < g.degree
+    q, r = _divmod(F3, f.coeffs, g.coeffs)
+    assert f.coeffs == add(F3, _mul(F3, q, g.coeffs), r)
+    assert len(r) < len(g.coeffs)
 
 
 @given(polys(F4, 5), polys(F4, 5))
 def test_gcd_divides_both_and_is_monic(f, g):
-    d = poly_gcd(f, g)
+    d = _gcd(F4, f.coeffs, g.coeffs)
     if f.is_zero and g.is_zero:
-        assert d.is_zero
+        assert d == ()
         return
-    assert d.is_monic
-    assert d.divides(f) and d.divides(g)
+    assert d[-1] == 1
+    assert not _divmod(F4, f.coeffs, d)[1] and not _divmod(F4, g.coeffs, d)[1]
 
 
 @given(polys(F2, 4), polys(F2, 4), polys(F2, 3))
 def test_gcd_scales_with_common_factor(f, g, h):
     if h.is_zero or (f.is_zero and g.is_zero):
         return
-    assert poly_gcd(f * h, g * h) == poly_gcd(f, g) * h.monic()
+    f, g, h = f.coeffs, g.coeffs, h.coeffs
+    assert _gcd(F2, _mul(F2, f, h), _mul(F2, g, h)) == _mul(F2, _gcd(F2, f, g), _monic(F2, h))
 
 
 @given(polys(F5, 5), polys(F5, 5))
 def test_derivative_product_rule(f, g):
-    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+    f, g = f.coeffs, g.coeffs
+    assert _derivative(F5, _mul(F5, f, g)) == add(
+        F5, _mul(F5, _derivative(F5, f), g), _mul(F5, f, _derivative(F5, g))
+    )
 
 
 @given(polys(F9, 4), st.integers(0, 8))
 def test_evaluation_is_a_homomorphism(f, a):
-    g = Poly.x(F9) + Poly.one(F9)
-    assert (f * g).evaluate(a) == F9.mul(f.evaluate(a), g.evaluate(a))
-    assert (f + g).evaluate(a) == F9.add(f.evaluate(a), g.evaluate(a))
-    assert g.evaluate(a) == F9.add(a, 1)
+    f, g = f.coeffs, (1, 1)  # t + 1
+    assert evaluate(F9, _mul(F9, f, g), a) == F9.mul(evaluate(F9, f, a), evaluate(F9, g, a))
+    assert evaluate(F9, add(F9, f, g), a) == F9.add(evaluate(F9, f, a), evaluate(F9, g, a))
+    assert evaluate(F9, g, a) == F9.add(a, 1)
 
 
 def test_pow_mod_matches_naive():
-    m = parse_poly("t^3+t+1", F2)
-    b = parse_poly("t^2+1", F2)
+    m = parse_poly("t^3+t+1", F2).coeffs
+    b = parse_poly("t^2+1", F2).coeffs
     for e in range(0, 20):
-        assert pow_mod(b, e, m) == (b ** e) % m
+        assert _powmod(F2, b, e, m) == _divmod(F2, product(F2, *[b] * e), m)[1]
 
 
 # -- parsing and formatting --------------------------------------------------
@@ -174,7 +202,7 @@ def test_poly_takes_element_indices_only():
     for bad in ((4,), (-1,), ("1",), (1.0,)):
         with pytest.raises(ValueError, match="element index 0..3"):
             Poly(F4, bad)
-    f = Poly.one(F4)
+    f = Poly(F4, (1,))
     for op in (lambda: f + 1, lambda: 1 + f, lambda: 2 * f, lambda: 1 - f):
         with pytest.raises(TypeError):
             op()
@@ -199,7 +227,7 @@ def test_format_parse_round_trip_extension(f):
 
 def test_format_examples():
     assert format_poly(parse_poly("t^2+t+1", F2)) == "t^2+t+1"
-    assert format_poly(Poly.zero(F2)) == "0"
+    assert format_poly(Poly(F2)) == "0"
     assert format_poly(Poly(F5, (3,))) == "3"
     assert format_poly(Poly(F5, (1, 2))) == "2*t+1"
 
@@ -232,10 +260,10 @@ def test_divisors():
 def test_irreducibility_routes_agree(ctx, dmax):
     """Frobenius criterion == sieve membership == trial division."""
     for d in range(1, dmax + 1):
-        sieve = set(enumerate_irreducibles(d, ctx))
+        sieve = set(irreducibles(d, ctx))
         for f in brute_monic(d, ctx):
             expected = brute_irreducible(f)
-            assert is_irreducible(f) == expected, format_poly(f)
+            assert _is_irreducible(ctx, f.coeffs) == expected, format_poly(f)
             assert (f in sieve) == expected, format_poly(f)
         assert count_irreducibles(d, ctx) == len(sieve)
 
@@ -264,7 +292,7 @@ def test_necklace_count_matches_the_sieve():
 
 def test_irreducibles_are_sorted_and_monic():
     for d in (1, 2, 3):
-        fs = list(enumerate_irreducibles(d, F3))
+        fs = irreducibles(d, F3)
         assert fs == sorted(fs, key=poly_sort_key)
         assert all(f.is_monic and f.degree == d for f in fs)
 
@@ -272,14 +300,14 @@ def test_irreducibles_are_sorted_and_monic():
 def test_frobenius_test_reaches_beyond_the_sieve():
     # x^31 + x^3 + 1 is a classic irreducible trinomial; 2^31 is far past
     # what enumeration could touch
-    f = parse_poly("t^31+t^3+1", F2)
-    assert is_irreducible(f)
-    assert not is_irreducible(f * parse_poly("t+1", F2))
+    f = parse_poly("t^31+t^3+1", F2).coeffs
+    assert _is_irreducible(F2, f)
+    assert not _is_irreducible(F2, _mul(F2, f, (1, 1)))
 
 
 def test_enumeration_guard(sieve_passes):
     with pytest.raises(CapExceeded, match="q\\^d = 16777216 slots"):
-        list(enumerate_irreducibles(24, F2))  # 2^24 > the sieve budget
+        list(_irreducible_tuples(24, F2))  # 2^24 > the sieve budget
     assert sieve_passes == []
 
 
@@ -413,18 +441,18 @@ def test_any_request_order_gives_the_bottom_up_lists(field_and_order):
 def test_sieve_counts_match_the_moebius_formula(field_and_degree):
     ctx, d = field_and_degree
     assert count_irreducibles(d, ctx) == necklace_count(d, ctx.q)
-    fs = list(enumerate_irreducibles(d, ctx))
+    fs = irreducibles(d, ctx)
     keys = [poly_sort_key(f) for f in fs]
     assert all(x < y for x, y in zip(keys, keys[1:]))
     assert all(f.is_monic and f.degree == d for f in fs)
 
 
 def test_is_irreducible_edge_cases():
-    assert not is_irreducible(Poly.one(F2))
-    assert not is_irreducible(Poly.zero(F2))
-    assert not is_irreducible(Poly.constant(F5, 3))
-    assert is_irreducible(parse_poly("t", F2))
-    assert not is_irreducible(parse_poly("t^2", F2))
+    assert not _is_irreducible(F2, (1,))
+    assert not _is_irreducible(F2, ())
+    assert not _is_irreducible(F5, (3,))
+    assert _is_irreducible(F2, parse_poly("t", F2).coeffs)
+    assert not _is_irreducible(F2, parse_poly("t^2", F2).coeffs)
 
 
 def test_necklace_identity_small():
@@ -447,10 +475,9 @@ def test_factor_frozen_examples():
     ]
     assert fac.unit == 1
     assert fac.is_squarefree
-    assert fac.expand() == f
+    assert expand(fac) == f
 
-    g = parse_poly("t^2+t+1", F2)
-    fac2 = factor(g * g)
+    fac2 = factor(parse_poly("t^4+t^2+1", F2))  # (t^2+t+1)^2
     assert [(format_poly(p), r) for p, r in fac2.factors] == [("t^2+t+1", 2)]
     assert not fac2.is_squarefree
     assert fac2.max_multiplicity == 2
@@ -476,14 +503,14 @@ def test_factor_pulls_out_the_unit():
     fac = factor(f)
     assert fac.unit == 2
     assert [format_poly(p) for p, _ in fac.factors] == ["t^2+1"]
-    assert fac.expand() == f
+    assert expand(fac) == f
 
 
 def test_factor_inseparable_power():
     # derivative vanishes: t^6+t^4+t^2 = (t^3+t^2+t)^2 over F_2
     f = parse_poly("t^6+t^4+t^2", F2)
     fac = factor(f)
-    assert fac.expand() == f
+    assert expand(fac) == f
     assert [(format_poly(p), r) for p, r in fac.factors] == [
         ("t", 2),
         ("t^2+t+1", 2),
@@ -492,16 +519,16 @@ def test_factor_inseparable_power():
 
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
-        factor(Poly.zero(F2))
+        factor(Poly(F2))
 
 
 def test_factor_of_constant_is_empty():
-    fac = factor(Poly.constant(F3, 2))
+    fac = factor(Poly(F3, (2,)))
     assert fac.factors == ()
     assert fac.unit == 2
-    assert str(fac) == "2" and fac.expand() == Poly.constant(F3, 2)
-    fac = factor(Poly.constant(F4, 3))
-    assert str(fac) == "[1,1]" and fac.expand() == Poly.constant(F4, 3)
+    assert str(fac) == "2" and expand(fac) == Poly(F3, (2,))
+    fac = factor(Poly(F4, (3,)))
+    assert str(fac) == "[1,1]" and expand(fac) == Poly(F4, (3,))
 
 
 @pytest.mark.parametrize("ctx,dmax", [(F2, 6), (F3, 4)], ids=["F2", "F3"])
@@ -509,8 +536,8 @@ def test_factor_round_trip_exhaustive(ctx, dmax):
     for d in range(1, dmax + 1):
         for f in enumerate_monic(d, ctx):
             fac = factor(f)
-            assert fac.expand() == f
-            assert all(is_irreducible(p) for p, _ in fac.factors)
+            assert expand(fac) == f
+            assert all(_is_irreducible(ctx, p.coeffs) for p, _ in fac.factors)
             assert all(r >= 1 for _, r in fac.factors)
             keys = [poly_sort_key(p) for p, _ in fac.factors]
             assert keys == sorted(keys)
@@ -524,15 +551,13 @@ def test_factor_agrees_with_the_sieve_exhaustive(ctx, dmax):
     """Every factor of every monic f is one of the sieve's irreducibles of
     its degree, and the factors multiply back to f.  The sieve shares no gcd
     or powmod code with factor."""
-    sieved = {d: set(enumerate_irreducibles(d, ctx)) for d in range(1, dmax + 1)}
+    sieved = {d: set(irreducibles(d, ctx)) for d in range(1, dmax + 1)}
     for d in range(1, dmax + 1):
         for f in enumerate_monic(d, ctx):
-            product = Poly.one(ctx)
-            for p, r in factor(f).factors:
+            fac = factor(f)
+            for p, _ in fac.factors:
                 assert p in sieved[p.degree], format_poly(p)
-                for _ in range(r):
-                    product = product * p
-            assert product == f, format_poly(f)
+            assert expand(fac) == f, format_poly(f)
 
 
 def test_factoring_the_quick_ensembles_takes_few_divisions(factor_divisions):
@@ -553,8 +578,8 @@ def test_factor_round_trip_random_extension(f):
     if f.is_zero:
         return
     fac = factor(f)
-    assert fac.expand() == f
-    assert all(is_irreducible(p) for p, _ in fac.factors)
+    assert expand(fac) == f
+    assert all(_is_irreducible(F4, p.coeffs) for p, _ in fac.factors)
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,7 +588,7 @@ def test_factor_round_trip_random_f5(f):
     if f.is_zero:
         return
     fac = factor(f)
-    assert fac.expand() == f
+    assert expand(fac) == f
     assert all(p.is_monic for p, _ in fac.factors)
 
 
@@ -576,20 +601,17 @@ def test_splitting_matches_trial_division(ctx):
     form on all of them."""
     dmax = max(d for d in range(1, 13) if ctx.q ** d <= 4096)
     for k in range(1, dmax // 2 + 1):
-        irreducibles = list(enumerate_irreducibles(k, ctx))
         for m in range(2, dmax // k + 1):
-            for chosen in itertools.combinations(irreducibles, m):
-                g = Poly.one(ctx)
-                for p in chosen:
-                    g = g * p
+            for chosen in itertools.combinations(irreducibles(k, ctx), m):
+                g = Poly(ctx, product(ctx, *(p.coeffs for p in chosen)))
                 got = [p for p, _ in factor(g).factors]
                 assert got == trial_equal_degree(g, k) == list(chosen), format_poly(g)
 
 
 def test_factor_never_runs_the_sieve(monkeypatch):
     monkeypatch.setattr(polynomial, "_irr_cache", {})
-    linears = parse_poly("t+65520", F65521) * parse_poly("t+65519", F65521)
-    fac = factor(linears * parse_poly("t+65518", F65521))
+    linears = [parse_poly(f"t+{c}", F65521).coeffs for c in (65520, 65519, 65518)]
+    fac = factor(Poly(F65521, product(F65521, *linears)))
     assert [format_poly(p) for p, _ in fac.factors] == ["t+65518", "t+65519", "t+65520"]
     fac = factor(parse_poly("t^4+t^2+5", F65521))
     assert [format_poly(p) for p, _ in fac.factors] == ["t^2+31595", "t^2+33927"]
@@ -601,19 +623,20 @@ def monic_products(draw, ctx, max_deg=64):
     """A unit times a product of random monic polynomials, some repeated, of
     total degree at most max_deg.  Coefficients come from element indices,
     so extension fields get elements outside the prime subfield."""
-    f = Poly.constant(ctx, draw(st.integers(1, ctx.q - 1)))
+    f = Poly(ctx, (draw(st.integers(1, ctx.q - 1)),))
     while f.degree < max_deg and (f.degree < 1 or draw(st.booleans())):
         d = draw(st.integers(1, max_deg - f.degree))
         low = draw(st.lists(st.integers(0, ctx.q - 1), min_size=d, max_size=d))
-        g = Poly(ctx, low + [1])
-        f = f * g ** draw(st.integers(1, (max_deg - f.degree) // d))
+        g = tuple(low) + (1,)
+        power = draw(st.integers(1, (max_deg - f.degree) // d))
+        f = Poly(ctx, product(ctx, f.coeffs, *[g] * power))
     return f
 
 
 def check_factorization(f):
     fac = factor(f)
-    assert fac.expand() == f
-    assert all(is_irreducible(p) for p, _ in fac.factors)
+    assert expand(fac) == f
+    assert all(_is_irreducible(f.ctx, p.coeffs) for p, _ in fac.factors)
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,7 +28,6 @@ PUBLIC = [
     "ensemble_formula",
     "ensemble_sum",
     "enumerate_coset_specs",
-    "enumerate_irreducibles",
     "enumerate_monic",
     "enumerate_sn",
     "expected_binom_on_coset",
@@ -36,7 +35,6 @@ PUBLIC = [
     "format_field_spec",
     "format_poly",
     "g_series_identity_check",
-    "is_irreducible",
     "make_field",
     "multi_indices_up_to",
     "necklace_check",
@@ -45,7 +43,6 @@ PUBLIC = [
     "parse_poly",
     "parse_predicate",
     "partitions",
-    "poly_gcd",
     "prime_power",
     "run_all",
     "sn_expectation_closed",

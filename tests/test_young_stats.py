@@ -39,6 +39,7 @@ from orbitstat.young_stats import (
 from coset_walk import (
     count_cycle_type_in_coset,
     ensemble_walk,
+    compose,
     expected_k_cycles,
     h_by_slots,
     structured_to_permutation,
@@ -264,7 +265,7 @@ def reference_histogram(s):
     cycling = tau(s)
     hist = {}
     for h in h_by_slots(s):
-        ct = (cycling * structured_to_permutation(s, h)).cycle_type()
+        ct = compose(cycling, structured_to_permutation(s, h)).cycle_type()
         hist[ct] = hist.get(ct, 0) + 1
     return hist
 
@@ -286,7 +287,7 @@ def test_slot_tables_hold_the_images_of_tau_h_on_each_slot():
         cycling = tau(s)
         tables = slot_tables(s)
         for (entries, images), h in zip(walk_coset(s), h_by_slots(s), strict=True):
-            want = (cycling * structured_to_permutation(s, h)).images
+            want = compose(cycling, structured_to_permutation(s, h)).images
             sigmas = tuple(itertools.chain.from_iterable(h))
             for (sl, table), sigma, entry in zip(tables, sigmas, entries, strict=True):
                 assert table[sigma] == want[sl] and entry == (sigma, table[sigma]), (str(s), h)
