@@ -54,7 +54,7 @@ from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
-    Permutation,
+    cycle_type,
     enumerate_sn,
     multi_indices_up_to,
     partitions,
@@ -81,7 +81,6 @@ __all__ = [
     "Factorization",
     "FieldCtx",
     "MultiIndex",
-    "Permutation",
     "Poly",
     "binom_eval",
     "block_spec",
@@ -90,6 +89,7 @@ __all__ = [
     "chi_symbolic",
     "coset_histogram",
     "count_irreducibles",
+    "cycle_type",
     "cycle_type_distribution",
     "ensemble_formula",
     "ensemble_sum",

@@ -4,7 +4,8 @@ The statistic X_k(sigma) counts k-cycles; binom(X, mu) is the product of
 binomial coefficients C(X_k, mu_k).  CharPoly stores an exact-rational linear
 combination in that binomial basis (the natural one here, because binom(X, mu)
 with norm(mu) = n is the indicator of a single S_n conjugacy class).  Monomial
-input like X1^2*X2 is converted into the basis via Stirling numbers.
+input like X1^2*X2 is converted into the basis via Stirling numbers.  A
+CharPoly is a value, parsed, printed and evaluated, with no operators.
 
 A truncated series is a dict from exponent tuples to exact coefficients,
 and _mul_truncated multiplies two of them, dropping every exponent beyond a
@@ -30,7 +31,13 @@ from functools import lru_cache
 
 from .errors import CapExceeded, prints, read_int
 from .polynomial import signed_terms
-from .symmetric import DEFAULT_GROUP_CAP, MultiIndex, enumerate_sn, multi_indices_up_to
+from .symmetric import (
+    DEFAULT_GROUP_CAP,
+    MultiIndex,
+    cycle_lengths,
+    enumerate_sn,
+    multi_indices_up_to,
+)
 
 # The most binomial terms one monomial may expand into; no flag raises it.
 EXPANSION_LIMIT = 10 ** 4
@@ -59,10 +66,12 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _check_expansion(powers: dict[int, int]) -> None:
-    """Refuse the monomial prod_k X_k^{a_k} before its expansion is built:
-    it has prod_k a_k binomial terms, and the term binom(X_k, a_k) of X_k^{a_k}
-    has the coefficient a_k!, which Python must be able to print."""
+def _check_expansion(powers: dict[int, int], coeff: Fraction) -> None:
+    """Refuse the monomial coeff * prod_k X_k^{a_k} before its expansion is
+    built: it has prod_k a_k binomial terms, and for the largest a_k = a its
+    coefficients a! and coeff * S(a, j) * j! must print.  The S(a, j) * j!
+    sum to a!/(2 (ln 2)^(a+1)) within 4% (the ordered Bell number), so the
+    largest is at least 1/a of that: refused a digit past the limit."""
     text = "*".join(f"X{k}^{a}" for k, a in sorted(powers.items()) if a)
     terms = math.prod(a for a in powers.values() if a)
     if terms > EXPANSION_LIMIT:
@@ -70,20 +79,19 @@ def _check_expansion(powers: dict[int, int]) -> None:
             f"the monomial {text} expands into {terms} binomial terms, beyond "
             f"the limit of {EXPANSION_LIMIT} a monomial, which no flag raises"
         )
-    top = max(powers.values(), default=0)
-    if not prints(math.factorial(top)):
-        raise CapExceeded(
-            f"the monomial {text} expands with the coefficient {top}! of more "
-            f"than {sys.get_int_max_str_digits()} digits, Python's limit for "
-            "printing an integer, which no flag raises"
-        )
-
-
-def _stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if not 0 <= k <= n:
-        return 0
-    return _stirling2_row(n)[k]
+    a = max(powers.values(), default=0)
+    limit = sys.get_int_max_str_digits()
+    ln_bound = math.lgamma(a + 1) - math.log(max(2 * a, 1)) - (a + 1) * math.log(math.log(2))
+    if not prints(math.factorial(a)):
+        what = f"the coefficient {a}!"
+    elif limit and ln_bound / math.log(10) - math.log10(coeff.denominator) > limit + 1:
+        what = "a coefficient"
+    else:
+        return
+    raise CapExceeded(
+        f"the monomial {text} expands with {what} of more than {limit} digits, "
+        "Python's limit for printing an integer, which no flag raises"
+    )
 
 
 class CharPoly:
@@ -92,24 +100,16 @@ class CharPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        canon: dict[MultiIndex, Fraction] = {}
+        self.terms = {}
         for mu, c in (terms or {}).items():
             if not isinstance(mu, MultiIndex):
                 raise TypeError(f"bad basis key {mu!r}")
-            c = Fraction(c)
-            if c:
-                canon[mu] = canon.get(mu, _F0) + c
-        self.terms = {mu: c for mu, c in canon.items() if c}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "CharPoly":
-        return cls()
+            if c := Fraction(c):
+                self.terms[mu] = c
 
     @classmethod
     def binom(cls, mu: MultiIndex, coeff=1) -> "CharPoly":
-        return cls({mu: Fraction(coeff)})
+        return cls({mu: coeff})
 
     @classmethod
     def from_monomial(cls, powers: dict[int, int], coeff=1) -> "CharPoly":
@@ -122,11 +122,11 @@ class CharPoly:
         for k, a in powers.items():
             if a < 0:
                 raise ValueError(f"exponent of X_{k} must be >= 0")
-        _check_expansion(powers)
+        _check_expansion(powers, coeff)
         # per variable, its terms j = a, ..., 1; every choice of one term per
         # variable is one basis element, built by the validating MultiIndex
         expansions = [
-            [(k, j, _stirling2(a, j) * math.factorial(j)) for j in range(a, 0, -1)]
+            [(k, j, _stirling2_row(a)[j] * math.factorial(j)) for j in range(a, 0, -1)]
             for k, a in sorted(powers.items())
             if a
         ]
@@ -135,29 +135,6 @@ class CharPoly:
                 coeff * math.prod(weight for _, _, weight in choice)
             for choice in itertools.product(*expansions)
         })
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out.get(mu, _F0) + c
-        return CharPoly(out)
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, CharPoly) else NotImplemented
-
-    def __neg__(self):
-        return CharPoly({mu: -c for mu, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return CharPoly({mu: c * scalar for mu, c in self.terms.items()})
-        return NotImplemented
-
-    __mul__ = __rmul__
 
     def __eq__(self, other):
         return isinstance(other, CharPoly) and self.terms == other.terms
@@ -169,21 +146,12 @@ class CharPoly:
         return sum((c * binom_eval(mu, ct) for mu, c in self.terms.items()), _F0)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mu, c in sorted(self.terms.items(), key=lambda it: it[0].entries):
-            body = f"binom({mu})" if mu.entries else "binom()"
-            if c == 1:
-                parts.append(body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+        terms = sorted(self.terms.items(), key=lambda it: it[0].entries)
+        parts = [f"binom({mu})" if c == 1 else f"{c}*binom({mu})" for mu, c in terms]
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"CharPoly({self})"
-
-    # -- parsing ------------------------------------------------------------
 
     _MONO_RE = re.compile(r"^X(\d+)(?:\^(\d+))?$")
 
@@ -193,10 +161,13 @@ class CharPoly:
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty expression")
-        out = cls.zero()
+        terms: dict[MultiIndex, Fraction] = {}  # a cancelled term leaves its place
         for sign, chunk in signed_terms(s):
-            out = out + sign * cls._parse_term(chunk)
-        return out
+            for mu, c in cls._parse_term(chunk).terms.items():
+                terms[mu] = terms.get(mu, _F0) + sign * c
+                if not terms[mu]:
+                    del terms[mu]
+        return cls(terms)
 
     @classmethod
     def _parse_term(cls, chunk: str) -> "CharPoly":
@@ -293,9 +264,8 @@ def g_series_identity_check(
     count = 0
     for sigma in group:
         prod = {one: _F1}
-        for ell, m in sigma.cycle_type().items():
-            for _ in range(m):
-                prod = _mul_truncated(prod, {one: _F1, z[ell]: _F1}, top)
+        for ell in cycle_lengths(sigma):
+            prod = _mul_truncated(prod, {one: _F1, z[ell]: _F1}, top)
         for a, c in prod.items():
             total[a] = total.get(a, _F0) + c
         count += 1

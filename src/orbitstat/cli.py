@@ -37,7 +37,7 @@ import time
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .errors import prints
+from .errors import CapExceeded, _shown, prints, read_int
 from .finite_field import format_field_spec, parse_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
@@ -305,6 +305,17 @@ def cmd_verify(args):
 # Parsers
 # ---------------------------------------------------------------------------
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value: a literal too long to read is read_int's
+    line, naming the limit; any other bad one is type=int's words, shortened."""
+    try:
+        return read_int(text, text, "the value")
+    except CapExceeded as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)!r}") from None
+
+
 def _add_common(p, field=True):
     if field:
         p.add_argument(
@@ -336,7 +347,7 @@ def _add_factor(p):
 
 
 def _add_necklace(p):
-    p.add_argument("--kmax", type=int, default=8, help="largest degree checked")
+    p.add_argument("--kmax", type=_int_flag, default=8, help="largest degree checked")
     _add_common(p)
 
 
@@ -349,13 +360,13 @@ def _add_eval(p):
         default="formula",
         help="both compares formula against oracle and fails on disagreement",
     )
-    p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
-    p.add_argument("--cap-terms", type=int, default=DEFAULT_TERM_CAP)
+    p.add_argument("--cap-group", type=_int_flag, default=DEFAULT_GROUP_CAP)
+    p.add_argument("--cap-terms", type=_int_flag, default=DEFAULT_TERM_CAP)
     _add_common(p)
 
 
 def _add_ensemble(p):
-    p.add_argument("--d", type=int, required=True, help="degree of the ensemble")
+    p.add_argument("--d", type=_int_flag, required=True, help="degree of the ensemble")
     _add_stat_group(p)
     p.add_argument(
         "--filter",
@@ -364,7 +375,7 @@ def _add_ensemble(p):
     )
     p.add_argument(
         "--cap-enum",
-        type=int,
+        type=_int_flag,
         default=DEFAULT_ENUM_CAP,
         help="largest number of steps of the ensemble series: coefficients built "
         "plus coefficient pairs multiplied, over the whole statistic",
@@ -388,7 +399,7 @@ def _add_young(p):
         default="formula",
         help="both compares formula against oracle and fails on disagreement",
     )
-    p.add_argument("--cap-group", type=int, default=DEFAULT_GROUP_CAP)
+    p.add_argument("--cap-group", type=_int_flag, default=DEFAULT_GROUP_CAP)
     _add_common(p, field=False)
 
 

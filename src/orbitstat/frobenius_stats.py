@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charpoly import CharPoly, _mul_truncated, sn_expectation_closed
-from .errors import CapExceeded, prints, read_int
+from .errors import CapExceeded, _power_of_ten, prints, read_int
 from .polynomial import (
     Poly,
     _divmod,
@@ -97,11 +97,11 @@ def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fr
 
 
 def _spend_terms(work: Optional[int], term_cap: int) -> None:
-    """Refuse a work count beyond term_cap; None stands for a count with
-    more digits than Python prints."""
+    """Refuse a work count beyond term_cap; None stands for one with more
+    digits than Python prints, or than its default limit when it has none."""
     if work is None or work > term_cap:
-        shown = work is not None and prints(work)
-        steps = work if shown else f"at least 10^{sys.get_int_max_str_digits()}"
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        steps = work if work is not None and prints(work) else f"at least 10^{limit}"
         raise CapExceeded(
             f"the symbolic route would reach {steps} steps (candidate symbols "
             f"tested against f plus term pairs multiplied), beyond the cap "
@@ -136,11 +136,11 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     ctx, fc = f.ctx, f.coeffs
     ks = sorted({k for mu in P.terms for k, _ in mu.items()})
     # the N_k > q^k / (10k) candidates of the largest k alone may have more
-    # digits than Python prints: decided by k*log10(q), before divisors(k),
-    # O(k) steps, or q^k is computed
-    digits = sys.get_int_max_str_digits()
-    if ks and digits and prints(term_cap):
-        if ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > digits:
+    # digits than Python prints (by default) and the cap: decided by
+    # k*log10(q), before divisors(k), O(k) steps, or q^k is computed
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if ks and ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > digits:
+        if term_cap < _power_of_ten(digits):
             _spend_terms(None, term_cap)
     work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
     _spend_terms(work, term_cap)

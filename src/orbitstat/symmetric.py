@@ -1,9 +1,9 @@
 """Permutations, cycle types and block-cycling cosets of Young subgroups.
 
-A Permutation is a validated image tuple on {0, ..., n-1}, read for its
-images and its cycle type; nothing here composes permutations.  A MultiIndex
-mu = {k: mu_k} doubles as the exponent of a cycle statistic and, when its
-norm equals n, as a cycle type.
+A permutation of {0, ..., n-1} is its image tuple, as
+itertools.permutations yields it; nothing here composes permutations.  A
+MultiIndex mu = {k: mu_k} doubles as the exponent of a cycle statistic and,
+when its norm equals n, as a cycle type.
 
 A CosetSpec is a multiset of blocks (d_i, r_i).  Block i contributes the index
 points {(i, j, k) : 0 <= j < r_i, 0 <= k < d_i}.  The subgroup H is the
@@ -13,8 +13,8 @@ which normalizes H.  The statistics downstream live on the coset tau*H,
 which young_stats.walk_coset walks slot by slot on the points laid out by
 young_stats.slot_tables; no element of H is built here.
 
-cycle_lengths is the one cycle counter: Permutation.cycle_type counts
-through it, and so do the coset walks, on plain image lists.
+cycle_lengths is the one cycle counter: cycle_type counts through it, and
+so do the coset walks, on plain image lists.
 """
 
 from __future__ import annotations
@@ -32,26 +32,10 @@ from .errors import CapExceeded, prints, read_int
 DEFAULT_GROUP_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
-
-    def cycle_type(self) -> "MultiIndex":
-        counts: dict[int, int] = {}
-        for length in cycle_lengths(self.images):
-            counts[length] = counts.get(length, 0) + 1
-        # the lengths come sorted, so the counts are already in k order
-        return _multi_index(tuple(counts.items()))
-
-
 def cycle_lengths(images) -> tuple[int, ...]:
     """Sorted cycle lengths of the permutation with these images: the one
-    cycle counter, for Permutation.cycle_type and for the image lists of the
-    coset walks."""
+    cycle counter, for cycle_type and for the image lists of the coset
+    walks."""
     seen = bytearray(len(images))
     lengths = []
     for start, done in enumerate(seen):
@@ -141,6 +125,18 @@ def _multi_index(entries: tuple[tuple[int, int], ...]) -> MultiIndex:
     object.__setattr__(mu, "entries", entries)
     object.__setattr__(mu, "_hash", hash((entries,)))
     return mu
+
+
+def cycle_type(images) -> MultiIndex:
+    """The cycle type of the permutation with these images; anything but a
+    permutation of {0, ..., n-1} is a ValueError."""
+    if sorted(images) != list(range(len(images))):
+        raise ValueError(f"not a permutation: {images}")
+    counts: dict[int, int] = {}
+    for length in cycle_lengths(images):
+        counts[length] = counts.get(length, 0) + 1
+    # the lengths come sorted, so the counts are already in k order
+    return _multi_index(tuple(counts.items()))
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,6 @@ def count_block_multisets(n: int) -> int:
     return ways[n]
 
 
-def _sn(n: int) -> Iterator[Permutation]:
-    """S_n in lexicographic image order.  itertools yields permutations by
-    construction, so they are not validated again."""
-    for images in itertools.permutations(range(n)):
-        sigma = object.__new__(Permutation)
-        object.__setattr__(sigma, "images", images)
-        yield sigma
-
-
 def _elements_text(n: int) -> str:
     """The count of a refusal of S_n, n! written out when Python prints it;
     an n! whose log (by lgamma) is a digit past the limit is not computed."""
@@ -254,9 +241,9 @@ def _elements_text(n: int) -> str:
     return f"{n}! elements, a number of more than {limit} digits,"
 
 
-def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
-    """All of S_n in lexicographic image order; refuses n! > cap, found by
-    multiplying 2 * 3 * ... only until the product passes cap."""
+def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple[int, ...]]:
+    """All of S_n as image tuples, in lexicographic order; refuses n! > cap,
+    found by multiplying 2 * 3 * ... only until the product passes cap."""
     if n < 0:
         raise ValueError("n must be >= 0")
     order = 1
@@ -268,13 +255,13 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[Permutation]:
         raise CapExceeded(
             f"S_{n} has {_elements_text(n)} beyond cap {cap}; raise it with --cap-group"
         )
-    return _sn(n)
+    return itertools.permutations(range(n))
 
 
 @lru_cache(maxsize=None)
-def _sn_list(r: int) -> tuple[Permutation, ...]:
+def _sn_list(r: int) -> tuple[tuple[int, ...], ...]:
     """S_r in enumerate_sn order, with no cap: its callers check |H| first."""
-    return tuple(_sn(r))
+    return tuple(itertools.permutations(range(r)))
 
 
 def centralizer_order(mu: MultiIndex) -> int:

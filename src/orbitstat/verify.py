@@ -49,6 +49,7 @@ from .symmetric import (
     MultiIndex,
     block_multisets,
     cycle_lengths,
+    cycle_type,
     enumerate_sn,
     multi_indices_up_to,
     partitions,
@@ -109,7 +110,7 @@ def _block_projections(blocks, entries) -> tuple[tuple[int, ...], ...]:
     for d, r in blocks:
         images = range(r)
         for sigma, _ in itertools.islice(slots, d):
-            images = tuple(map(sigma.images.__getitem__, images))
+            images = tuple(map(sigma.__getitem__, images))
         out.append(images)
     return tuple(out)
 
@@ -269,7 +270,7 @@ def check_sym_expectation(rmax: int = 8) -> CheckResult:
     bad = []
     n = 0
     for r in range(1, rmax + 1):
-        hist = Counter(sigma.cycle_type() for sigma in enumerate_sn(r))
+        hist = Counter(map(cycle_type, enumerate_sn(r)))
         order = math.factorial(r)
         for mu in multi_indices_up_to(r + 1):
             closed = sn_expectation_closed(mu, r)

@@ -37,7 +37,7 @@ independence is the one step it shares with the closed forms, and verify's
 projection-measure check tests that step on every h of the whole H.  Both
 run on walk_coset, the one walk of a coset: a product of one table per slot
 (slot_tables) writes each tau*h slot by slot into one reused list of images,
-whose cycles symmetric.cycle_lengths counts, with no Permutation per element.
+whose cycles symmetric.cycle_lengths counts; each sigma is an image tuple.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
             step = (k + 1) % d  # tau moves (i, j, k) to (i, j, k + 1 mod d)
             points = tuple(base + j * d + step for j in range(r))  # j -> (i, j, step)
             images = {
-                sigma: tuple(map(points.__getitem__, sigma.images)) for sigma in _sn_list(r)
+                sigma: tuple(map(points.__getitem__, sigma)) for sigma in _sn_list(r)
             }
             tables.append((slice(base + k, base + r * d, d), images))
         base += d * r

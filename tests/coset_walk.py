@@ -3,11 +3,11 @@
 h_by_slots lists H as the product of enumerate_sn per slot, each h a tuple
 of blocks, each block a tuple of its d slots' elements of S_r: the tests'
 own copy of the order of young_stats.walk_coset.  tau and
-structured_to_permutation build tau and each such h as whole Permutations of
-the N points, flattened in lexicographic (i, j, k) order: the tests' own
-copy of the point layout, against which young_stats' slot_tables is checked.
-compose multiplies two Permutations on their image tuples, the right factor
-acting first, as tau*h does.
+structured_to_permutation build tau and each such h as whole permutations of
+the N points, image tuples flattened in lexicographic (i, j, k) order: the
+tests' own copy of the point layout, against which young_stats' slot_tables
+is checked.  compose multiplies two image tuples, the right factor acting
+first, as tau*h does.
 
 whole_coset_histogram is the oracle for coset_histogram, which walks each
 block's coset on its own and convolves the results.  This walks every h of
@@ -49,8 +49,8 @@ from orbitstat.symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
-    Permutation,
     cycle_lengths,
+    cycle_type,
     enumerate_sn,
 )
 from orbitstat.young_stats import (
@@ -72,12 +72,12 @@ def _offsets(spec: CosetSpec) -> list[int]:
     return offs
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
+def compose(a: tuple, b: tuple) -> tuple:
     """a * b, which sends x to a(b(x)): b acts first."""
-    return Permutation(tuple(a.images[y] for y in b.images))
+    return tuple(a[y] for y in b)
 
 
-def tau(spec: CosetSpec) -> Permutation:
+def tau(spec: CosetSpec) -> tuple:
     """The block-cycling permutation (i, j, k) -> (i, j, k+1 mod d_i)."""
     images = [0] * spec.n
     offs = _offsets(spec)
@@ -86,7 +86,7 @@ def tau(spec: CosetSpec) -> Permutation:
         for j in range(r):
             for k in range(d):
                 images[base + j * d + k] = base + j * d + (k + 1) % d
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def h_by_slots(spec: CosetSpec):
@@ -102,7 +102,7 @@ def h_by_slots(spec: CosetSpec):
         yield tuple(h)
 
 
-def structured_to_permutation(spec: CosetSpec, h: tuple) -> Permutation:
+def structured_to_permutation(spec: CosetSpec, h: tuple) -> tuple:
     """Flatten a slot tuple to a permutation of the N points."""
     images = [0] * spec.n
     offs = _offsets(spec)
@@ -111,8 +111,8 @@ def structured_to_permutation(spec: CosetSpec, h: tuple) -> Permutation:
         for k in range(d):
             perm = h[i][k]
             for j in range(r):
-                images[base + j * d + k] = base + perm.images[j] * d + k
-    return Permutation(tuple(images))
+                images[base + j * d + k] = base + perm[j] * d + k
+    return tuple(images)
 
 
 def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
@@ -120,7 +120,7 @@ def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) 
     total = 0
     count = 0
     for sigma in enumerate_sn(r, cap):
-        total += binom_eval(mu, sigma.cycle_type())
+        total += binom_eval(mu, cycle_type(sigma))
         count += 1
     return Fraction(total, count)
 

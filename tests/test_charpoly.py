@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,12 +14,12 @@ from orbitstat.charpoly import (
     CharPoly,
     _exp_truncated,
     _mul_truncated,
-    _stirling2,
+    _stirling2_row,
     binom_eval,
     g_series_identity_check,
     sn_expectation_closed,
 )
-from orbitstat.errors import CapExceeded
+from orbitstat.errors import CapExceeded, prints
 from orbitstat.symmetric import MultiIndex, multi_indices_up_to
 
 from coset_walk import sn_expectation_oracle
@@ -71,7 +72,8 @@ def test_mixed_monomials(a, b, x, y):
 
 
 def test_linear_structure():
-    P = CharPoly.binom(mi("2:1"), 3) - CharPoly.binom(mi("1:2"))
+    P = CharPoly.parse("3*binom(2:1) - binom(1:2)")
+    assert P.terms == {mi("2:1"): 3, mi("1:2"): -1}
     ct = mi("1:2,2:2")
     assert P.evaluate(ct) == 3 * 2 - 1
 
@@ -97,8 +99,12 @@ def test_parse_and_str():
         ("2*X1^40*X2^40*X3^40 + X1", ["X1^40*X2^40*X3^40", "64000"]),
         ("X1^3000", ["3000!", f"{sys.get_int_max_str_digits()} digits"]),
         ("X1^1000*X1^800", ["X1^1800", "1800!"]),
+        ("X1^1500", ["X1^1500", f"a coefficient of more than {sys.get_int_max_str_digits()}"]),
     ],
-    ids=["one-variable", "four-variables", "in-a-sum", "factorial", "merged-powers"],
+    ids=[
+        "one-variable", "four-variables", "in-a-sum", "factorial", "merged-powers",
+        "largest-weight",
+    ],
 )
 def test_an_expansion_past_its_limit_is_refused_before_it_is_built(monkeypatch, text, words):
     def refuse(n):
@@ -111,6 +117,35 @@ def test_an_expansion_past_its_limit_is_refused_before_it_is_built(monkeypatch, 
     assert "\n" not in message and "no flag" in message
     for word in words:
         assert word in message
+
+
+def test_the_largest_power_that_prints_keeps_its_statistic():
+    # every S(1484, j) * j! prints, and the largest S(1485, j) * j! has 4302
+    # digits, within a digit of the limit, where the bound from a alone does
+    # not refuse: both are built, and the caller sees the whole statistic
+    assert sys.get_int_max_str_digits() == 4300
+    P = CharPoly.parse("X1^1484")
+    assert len(P.terms) == 1484
+    assert all(prints(c.numerator) and c.denominator == 1 for c in P.terms.values())
+    assert str(P).startswith("binom(1:1) + ") and str(P).endswith("*binom(1:1484)")
+    for x in range(5):
+        assert P.evaluate(MultiIndex.from_dict({1: x})) == x ** 1484
+    assert not all(prints(c.numerator) for c in CharPoly.parse("X1^1485").terms.values())
+
+
+def test_a_long_statistic_parses_in_linear_time():
+    text = "+".join(f"binom(1:{m})" for m in range(1, 4001))
+    start = time.perf_counter()
+    P = CharPoly.parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert list(P.terms) == [mi(f"1:{m}") for m in range(1, 4001)]
+
+
+def test_a_parsed_sum_keeps_each_term_in_place_until_it_cancels():
+    # the work caps of the routes spend term by term, in this order
+    P = CharPoly.parse("binom(1:1) + 2*binom(2:1) - X1 + binom(3:1) - binom(2:1) + X1")
+    assert list(P.terms.items()) == [(mi("2:1"), 1), (mi("3:1"), 1), (mi("1:1"), 1)]
+    assert CharPoly.parse("binom(1:1) - X1") == CharPoly({})
 
 
 def test_an_expansion_at_its_limit_is_built():
@@ -286,8 +321,9 @@ def test_stirling_identity_against_factorial_moments():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 200, 1500])
 def test_stirling2_matches_inclusion_exclusion(n):
+    row = _stirling2_row(n)
     for k in sorted({0, 1, 2, n // 3, n // 2, max(n - 1, 0), n, n + 1}):
         explicit = sum(
             (-1) ** (k - j) * math.comb(k, j) * j ** n for j in range(k + 1)
         ) // math.factorial(k)
-        assert _stirling2(n, k) == explicit
+        assert (row[k] if k <= n else 0) == explicit

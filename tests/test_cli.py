@@ -715,6 +715,73 @@ def test_a_huge_symbolic_cycle_length_is_refused_before_its_divisors(capsys, mon
     assert code == 1 and out == "" and "--cap-terms" in err
 
 
+def test_a_huge_symbolic_cycle_length_is_refused_with_no_digit_limit(capsys, monkeypatch):
+    # with no limit, the refusal is decided at Python's default limit
+    k = 10 ** 9
+    count = frobenius_stats.necklace_count
+
+    def counted(d, q):
+        assert d != k, "N_k was computed"
+        return count(d, q)
+
+    monkeypatch.setattr(frobenius_stats, "necklace_count", counted)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "eval", "--q", "2", "t", "--mu", f"{k}:1", "--method", "symbolic"
+        )
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: the symbolic route would reach at least "
+        f"10^{sys.int_info.default_max_str_digits} steps (candidate symbols tested "
+        "against f plus term pairs multiplied), beyond the cap 1000000; raise it "
+        "with --cap-terms, or for coset statistics use the factored route\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("eval", "--q", "2", "t", "--mu", "1:1"), "--cap-terms"),
+        (("eval", "--q", "2", "t", "--mu", "1:1"), "--cap-group"),
+        (("ensemble", "--q", "2", "--mu", "1:1", "--d", "3"), "--cap-enum"),
+        (("ensemble", "--q", "2", "--mu", "1:1"), "--d"),
+        (("necklace", "--q", "2"), "--kmax"),
+        (("young", "--blocks", "1^2", "--mu", "1:1"), "--cap-group"),
+    ],
+)
+def test_an_integer_flag_too_long_to_read_is_a_usage_error(capsys, argv, flag):
+    def last_line(parse, value):
+        with pytest.raises(SystemExit) as stopped:
+            parse([*argv, flag, value])
+        assert stopped.value.code == 2
+        return capsys.readouterr().err.splitlines()[-1]
+
+    limit = sys.get_int_max_str_digits()
+    huge = "1" + "0" * limit
+    assert last_line(main, huge) == (
+        f"orbitstat {argv[0]}: error: argument {flag}: the value "
+        f"'{huge[:20]}...{huge[-10:]}' holds an integer of {limit + 1} digits, "
+        f"more than {limit}, Python's limit for reading an integer, which no flag raises"
+    )
+    # any other bad value reads as type=int words it
+    reference = argparse.ArgumentParser(prog=f"orbitstat {argv[0]}")
+    reference.add_argument(flag, type=int)
+    for bad in ("x", "1.5", "", "1e3"):
+        assert last_line(main, bad) == last_line(lambda args: reference.parse_args(args[-2:]), bad)
+    # as is one too long to read that int would read with no limit
+    spaced = "1_" + "0" * limit
+    assert last_line(main, spaced) == (
+        f"orbitstat {argv[0]}: error: argument {flag}: invalid int value: "
+        f"'{spaced[:20]}...{spaced[-10:]}'"
+    )
+
+
 def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monkeypatch):
     # each coefficient is tested by its bit length, so the text of a
     # statistic with one too long is never built
@@ -722,10 +789,12 @@ def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monk
         raise AssertionError("the statistic was formatted")
 
     monkeypatch.setattr(cli.CharPoly, "__str__", formatted)
-    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1500")
+    # the largest S(1485, j) * j! has 4302 digits, too close to the limit for
+    # the parser's bound to refuse it
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1485")
     assert code == 1 and out == ""
     assert err == (
-        f"error: the statistic X1^1500 has a coefficient of more than "
+        f"error: the statistic X1^1485 has a coefficient of more than "
         f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an "
         "integer, which no flag raises\n"
     )
@@ -747,8 +816,8 @@ def test_prints_agrees_with_str_at_the_digit_limit():
 
 def test_huge_monomial_ends_without_a_traceback(capsys):
     # X1^1500 expands through Stirling numbers S(1500, j), too long for
-    # Python to print; the statistic is printed before any route runs, so the
-    # error comes right after the parse
+    # Python to print; the parser bounds them from 1500 alone and refuses the
+    # monomial before any is built
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1500")
     assert time.perf_counter() - start < 2.5

@@ -125,7 +125,7 @@ def test_chi_routes_are_linear():
     # spec with a repeated block
     f = parse_poly("t^6+t^4+t^2", F2)
     spec = block_spec(f)
-    P = CharPoly.parse("2*X1 - 1/3*binom(1:1,2:1) + 5") + CharPoly.binom(mi("2:1"), -3)
+    P = CharPoly.parse("2*X1 - 1/3*binom(1:1,2:1) + 5 - 3*binom(2:1)")
     want = (
         2 * formula_at("t^6+t^4+t^2", "1:1")
         - Fraction(1, 3) * formula_at("t^6+t^4+t^2", "1:1,2:1")
@@ -468,8 +468,9 @@ def test_the_series_cap_counts_the_whole_statistic():
         return low
 
     one, other = binom("1:2"), binom("2:1")
-    assert 0 < least_cap(one) < least_cap(one + other)
-    assert least_cap(one + other) == least_cap(one) + least_cap(other)
+    both = CharPoly.parse("binom(1:2) + binom(2:1)")
+    assert 0 < least_cap(one) < least_cap(both)
+    assert least_cap(both) == least_cap(one) + least_cap(other)
 
 
 def test_equal_expectation_report():

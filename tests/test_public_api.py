@@ -15,7 +15,6 @@ PUBLIC = [
     "Factorization",
     "FieldCtx",
     "MultiIndex",
-    "Permutation",
     "Poly",
     "binom_eval",
     "block_spec",
@@ -24,6 +23,7 @@ PUBLIC = [
     "chi_symbolic",
     "coset_histogram",
     "count_irreducibles",
+    "cycle_type",
     "cycle_type_distribution",
     "ensemble_formula",
     "ensemble_sum",

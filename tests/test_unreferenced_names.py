@@ -4,8 +4,11 @@ definition, and a method or property of such a class is read as an
 attribute.  Surface that only the tests call belongs in tests/, as an oracle.
 
 Attributes match by name alone, on whatever object they are read.  Operator
-dunders are never read as attributes (a + b calls __add__ unseen), so this
-cannot see them, and does not check them."""
+dunders are never read as attributes (a + b calls __add__ unseen), so no
+reader of one can be seen: an arithmetic operator defined in a class, by def
+or by assignment (__mul__ = __rmul__), is reported whatever reads it.  The
+values under src/ carry no operator algebra; their arithmetic runs on plain
+ints, Fractions and tuples."""
 
 import ast
 from pathlib import Path
@@ -15,6 +18,26 @@ import orbitstat
 ROOT = Path(__file__).resolve().parent.parent
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = (*_FUNCTIONS, ast.ClassDef)
+_BINARY = (
+    "add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod",
+    "pow", "lshift", "rshift", "and", "xor", "or",
+)
+OPERATORS = {f"__{side}{op}__" for op in _BINARY for side in ("", "r", "i")} | {
+    "__neg__", "__pos__", "__abs__", "__invert__",
+}
+
+
+def _operators(node: ast.ClassDef) -> list[str]:
+    """The arithmetic operators a class body defines, by def or by
+    assignment."""
+    names = []
+    for item in node.body:
+        if isinstance(item, _FUNCTIONS):
+            names.append(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name in OPERATORS]
 
 
 def unreferenced(trees: dict[str, ast.Module], public: set[str]) -> list[str]:
@@ -44,6 +67,7 @@ def unreferenced(trees: dict[str, ast.Module], public: set[str]) -> list[str]:
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                     and item.name not in attrs
                 ]
+                found += [f"{node.name}.{name}" for name in _operators(node)]
     return sorted(found)
 
 
@@ -67,7 +91,12 @@ def test_unread_definitions_are_found():
         "    @property\n"
         "    def hidden(self): pass\n"
         "    def __add__(self, other): pass\n"
+        "    __radd__ = __add__\n"
+        "    size: int = 0\n"
+        "    def __eq__(self, other): pass\n"
         "used()\n"
-        "print(C().read(), C().shown)\n"
+        "print(C().read(), C().shown, C() + C())\n"
     )
-    assert unreferenced({"m": tree}, {"exported"}) == ["C.hidden", "recursive"]
+    assert unreferenced({"m": tree}, {"exported"}) == [
+        "C.__add__", "C.__radd__", "C.hidden", "recursive"
+    ]

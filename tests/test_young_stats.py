@@ -18,6 +18,7 @@ from orbitstat.symmetric import (
     CosetSpec,
     MultiIndex,
     centralizer_order,
+    cycle_type,
     multi_indices_up_to,
     partitions,
 )
@@ -261,11 +262,11 @@ def test_blocks_share_one_factor_beyond_their_reach():
 
 
 def reference_histogram(s):
-    """Cycle types of tau*h, with each h built and composed as a Permutation."""
+    """Cycle types of tau*h, with each h built and composed as an image tuple."""
     cycling = tau(s)
     hist = {}
     for h in h_by_slots(s):
-        ct = compose(cycling, structured_to_permutation(s, h)).cycle_type()
+        ct = cycle_type(compose(cycling, structured_to_permutation(s, h)))
         hist[ct] = hist.get(ct, 0) + 1
     return hist
 
@@ -280,14 +281,14 @@ def test_enumeration_matches_composed_permutations_on_every_small_spec():
 
 def test_slot_tables_hold_the_images_of_tau_h_on_each_slot():
     """Entry sigma of a slot's table is tau*h on that slot's points, for h
-    composed as a Permutation, on every h of every spec with n <= 6; and
+    composed as an image tuple, on every h of every spec with n <= 6; and
     walk_coset meets the h in the order of the product of enumerate_sn per
     slot, each as its slots' table entries and the images of tau*h."""
     for s in enumerate_coset_specs(6):
         cycling = tau(s)
         tables = slot_tables(s)
         for (entries, images), h in zip(walk_coset(s), h_by_slots(s), strict=True):
-            want = compose(cycling, structured_to_permutation(s, h)).images
+            want = compose(cycling, structured_to_permutation(s, h))
             sigmas = tuple(itertools.chain.from_iterable(h))
             for (sl, table), sigma, entry in zip(tables, sigmas, entries, strict=True):
                 assert table[sigma] == want[sl] and entry == (sigma, table[sigma]), (str(s), h)
