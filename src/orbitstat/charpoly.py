@@ -17,7 +17,7 @@ z_mu = prod_k k^{m_k} m_k!, which clears every denominator of the factor
 _exp_truncated sums the exponential of a series without constant term,
 dividing with Fraction so that int input stays exact, and
 g_series_identity_check runs the cycle-index generating-series identity on
-these dicts.
+these dicts, one product per class of S_r.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,6 +35,7 @@ from .polynomial import signed_terms
 from .symmetric import (
     DEFAULT_GROUP_CAP,
     MultiIndex,
+    centralizer_order,
     cycle_lengths,
     enumerate_sn,
     multi_indices_up_to,
@@ -66,16 +68,17 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _check_expansion(powers: dict[int, int], coeff: Fraction) -> None:
-    """Refuse the monomial coeff * prod_k X_k^{a_k} before its expansion is
-    built: it has prod_k a_k binomial terms, and for the largest a_k = a its
-    coefficients a! and coeff * S(a, j) * j! must print.  The S(a, j) * j!
-    sum to a!/(2 (ln 2)^(a+1)) within 4% (the ordered Bell number), so the
-    largest is at least 1/a of that: refused a digit past the limit."""
+def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> str:
+    """Why the monomial coeff * prod_k X_k^{a_k} is refused before its
+    expansion is built, "" if it is not: it has prod_k a_k binomial terms,
+    and for the largest a_k = a its coefficients a! and coeff * S(a, j) * j!
+    must print.  The S(a, j) * j! sum to a!/(2 (ln 2)^(a+1)) within 4% (the
+    ordered Bell number), so the largest is at least 1/a of that: refused a
+    digit past the limit, and no sooner for a larger denominator of coeff."""
     text = "*".join(f"X{k}^{a}" for k, a in sorted(powers.items()) if a)
     terms = math.prod(a for a in powers.values() if a)
     if terms > EXPANSION_LIMIT:
-        raise CapExceeded(
+        return (
             f"the monomial {text} expands into {terms} binomial terms, beyond "
             f"the limit of {EXPANSION_LIMIT} a monomial, which no flag raises"
         )
@@ -87,8 +90,8 @@ def _check_expansion(powers: dict[int, int], coeff: Fraction) -> None:
     elif limit and ln_bound / math.log(10) - math.log10(coeff.denominator) > limit + 1:
         what = "a coefficient"
     else:
-        return
-    raise CapExceeded(
+        return ""
+    return (
         f"the monomial {text} expands with {what} of more than {limit} digits, "
         "Python's limit for printing an integer, which no flag raises"
     )
@@ -122,7 +125,8 @@ class CharPoly:
         for k, a in powers.items():
             if a < 0:
                 raise ValueError(f"exponent of X_{k} must be >= 0")
-        _check_expansion(powers, coeff)
+        if refusal := _expansion_refusal(powers, coeff):
+            raise CapExceeded(refusal)
         # per variable, its terms j = a, ..., 1; every choice of one term per
         # variable is one basis element, built by the validating MultiIndex
         expansions = [
@@ -157,20 +161,35 @@ class CharPoly:
 
     @classmethod
     def parse(cls, text: str) -> "CharPoly":
-        """Parse sums of rational * binom(...) or rational * X-monomial terms."""
+        """Parse sums of rational * binom(...) or rational * X-monomial terms,
+        each added where it stands; a monomial whose coefficients sum to 0
+        over the statistic and whose expansion would be refused is dropped."""
         s = text.replace(" ", "")
         if not s:
             raise ValueError("empty expression")
-        terms: dict[MultiIndex, Fraction] = {}  # a cancelled term leaves its place
+        parsed = []
+        sums: dict = {}
         for sign, chunk in signed_terms(s):
-            for mu, c in cls._parse_term(chunk).terms.items():
-                terms[mu] = terms.get(mu, _F0) + sign * c
+            key, coeff = cls._parse_term(chunk)
+            parsed.append((key, sign * coeff))
+            sums[key] = sums.get(key, _F0) + sign * coeff
+        terms: dict[MultiIndex, Fraction] = {}  # a cancelled term leaves its place
+        for key, coeff in parsed:
+            if isinstance(key, MultiIndex):
+                expansion = {key: coeff}
+            elif sums[key] or not _expansion_refusal(dict(key), _F1):
+                expansion = cls.from_monomial(dict(key), coeff).terms
+            else:
+                continue
+            for mu, c in expansion.items():
+                terms[mu] = terms.get(mu, _F0) + c
                 if not terms[mu]:
                     del terms[mu]
         return cls(terms)
 
     @classmethod
-    def _parse_term(cls, chunk: str) -> "CharPoly":
+    def _parse_term(cls, chunk: str) -> tuple[object, Fraction]:
+        """(key, coefficient): a binom's or constant's MultiIndex, or a monomial's powers."""
         coeff = _F1
         body = chunk
         if chunk[0].isdigit():
@@ -187,9 +206,9 @@ class CharPoly:
                 raise ValueError(f"zero denominator in term {chunk!r}") from None
             body = m.group(2)
             if body is None:
-                return cls.binom(MultiIndex(), coeff)
+                return MultiIndex(), coeff
         if body.startswith("binom(") and body.endswith(")"):
-            return cls.binom(MultiIndex.parse(body[6:-1]), coeff)
+            return MultiIndex.parse(body[6:-1]), coeff
         powers: dict[int, int] = {}
         for factor_text in body.split("*"):
             m = cls._MONO_RE.match(factor_text)
@@ -198,17 +217,12 @@ class CharPoly:
             k = read_int(m.group(1), chunk, "the term")
             a = read_int(m.group(2), chunk, "the term") if m.group(2) else 1
             powers[k] = powers.get(k, 0) + a
-        return cls.from_monomial(powers, coeff)
+        return tuple(sorted((k, a) for k, a in powers.items() if a)), coeff
 
 
 def sn_expectation_closed(mu: MultiIndex, r: int) -> Fraction:
-    """Mean of binom(X, mu) over S_r: prod 1/(k^m * m!) while norm(mu) <= r."""
-    if mu.norm > r:
-        return _F0
-    out = _F1
-    for k, m in mu.items():
-        out *= Fraction(1, k ** m * math.factorial(m))
-    return out
+    """Mean of binom(X, mu) over S_r: 1/z_mu while norm(mu) <= r."""
+    return Fraction(1, centralizer_order(mu)) if mu.norm <= r else _F0
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +274,14 @@ def g_series_identity_check(
     top = (min(r, t_degree_cap // d),) * (r + 1)
     one = (0,) * (r + 1)
     z = {ell: (ell,) + one[1:ell] + (1,) + one[ell + 1 :] for ell in range(1, r + 1)}
-    total: dict[tuple[int, ...], Fraction] = {}
-    count = 0
-    for sigma in group:
-        prod = {one: _F1}
-        for ell in cycle_lengths(sigma):
-            prod = _mul_truncated(prod, {one: _F1, z[ell]: _F1}, top)
+    total: dict[tuple[int, ...], int] = {}
+    for lengths, count in Counter(map(cycle_lengths, group)).items():
+        prod = {one: 1}
+        for ell in lengths:
+            prod = _mul_truncated(prod, {one: 1, z[ell]: 1}, top)
         for a, c in prod.items():
-            total[a] = total.get(a, _F0) + c
-        count += 1
-    lhs = {a: c / count for a, c in total.items()}
+            total[a] = total.get(a, 0) + count * c
+    lhs = {a: Fraction(c, math.factorial(r)) for a, c in total.items()}
     if lhs != _exp_truncated({z[ell]: Fraction(1, ell) for ell in z}, top):
         return False
     flat: dict[tuple[int, ...], Fraction] = {}

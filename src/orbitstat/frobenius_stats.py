@@ -66,7 +66,6 @@ DEFAULT_ENUM_CAP = 10 ** 6
 DEFAULT_TERM_CAP = 10 ** 6
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _check_monic(f: Poly) -> None:
@@ -163,7 +162,6 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     total = _F0
     for mu, coef in P.terms.items():
         terms = {fc: 1}  # cofactor f/g -> integer coefficient of eps_g
-        pref = _F1
         for k, m in mu.items():
             for _ in range(m):
                 work += len(terms) * len(symbols[k])
@@ -175,8 +173,7 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
                         if not rem:
                             out[quot] = out.get(quot, 0) + x * y
                 terms = out
-            pref *= Fraction(1, k ** m * math.factorial(m))
-        total += coef * pref * sum(terms.values())
+        total += coef * Fraction(sum(terms.values()), centralizer_order(mu))
     return total
 
 

@@ -653,10 +653,6 @@ class Factorization:
         return all(r == 1 for _, r in self.factors)
 
     @property
-    def max_multiplicity(self) -> int:
-        return max((r for _, r in self.factors), default=0)
-
-    @property
     def spec(self) -> CosetSpec:
         """The block spec: one block (deg p, r) per factor p^r."""
         return CosetSpec(tuple((p.degree, r) for p, r in self.factors))

@@ -13,12 +13,13 @@ which normalizes H.  The statistics downstream live on the coset tau*H,
 which young_stats.walk_coset walks slot by slot on the points laid out by
 young_stats.slot_tables; no element of H is built here.
 
-cycle_lengths is the one cycle counter: cycle_type counts through it, and
-so do the coset walks, on plain image lists.
+cycle_lengths is the one cycle counter, and sorted cycle lengths the working
+form of a cycle type: _lengths_type makes each tallied class a MultiIndex.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -34,8 +35,7 @@ DEFAULT_GROUP_CAP = 10 ** 6
 
 def cycle_lengths(images) -> tuple[int, ...]:
     """Sorted cycle lengths of the permutation with these images: the one
-    cycle counter, for cycle_type and for the image lists of the coset
-    walks."""
+    cycle counter, on image tuples and the image lists of the coset walks."""
     seen = bytearray(len(images))
     lengths = []
     for start, done in enumerate(seen):
@@ -127,16 +127,23 @@ def _multi_index(entries: tuple[tuple[int, int], ...]) -> MultiIndex:
     return mu
 
 
+def _lengths_type(lengths: tuple[int, ...]) -> MultiIndex:
+    """The cycle type with these sorted cycle lengths, unvalidated."""
+    entries = []
+    start = 0
+    while start < len(lengths):  # one run of equal lengths a step
+        end = bisect.bisect_right(lengths, lengths[start], start)
+        entries.append((lengths[start], end - start))
+        start = end
+    return _multi_index(tuple(entries))
+
+
 def cycle_type(images) -> MultiIndex:
     """The cycle type of the permutation with these images; anything but a
     permutation of {0, ..., n-1} is a ValueError."""
     if sorted(images) != list(range(len(images))):
         raise ValueError(f"not a permutation: {images}")
-    counts: dict[int, int] = {}
-    for length in cycle_lengths(images):
-        counts[length] = counts.get(length, 0) + 1
-    # the lengths come sorted, so the counts are already in k order
-    return _multi_index(tuple(counts.items()))
+    return _lengths_type(cycle_lengths(images))
 
 
 @dataclass(frozen=True)
@@ -178,10 +185,6 @@ class CosetSpec:
     def n(self) -> int:
         """Number of flattened points: sum of d_i * r_i."""
         return sum(d * r for d, r in self.blocks)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(r == 1 for _, r in self.blocks)
 
     @property
     def max_multiplicity(self) -> int:

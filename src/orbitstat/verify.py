@@ -48,8 +48,8 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     block_multisets,
+    _lengths_type,
     cycle_lengths,
-    cycle_type,
     enumerate_sn,
     multi_indices_up_to,
     partitions,
@@ -270,7 +270,8 @@ def check_sym_expectation(rmax: int = 8) -> CheckResult:
     bad = []
     n = 0
     for r in range(1, rmax + 1):
-        hist = Counter(map(cycle_type, enumerate_sn(r)))
+        tally = Counter(map(cycle_lengths, enumerate_sn(r)))
+        hist = {_lengths_type(lengths): cnt for lengths, cnt in tally.items()}
         order = math.factorial(r)
         for mu in multi_indices_up_to(r + 1):
             closed = sn_expectation_closed(mu, r)
@@ -298,11 +299,11 @@ def check_projection_measure(nmax: int = 8) -> CheckResult:
         for entries, images in walk_coset(spec):
             ms = _block_projections(blocks, entries)
             # each l-cycle of block i's projection is a (d_i * l)-cycle of tau*h
-            predicted = Counter(
+            predicted = tuple(sorted(
                 d * ell for (d, _), m in zip(blocks, ms) for ell in cycle_lengths(m)
-            )
-            ct = Counter(cycle_lengths(images))
-            if ct != predicted:
+            ))
+            if (lengths := cycle_lengths(images)) != predicted:
+                ct, predicted = Counter(lengths), Counter(predicted)
                 bad.extend(
                     ("cycles", str(spec), k, ct[k], predicted[k])
                     for k in range(1, spec.n + 1)

@@ -31,13 +31,14 @@ coset_histogram enumerates cosets directly and is kept as the oracle.  H and
 tau both map each block's points to themselves, so tau*H is the product of the
 one-block cosets, and the cycle lengths of tau*h are those of its blocks put
 together.  The oracle walks each distinct block's coset on its own d*r points,
-all (r!)^d elements of it, tallies their sorted cycle lengths, and convolves
-the tallies over the blocks.  It relies on no fact about S_r: block
-independence is the one step it shares with the closed forms, and verify's
-projection-measure check tests that step on every h of the whole H.  Both
-run on walk_coset, the one walk of a coset: a product of one table per slot
-(slot_tables) writes each tau*h slot by slot into one reused list of images,
-whose cycles symmetric.cycle_lengths counts; each sigma is an image tuple.
+all (r!)^d elements of it, and tallies their sorted cycle lengths; the
+closed form's convolution over the blocks (_convolve) combines the tallies.
+It relies on no fact about S_r: block independence is the one step it
+shares with the closed forms, and verify's projection-measure check tests
+that step on every h of the whole H.  Both run on walk_coset, the one walk
+of a coset: a product of one table per slot (slot_tables) writes each tau*h
+slot by slot into one reused list of images, whose cycles
+symmetric.cycle_lengths counts; each sigma is an image tuple.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .charpoly import _mul_truncated
 from .errors import CapExceeded, prints
@@ -57,6 +58,7 @@ from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
+    _lengths_type,
     _multi_index,
     _sn_list,
     centralizer_order,
@@ -65,45 +67,45 @@ from .symmetric import (
     partitions,
 )
 
-# The histogram has no group cap to bound it, so its work is bounded here: no
-# convolution step may pair more cycle types than this.
+# The closed-form histogram has no group cap to bound it, so its work is
+# bounded here: no convolution step may pair more cycle types than this.
 HISTOGRAM_LIMIT = 10 ** 5
 
 
-def _check_pairs(spec: CosetSpec, have: int, block: int) -> None:
-    if have * block > HISTOGRAM_LIMIT:
-        raise CapExceeded(
-            f"the histogram of {spec} pairs at least {have} x {block} cycle types "
-            f"in one step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
-        )
+def _convolve(spec: CosetSpec, block_tally: Callable) -> dict[MultiIndex, int]:
+    """Cycle-type counts of tau*h over all h in H, from each block's counts
+    of sorted cycle lengths, block_tally(d, r, have) before it is paired with
+    have cycle types, convolved over spec.blocks in order."""
+    tally: dict[tuple[int, ...], int] = {(): 1}
+    for d, r in spec.blocks:
+        block = block_tally(d, r, len(tally)).items()
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, count in tally.items():
+            for block_key, block_count in block:
+                merged = tuple(sorted(key + block_key))
+                nxt[merged] = nxt.get(merged, 0) + count * block_count
+        tally = nxt
+    return {_lengths_type(key): count for key, count in tally.items()}
 
 
 def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, by the block product."""
-    dist: dict[tuple, int] = {(): 1}  # cycle type as sorted (k, m_k) pairs
-    for (d, r), count in Counter(spec.blocks).items():
-        # p(r), counted no further than the first count beyond the limit
-        classes = next(
-            p for m, p in enumerate(partition_counts()) if m == r or p > HISTOGRAM_LIMIT
-        )
-        _check_pairs(spec, len(dist), classes)  # before listing any partition
+
+    def block_tally(d: int, r: int, have: int) -> dict[tuple[int, ...], int]:
+        # p(r), counted no further than the first beyond the limit, before any is listed
+        block = next(p for m, p in enumerate(partition_counts()) if m == r or p > HISTOGRAM_LIMIT)
+        if have * block > HISTOGRAM_LIMIT:
+            raise CapExceeded(
+                f"the histogram of {spec} pairs at least {have} x {block} cycle types "
+                f"in one step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
+            )
         weight = math.factorial(r) ** d  # (r!)^(d-1) times the class size r!/z
-        block = [
-            ([(d * ell, m) for ell, m in lam.items()], weight // centralizer_order(lam))
+        return {
+            sum(((d * ell,) * m for ell, m in lam.items()), ()): weight // centralizer_order(lam)
             for lam in partitions(r)
-        ]
-        for _ in range(count):
-            _check_pairs(spec, len(dist), len(block))
-            nxt: dict[tuple, int] = {}
-            for ct, c in dist.items():
-                for stretched, w in block:
-                    merged = dict(ct)
-                    for k, m in stretched:
-                        merged[k] = merged.get(k, 0) + m
-                    key = tuple(sorted(merged.items()))
-                    nxt[key] = nxt.get(key, 0) + c * w
-            dist = nxt
-    return {MultiIndex(ct): c for ct, c in dist.items()}
+        }
+
+    return _convolve(spec, block_tally)
 
 
 def _block_reach(d: int, mu: MultiIndex) -> int:
@@ -260,11 +262,8 @@ def _block_tally(d: int, r: int) -> Mapping[tuple[int, ...], int]:
     """Sorted cycle lengths of tau*h -> count, over all (r!)^d elements h of
     the one-block coset (d, r), met in walk_coset order.  Its caller has
     checked the whole |H|, so the block's own order is its cap."""
-    tally: dict[tuple[int, ...], int] = {}
-    for _, images in walk_coset(CosetSpec(((d, r),)), math.factorial(r) ** d):
-        key = cycle_lengths(images)
-        tally[key] = tally.get(key, 0) + 1
-    return MappingProxyType(tally)
+    walk = walk_coset(CosetSpec(((d, r),)), math.factorial(r) ** d)
+    return MappingProxyType(Counter(cycle_lengths(images) for _, images in walk))
 
 
 def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[MultiIndex, int]:
@@ -273,13 +272,4 @@ def coset_histogram(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> dict[Multi
     in the order in which a walk_coset of all of H first meets each cycle
     type."""
     _check_order(spec, cap)
-    tally: dict[tuple[int, ...], int] = {(): 1}
-    for d, r in spec.blocks:
-        block = _block_tally(d, r).items()
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, count in tally.items():
-            for block_key, block_count in block:
-                merged = tuple(sorted(key + block_key))
-                nxt[merged] = nxt.get(merged, 0) + count * block_count
-        tally = nxt
-    return {MultiIndex.from_dict(Counter(key)): count for key, count in tally.items()}
+    return _convolve(spec, lambda d, r, have: _block_tally(d, r))

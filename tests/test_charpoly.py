@@ -148,6 +148,52 @@ def test_a_parsed_sum_keeps_each_term_in_place_until_it_cancels():
     assert CharPoly.parse("binom(1:1) - X1") == CharPoly({})
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X1^1486-X1^1486",
+        "X1^3000-X1^3000",
+        "1/2*X1^3000+binom(1:1)+X1^3000-3/2*X1^3000",
+        "X1^100*X2^100*X3^100*X4^100-X4^100*X3^100*X2^100*X1^100",
+        "X1^1000*X1^800-X1^1800",
+        "0*X1^3000",
+    ],
+)
+def test_a_refused_monomial_whose_coefficients_cancel_is_dropped(monkeypatch, text):
+    def refuse(n):
+        raise AssertionError(f"Stirling row {n} built")
+
+    monkeypatch.setattr(charpoly, "_stirling2_row", refuse)
+    P = CharPoly.parse(text)
+    assert P.terms == ({mi("1:1"): 1} if "binom" in text else {})
+
+
+_TERM_TEXTS = st.one_of(
+    st.sampled_from(["X1", "X2^2", "X1*X2", "X1^2*X3", "X2^0", "binom()"]),
+    st.sampled_from(list(multi_indices_up_to(3))).map(lambda mu: f"binom({mu})"),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("+-"), st.sampled_from(["", "2*", "1/3*", "0*"]), _TERM_TEXTS),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_a_statistic_of_expandable_terms_is_their_sum_in_place(chunks):
+    # term by term, each monomial expanded where it stands, whether or not
+    # its coefficients cancel
+    text = "".join(sign + coeff + term for sign, coeff, term in chunks)
+    want: dict = {}
+    for sign, coeff, term in chunks:
+        for mu, c in CharPoly.parse(sign + coeff + term).terms.items():
+            want[mu] = want.get(mu, 0) + c
+            if not want[mu]:
+                del want[mu]
+    assert list(CharPoly.parse(text).terms.items()) == list(want.items()), text
+
+
 def test_an_expansion_at_its_limit_is_built():
     P = CharPoly.parse("X1^100*X2^100")
     assert len(P.terms) == EXPANSION_LIMIT

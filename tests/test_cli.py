@@ -594,6 +594,38 @@ def test_histogram_limit_refuses_before_listing_partitions(capsys):
     assert "limit" in err and "no flag" in err
 
 
+_LIMIT_TAIL = "cycle types in one step, beyond the limit 100000, which no flag raises\n"
+_EIGHT_SEVENS = ",".join(["1^7"] * 8)
+
+
+@pytest.mark.parametrize(
+    "blocks,pairs",
+    [("1^6,1^35", "11 x 14883"), ("1^6,1^20,1^20", "2217 x 627"), (_EIGHT_SEVENS, "11418 x 15")],
+    ids=["second-block", "third-block", "eighth-copy"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_histogram_limit_refusals_are_pinned(capsys, blocks, pairs, fmt):
+    # the closed form refuses at the first block whose classes, paired with
+    # the cycle types so far, pass the limit; --method both refuses the same
+    for method in ("formula", "both"):
+        code, out, err = run(capsys, "young", "--blocks", blocks, "--histogram",
+                             "--method", method, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: the histogram of {blocks} pairs at least {pairs} {_LIMIT_TAIL}"
+
+
+def test_the_histogram_oracle_is_not_bound_by_the_pair_limit(capsys):
+    # the eight blocks 1^7 pass the limit in the closed form, but each
+    # block's coset has 5040 elements, and their tallies convolve freely
+    code, out, err = run(capsys, "young", "--blocks", _EIGHT_SEVENS, "--histogram",
+                         "--method", "oracle", "--cap-group", str(10 ** 30))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:3] == ["blocks = " + _EIGHT_SEVENS, "n = 56", f"order_h = {5040 ** 8}"]
+    assert len(lines) == 3 + 21351
+    assert sum(int(line.split("  ")[1]) for line in lines[3:]) == 5040 ** 8
+
+
 _F2_24A = "t^24+t^4+t^3+t+1"
 _F2_24B = "t^24+t^6+t^5+t^3+t^2+t+1"
 _F2_16A = "t^2+t+[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]"
@@ -798,6 +830,16 @@ def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monk
         f"{sys.get_int_max_str_digits()} digits, Python's limit for printing an "
         "integer, which no flag raises\n"
     )
+
+
+@pytest.mark.parametrize("stat", ["X1^1486-X1^1486", "X1^3000-X1^3000"])
+def test_a_statistic_whose_huge_monomials_cancel_is_zero(capsys, stat):
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", stat)
+    assert (code, err) == (0, "")
+    assert out == "field = q=2\nf = t\nstat = 0\nformula = 0\n"
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1486")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the monomial X1^1486 expands with a coefficient of more than")
 
 
 def test_prints_agrees_with_str_at_the_digit_limit():

@@ -338,13 +338,12 @@ def test_ensemble_formula_cap_counts_block_multisets():
 
 
 def test_predicates_accept_specs():
-    # the filter reads max_multiplicity, which a spec and a factorization share
+    # the filter reads the max_multiplicity of a factorization's spec
     for f in enumerate_monic(4, F2):
         fac = factor(f)
-        spec = fac.spec
-        assert spec.max_multiplicity == fac.max_multiplicity
-        assert spec.is_squarefree == fac.is_squarefree
-    assert CosetSpec.parse("1^1,2^1").is_squarefree
+        assert fac.spec.max_multiplicity == max((r for _, r in fac.factors), default=0)
+        assert (fac.spec.max_multiplicity == 1) == fac.is_squarefree
+    assert CosetSpec.parse("1^1,2^1").max_multiplicity == 1
 
 
 def test_predicates():
@@ -353,8 +352,8 @@ def test_predicates():
     assert parse_predicate("squarefree") == 1
     assert parse_predicate("maxmult=2") == 2
     f2, f3 = (factor(parse_poly(t, F2)) for t in ("t^2", "t^3"))
-    assert f2.max_multiplicity > parse_predicate("squarefree")
-    assert f2.max_multiplicity <= parse_predicate("maxmult=2") < f3.max_multiplicity
+    assert f2.spec.max_multiplicity > parse_predicate("squarefree")
+    assert f2.spec.max_multiplicity <= parse_predicate("maxmult=2") < f3.spec.max_multiplicity
     for text in ("weird", "maxmult=0", "maxmult=x", "maxmult=-1"):
         with pytest.raises(ValueError):
             parse_predicate(text)
@@ -366,7 +365,7 @@ def test_maxmult_one_is_squarefree():
     m = parse_predicate("maxmult=1")
     for f in enumerate_monic(4, F2):
         fac = factor(f)
-        assert (fac.max_multiplicity <= m) == fac.is_squarefree
+        assert (fac.spec.max_multiplicity <= m) == fac.is_squarefree
 
 
 

@@ -2,8 +2,8 @@
 
 Each case's expected stdout is tests/golden/<name>.txt.  The cases cover
 factor, necklace, eval (every method) and ensemble over
-q in {2, 3, 4, 5, 8, 9, 4096, 65521}, and young histograms and means of
-block cosets, in text and JSON.  Every case runs in
+q in {2, 3, 4, 5, 8, 9, 4096, 65521}, young histograms and means of
+block cosets, and every check of verify --quick, in text and JSON.  Every case runs in
 well under a second.
 
 To add a case, put it in CASES and record its file with
@@ -140,6 +140,8 @@ CASES = {
     "verify_quick_coset_means": [
         "verify", "--quick", "--checks", "coset-statistics,equal-expectation,stabilization",
     ],
+    "verify_quick": ["verify", "--quick"],
+    "verify_quick_json": ["verify", "--quick", "--format", "json"],
     "young_class_count_mixed": ["young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3"],
     "young_class_count_mixed_json": [
         "young", "--blocks", "1^2,2^3", "--mu", "1:2,2:3", "--format", "json",

@@ -480,7 +480,7 @@ def test_factor_frozen_examples():
     fac2 = factor(parse_poly("t^4+t^2+1", F2))  # (t^2+t+1)^2
     assert [(format_poly(p), r) for p, r in fac2.factors] == [("t^2+t+1", 2)]
     assert not fac2.is_squarefree
-    assert fac2.max_multiplicity == 2
+    assert fac2.spec.max_multiplicity == 2
 
 
 def test_factor_t9_minus_t_over_f3():

@@ -343,7 +343,7 @@ def test_block_multisets_are_the_specs_of_total_n():
 
 
 def test_spec_multiplicity_properties():
-    assert CosetSpec.parse("1^1,2^1,3^1").is_squarefree
-    assert not CosetSpec.parse("1^1,2^2").is_squarefree
+    assert CosetSpec.parse("1^1,2^1,3^1").max_multiplicity == 1
+    assert CosetSpec.parse("1^1,2^2").max_multiplicity == 2
     assert CosetSpec.parse("1^1,2^2,1^3").max_multiplicity == 3
-    assert CosetSpec(()).is_squarefree and CosetSpec(()).max_multiplicity == 0
+    assert CosetSpec(()).max_multiplicity == 0
