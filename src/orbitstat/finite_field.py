@@ -13,8 +13,11 @@ digit vector into its index and element_text prints an index.  Prime fields
 use native % and pow.  An extension builds, on first use and never at import,
 exp/log tables of its primitive element of smallest index; addition is XOR
 of indices in characteristic 2 and goes through a Zech table in odd
-characteristic (Lidl and Niederreiter, Finite Fields).  The tables hold fewer
-than 3q ints.
+characteristic (Lidl and Niederreiter, Finite Fields).  The build lists x*t
+for every index x, so that multiplying by t is one lookup, and walks the
+powers of g one coset of <t> at a time through that list: O(q + s*e^2)
+steps for the s cosets, with a transient list of q ints.  The tables hold
+fewer than 3q ints.
 
 There is one shared context per field: make_field (and parse_field_spec,
 which calls it) returns the same FieldCtx for every request of one
@@ -172,21 +175,55 @@ class FieldCtx:
         return exp[log[a] * k % (self.q - 1)]
 
 
+def _digit_sum_row(u: int, n: int, p: int) -> list[int]:
+    """[l + u for l in range(p^n)], the sum taken digit by digit mod p."""
+    row, w = [0], 1
+    for _ in range(n):
+        u, c = divmod(u, p)
+        row = [x + d for d in [(y + c) % p * w for y in range(p)] for x in row]
+        w *= p
+    return row
+
+
+def _times_t(ctx: FieldCtx) -> list[int]:
+    """The index of x*t for every index x of an extension field.
+
+    With x = lo + top*hi and top = p^(e-1), x*t is lo shifted up one digit
+    plus u = hi*(t^e mod m): its constant digit is u's, and its upper e-1
+    digits are lo + u // p, one entry of the digit-wise sums by u // p.  So
+    the list is p rows of _digit_sum_row, one per hi, of q/p entries each.
+    """
+    p = ctx.p
+    out = []
+    for hi in range(p):
+        u = 0  # index of hi*(t^e mod m) = -hi*(m_0 + m_1*t + ...)
+        for c in reversed(ctx.modulus[:-1]):
+            u = u * p + -hi * c % p
+        out += [u % p + p * y for y in _digit_sum_row(u // p, ctx.e - 1, p)]
+    return out
+
+
 def _build_tables(ctx: FieldCtx) -> tuple:
     """exp, log and Zech tables of an extension field.
 
     g is the primitive element of smallest index.  exp[k] is the index of g^k
     for 0 <= k < q-1 and log inverts it (log[0] is unused).  In odd
     characteristic zech[k] is log(1 + g^k), or -1 where 1 + g^k = 0; in
-    characteristic 2 addition is XOR and zech is None.  The products that
-    build the tables are shift-and-add over F_p on the indices themselves.
+    characteristic 2 addition is XOR and zech is None.
+
+    Multiplication by t is one lookup in the list of _times_t.  t has order
+    r, and t = g^j, so the q-1 powers of g fall into the s = (q-1)/r cosets
+    g^i<t>, i < s, each walked from its start by r lookups, with g^i*t^m
+    stored at exponent i + j*m mod q-1.  j is read off the position of g^s
+    in the cycle of t.  General products (the search for g, g^s and the
+    coset starts) sum b_k * a*t^k over the digits b_k of b, with a*t^k read
+    off the same list: e digit-wise sums of e digits.  So the build takes
+    O(q + s*e^2) steps, with the list of x*t (q ints) and the cycle of t as
+    transient lists, and the tables held stay under 3q ints.
     """
-    p, e, q = ctx.p, ctx.e, ctx.q
+    p, q = ctx.p, ctx.q
     n = q - 1
-    top = q // p  # weight of the t^(e-1) digit
-    low = 0  # index of t^e - modulus, the reduction of t^e
-    for c in reversed(ctx.modulus[:-1]):
-        low = low * p + (-c) % p
+    xt = _times_t(ctx)
 
     def scaled_sum(a: int, c: int, b: int) -> int:
         """Index of a + c*b for c in F_p."""
@@ -203,14 +240,13 @@ def _build_tables(ctx: FieldCtx) -> tuple:
         return out
 
     def times(a: int, b: int) -> int:
+        """a*b: the sum of b_k * a*t^k over the digits b_k of b."""
         out = 0
-        while True:
+        while b:
             b, c = divmod(b, p)
             out = scaled_sum(out, c, a)
-            if not b:
-                return out
-            hi, a = divmod(a, top)
-            a = scaled_sum(a * p, hi, low)  # a*t, with t^e reduced
+            a = xt[a]
+        return out
 
     def power(a: int, k: int) -> int:
         out = 1
@@ -221,15 +257,30 @@ def _build_tables(ctx: FieldCtx) -> tuple:
             k >>= 1
         return out
 
+    cycle = [1]  # t^m for m < r, the coset <t>
+    x = xt[1]
+    while x != 1:
+        cycle.append(x)
+        x = xt[x]
+    r = len(cycle)
+    s = n // r
     primes = prime_factors(n)
-    g = next(a for a in range(p, q) if all(power(a, n // r) != 1 for r in primes))
+    g = next(a for a in range(p, q) if all(power(a, n // ell) != 1 for ell in primes))
+    # g^s generates <t>: g^s = t^m0, so t = g^j with j = s * (1/m0 mod r)
+    j = s * pow(cycle.index(power(g, s)), -1, r)
     exp = [0] * n
     log = [0] * q
     x = 1
-    for k in range(n):
-        exp[k] = x
-        log[x] = k
-        x = times(x, g)
+    for i in range(s):
+        k = i
+        for _ in range(r):  # x = g^i * t^m at k = i + j*m mod q-1
+            exp[k] = x
+            log[x] = k
+            x = xt[x]
+            k += j
+            if k >= n:
+                k -= n
+        x = times(x, g)  # g^(i+1), the next coset's start
     if p == 2:
         return exp, log, None
     zech = [0] * n

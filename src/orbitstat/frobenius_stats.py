@@ -91,8 +91,13 @@ def chi_formula(spec: CosetSpec, P: CharPoly) -> Fraction:
 def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
     """Mean of P over the coset of spec, by enumerating all of H: P is
     evaluated once per cycle type of the enumerated histogram."""
-    hist = coset_histogram(spec, cap)
-    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
+    return histogram_mean(coset_histogram(spec, cap), P, spec.order_h())
+
+
+def histogram_mean(hist: dict, P: CharPoly, order: int) -> Fraction:
+    """Mean of P over a coset of the given order from its cycle-type
+    histogram, so one histogram serves every statistic of one coset."""
+    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / order
 
 
 def _spend_terms(work: Optional[int], term_cap: int) -> None:

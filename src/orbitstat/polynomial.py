@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded, read_int
-from .finite_field import FieldCtx, prime_factors
+from .finite_field import FieldCtx, _digit_sum_row, prime_factors
 from .symmetric import CosetSpec
 
 ENUMERATION_LIMIT = 10 ** 7
@@ -443,16 +443,6 @@ def _lex_to_index(n: int, q: int) -> list[int]:
     return table
 
 
-def _digit_sum_row(u: int, n: int, p: int) -> list[int]:
-    """[l + u for l in range(p^n)], the sum taken digit by digit mod p."""
-    row, w = [0], 1
-    for _ in range(n):
-        u, c = divmod(u, p)
-        row = [x + (y + c) % p * w for y in range(p) for x in row]
-        w *= p
-    return row
-
-
 def _translator(ctx: FieldCtx, a: int):
     """(block, u) -> the vector sums l + u for l in block, on lex codes of a
     coefficients: XOR in characteristic 2, else one lookup in the row of u,
@@ -591,24 +581,23 @@ def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
 
 
 def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:
-    """Deterministic irreducibility test of a trimmed tuple (Frobenius
-    fixed-point criterion).
+    """Deterministic irreducibility test of a trimmed tuple (Ben-Or).
 
-    c of degree d >= 1 is irreducible iff t^(q^d) == t mod c and, for every
-    prime l dividing d, gcd(t^(q^(d/l)) - t, c) = 1.  Every linear polynomial
-    is; constants and zero are units or zero, never irreducible.
+    c of degree d >= 1 is irreducible iff gcd(t^(q^k) - t, c) = 1 for
+    k = 1..d//2: a reducible c has an irreducible factor of degree k <= d/2,
+    which divides t^(q^k) - t.  The powers are stepped s <- s^q mod c, and
+    the test stops at the first k that finds a factor.  Every linear
+    polynomial is irreducible; constants and zero are units or zero, never.
     """
     d = len(c) - 1
     if d < 2:
         return d == 1
-    frob = [(0, 1)]  # t^(q^j) mod c, for j = 0..d
-    for _ in range(d):
-        frob.append(_powmod(ctx, frob[-1], ctx.q, c))
-    if frob[d] != (0, 1):
-        return False
-    return all(
-        len(_gcd(ctx, _minus_t(ctx, frob[d // ell]), c)) == 1 for ell in prime_factors(d)
-    )
+    s = (0, 1)  # t^(q^k) mod c
+    for _ in range(d // 2):
+        s = _powmod(ctx, s, ctx.q, c)
+        if len(_gcd(ctx, _minus_t(ctx, s), c)) != 1:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

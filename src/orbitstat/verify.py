@@ -28,10 +28,10 @@ from .finite_field import FieldCtx, make_field, prime_power
 from .frobenius_stats import (
     block_spec,
     chi_formula,
-    chi_oracle,
     chi_symbolic,
     factored_types,
     factorization_types,
+    histogram_mean,
     xk_of_f,
 )
 from .polynomial import (
@@ -203,7 +203,9 @@ def check_chi_routes(
     """Coset statistics of each f: factored closed form == symbolic expansion
     == direct coset average, for every monic f and every mu up to its degree.
     Each f is factored once, for the block spec that the factored form and
-    the coset average share; the symbolic expansion never factors."""
+    the coset average share; the symbolic expansion never factors.  The
+    coset is enumerated once per f, and its histogram averaged for every mu,
+    as chi_oracle does for one."""
     bad = []
     n = 0
     for q, dmax in scales:
@@ -211,11 +213,12 @@ def check_chi_routes(
         for d in range(1, dmax + 1):
             for f in enumerate_monic(d, ctx):
                 spec = block_spec(f)
+                hist, order = coset_histogram(spec), spec.order_h()
                 for mu in multi_indices_up_to(d):
                     P = CharPoly.binom(mu)
                     a = chi_formula(spec, P)
                     b = chi_symbolic(f, P)
-                    c = chi_oracle(spec, P)
+                    c = histogram_mean(hist, P, order)
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))

@@ -8,14 +8,16 @@ lists of element indices with long division and Euclid written out here.
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitstat
-from orbitstat.finite_field import make_field
+from orbitstat.finite_field import _build_tables, _times_t, is_prime, make_field, prime_factors
 from orbitstat.polynomial import (
     Poly,
     _divmod,
@@ -28,6 +30,7 @@ from orbitstat.polynomial import (
     factor,
 )
 
+from field_tables import shift_and_add_tables
 from poly_oracle import expand
 
 FIELDS = {
@@ -208,6 +211,59 @@ def test_tables_are_lazy_and_linear_in_q():
             assert sorted(exp) == list(range(1, q))  # a primitive element
             size = len(exp) + len(log) + (len(zech) if zech else 0)
             assert size <= 3 * q
+
+
+# -- the tables' x*t walk against the shift-and-add builder -----------------
+
+# every extension field F_{p^e}, e >= 2, inside the documented q <= 2^16
+EXTENSIONS = [
+    (p, e) for p in range(2, 256) if is_prime(p) for e in range(2, 17) if p ** e <= 1 << 16
+]
+# moduli under which t has a small order: 13 over F_2, 4 over F_p
+SMALL_ORDER_MODULI = [(2, 12, (1,) * 13), (3, 2, (1, 0, 1)), (7, 2, (1, 0, 1)), (251, 2, (1, 0, 1))]
+
+
+def test_extension_list_is_every_field_up_to_2_16():
+    assert len(EXTENSIONS) == 93
+    assert (2, 16) in EXTENSIONS and (251, 2) in EXTENSIONS and (257, 2) not in EXTENSIONS
+
+
+@pytest.mark.parametrize(
+    "p,e,modulus",
+    [(p, e, None) for p, e in EXTENSIONS if p ** e <= 1 << 10] + SMALL_ORDER_MODULI,
+    ids=lambda v: "default" if v is None else str(list(v)) if isinstance(v, tuple) else str(v),
+)
+def test_tables_match_the_shift_and_add_builder(p, e, modulus):
+    ctx = make_field(p, e, modulus)
+    F = RefField(ctx)
+    assert _times_t(ctx) == [F.mul(x, p) for x in range(ctx.q)]  # p is the index of t
+    assert _build_tables(ctx) == shift_and_add_tables(ctx)
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS)
+def test_tables_over_every_extension_field(p, e):
+    """At a scale where the shift-and-add builder takes up to a second a
+    field (F_3^10), so it is not run: exp is a permutation that log inverts, exp[1] is the primitive element
+    of smallest index, and seeded steps k -> k+1 and Zech entries agree with
+    the schoolbook field.  Each build takes well under half a second."""
+    ctx = make_field(p, e)
+    start = time.perf_counter()
+    exp, log, zech = _build_tables(ctx)
+    assert time.perf_counter() - start < 0.5
+    q, n = ctx.q, ctx.q - 1
+    F = RefField(ctx)
+    assert sorted(exp) == list(range(1, q))
+    assert all(log[x] == k for k, x in enumerate(exp))
+    g = exp[1]
+    primes = prime_factors(n)
+    assert all(any(F.pow(a, n // r) == 1 for r in primes) for a in range(p, g))
+    for k in random.Random(q).sample(range(n), min(50, n)):
+        assert F.mul(exp[k], g) == exp[(k + 1) % n]
+        if p == 2:
+            assert zech is None
+        else:
+            y = F.add(1, exp[k])
+            assert zech[k] == (log[y] if y else -1)
 
 
 def test_import_builds_no_field_table():

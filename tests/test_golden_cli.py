@@ -2,7 +2,9 @@
 
 Each case's expected stdout is tests/golden/<name>.txt.  The cases cover
 factor, necklace, eval (every method) and ensemble over
-q in {2, 3, 4, 5, 8, 9, 4096, 65521}, young histograms and means of
+q in {2, 3, 4, 5, 8, 9, 4096, 65521}, factor over the large extension fields
+3^10, 2^16, 13^4 and 251^2 and eval over 5^6 (each building its field's
+tables with its default modulus), young histograms and means of
 block cosets, and every check of verify --quick, in text and JSON.  Every case runs in
 well under a second.
 
@@ -43,6 +45,10 @@ CASES = {
         "factor", "--q", "4096", "--mod", MOD_4096, "--format", "json", "t^2+t",
     ],
     "factor_q65521": ["factor", "--q", "65521", "t^5+3*t^4+65000*t+7"],
+    "factor_q3e10": ["factor", "--q", "3^10", "t^5+t+[1,1]"],
+    "factor_q2e16": ["factor", "--q", "2^16", "t^7+t+1"],
+    "factor_q13e4": ["factor", "--q", "13^4", "t^4+[0,1]"],
+    "factor_q251e2": ["factor", "--q", "251^2", "t^3+t+2"],
     "necklace_q2": ["necklace", "--q", "2", "--kmax", "10"],
     "necklace_q3": ["necklace", "--q", "3", "--kmax", "6"],
     "necklace_q4": ["necklace", "--q", "4", "--kmax", "5"],
@@ -70,6 +76,7 @@ CASES = {
     "both_q4": ["eval", "--q", "4", "t^4+t", "--mu", "3:1", "--method", "both"],
     "both_q8": ["eval", "--q", "8", "t^4+[1,1]*t^2+[0,0,1]", "--mu", "2:1", "--method", "both"],
     "both_q9": ["eval", "--q", "9", "t^4+t", "--mu", "1:1,3:1", "--method", "both"],
+    "both_q5e6": ["eval", "--q", "5^6", "t^4+t", "--stat", "X1+binom(1:1,3:1)", "--method", "both"],
     "both_q65521": ["eval", "--q", "65521", "t^5+3*t^4+65000*t+7", "--mu", "1:1", "--method", "both"],
     "both_q65521_json": [
         "eval", "--q", "65521", "t^5+3*t^4+65000*t+7", "--stat", "X1+X5",
