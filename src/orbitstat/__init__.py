@@ -46,8 +46,8 @@ from .polynomial import (
     enumerate_monic,
     factor,
     format_poly,
-    necklace_check,
     necklace_count,
+    necklace_sums,
     parse_poly,
 )
 from .symmetric import (
@@ -103,8 +103,8 @@ __all__ = [
     "g_series_identity_check",
     "make_field",
     "multi_indices_up_to",
-    "necklace_check",
     "necklace_count",
+    "necklace_sums",
     "parse_field_spec",
     "parse_poly",
     "parse_predicate",

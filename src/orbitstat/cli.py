@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .charpoly import CharPoly
 from .errors import CapExceeded, _shown, prints, read_int
-from .finite_field import format_field_spec, parse_field_spec
+from .finite_field import field_from_flags, format_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
     DEFAULT_TERM_CAP,
@@ -49,15 +49,7 @@ from .frobenius_stats import (
     ensemble_formula,
     parse_predicate,
 )
-from .polynomial import (
-    ENUMERATION_LIMIT,
-    check_sieve_size,
-    count_irreducibles,
-    factor,
-    format_poly,
-    necklace_check,
-    parse_poly,
-)
+from .polynomial import factor, format_poly, necklace_sums, parse_poly
 from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex
 from .verify import CHECK_NAMES, run_all
 from .young_stats import (
@@ -85,10 +77,7 @@ def _exact_text(fr: Fraction) -> str:
 
 
 def _ctx(args):
-    spec = f"q={args.q}"
-    if args.mod:
-        spec += f";mod={args.mod}"
-    return parse_field_spec(spec)
+    return field_from_flags(args.q, args.mod or None)
 
 
 def _printed(value, subject: str, show=str, ints=()) -> str:
@@ -183,27 +172,16 @@ def cmd_necklace(args):
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     ctx = _ctx(args)
-    # the first degree past the sieve limit would end the run, so it is
-    # refused before any degree below it is sieved
-    k = 1
-    while k < args.kmax and ctx.q ** k <= ENUMERATION_LIMIT:
-        k += 1
-    check_sieve_size(k, ctx)
-    count_irreducibles(args.kmax, ctx)  # the top degree first: one sieve a halving
     lines, payload = [], {}
     _put(lines, payload, "field", format_field_spec(ctx))
     rows = payload["rows"] = []
     all_ok = True
-    for k in range(1, args.kmax + 1):
-        res = necklace_check(k, ctx)
-        ok = res.equal
+    for k, lhs in enumerate(necklace_sums(args.kmax, ctx), 1):
+        rhs = ctx.q ** k
+        ok = lhs == rhs
         all_ok = all_ok and ok
-        rows.append(
-            {"k": k, "weighted_sum": res.lhs, "q_pow_k": res.rhs, "ok": ok}
-        )
-        lines.append(
-            f"k={k} weighted_sum={res.lhs} q^k={res.rhs} {'ok' if ok else 'FAIL'}"
-        )
+        rows.append({"k": k, "weighted_sum": lhs, "q_pow_k": rhs, "ok": ok})
+        lines.append(f"k={k} weighted_sum={lhs} q^k={rhs} {'ok' if ok else 'FAIL'}")
     lines.append("identity = " + ("ok" if all_ok else "FAIL"))
     payload["all_ok"] = all_ok
     return (0 if all_ok else 1), payload, lines

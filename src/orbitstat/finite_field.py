@@ -364,7 +364,8 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """The integers of the --mod form [c0,...,cn]."""
+    """The integers of the --mod form [c0,...,cn], spaces ignored."""
+    text = text.strip().replace(" ", "")
     if not re.fullmatch(r"\[([-+]?\d+(,[-+]?\d+)*)?\]", text):
         raise ValueError(
             f"bad --mod {text!r}: expected a bracketed list of integers such as [1,1,1]"
@@ -372,19 +373,11 @@ def _parse_int_list(text: str) -> list[int]:
     return [read_int(c, text, "--mod") for c in text[1:-1].split(",") if c]
 
 
-def parse_field_spec(text: str) -> FieldCtx:
-    """Parse "q=p", "q=p^e" or "q=p^e;mod=[c0,...,1]" into a field; the q and
-    mod parts are what the --q and --mod flags pass."""
-    s = text.strip().replace(" ", "")
-    if not s.startswith("q="):
-        raise ValueError(f"field spec must start with 'q=', got {text!r}")
-    body = s[2:]
-    modulus = None
-    if ";" in body:
-        body, rest = body.split(";", 1)
-        if not rest.startswith("mod="):
-            raise ValueError(f"unrecognized field spec part {rest!r}")
-        modulus = _parse_int_list(rest[4:])
+def field_from_flags(q_text: str, mod_text: Optional[str] = None) -> FieldCtx:
+    """The field of a --q value, "p^e" or a prime power such as "8", and an
+    optional --mod value "[c0,...,1]", each read on its own."""
+    body = q_text.strip().replace(" ", "")
+    modulus = None if mod_text is None else _parse_int_list(mod_text)
     m = re.fullmatch(r"(\d+)(?:\^(\d+))?", body)
     if not m:
         raise ValueError(f"bad --q {body!r}: expected a prime power such as 8 or 2^3")
@@ -396,6 +389,18 @@ def parse_field_spec(text: str) -> FieldCtx:
     else:
         p, e = (read_int(x, body, "--q") for x in m.groups())
     return make_field(p, e, modulus)
+
+
+def parse_field_spec(text: str) -> FieldCtx:
+    """Parse "q=p", "q=p^e" or "q=p^e;mod=[c0,...,1]" into a field; the q and
+    mod parts are what the --q and --mod flags pass to field_from_flags."""
+    s = text.strip().replace(" ", "")
+    if not s.startswith("q="):
+        raise ValueError(f"field spec must start with 'q=', got {text!r}")
+    body, sep, rest = s[2:].partition(";")
+    if sep and not rest.startswith("mod="):
+        raise ValueError(f"unrecognized field spec part {rest!r}")
+    return field_from_flags(body, rest[4:] if sep else None)
 
 
 def format_field_spec(ctx: FieldCtx) -> str:

@@ -41,6 +41,7 @@ from .polynomial import (
     _divmod,
     _irreducible_tuples,
     _mul,
+    _plan_sieve,
     divisors,
     enumerate_monic,
     factor,
@@ -149,10 +150,12 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
     _spend_terms(work, term_cap)
     # the irreducibles of each degree that divide f, each tested once, as
-    # coefficient tuples
+    # coefficient tuples, from the sieve passes the planner runs
+    degrees = sorted({d for k in ks for d in divisors(k)})
+    _plan_sieve(degrees, ctx)
     dividing = {
         d: [p for p in _irreducible_tuples(d, ctx) if not _divmod(ctx, fc, p)[1]]
-        for d in sorted({d for k in ks for d in divisors(k)})
+        for d in degrees
     }
     symbols: dict[int, list[tuple[tuple, int]]] = {}
     for k in ks:

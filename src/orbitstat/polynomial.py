@@ -38,9 +38,10 @@ own lex position, in [q^(d-1), q^d) when g(0) != 0, and for K/2 < d <= K it
 survives exactly when g is irreducible.  So one array of degree K yields
 every degree in (K/2, K], read out already in lex order.  A request for
 degree K first requests K // 2, so the passes run top-down over K, K // 2,
-K // 4, ..., 1, and a caller that wants degrees 1..K asks for K first.  The
-result is memoized per (field, degree), and a degree with q^K >
-ENUMERATION_LIMIT is refused before any degree is sieved.
+K // 4, ..., 1, memoized per (field, degree).  Callers name the degrees
+they need to one planner (_plan_sieve), which refuses the first uncached
+degree past ENUMERATION_LIMIT before any pass runs, then asks for the rest
+largest first.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ import math
 import operator
 import random
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded, read_int
+from .errors import CapExceeded, prints, read_int
 from .finite_field import FieldCtx, _digit_sum_row, prime_factors
 from .symmetric import CosetSpec
 
@@ -425,12 +427,21 @@ _irr_cache: dict[tuple[FieldCtx, int], list[int]] = {}
 
 
 def check_sieve_size(d: int, ctx: FieldCtx) -> None:
-    """Refuse a degree-d sieve that needs more than ENUMERATION_LIMIT slots."""
-    if ctx.q ** d > ENUMERATION_LIMIT:
-        raise CapExceeded(
-            f"irreducible enumeration needs q^d = {ctx.q ** d} slots, "
-            f"beyond the sieve limit {ENUMERATION_LIMIT}, which no flag raises"
-        )
+    """Refuse a degree-d sieve that needs more than ENUMERATION_LIMIT slots.
+    As q >= 2, every d >= 24 is past the limit; a q^d whose log is a digit
+    past what Python prints is named by q and d and never computed."""
+    q = ctx.q
+    if d < 24 and q ** d <= ENUMERATION_LIMIT:
+        return
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    slots = q ** d if d * math.log10(q) < limit + 1 else 0
+    count = f"{slots} slots" if slots and prints(slots) else (
+        f"{q}^{d} slots, a number of more than {limit} digits"
+    )
+    raise CapExceeded(
+        f"irreducible enumeration needs q^d = {count}, beyond the sieve "
+        f"limit {ENUMERATION_LIMIT}, which no flag raises"
+    )
 
 
 def _lex_to_index(n: int, q: int) -> list[int]:
@@ -553,6 +564,20 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     return _irr_cache[key]
 
 
+def _plan_sieve(degrees, ctx: FieldCtx) -> None:
+    """Fill the cache for degrees, ascending: a cached degree costs one
+    lookup, the first uncached one past ENUMERATION_LIMIT is refused before
+    any pass runs (so degrees may run on far past it), and the rest are
+    requested largest first, so the passes run top-down over halvings."""
+    todo = []
+    for d in degrees:
+        if (ctx, d) not in _irr_cache:
+            check_sieve_size(d, ctx)
+            todo.append(d)
+    for d in reversed(todo):
+        count_irreducibles(d, ctx)
+
+
 def count_irreducibles(d: int, ctx: FieldCtx) -> int:
     """N_d: the number of monic irreducibles of degree d over F_q."""
     return len(_irreducible_indices(d, ctx))
@@ -570,6 +595,16 @@ def necklace_count(k: int, q: int) -> int:
         if math.prod(primes) == e:  # mu(e) = 0 unless e is square-free
             total += (-1) ** len(primes) * q ** (k // e)
     return total // k
+
+
+def necklace_sums(kmax: int, ctx: FieldCtx) -> list[int]:
+    """sum over d | k of d * N_d for k = 1..kmax, the N_d from the sieve: the
+    side of the necklace identity that must equal q^k.  The degrees 1..kmax
+    go to the planner together, so a kmax past the sieve limit is refused
+    before any degree is sieved."""
+    ks = range(1, kmax + 1)
+    _plan_sieve(ks, ctx)
+    return [sum(d * count_irreducibles(d, ctx) for d in divisors(k)) for k in ks]
 
 
 def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
@@ -598,25 +633,6 @@ def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:
         if len(_gcd(ctx, _minus_t(ctx, s), c)) != 1:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class NecklaceCheck:
-    k: int
-    lhs: int
-    rhs: int
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def necklace_check(k: int, ctx: FieldCtx) -> NecklaceCheck:
-    """Compare sum over d|k of d*N_d against q^k, both sides exact."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lhs = sum(d * count_irreducibles(d, ctx) for d in divisors(k))
-    return NecklaceCheck(k, lhs, ctx.q ** k)
 
 
 # ---------------------------------------------------------------------------

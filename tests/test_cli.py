@@ -586,6 +586,74 @@ def test_necklace_sieves_the_top_degree_and_its_halvings(capsys, sieve_passes):
     assert sieve_passes == [1, 3, 6, 12]
 
 
+# the steps of --mu 2000:1 over F_2, a count of 599 digits, which the
+# refusal prints whole
+_SYMBOLIC_2000_STEPS = (
+    "5740653476371272621164166005888409920111588510443476002388213684128831"
+    "3069618515692832974315825313495922298231949373138672355948043152766571"
+    "2965678083326592695649945726561400003443895741200224357144634950317431"
+    "2239080773182319418197365851302023317698545249827908119940447231480281"
+    "1655824768082110985171698215120385828833994926435042413009836474525915"
+    "9182517201102951646705166287467306066377747124209492412728622859747976"
+    "3682565563048265014458391455779727774362114030676102047724338964622413"
+    "6995117490845394563326746643528016086545000307623976036271532792608371"
+    "328999869859035413410338121048324763216"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            ("necklace", "--q", "2", "--kmax", "1000000000"),
+            "error: irreducible enumeration needs q^d = 16777216 slots, beyond the "
+            "sieve limit 10000000, which no flag raises\n",
+        ),
+        (
+            ("necklace", "--q", "65521", "--kmax", "2"),
+            "error: irreducible enumeration needs q^d = 4293001441 slots, beyond the "
+            "sieve limit 10000000, which no flag raises\n",
+        ),
+        (
+            ("eval", "--q", "2", "t", "--mu", "2000:1", "--method", "symbolic",
+             "--cap-terms", "1" + "0" * 24),
+            f"error: the symbolic route would reach {_SYMBOLIC_2000_STEPS} steps "
+            "(candidate symbols tested against f plus term pairs multiplied), beyond "
+            "the cap 1000000000000000000000000; raise it with --cap-terms, or for "
+            "coset statistics use the factored route\n",
+        ),
+        (
+            # degree 23 fits the sieve (8.4M slots) and took seconds to sieve
+            # before degree 46 was refused
+            ("eval", "--q", "2", "t", "--mu", "46:1", "--method", "symbolic",
+             "--cap-terms", "10000000000000"),
+            "error: irreducible enumeration needs q^d = 70368744177664 slots, beyond "
+            "the sieve limit 10000000, which no flag raises\n",
+        ),
+    ],
+    ids=["necklace-huge-kmax", "necklace-q65521", "symbolic-steps", "symbolic-46"],
+)
+def test_refusals_are_whole_and_come_before_any_sieve_pass(capsys, sieve_passes, argv, err):
+    start = time.perf_counter()
+    code, out, got = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and got == err
+    assert sieve_passes == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--q", "9;mod=[1,0,1]"), ("--q", "9;mod=[2,0,1]", "--mod", "[1,0,1]")],
+    ids=["modulus-in-q", "modulus-in-both"],
+)
+def test_q_and_mod_are_read_apart(capsys, argv):
+    # a modulus written into --q is no field spec, and --mod names only
+    # what was passed as --mod
+    code, out, err = run(capsys, "factor", *argv, "t")
+    assert code == 1 and out == ""
+    assert err == f"error: bad --q {argv[1]!r}: expected a prime power such as 8 or 2^3\n"
+
+
 def test_histogram_limit_refuses_before_listing_partitions(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "young", "--blocks", "1^500", "--histogram")

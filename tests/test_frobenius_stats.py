@@ -203,6 +203,14 @@ def test_symbolic_route_is_zero_beyond_deg_f():
                     assert chi_symbolic(f, CharPoly.binom(mu)) == 0, (ctx.q, str(f), str(mu))
 
 
+def test_symbolic_route_sieves_its_largest_degree_and_its_halvings(sieve_passes):
+    # degrees 1..5 requested in ascending order would sieve each of them
+    f = parse_poly("t^15+t+1", F2)
+    P = CharPoly.parse("binom(1:1,2:1,3:1,4:1,5:1)")
+    assert chi_symbolic(f, P) == chi_formula(block_spec(f), P)
+    assert sieve_passes == [1, 2, 5]
+
+
 @st.composite
 def products_of_powers(draw, ctx, dmax):
     """A monic f of degree 1..dmax drawn as a product of powers of random

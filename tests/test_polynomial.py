@@ -11,6 +11,7 @@ symbolic route run on.
 
 import functools
 import itertools
+import time
 from unittest import mock
 
 import pytest
@@ -36,8 +37,8 @@ from orbitstat.polynomial import (
     factor,
     format_poly,
     monic_from_index,
-    necklace_check,
     necklace_count,
+    necklace_sums,
     parse_poly,
     poly_sort_key,
 )
@@ -457,10 +458,45 @@ def test_is_irreducible_edge_cases():
 
 def test_necklace_identity_small():
     for ctx in (F2, F3, F4):
-        for k in range(1, 5):
-            res = necklace_check(k, ctx)
-            assert res.equal
-            assert res.rhs == ctx.q ** k
+        assert necklace_sums(4, ctx) == [ctx.q ** k for k in range(1, 5)]
+
+
+def test_necklace_sums_refuse_a_kmax_past_the_limit_before_any_pass(sieve_passes):
+    # degrees 1..23 fit the sieve, so the planner meets 24 before any pass
+    with pytest.raises(CapExceeded, match=r"q\^d = 16777216 slots"):
+        necklace_sums(10 ** 9, F2)
+    assert sieve_passes == []
+
+
+def test_the_planner_skips_cached_degrees_and_sieves_the_rest_top_down(sieve_passes):
+    assert necklace_sums(12, F2) == [2 ** k for k in range(1, 13)]
+    assert sieve_passes == [1, 3, 6, 12]
+    with pytest.raises(CapExceeded, match=r"q\^d = 244140625 slots"):
+        polynomial._plan_sieve([5, 12, 13], make_field(5))  # 5^5 fits, 5^12 does not
+    polynomial._plan_sieve([1, 5, 12, 13], F2)
+    assert sieve_passes == [1, 3, 6, 12, 13]
+
+
+@pytest.mark.parametrize(
+    "d,count",
+    [
+        (24, "16777216 slots"),
+        (14284, f"{2 ** 14284} slots"),  # 4300 digits, the most Python prints
+        (14285, "2^14285 slots, a number of more than 4300 digits"),
+        (10 ** 5, "2^100000 slots, a number of more than 4300 digits"),
+    ],
+)
+def test_a_sieve_past_the_limit_is_one_line_naming_q_and_d_when_unprintable(d, count):
+    # 2^(10^5) has 30103 digits; building and printing it ended in Python's
+    # own error about integer string conversion
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as refused:
+        count_irreducibles(d, F2)
+    assert time.perf_counter() - start < 1
+    assert str(refused.value) == (
+        f"irreducible enumeration needs q^d = {count}, beyond the sieve limit "
+        "10000000, which no flag raises"
+    )
 
 
 # -- factoring ---------------------------------------------------------------

@@ -37,8 +37,8 @@ PUBLIC = [
     "g_series_identity_check",
     "make_field",
     "multi_indices_up_to",
-    "necklace_check",
     "necklace_count",
+    "necklace_sums",
     "parse_field_spec",
     "parse_poly",
     "parse_predicate",
