@@ -95,6 +95,14 @@ class FieldCtx:
     modulus: Optional[tuple[int, ...]]
     # (exp, log, zech) of an extension field, filled in by tables()
     _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # the hash of (p, e, q, modulus), taken once: every sieve-cache lookup keys on it
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.e, self.q, self.modulus)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         if self.e == 1:

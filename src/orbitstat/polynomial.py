@@ -25,27 +25,31 @@ The pipeline runs on coefficient tuples from end to end, through the one
 tuple-level gcd and powering modulo a polynomial, and makes Polys only of
 the factors it returns.
 
-Irreducible enumeration is a sieve over one flag per monic polynomial of
+Irreducible enumeration is a sieve over one bit per monic polynomial of
 degree K, kept in coefficient-lex order (c0 the top digit).  Write
 f = L + t^a*H with deg L < a; an irreducible P of degree a divides f exactly
 when L = -(t^a*H mod P), which is affine in H.  So the q^(K-a) multiples of P
-form one list, built a digit of H at a time by translating whole lists of low
-parts (XOR in characteristic 2, a lookup in a row of digit-wise sums
-otherwise), and their flags are cleared together, for every P of degree
-a <= K/2 except t.  The multiples of t are the slice [0, q^(K-1)), and they
-are never marked: there a monic g of lower degree d sits as t^(K-d)*g, at its
-own lex position, in [q^(d-1), q^d) when g(0) != 0, and for K/2 < d <= K it
-survives exactly when g is irreducible.  So one array of degree K yields
-every degree in (K/2, K], read out already in lex order.  A request for
-degree K first requests K // 2, so the passes run top-down over K, K // 2,
-K // 4, ..., 1, memoized per (field, degree).  Callers name the degrees
-they need to one planner (_plan_sieve), which refuses the first uncached
-degree past ENUMERATION_LIMIT before any pass runs, then asks for the rest
-largest first.
+are q^a bitsets, one row per low part L over the lex positions of H.  The a
+fastest digits of H reach every L once, so the rows start as single bits,
+and each further base-p digit of H moves whole rows, all p digit values in
+a fixed number of list operations (an XOR of codes in characteristic 2,
+lines of digit-wise sums otherwise).  The rows of every P of degree
+a <= K/2 except t are OR-ed, then joined and marked in one big-integer pass
+per degree.  The multiples of t are the slice [0, q^(K-1)), and they are
+never marked: there a monic g of lower degree d sits as t^(K-d)*g, at its
+own lex position, in [q^(d-1), q^d) when g(0) != 0, and for K/2 < d <= K
+it survives exactly when g is irreducible.  So one bitset of degree K
+yields every degree in (K/2, K], read out already in lex order.  A request
+for degree K first requests K // 2, so the passes run top-down over K,
+K // 2, K // 4, ..., 1, memoized per (field, degree).  Callers name the
+degrees they need to one planner (_plan_sieve), which refuses the first
+uncached degree past ENUMERATION_LIMIT before any pass runs, then asks for
+the rest largest first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -60,6 +64,7 @@ from .finite_field import FieldCtx, _digit_sum_row, prime_factors
 from .symmetric import CosetSpec
 
 ENUMERATION_LIMIT = 10 ** 7
+_UNMARKED = bytes.maketrans(b"01", b"\x01\x00")  # a bit string's chars as flags of clear bits
 
 
 # ---------------------------------------------------------------------------
@@ -444,55 +449,125 @@ def check_sieve_size(d: int, ctx: FieldCtx) -> None:
     )
 
 
-def _lex_to_index(n: int, q: int) -> list[int]:
-    """The index of each lex position: entry c0*q^(n-1) + ... + c_(n-1) is
-    c0 + c1*q + ... + c_(n-1)*q^(n-1)."""
-    table, w = [0], 1
+@functools.lru_cache(maxsize=None)
+def _lex_to_index(n: int, q: int, w: int = 1) -> list[int]:
+    """w times the index of each lex position: entry c0*q^(n-1) + ... +
+    c_(n-1) is w*(c0 + c1*q + ... + c_(n-1)*q^(n-1))."""
+    table = [0]
     for _ in range(n):
         table = [x + c * w for x in table for c in range(q)]
         w *= q
     return table
 
 
-def _translator(ctx: FieldCtx, a: int):
-    """(block, u) -> the vector sums l + u for l in block, on lex codes of a
-    coefficients: XOR in characteristic 2, else one lookup in the row of u,
-    built on first use.  There are at most q^a rows of q^a entries, and the
-    entries refer to one shared list of ints, 8 bytes an entry."""
-    if ctx.p == 2:
-        return lambda block, u: [l ^ u for l in block]
-    codes = list(range(ctx.q ** a))
-    rows: dict[int, list[int]] = {}
+@functools.lru_cache(maxsize=None)
+def _digit_ops(p: int, n: int):
+    """(add, line) on codes of n base-p digits, each sum and product taken
+    digit by digit mod p: add(xs, us) is [x + u for x in xs for u in us] and
+    line(u) is [c*u for c in range(p)].  In characteristic 2 a sum is an
+    XOR, and with one digit it is a sum mod p.  Otherwise each is a lookup
+    for the high digits plus one for the low digits, in tables of p^(2*h)
+    sums and p^(h+1) multiples for h digits: about p^(n+1) entries, never
+    the p^n rows of p^n entries of a table of whole codes."""
+    if p == 2:
+        return (lambda xs, us: [x ^ u for x in xs for u in us]), (lambda u: [0, u])
+    if n == 1:
+        return (
+            (lambda xs, us: [(x + u) % p for x in xs for u in us]),
+            (lambda u: [c * u % p for c in range(p)]),
+        )
 
-    def translate(block, u):
-        row = rows.get(u)
-        if row is None:
-            row = rows[u] = list(map(codes.__getitem__, _digit_sum_row(u, a * ctx.e, ctx.p)))
-        return [row[l] for l in block]
+    def multiples(u, digits, scale):
+        out, w = [0] * p, scale
+        for _ in range(digits):
+            u, digit = divmod(u, p)
+            out = [x + c * digit % p * w for c, x in enumerate(out)]
+            w *= p
+        return out
 
-    return translate
+    nl, nh = (n + 1) // 2, n // 2
+    low = p ** nl
+    sums = [_digit_sum_row(u, nl, p) for u in range(low)]
+    high_sums = [[x * low for x in _digit_sum_row(u, nh, p)] for u in range(p ** nh)]
+    times = [multiples(u, nl, 1) for u in range(low)]
+    high_times = [multiples(u, nh, low) for u in range(p ** nh)]
+
+    def add(xs, us):
+        rows = [(high_sums[u // low], sums[u % low]) for u in us]
+        return [hi[xh] + lo[xl] for xh, xl in [divmod(x, low) for x in xs] for hi, lo in rows]
+
+    def line(u):
+        return list(map(operator.add, high_times[u // low], times[u % low]))
+
+    return add, line
 
 
-def _multiple_lows(ctx: FieldCtx, p_idx: int, a: int, d: int, translate) -> list[int]:
-    """The low parts of the monic multiples of degree d of P, the monic of
-    degree a and index p_idx.
+def _scatter(index, values, size: int) -> list[int]:
+    """The list of size entries with entry index[i] = values[i], else 0."""
+    out = [0] * size
+    for i, v in zip(index, values):
+        out[i] = v
+    return out
+
+
+def _join(pieces: list[int], w: int, runs: int = 1) -> list[int]:
+    """Each of runs equal runs of pieces as one int, piece j of a run at bit
+    j*w, for runs of 2^k pieces.  Pieces are joined in pairs, then pairs of
+    pairs, so no piece is shifted by more than half its run's width."""
+    while len(pieces) > runs:
+        pieces = [x | y << w for x, y in zip(pieces[::2], pieces[1::2])]
+        w *= 2
+    return pieces
+
+
+def _row_step(rows: list[int], u: int, w: int, p: int, ops) -> list[int]:
+    """One more base-p digit of H, of weight w and vector u: entry low
+    becomes the join of rows[low - c*u] at c*w for c = 0..p-1, with ops the
+    (add, line) of _digit_ops.
+
+    In characteristic 2 that is one XOR.  Otherwise the codes fall into
+    lines x + (p-1)*u, ..., x + u, x, one per x with a zero digit where u
+    has its lowest nonzero one.  The rows of each line, padded to a power of
+    2 and joined in pairs, are laid twice end to end, and point j's new row
+    is the window of p rows from row j."""
+    if p == 2:
+        return [x | rows[low ^ u] << w for low, x in enumerate(rows)]
+    lo = 1
+    while u // lo % p == 0:
+        lo *= p
+    add, line = ops
+    starts = [x + y for x in range(0, len(rows), lo * p) for y in range(lo)]
+    points = add(starts, line(u)[::-1])
+    pieces = [rows[x] for x in points]
+    pad = [itertools.repeat(0)] * ((1 << (p - 1).bit_length()) - p)
+    pieces = list(itertools.chain.from_iterable(zip(*[pieces[j::p] for j in range(p)], *pad)))
+    span = p * w
+    mask = (1 << span) - 1
+    shifts = range(0, span, w)
+    doubled = [b | b << span for b in _join(pieces, w, len(starts))]
+    return _scatter(points, [b >> s & mask for b in doubled for s in shifts], len(rows))
+
+
+def _multiple_rows(ctx: FieldCtx, p_idx: int, a: int, d: int) -> list[int]:
+    """The monic multiples of degree d of P, the monic of degree a and index
+    p_idx, as one bitset per low part.
 
     Write a monic f of degree d as L + t^a*H, with deg L < a and H monic of
     degree m = d-a.  P divides f exactly when L = -(t^a*H mod P), and with
     H = t^m + sum of h_j*t^j that is -(t^d mod P) - sum of h_j*(t^(a+j) mod P),
-    affine in H.  Entry r is the lex code of L (c0 the top digit) for the H
-    of lex position r, so f sits at lex position L*q^m + r.  The list grows
-    one digit of H at a time, the fastest digit h_(m-1) first: block h of
-    the new list is the old list translated by -h*(t^(a+j) mod P).
+    affine in H.  Entry low (the lex code of L, c0 the top digit) has bit r
+    set for the H of lex position r with that L, so f sits at lex position
+    low*q^m + r.  Over F_p, with q = p^e, a code is a*e base-p digits and r
+    is m*e of them: digit k*e + i of r is digit i of the index of h_(m-1-k),
+    and moves L by it times the code of -(t^(d-1-k) mod P) scaled by the
+    element of index p^i.  The first a*e of those vectors are a basis, since
+    t is a unit mod P, so those digits reach each low once: the rows start
+    as single bits.  Every further digit moves whole rows (_row_step).
     """
-    q = ctx.q
+    q, p = ctx.q, ctx.p
+    size = q ** a
     p_low = list(_index_digits(p_idx, a, q))  # -(t^a mod P)
     t_a = [ctx.neg(c) for c in p_low]  # t^a mod P
-    weights = [q ** (a - 1 - k) for k in range(a)]
-
-    def code(vec):
-        return sum(c * w for c, w in zip(vec, weights))
-
     minus = []  # -(t^(a+j) mod P) for j = 0..m, each t times the one before
     r = p_low
     for _ in range(d - a + 1):
@@ -501,44 +576,57 @@ def _multiple_lows(ctx: FieldCtx, p_idx: int, a: int, d: int, translate) -> list
         r = [0] + r[:-1]
         if top:
             r = [ctx.add(x, ctx.mul(top, c)) for x, c in zip(r, t_a)]
-    lows = [code(minus.pop())]
+    scales = [p ** i for i in range(1, ctx.e)]  # element indices p^i
+    base = 0  # the code of -(t^d mod P), from H's leading 1
+    for c in minus.pop():
+        base = base * q + c
+    vectors = []  # the vector of each base-p digit of r, fastest first
     for vec in reversed(minus):
-        grown = list(lows)
-        for h in range(1, q):
-            grown += translate(lows, code([ctx.mul(h, c) for c in vec]))
-        lows = grown
-    return lows
+        for v in [vec] + [[ctx.mul(s, c) for c in vec] for s in scales]:
+            x = 0
+            for c in v:
+                x = x * q + c
+            vectors.append(x)
+    n = a * ctx.e
+    ops = add, line = _digit_ops(p, n)
+    lows = [base]
+    for u in reversed(vectors[:n]):
+        lows = add(lows, line(u))
+    rows = _scatter(lows, map((1).__lshift__, range(size)), size)  # bit y at lows[y]
+    w = size
+    for u in vectors[n:]:
+        rows = _row_step(rows, u, w, p, ops)
+        w *= p
+    return rows
 
 
-def _sieve(d: int, ctx: FieldCtx) -> bytearray:
-    """One flag per monic of degree d in lex order (c0 the top digit), with
-    the multiples of every irreducible P != t of degree a <= d/2 cleared a
-    whole list at a time."""
+def _sieve(d: int, ctx: FieldCtx) -> int:
+    """The lex positions (c0 the top digit) of the monic polynomials of
+    degree d with a factor P != t of degree a <= d/2, as the set bits of one
+    int.  The rows of all P of one degree are OR-ed, then joined and marked
+    in one pass."""
     q = ctx.q
-    alive = bytearray(b"\x01") * q ** d
-    view = memoryview(alive)
+    marked = 0
     for a in range(1, d // 2 + 1):
-        translate = _translator(ctx, a)
-        span = q ** (d - a)
-        rows = [view[low * span:(low + 1) * span] for low in range(q ** a)]  # by low part
+        rows = [0] * q ** a
         for p_idx in _irreducible_indices(a, ctx):
-            if p_idx == 0:  # t: its multiples are the slice [0, q^(d-1))
-                continue
-            for r, low in enumerate(_multiple_lows(ctx, p_idx, a, d, translate)):
-                rows[low][r] = 0
-    return alive
+            if p_idx:  # t: its multiples are the slice [0, q^(d-1)), never read
+                rows = list(map(operator.or_, rows, _multiple_rows(ctx, p_idx, a, d)))
+        rows += [0] * ((1 << (len(rows) - 1).bit_length()) - len(rows))
+        marked |= _join(rows, q ** (d - a))[0]
+    return marked
 
 
 def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     """Indices of the monic irreducibles of degree d, coefficient-lex order.
 
     A miss first requests degree d // 2, which fills every degree <= d/2,
-    then sieves degree d once.  A monic g of degree k sits in that array as
+    then sieves degree d once.  A monic g of degree k sits in that bitset as
     t^(d-k)*g, at g's own lex position, in [q^(k-1), q^k) when g(0) != 0;
     for d/2 < k <= d it survives exactly when g is irreducible, since a
     reducible g with g(0) != 0 has a factor P != t of degree <= k/2, and no
     such P divides t^(d-k)*g for an irreducible g.  So every uncached k in
-    (d/2, d] is read off the one array, and the survivors turned into
+    (d/2, d] is read off the one bitset, and the survivors turned into
     indices through two tables of about q^(k/2) entries.
     """
     key = (ctx, d)
@@ -551,16 +639,20 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     if d > 1:
         _irreducible_indices(d // 2, ctx)
     q = ctx.q
-    alive = memoryview(_sieve(d, ctx))
+    marked = _sieve(d, ctx)
     for k in range(d // 2 + 1, d + 1):
         if (ctx, k) in _irr_cache:
             continue
         start, stop = (q ** (k - 1) if k > 1 else 0), q ** k  # degree 1 keeps t
         half = q ** (k // 2)
         head = _lex_to_index(k - k // 2, q)
-        tail = [x * q ** (k - k // 2) for x in _lex_to_index(k // 2, q)]
-        survivors = itertools.compress(range(start, stop), alive[start:stop])
-        _irr_cache[(ctx, k)] = [head[r // half] + tail[r % half] for r in survivors]
+        tail = _lex_to_index(k // 2, q, q ** (k - k // 2))
+        bits = marked >> start & (1 << stop - start) - 1
+        flags = format(bits, f"0{stop - start}b").encode().translate(_UNMARKED)
+        survivors = itertools.compress(range(stop - 1, start - 1, -1), flags)  # top bit first
+        indices = [head[r // half] + tail[r % half] for r in survivors]
+        indices.reverse()
+        _irr_cache[(ctx, k)] = indices
     return _irr_cache[key]
 
 

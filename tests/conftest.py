@@ -8,7 +8,7 @@ from orbitstat import frobenius_stats, polynomial, young_stats
 @pytest.fixture
 def sieve_passes(monkeypatch):
     """A fresh irreducible cache, and the list of the degrees of the sieve
-    passes run from then on, one entry per flag array allocated."""
+    passes run from then on, one entry per degree sieved."""
     passes = []
     sieve = polynomial._sieve
 

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitstat
-from orbitstat.finite_field import _build_tables, _times_t, is_prime, make_field, prime_factors
+from orbitstat.finite_field import (
+    _build_tables,
+    _times_t,
+    is_prime,
+    make_field,
+    prime_factors,
+    prime_power,
+)
 from orbitstat.polynomial import (
     Poly,
     _divmod,
@@ -349,9 +356,9 @@ def _necklace_count(q, d):
     return sum(mobius(d // e) * q ** e for e in range(1, d + 1) if d % e == 0) // d
 
 
-@pytest.mark.parametrize("q,dmax", [(8, 4), (9, 4), (25, 3)])
+@pytest.mark.parametrize("q,dmax", [(8, 4), (9, 4), (25, 3), (27, 4), (49, 3)])
 def test_sieve_over_extensions(q, dmax):
-    ctx = FIELDS[q]
+    ctx = make_field(*prime_power(q))
     for d in range(1, dmax + 1):
         assert count_irreducibles(d, ctx) == _necklace_count(q, d)
     for d in (2, 3):

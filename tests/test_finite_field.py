@@ -172,6 +172,16 @@ def test_one_shared_context_per_field():
     assert make_field(7) is parse_field_spec("q=7")
 
 
+def test_a_context_hashes_as_its_parameters():
+    """The hash, taken once at construction, is the hash of (p, e, q,
+    modulus), so dicts and sets keyed on contexts keep their order."""
+    alternate = make_field(3, 2, modulus=(2, 1, 1))
+    for ctx in (*SMALL_FIELDS, alternate, make_field(2, 16), make_field(65521)):
+        assert hash(ctx) == hash((ctx.p, ctx.e, ctx.q, ctx.modulus))
+        assert hash(ctx) == hash(FieldCtx(ctx.p, ctx.e, ctx.q, ctx.modulus))
+    assert alternate != F9 and len({F9, alternate, make_field(3, 2)}) == 2
+
+
 def test_refused_fields_are_refused_every_time():
     for _ in range(2):
         with pytest.raises(ValueError, match="reducible"):

@@ -2,7 +2,9 @@
 
 Each case's expected stdout is tests/golden/<name>.txt.  The cases cover
 factor, necklace, eval (every method) and ensemble over
-q in {2, 3, 4, 5, 8, 9, 4096, 65521}, factor over the large extension fields
+q in {2, 3, 4, 5, 8, 9, 4096, 65521}, necklace also over 7, 27 and 101 (at
+q = 101, H has one digit past the one that reaches every low part), factor
+over the large extension fields
 3^10, 2^16, 13^4 and 251^2 and eval over 5^6 (each building its field's
 tables with its default modulus), young histograms and means of
 block cosets, and every check of verify --quick, in text and JSON.  Every case runs in
@@ -59,6 +61,8 @@ CASES = {
     "necklace_q2_k14": ["necklace", "--q", "2", "--kmax", "14"],
     "necklace_q5_k7_json": ["necklace", "--q", "5", "--kmax", "7", "--format", "json"],
     "necklace_q7_k5": ["necklace", "--q", "7", "--kmax", "5"],
+    "necklace_q101_k3": ["necklace", "--q", "101", "--kmax", "3"],
+    "necklace_q27_k4_json": ["necklace", "--q", "27", "--kmax", "4", "--format", "json"],
     "symbolic_q2": ["eval", "--q", "2", "t^5+t^2+1", "--mu", "1:1,2:1", "--method", "symbolic"],
     "symbolic_q2_cube": ["eval", "--q", "2", "t^6+t^3+1", "--mu", "1:1,3:1", "--method", "symbolic"],
     "symbolic_q3_json": [

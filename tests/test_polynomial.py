@@ -11,11 +11,12 @@ symbolic route run on.
 
 import functools
 import itertools
+import operator
 import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitstat import polynomial
 from orbitstat.errors import CapExceeded
@@ -368,6 +369,42 @@ def test_sieve_matches_the_odometer_sieve(monkeypatch, q):
         d += 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
+def test_the_row_builder_marks_exactly_the_multiples(q):
+    """For every irreducible P != t of degree a and every d >= 2a with
+    q^d <= 2*10^4, the positions _multiple_rows marks (bit r of row low at
+    low*q^(d-a) + r) are the lex positions of the monic f of degree d that
+    _divmod divides by P with no remainder.  Each marked f is divided; as
+    f = P*g for exactly one monic g of degree d-a, there are q^(d-a) such f,
+    so an equal count of distinct marks leaves none out.  Up to q^d = 2000
+    every monic f is divided as well."""
+    ctx = parse_field_spec(f"q={q}")
+    d = 2
+    while q ** d <= 2 * 10 ** 4:
+        lex = {}  # lex position (c0 the top digit) -> coefficient tuple of f
+        for f in enumerate_monic(d, ctx):
+            lex[sum(c * q ** (d - 1 - k) for k, c in enumerate(f.coeffs[:-1]))] = f.coeffs
+        for a in range(1, d // 2 + 1):
+            for p_idx in polynomial._irreducible_indices(a, ctx):
+                if p_idx == 0:
+                    continue
+                p_co = monic_from_index(a, ctx, p_idx).coeffs
+                rows = polynomial._multiple_rows(ctx, p_idx, a, d)
+                assert len(rows) == q ** a
+                marked = [
+                    low * q ** (d - a) + r
+                    for low, row in enumerate(rows)
+                    for r in range(row.bit_length())
+                    if row >> r & 1
+                ]
+                assert len(marked) == q ** (d - a), (d, p_co)
+                assert all(_divmod(ctx, lex[x], p_co)[1] == () for x in marked), (d, p_co)
+                if q ** d <= 2000:
+                    divisible = [x for x, f in lex.items() if _divmod(ctx, f, p_co)[1] == ()]
+                    assert sorted(marked) == sorted(divisible), (d, p_co)
+        d += 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
 def test_top_degree_first_matches_the_odometer_sieve(sieve_passes, q):
     """Requesting the largest degree first sieves only it and its halvings,
@@ -432,20 +469,35 @@ def test_any_request_order_gives_the_bottom_up_lists(field_and_order):
             assert len(got) == necklace_count(d, ctx.q)
 
 
-# q^d up to about 2^18 slots, beyond what the odometer sieve reaches in a test
+# q^d up to about 2^18 slots, beyond what the odometer sieve reaches in a
+# test, and F_211 and F_1009, where a = 1 and H has one digit past the first
+# (F_211, d = 3) or none (d = 2): up to 9.4 * 10^6 slots, each shape run
+# on every run as an explicit example
+F211, F1009 = make_field(211), make_field(1009)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from([(F2, 18), (F3, 11), (F4, 9), (F8, 6), (F9, 6)]).flatmap(
+    st.sampled_from([(F2, 18), (F3, 11), (F4, 9), (F8, 6), (F9, 6), (F211, 3), (F1009, 2)]).flatmap(
         lambda field: st.tuples(st.just(field[0]), st.integers(1, field[1]))
     )
 )
+@example((F211, 3))
+@example((F1009, 2))
 def test_sieve_counts_match_the_moebius_formula(field_and_degree):
+    """The counts are the Moebius counts, and the coefficient vectors
+    (c0, ..., c_(d-1)) of the index list, read off each index digit by
+    digit, increase strictly: the order of poly_sort_key on the monic
+    irreducibles of one degree.  The cache is left as it was found, so the
+    lists of F_211 do not outlive the test."""
     ctx, d = field_and_degree
-    assert count_irreducibles(d, ctx) == necklace_count(d, ctx.q)
-    fs = irreducibles(d, ctx)
-    keys = [poly_sort_key(f) for f in fs]
-    assert all(x < y for x, y in zip(keys, keys[1:]))
-    assert all(f.is_monic and f.degree == d for f in fs)
+    q = ctx.q
+    with mock.patch.dict(polynomial._irr_cache):
+        indices = polynomial._irreducible_indices(d, ctx)
+        assert count_irreducibles(d, ctx) == len(indices) == necklace_count(d, q)
+    assert 0 <= min(indices) and max(indices) < q ** d
+    digits = [[i // w % q for i in indices] for w in [q ** k for k in range(d)]]
+    assert all(map(operator.lt, zip(*digits), zip(*[c[1:] for c in digits])))
 
 
 def test_is_irreducible_edge_cases():
