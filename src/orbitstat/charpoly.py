@@ -170,7 +170,7 @@ class CharPoly:
         parsed = []
         sums: dict = {}
         for sign, chunk in signed_terms(s):
-            key, coeff = cls._parse_term(chunk)
+            key, coeff = cls._parse_term(chunk, text)
             parsed.append((key, sign * coeff))
             sums[key] = sums.get(key, _F0) + sign * coeff
         terms: dict[MultiIndex, Fraction] = {}  # a cancelled term leaves its place
@@ -188,14 +188,16 @@ class CharPoly:
         return cls(terms)
 
     @classmethod
-    def _parse_term(cls, chunk: str) -> tuple[object, Fraction]:
-        """(key, coefficient): a binom's or constant's MultiIndex, or a monomial's powers."""
+    def _parse_term(cls, chunk: str, text: str) -> tuple[object, Fraction]:
+        """(key, coefficient): a binom's or constant's MultiIndex, or a
+        monomial's powers; an error names the term and text, the statistic
+        as typed."""
         coeff = _F1
         body = chunk
         if chunk[0].isdigit():
             m = re.match(r"^(\d+(?:/\d+)?)(?:\*(.+))?$", chunk)
             if not m:
-                raise ValueError(f"bad term {chunk!r}")
+                raise ValueError(f"bad term {chunk!r} in {text!r}")
             num, _, den = m.group(1).partition("/")
             try:
                 coeff = Fraction(
@@ -203,7 +205,7 @@ class CharPoly:
                     read_int(den, chunk, "the term") if den else 1,
                 )
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in term {chunk!r}") from None
+                raise ValueError(f"zero denominator in term {chunk!r} of {text!r}") from None
             body = m.group(2)
             if body is None:
                 return MultiIndex(), coeff
@@ -213,7 +215,7 @@ class CharPoly:
         for factor_text in body.split("*"):
             m = cls._MONO_RE.match(factor_text)
             if not m:
-                raise ValueError(f"bad factor {factor_text!r} in {chunk!r}")
+                raise ValueError(f"bad factor {factor_text!r} in term {chunk!r} of {text!r}")
             k = read_int(m.group(1), chunk, "the term")
             a = read_int(m.group(2), chunk, "the term") if m.group(2) else 1
             powers[k] = powers.get(k, 0) + a

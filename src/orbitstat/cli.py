@@ -16,10 +16,13 @@ identical from run to run unless --timing is given.  Exit status is 0 on
 success, 1 on errors or on any disagreement between routes, and 2 on a
 malformed command line, which argparse ends with a usage line.
 
-Each command has its own parser, built from one table (_COMMANDS) on first
-use, and a well-formed command line runs only that parser.  The whole tree,
-built from the same table, answers the rest (no arguments, -h, an unknown
-command, leftover arguments) in its own words.
+Each command's _add_* function declares its flags once.  Passed a _Table in
+place of an ArgumentParser, it records the command's argument table, from
+which a well-formed command line is read directly; no parser is built.  The
+whole tree, built by argparse from the same functions, reads every other
+line (no arguments, -h, an unknown command, an abbreviation, a value that
+starts with -, a bad value, leftover arguments), so argparse writes every
+usage line, help text and error.
 
 Each handler writes every `key = value` field once, through _put (or
 _put_frac for a rational), which adds it to the text lines and to the JSON
@@ -28,12 +31,12 @@ payload together, so the two formats list the same fields in one order.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import operator
 import sys
 import time
+import types
 from fractions import Fraction
 
 from .charpoly import CharPoly
@@ -285,13 +288,17 @@ def cmd_verify(args):
 
 def _int_flag(text: str) -> int:
     """An integer flag's value: a literal too long to read is read_int's
-    line, naming the limit; any other bad one is type=int's words, shortened."""
+    line, naming the limit; any other bad one is type=int's words, shortened.
+    argparse is imported only to word such an error or to build the tree."""
     try:
         return read_int(text, text, "the value")
     except CapExceeded as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        words = str(exc)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)!r}") from None
+        words = f"invalid int value: {_shown(text)!r}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(words)
 
 
 def _add_common(p, field=True):
@@ -402,8 +409,11 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: orbitstat and a subparser for each command."""
+def build_parser():
+    """The whole tree, an argparse.ArgumentParser: orbitstat and a subparser
+    for each command."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="orbitstat",
         description="Exact cycle statistics of polynomial factorizations "
@@ -415,27 +425,97 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _Table:
+    """The argument table of one command, recorded by its _add_* function in
+    place of an ArgumentParser: each option string's (dest, type, choices,
+    takes_value), the positionals in order, the defaults, the dests that must
+    be given and the mutually exclusive groups.  An add_argument keyword or
+    action that it does not model is a TypeError, so that a new kind of flag
+    fails instead of being misread."""
+
+    def __init__(self):
+        self.options, self.positionals, self.defaults = {}, [], {}
+        self.required, self.groups = set(), []
+
+    def add_argument(self, name, *, action=None, type=str, choices=None,
+                     default=None, required=False, help=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"the argument table does not model action={action!r}")
+        dest = name.lstrip("-").replace("-", "_")
+        self.defaults[dest] = False if action else default
+        spec = (dest, type, choices, not action)
+        if name.startswith("-"):
+            self.options[name] = spec
+        else:
+            self.positionals.append(spec)
+            required = True
+        if required:
+            self.required.add(dest)
+        return dest
+
+    def add_mutually_exclusive_group(self, required=False):
+        dests = set()
+        self.groups.append((dests, required))
+        return types.SimpleNamespace(
+            add_argument=lambda *a, **kw: dests.add(self.add_argument(*a, **kw))
+        )
+
+
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command, the same as the tree's subparser of that
-    name, built on first use: parse_args returns a fresh Namespace and
-    leaves the parser unchanged, so one parser serves every call."""
-    p = argparse.ArgumentParser(prog=f"orbitstat {name}")
-    _COMMANDS[name][2](p)
-    p.set_defaults(command=name)
-    return p
+def _table(name: str) -> _Table:
+    table = _Table()
+    _COMMANDS[name][2](table)
+    return table
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of argv, the tree's Namespace.  A command line that
-    starts with a command's name goes to that command's parser alone.  The
-    whole tree answers the rest (no arguments, -h, an unknown command) and
-    reports what the command's parser left over, so that each usage line
-    and error reads as the tree writes it."""
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
+def _read(argv: list[str]):
+    """The arguments of a well-formed command line, read from its command's
+    table as argparse reads them, or None for any other line: an unknown or
+    abbreviated option, -h, --, a value that starts with -, a bad type or
+    choice, a leftover token, a missing flag or two of one group."""
+    table = _table(argv[0])
+    values = dict(table.defaults, command=argv[0])
+    seen = set()
+    positionals = iter(table.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+            spec = table.options.get(name)
+            # argparse drops a value "--", and refuses one given to a bare flag
+            if spec is None or text == "--" or (eq and not spec[3]):
+                return None
+            if spec[3] and not eq:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+        else:
+            spec, text = next(positionals, None), token
+            if spec is None:
+                return None
+        dest, convert, choices, takes_value = spec
+        try:
+            value = convert(text) if takes_value else True
+        except Exception:  # the tree converts it again and words the error
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        seen.add(dest)
+    if not table.required <= seen or any(
+        len(dests & seen) > 1 or (required and not dests & seen)
+        for dests, required in table.groups
+    ):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
+    """The arguments of argv, as attributes: a well-formed command line is
+    read from its command's table, and the whole tree answers the rest, so
+    that argparse writes every usage line, help text and error."""
+    if argv and argv[0] in _COMMANDS and (args := _read(argv)) is not None:
+        return args
     return build_parser().parse_args(argv)
 
 

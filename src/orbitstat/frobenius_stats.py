@@ -172,6 +172,8 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
         terms = {fc: 1}  # cofactor f/g -> integer coefficient of eps_g
         for k, m in mu.items():
             for _ in range(m):
+                if not terms:  # no key left for a further factor to keep
+                    break
                 work += len(terms) * len(symbols[k])
                 _spend_terms(work, term_cap)
                 out: dict[tuple, int] = {}
@@ -181,7 +183,8 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
                         if not rem:
                             out[quot] = out.get(quot, 0) + x * y
                 terms = out
-        total += coef * Fraction(sum(terms.values()), centralizer_order(mu))
+        if terms:
+            total += coef * Fraction(sum(terms.values()), centralizer_order(mu))
     return total
 
 

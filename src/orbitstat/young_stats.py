@@ -163,8 +163,13 @@ def coset_means(spec: CosetSpec, mus: Iterable[MultiIndex]) -> dict[MultiIndex, 
     all read off one product of the block factors, one factor per block,
     truncated at the join box of mus.  The factors are integers scaled by
     z_box, so the product runs in integers and each coefficient is divided
-    by z_box to the number of factors multiplied."""
-    mus = list(mus)
+    by z_box to the number of factors multiplied.  A mu of norm beyond n
+    counts more points than tau*h moves, so its mean is 0 and it is left
+    out of the box."""
+    means = dict.fromkeys(mus, Fraction(0))
+    mus = [mu for mu in means if mu.norm <= spec.n]
+    if not mus:
+        return means
     box, at = _join_box(mus)
     top = tuple(m for _, m in box.items())
     factors = []
@@ -189,7 +194,8 @@ def coset_means(spec: CosetSpec, mus: Iterable[MultiIndex]) -> dict[MultiIndex, 
     else:
         acc = _mul_truncated(acc, last, top) if factors else last
         coeffs = [acc.get(e, 0) for e in at]
-    return {mu: Fraction(c, scale) for mu, c in zip(mus, coeffs)}
+    means.update((mu, Fraction(c, scale)) for mu, c in zip(mus, coeffs))
+    return means
 
 
 def expected_binom_on_coset(spec: CosetSpec, mu: MultiIndex) -> Fraction:

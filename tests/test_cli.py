@@ -1,11 +1,14 @@
 """Command line behavior: output shape, determinism, and exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitstat import cli, finite_field, frobenius_stats, young_stats
 from orbitstat.cli import main
@@ -338,10 +341,10 @@ ONE_OF_EACH = {
 def test_a_command_line_builds_only_its_own_parser(capsys, monkeypatch):
     """With the whole tree's builder raising, one well-formed command line of
     each command still prints its golden output, and six commands run twice
-    build one parser each."""
+    build no argparse parser: each is read from its command's table."""
     from test_golden_cli import CASES, GOLDEN
 
-    for value in vars(cli).values():  # forget the parsers built so far
+    for value in vars(cli).values():  # forget the tables recorded so far
         if getattr(value, "__module__", None) == cli.__name__ and hasattr(value, "cache_clear"):
             value.cache_clear()
 
@@ -362,7 +365,7 @@ def test_a_command_line_builds_only_its_own_parser(capsys, monkeypatch):
             code, out, err = run(capsys, *CASES[case])
             assert (code, err) == (0, "")
             assert out == (GOLDEN / f"{case}.txt").read_text()
-    assert built == [f"orbitstat {name}" for name in ONE_OF_EACH]
+    assert built == []
     assert list(ONE_OF_EACH) == list(cli._COMMANDS)
 
 
@@ -394,6 +397,93 @@ def test_usage_errors_read_as_the_whole_tree_writes_them(capsys, argv):
     tree = outcome(cli.build_parser().parse_args)
     assert outcome(main) == tree
     assert tree[0] == (0 if argv[1:] == ["-h"] else 2)
+
+
+def test_every_golden_command_line_is_read_from_its_table():
+    from test_golden_cli import CASES
+
+    tree = cli.build_parser()
+    for argv in CASES.values():
+        assert vars(cli._read(argv)) == vars(tree.parse_args(argv)), argv
+
+
+# a well-formed line of each command, in pieces that can be dropped,
+# repeated and reordered: a flag with its value, or a positional
+WELL_FORMED = {
+    "factor": [["--q", "2"], ["t^2+t"], ["--format", "json"], ["--timing"]],
+    "necklace": [["--q", "4"], ["--mod", "[1,1,1]"], ["--kmax", "4"]],
+    "eval": [
+        ["t^3"], ["--q", "2"], ["--mu", "1:1"], ["--method", "both"],
+        ["--cap-group", "9"], ["--cap-terms", "9"],
+    ],
+    "ensemble": [
+        ["--q", "2"], ["--d", "3"], ["--stat", "X1"], ["--filter", "squarefree"],
+        ["--cap-enum", "9"],
+    ],
+    "young": [["--blocks", "1^2"], ["--histogram"], ["--method", "oracle"], ["--cap-group", "9"]],
+    "verify": [["--quick"], ["--checks", "necklace-count"], ["--format", "json"]],
+}
+
+
+def _pieces(name: str) -> list[list[list[str]]]:
+    """Pieces that argparse may read otherwise than the table does, in one
+    group per option and one of other tokens: each option with good and bad
+    values, in both forms and abbreviated, a bare flag given a value, -h,
+    --, values that start with -, and extra tokens."""
+    groups = [[["extra"], ["-h"], ["--help"], ["--"], ["-x"], ["--x=1"]]]
+    for option, (_, convert, choices, takes_value) in cli._table(name).options.items():
+        shorter = option[:-1] if len(option) > 3 else option
+        if not takes_value:
+            groups.append([[option], [shorter], [option + "="], [option + "=1"]])
+            continue
+        if choices:
+            values = [*choices, "fastest"]
+        elif convert is cli._int_flag:
+            values = ["5", "x", "1.5", "", "1_0"]
+        else:
+            values = ["2", "1:1", ""]
+        group = [[option]]
+        for value in [*values, "-1", "--", "-h", "-x=1"]:
+            group += [[option, value], [f"{option}={value}"], [shorter, value]]
+        groups.append(group)
+    return groups
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(WELL_FORMED)))
+    kept = [piece for piece in WELL_FORMED[name] if draw(st.integers(0, 4))]
+    pieces = st.one_of(*map(st.sampled_from, _pieces(name)))
+    extra = draw(st.lists(pieces, max_size=3))
+    return [name, *(token for piece in draw(st.permutations(kept + extra)) for token in piece)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+@example(["eval", "t", "--q", "2", "--mu=--"])  # argparse drops the value --
+@example(["verify", "--quick", "extra"])
+def test_the_table_reads_a_line_as_argparse_does_or_passes_it_on(argv):
+    """The reader returns None, or the arguments that the whole tree's
+    parser of that command reads with nothing left over."""
+    tree = cli.build_parser()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args, rest = tree.parse_known_args(argv)
+    except SystemExit:
+        args, rest = None, []
+    read = cli._read(argv)
+    assert read is None or (args is not None and vars(read) == vars(args) and rest == [])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"nargs": 2}, {"nargs": "?"}, {"action": "append"}, {"action": "count"}, {"metavar": "N"}],
+)
+def test_the_table_refuses_a_flag_it_does_not_model(kwargs):
+    with pytest.raises(TypeError):
+        cli._Table().add_argument("--x", **kwargs)
+    with pytest.raises(TypeError):
+        cli._Table().add_mutually_exclusive_group().add_argument("--x", **kwargs)
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -531,6 +621,42 @@ def test_bad_statistics_are_one_line_errors(capsys, flag, words):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert words in err
+
+
+@pytest.mark.parametrize(
+    "stat,err",
+    [
+        ("X1*-X2", "error: bad factor '' in term 'X1*' of 'X1*-X2'\n"),
+        ("X1^-1", "error: bad factor 'X1^' in term 'X1^' of 'X1^-1'\n"),
+    ],
+)
+def test_a_bad_statistic_is_named_as_typed(capsys, stat, err):
+    assert run(capsys, "eval", "--q", "2", "t", f"--stat={stat}") == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("eval", "--q", "2", "t", "--mu", mu, "--method", method)
+          for mu in ("1:1000000", "1:10000000", "1:99999999999999999999")
+          for method in ("formula", "symbolic", "oracle", "both")),
+        *(("young", "--blocks", "1^2", "--mu", mu, "--method", method)
+          for mu in ("1:10000000", "1:99999999999999999999")
+          for method in ("formula", "oracle", "both")),
+    ],
+)
+def test_a_mu_beyond_the_coset_is_zero_at_once(capsys, argv):
+    """binom(X, mu) is 0 on every permutation that moves fewer than
+    norm(mu) points; no route computes a factorial of mu's counts first."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    method = argv[-1]
+    if method == "both":
+        assert out.endswith("formula = 0\noracle = 0\nagree = yes\n")
+    else:
+        assert out.endswith(f"{method} = 0\n")
 
 
 @pytest.mark.parametrize(
