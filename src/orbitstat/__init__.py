@@ -12,12 +12,7 @@ Everything is deterministic and validated against brute-force enumeration;
 see the verify module and the command line tool of the same name.
 """
 
-from .charpoly import (
-    CharPoly,
-    binom_eval,
-    g_series_identity_check,
-    sn_expectation_closed,
-)
+from .charpoly import CharPoly, binom_eval, sn_expectation_closed
 from .errors import CapExceeded
 from .finite_field import (
     FieldCtx,
@@ -36,7 +31,6 @@ from .frobenius_stats import (
     ensemble_formula,
     ensemble_sum,
     parse_predicate,
-    xk_of_f,
 )
 from .polynomial import (
     ENUMERATION_LIMIT,
@@ -100,7 +94,6 @@ __all__ = [
     "factor",
     "format_field_spec",
     "format_poly",
-    "g_series_identity_check",
     "make_field",
     "multi_indices_up_to",
     "necklace_count",
@@ -112,5 +105,4 @@ __all__ = [
     "prime_power",
     "run_all",
     "sn_expectation_closed",
-    "xk_of_f",
 ]

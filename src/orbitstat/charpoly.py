@@ -9,15 +9,12 @@ CharPoly is a value, parsed, printed and evaluated, with no operators.
 
 A truncated series is a dict from exponent tuples to exact coefficients,
 and _mul_truncated multiplies two of them, dropping every exponent beyond a
-box `top`: the eps^(r+1) = 0 of a nilpotent ring and the z^mu cut of the
-coset closed forms in young_stats are both such boxes.  The product takes
-Fractions or ints alike.  young_stats scales each block factor by
-z_mu = prod_k k^{m_k} m_k!, which clears every denominator of the factor
-(each is a divisor of z_mu), so its products run in integers.
-_exp_truncated sums the exponential of a series without constant term,
-dividing with Fraction so that int input stays exact, and
-g_series_identity_check runs the cycle-index generating-series identity on
-these dicts, one product per class of S_r.
+box `top`: the z^mu cut of the coset closed forms in young_stats and the
+u^d z^mu cut of the ensemble's Euler product in frobenius_stats are both
+such boxes.  The product takes Fractions or ints alike.  young_stats scales
+each block factor by z_mu = prod_k k^{m_k} m_k!, which clears every
+denominator of the factor (each is a divisor of z_mu), so the products of
+both run in integers.
 """
 
 from __future__ import annotations
@@ -26,20 +23,12 @@ import itertools
 import math
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceeded, prints, read_int
 from .polynomial import signed_terms
-from .symmetric import (
-    DEFAULT_GROUP_CAP,
-    MultiIndex,
-    centralizer_order,
-    cycle_lengths,
-    enumerate_sn,
-    multi_indices_up_to,
-)
+from .symmetric import MultiIndex, centralizer_order
 
 # The most binomial terms one monomial may expand into; no flag raises it.
 EXPANSION_LIMIT = 10 ** 4
@@ -243,54 +232,3 @@ def _mul_truncated(f: dict, g: dict, top: tuple[int, ...]) -> dict:
                 out[e] = out.get(e, 0) + x * y
     return out
 
-
-def _exp_truncated(s: dict, top: tuple[int, ...]) -> dict:
-    """exp(s) as the sum of s^k / k!, dropping exponents beyond top; s has no
-    constant term, so its powers leave the box and the sum is finite."""
-    one = (0,) * len(top)
-    if one in s:
-        raise ValueError("exp requires zero constant term")
-    power = {one: _F1}
-    out = dict(power)
-    for k in itertools.count(1):
-        power = {a: Fraction(c, k) for a, c in _mul_truncated(power, s, top).items()}
-        if not power:
-            return out
-        for a, c in power.items():
-            out[a] = out.get(a, _F0) + c
-
-
-def g_series_identity_check(
-    d: int, r: int, t_degree_cap: int, cap: int = DEFAULT_GROUP_CAP
-) -> bool:
-    """Check that averaging prod_l (1 + eps^l t_{dl})^{X_l} over S_r equals
-    exp(sum_l eps^l t_{dl} / l) with eps^(r+1) = 0, and that setting eps to 1
-    reproduces the closed-form S_r means coefficient by coefficient.
-
-    A monomial eps^e prod_l t_{dl}^{a_l} is the tuple (e, a_1, ..., a_r) with
-    e = sum l*a_l.  Its t-weight is d*e, so eps^(r+1) = 0 and the weight cap
-    together bound e, and with it every a_l, by one box."""
-    if d < 1 or r < 0 or t_degree_cap < 0:
-        raise ValueError("need d >= 1, r >= 0 and t_degree_cap >= 0")
-    group = enumerate_sn(r, cap)  # refuses r! > cap before the r + 1 tuples of z
-    top = (min(r, t_degree_cap // d),) * (r + 1)
-    one = (0,) * (r + 1)
-    z = {ell: (ell,) + one[1:ell] + (1,) + one[ell + 1 :] for ell in range(1, r + 1)}
-    total: dict[tuple[int, ...], int] = {}
-    for lengths, count in Counter(map(cycle_lengths, group)).items():
-        prod = {one: 1}
-        for ell in lengths:
-            prod = _mul_truncated(prod, {one: 1, z[ell]: 1}, top)
-        for a, c in prod.items():
-            total[a] = total.get(a, 0) + count * c
-    lhs = {a: Fraction(c, math.factorial(r)) for a, c in total.items()}
-    if lhs != _exp_truncated({z[ell]: Fraction(1, ell) for ell in z}, top):
-        return False
-    flat: dict[tuple[int, ...], Fraction] = {}
-    for a, c in lhs.items():
-        flat[a[1:]] = flat.get(a[1:], _F0) + c
-    expected = {
-        tuple(mu.get(ell) for ell in range(1, r + 1)): sn_expectation_closed(mu, r)
-        for mu in multi_indices_up_to(top[0])
-    }
-    return flat == expected

@@ -411,8 +411,16 @@ _COMMANDS = {
 
 def build_parser():
     """The whole tree, an argparse.ArgumentParser: orbitstat and a subparser
-    for each command."""
+    for each command.  argparse strips the value of --flag=--, leaving an
+    empty list; each subparser's default action refuses it with the words of
+    a missing value."""
     import argparse
+
+    class Store(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
 
     ap = argparse.ArgumentParser(
         prog="orbitstat",
@@ -421,7 +429,9 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+        p = sub.add_parser(name, help=help_text)
+        p.register("action", None, Store)
+        add_arguments(p)
     return ap
 
 

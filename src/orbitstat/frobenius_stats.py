@@ -21,9 +21,9 @@ optionally filtered by a bound m on the multiplicity of every factor.
 ensemble_formula takes the Euler product over the irreducibles, with the
 necklace counts N_k as exponents: for all f it is the equal-expectation
 closed form q^d / z_mu per term, and under a bound a series in u truncated
-at u^d, whose work grows polynomially in d.  ensemble_sum factors every f
-and is kept as its oracle; factorization_types counts the f of each block
-spec for verify's tally check.
+at u^d, whose work grows polynomially in d.  At a bound m = d, which
+binds no f, the series is the closed form, and verify compares the two
+there.  ensemble_sum factors every f and is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -48,14 +48,7 @@ from .polynomial import (
     format_poly,
     necklace_count,
 )
-from .symmetric import (
-    DEFAULT_GROUP_CAP,
-    CosetSpec,
-    MultiIndex,
-    block_multisets,
-    centralizer_order,
-    count_block_multisets,
-)
+from .symmetric import DEFAULT_GROUP_CAP, CosetSpec, MultiIndex, centralizer_order
 from .young_stats import (
     _block_factor,
     _block_reach,
@@ -188,21 +181,6 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     return total
 
 
-def xk_of_f(f: Poly, k: int) -> Fraction:
-    """The k-cycle statistic of f: sum over d | k of (d/k) times the number
-    of degree-d irreducible factors dividing f at least k/d times."""
-    if k < 1:
-        raise ValueError("cycle length must be >= 1")
-    _check_monic(f)
-    fac = factor(f)
-    total = _F0
-    for d in divisors(k):
-        hits = sum(1 for p, r in fac.factors if p.degree == d and r >= k // d)
-        if hits:
-            total += Fraction(d * hits, k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
@@ -235,7 +213,7 @@ def parse_predicate(text: Optional[str]) -> Optional[int]:
 def factored_types(d: int, ctx, maxmult: Optional[int] = None) -> Counter:
     """Block spec of every monic f of degree d whose factors have
     multiplicity at most maxmult (any, for None), tallied by factoring each
-    f: the oracle for factorization_types."""
+    f."""
     tally: Counter = Counter()
     for f in enumerate_monic(d, ctx):
         spec = block_spec(f)
@@ -265,38 +243,6 @@ def ensemble_sum(
     tally = factored_types(d, ctx, maxmult)
     total = sum((n_f * chi_formula(spec, P) for spec, n_f in tally.items()), _F0)
     return total, sum(tally.values())
-
-
-def factorization_types(
-    d: int, q: int, cap: int = DEFAULT_ENUM_CAP
-) -> dict[CosetSpec, int]:
-    """Number of monic f of degree d over F_q with each block spec, for the
-    specs that some f has.
-
-    Such an f picks distinct irreducibles for its blocks of each degree k:
-    N_k (N_k - 1) ... choices for j blocks, divided by the orderings of
-    blocks with equal multiplicity.  cap bounds the number of block
-    multisets walked.
-    """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    n_specs = count_block_multisets(d)
-    if n_specs > cap:
-        raise CapExceeded(
-            f"ensemble over {n_specs} factorization types of degree {d} exceeds "
-            f"cap {cap}; raise it with --cap-enum"
-        )
-    necklaces = {k: necklace_count(k, q) for k in range(1, d + 1)}
-    out = {}
-    for spec in block_multisets(d):
-        count = 1
-        for k, j in Counter(k for k, _ in spec.blocks).items():
-            count *= math.perm(necklaces[k], j)
-        if count:
-            for same in Counter(spec.blocks).values():
-                count //= math.factorial(same)
-            out[spec] = count
-    return out
 
 
 def _check_count(d: int, q: int) -> None:

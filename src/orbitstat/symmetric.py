@@ -217,22 +217,6 @@ def block_multisets(n: int) -> Iterator[CosetSpec]:
     return (CosetSpec(blocks) for blocks in _blocks_from(n, (1, 1)))
 
 
-def count_block_multisets(n: int) -> int:
-    """Number of block multisets of total n without listing them: the
-    coefficient of x^n in the product over block shapes (d, r) of
-    1/(1 - x^(d*r)).  There is one shape of size s per divisor d of s."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ways = [1] + [0] * n
-    for size in range(1, n + 1):
-        for d in range(1, size + 1):
-            if size % d:
-                continue
-            for total in range(size, n + 1):
-                ways[total] += ways[total - size]
-    return ways[n]
-
-
 def _elements_text(n: int) -> str:
     """The count of a refusal of S_n, n! written out when Python prints it;
     an n! whose log (by lgamma) is a digit past the limit is not computed."""

@@ -1,7 +1,9 @@
-"""Cross-validation battery pairing each closed form with a brute-force route.
+"""Cross-validation battery pairing each route of the CLI with another.
 
 Every check here compares two or three independently implemented ways of
-computing the same quantity and demands exact equality of rationals.  The
+computing the same quantity and demands exact equality of rationals: a
+route that a command runs against another route or a brute-force
+enumeration, never a formula that only verify runs.  The
 default scales are the ones the acceptance suite runs at; smaller scales are
 available through keyword arguments (the CLI exposes a quick preset).
 Each check collects its failures in a list and ends through _verdict, which
@@ -18,25 +20,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .charpoly import (
-    CharPoly,
-    binom_eval,
-    g_series_identity_check,
-    sn_expectation_closed,
-)
+from .charpoly import CharPoly, binom_eval, sn_expectation_closed
 from .finite_field import FieldCtx, make_field, prime_power
 from .frobenius_stats import (
+    DEFAULT_ENUM_CAP,
+    _series_sum,
     block_spec,
     chi_formula,
     chi_symbolic,
+    ensemble_formula,
     factored_types,
-    factorization_types,
     histogram_mean,
-    xk_of_f,
 )
 from .polynomial import (
     Poly,
-    _divmod,
+    _irreducible_tuples,
+    _mul,
     count_irreducibles,
     enumerate_monic,
     factor,
@@ -61,7 +60,6 @@ from .young_stats import (
     walk_coset,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -121,27 +119,23 @@ def _ensemble_specs(ctx: FieldCtx, d: int) -> Counter:
     return factored_types(d, ctx)
 
 
-def _checked_tallies(q: int, dmax: int, bad: list) -> dict[int, Counter]:
-    """The factored tally of each degree 1..dmax over F_q; a tally that
-    differs from factorization_types goes to bad."""
-    ctx = _field(q)
-    tallies = {}
-    for d in range(1, dmax + 1):
-        tallies[d] = _ensemble_specs(ctx, d)
-        if tallies[d] != factorization_types(d, q):
-            bad.append((q, d, "factorization type counts"))
-    return tallies
-
-
-def _tally_means(tally: Counter, d: int, population: int) -> dict[MultiIndex, Fraction]:
-    """The ensemble mean of binom(X, mu) for every mu of norm <= d, from one
-    coset_means call per spec of the degree-d tally."""
+def _tally_means(ctx: FieldCtx, d: int) -> dict[MultiIndex, Fraction]:
+    """The oracle's ensemble mean of binom(X, mu) for every mu of norm <= d:
+    every monic f of degree d factored once, and one coset_means call per
+    spec of the tally."""
     mus = list(multi_indices_up_to(d))
     total = dict.fromkeys(mus, Fraction(0))
-    for spec, c in tally.items():
+    for spec, c in _ensemble_specs(ctx, d).items():
         for mu, mean in coset_means(spec, mus).items():
             total[mu] += c * mean
-    return {mu: value / population for mu, value in total.items()}
+    return {mu: value / ctx.q ** d for mu, value in total.items()}
+
+
+def _route_mean(ctx: FieldCtx, d: int, mu: MultiIndex) -> Fraction:
+    """The mean of binom(X, mu) over the monic f of degree d by
+    ensemble_formula, which `orbitstat ensemble` runs."""
+    total, count = ensemble_formula(d, ctx, CharPoly.binom(mu))
+    return total / count
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +165,23 @@ def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> Check
     """Mean of binom(X, mu) over monic degree-d polynomials equals the S_d
     mean, and also the S_d mean rescaled by necklace factors (each forced to 1
     by the count identity, but computed from the sieve, not assumed).  The
-    ensemble side tallies the block specs of the factored polynomials, and
-    the tally must equal the factorization type counts."""
+    ensemble mean is ensemble_formula's, and the oracle's from the factored
+    polynomials must equal it."""
     bad = []
     n = 0
     for q in qs:
-        sums = necklace_sums(dmax, _field(q))
-        for d, tally in _checked_tallies(q, dmax, bad).items():
-            for mu, ens in _tally_means(tally, d, q ** d).items():
+        ctx = _field(q)
+        sums = necklace_sums(dmax, ctx)
+        for d in range(1, dmax + 1):
+            for mu, tally in _tally_means(ctx, d).items():
+                ens = _route_mean(ctx, d, mu)
                 sym = sn_expectation_closed(mu, d)
                 prod_form = sym
                 for k, m in mu.items():
                     prod_form *= Fraction(sums[k - 1], q ** k) ** m
                 n += 1
-                if not ens == sym == prod_form:
-                    bad.append((q, d, str(mu), ens, sym, prod_form))
+                if not ens == tally == sym == prod_form:
+                    bad.append((q, d, str(mu), ens, tally, sym, prod_form))
     detail = f"{n} means agree across ensemble, symmetric-group, and product routes"
     return _verdict("equal-expectation", bad, detail)
 
@@ -313,49 +309,88 @@ def check_projection_measure(nmax: int = 8) -> CheckResult:
 
 
 def check_generating_series(
-    dmax: int = 3, rmax: int = 6, t_cap: int = 6
+    qs: Sequence[int] = (2, 3, 65521),
+    degrees: Sequence[int] = (*range(1, 13), 40),
+    nmax: int = 4,
 ) -> CheckResult:
-    """Averaged cycle-index series equals the truncated exponential, and
-    collapsing the nilpotents reproduces the closed S_r means."""
-    bad = [
-        (d, r)
-        for d in range(1, dmax + 1)
-        for r in range(1, rmax + 1)
-        if not g_series_identity_check(d, r, t_cap)
-    ]
-    detail = f"identity holds for d <= {dmax}, r <= {rmax}, weight cap {t_cap}"
-    return _verdict("generating-series", bad, detail, "failed at ", None)
-
-
-def _expectation_epsilon(g: Poly, n: int) -> Fraction:
-    """Closed-form mean of the divisibility symbol of a monic g over monic
-    degree-n polynomials."""
-    return Fraction(1, g.ctx.q ** g.degree) if g.degree <= n else _F0
-
-
-def _expectation_epsilon_oracle(g: Poly, n: int) -> Fraction:
-    """Same mean by enumerating all q^n monic polynomials of degree n."""
-    ctx, gc = g.ctx, g.coeffs
-    hits = sum(1 for f in enumerate_monic(n, ctx) if not _divmod(ctx, f.coeffs, gc)[1])
-    return Fraction(hits, g.ctx.q ** n)
-
-
-def check_divisor_average(qs: Sequence[int] = (2, 3), nmax: int = 4) -> CheckResult:
-    """Mean of the divisibility symbol of g over monic degree-n polynomials:
-    1/q^deg(g) when deg(g) <= n, else 0, versus direct enumeration."""
+    """The cycle-index exponential behind the Euler product: the ensemble
+    series under a multiplicity bound m = d, which binds no f of degree d,
+    equals ensemble_formula's closed form for all, the u^d coefficient of
+    1/(1 - qu) * exp(sum_k z_k (qu)^k / k): sum q^d / z_mu and count q^d.
+    Both are routes of `orbitstat ensemble`, the first under --filter."""
     bad = []
     n = 0
     for q in qs:
         ctx = _field(q)
-        for deg_f in range(0, nmax + 1):
-            for deg_g in range(0, deg_f + 2):
-                for g in enumerate_monic(deg_g, ctx):
-                    closed = _expectation_epsilon(g, deg_f)
-                    brute = _expectation_epsilon_oracle(g, deg_f)
-                    n += 1
-                    if closed != brute:
-                        bad.append((q, str(g), deg_f, closed, brute))
-    detail = f"{n} symbol means agree for q in {tuple(qs)}, n <= {nmax}"
+        for d in degrees:
+            for mu in multi_indices_up_to(nmax):
+                if not mu.norm:
+                    continue
+                P = CharPoly.binom(mu)
+                series = _series_sum(d, q, P, d, DEFAULT_ENUM_CAP)
+                closed = ensemble_formula(d, ctx, P)
+                n += 1
+                if series != closed:
+                    bad.append((q, d, str(mu), series, closed))
+    detail = (
+        f"{n} Euler-product sums at m = d equal q^d / z_mu for q in {tuple(qs)}, "
+        f"d in {tuple(degrees)}, |mu| <= {nmax}"
+    )
+    return _verdict("generating-series", bad, detail)
+
+
+# the statistics of the divisor-average check's polynomials with large H
+_LARGE_H_MUS = tuple(map(MultiIndex.parse, ("1:2,2:2", "1:3,2:1,4:1", "2:3,3:1")))
+
+
+def check_divisor_average(
+    qs: Sequence[int] = (2, 3),
+    dmax: int = 4,
+    large_qs: Sequence[int] = (2, 3, 4),
+    powers: Sequence[tuple[int, int, int]] = ((4, 2, 3), (12, 5, 4), (20, 8, 6)),
+) -> CheckResult:
+    """The divisibility-symbol expansion of binom(X, mu), averaged over every
+    monic f of degree d, equals ensemble_formula's mean; and past the reach of
+    any enumeration it equals the closed form at f = (t+1)^a * t^c * g^b,
+    g the first irreducible quadratic, for each (a, b, c) of powers."""
+    bad = []
+    n = 0
+    for q in qs:
+        ctx = _field(q)
+        for d in range(1, dmax + 1):
+            monics = list(enumerate_monic(d, ctx))
+            for mu in multi_indices_up_to(d):
+                if not mu.norm:
+                    continue
+                P = CharPoly.binom(mu)
+                symbolic = sum(chi_symbolic(f, P) for f in monics)
+                closed, count = ensemble_formula(d, ctx, P)
+                n += 1
+                if (symbolic, len(monics)) != (closed, count):
+                    bad.append((q, d, str(mu), symbolic, closed))
+    order = 1
+    for q in large_qs:
+        ctx = _field(q)
+        g = next(_irreducible_tuples(2, ctx))
+        for a, b, c in powers:
+            fc = (1,)
+            for p, e in (((1, 1), a), ((0, 1), c), (g, b)):
+                for _ in range(e):
+                    fc = _mul(ctx, fc, p)
+            f = Poly(ctx, fc)
+            spec = block_spec(f)
+            order = max(order, spec.order_h())
+            for mu in _LARGE_H_MUS:
+                P = CharPoly.binom(mu)
+                formula, symbolic = chi_formula(spec, P), chi_symbolic(f, P)
+                n += 1
+                if formula != symbolic:
+                    bad.append((q, str(f), str(mu), formula, symbolic))
+    detail = (
+        f"{n} symbol expansions agree with ensemble means for q in {tuple(qs)}, "
+        f"d <= {dmax}, and with closed forms for q in {tuple(large_qs)}, "
+        f"|H| < 10^{len(str(order))}"
+    )
     return _verdict("divisor-average", bad, detail)
 
 
@@ -364,21 +399,21 @@ def check_known_values(
     squarefree_scales: Sequence[tuple[int, int]] = ((2, 5), (3, 4)),
 ) -> CheckResult:
     """Hand-computable anchors: the double root t^2 has mean 2-cycle count 1/2
-    and mean fixed-point count 1 over every field, and on square-free f the
-    statistics are integers counting factor selections."""
+    and mean fixed-point count 1 over every field, by the closed form and by
+    the symbol expansion, and on square-free f the statistics are integers
+    counting factor selections."""
     bad = []
     n = 0
-    mu1 = MultiIndex.from_dict({1: 1})
-    mu2 = MultiIndex.from_dict({2: 1})
+    x1, x2 = CharPoly.parse("X1"), CharPoly.parse("X2")
     for q in qs:
         ctx = _field(q)
         f = Poly(ctx, (0, 0, 1))
         spec = block_spec(f)
         values = (
-            (chi_formula(spec, CharPoly.binom(mu2)), Fraction(1, 2)),
-            (chi_formula(spec, CharPoly.binom(mu1)), _F1),
-            (xk_of_f(f, 2), Fraction(1, 2)),
-            (xk_of_f(f, 1), _F1),
+            (chi_formula(spec, x2), Fraction(1, 2)),
+            (chi_formula(spec, x1), _F1),
+            (chi_symbolic(f, x2), Fraction(1, 2)),
+            (chi_symbolic(f, x1), _F1),
         )
         for got, want in values:
             n += 1
@@ -408,19 +443,19 @@ def check_known_values(
 
 def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResult:
     """The degree-d ensemble mean of binom(X, mu) is the same rational for
-    every d from |mu| up to dmax, from factored tallies that must equal the
-    factorization type counts."""
+    every d from |mu| up to dmax, by ensemble_formula and by the oracle's
+    factored polynomials."""
     bad = []
     n = 0
     for q in qs:
-        means = {
-            d: _tally_means(tally, d, q ** d)
-            for d, tally in _checked_tallies(q, dmax, bad).items()
-        }
+        ctx = _field(q)
+        tallies = {d: _tally_means(ctx, d) for d in range(1, dmax + 1)}
         for mu in multi_indices_up_to(dmax):
             if mu.norm == 0:
                 continue
-            vals = [means[d][mu] for d in range(mu.norm, dmax + 1)]
+            degrees = range(mu.norm, dmax + 1)
+            vals = [_route_mean(ctx, d, mu) for d in degrees]
+            vals += [tallies[d][mu] for d in degrees]
             n += 1
             if len(set(vals)) != 1:
                 bad.append((q, str(mu), vals))
@@ -437,8 +472,8 @@ _CHECKS = {
     "coset-statistics": (check_coset_statistics, {"nmax": 5}),
     "sym-expectation": (check_sym_expectation, {"rmax": 5}),
     "projection-measure": (check_projection_measure, {"nmax": 5}),
-    "generating-series": (check_generating_series, {"dmax": 2, "rmax": 4, "t_cap": 4}),
-    "divisor-average": (check_divisor_average, {"nmax": 3}),
+    "generating-series": (check_generating_series, {"qs": (2, 3), "degrees": (6, 12)}),
+    "divisor-average": (check_divisor_average, {"dmax": 3, "powers": ((12, 5, 4),)}),
     "known-values": (check_known_values, {"squarefree_scales": ((2, 4), (3, 3))}),
     "stabilization": (check_stabilization, {"dmax": 4}),
 }

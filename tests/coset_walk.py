@@ -21,8 +21,12 @@ type, read off the closed-form mean.
 expected_k_cycles is the mean number of k-cycles on a coset, counted
 straight from the blocks.
 
+factorization_types counts the monic f of degree d with each block spec by
+choosing distinct irreducibles for the blocks, with no f factored, and
+count_block_multisets counts the block specs of total n that it walks.
+
 ensemble_walk is the oracle for frobenius_stats.ensemble_formula: it walks
-the factorization types of degree d, and for each term binom(X, mu) of the
+those factorization types of degree d, and for each term binom(X, mu) of the
 statistic evaluates the coset closed form once per distinct part of a type
 that mu sees, weighted by the number of f that share it.
 
@@ -36,6 +40,7 @@ product form.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,12 +48,14 @@ from functools import lru_cache
 from typing import Optional
 
 from orbitstat.charpoly import CharPoly, binom_eval, sn_expectation_closed
-from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, factorization_types
+from orbitstat.errors import CapExceeded
+from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP
 from orbitstat.polynomial import divisors, necklace_count
 from orbitstat.symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
     MultiIndex,
+    block_multisets,
     cycle_lengths,
     cycle_type,
     enumerate_sn,
@@ -154,6 +161,54 @@ def expected_k_cycles(spec: CosetSpec, k: int) -> Fraction:
         raise ValueError("cycle length must be >= 1")
     total = sum(d for d, r in spec.blocks if k % d == 0 and d * r >= k)
     return Fraction(total, k)
+
+
+def count_block_multisets(n: int) -> int:
+    """Number of block multisets of total n without listing them: the
+    coefficient of x^n in the product over block shapes (d, r) of
+    1/(1 - x^(d*r)).  There is one shape of size s per divisor d of s."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ways = [1] + [0] * n
+    for size in range(1, n + 1):
+        for d in range(1, size + 1):
+            if size % d:
+                continue
+            for total in range(size, n + 1):
+                ways[total] += ways[total - size]
+    return ways[n]
+
+
+def factorization_types(
+    d: int, q: int, cap: int = DEFAULT_ENUM_CAP
+) -> dict[CosetSpec, int]:
+    """Number of monic f of degree d over F_q with each block spec, for the
+    specs that some f has.
+
+    Such an f picks distinct irreducibles for its blocks of each degree k:
+    N_k (N_k - 1) ... choices for j blocks, divided by the orderings of
+    blocks with equal multiplicity.  cap bounds the number of block
+    multisets walked.
+    """
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    n_specs = count_block_multisets(d)
+    if n_specs > cap:
+        raise CapExceeded(
+            f"ensemble over {n_specs} factorization types of degree {d} exceeds "
+            f"cap {cap}; raise it with --cap-enum"
+        )
+    necklaces = {k: necklace_count(k, q) for k in range(1, d + 1)}
+    out = {}
+    for spec in block_multisets(d):
+        count = 1
+        for k, j in Counter(k for k, _ in spec.blocks).items():
+            count *= math.perm(necklaces[k], j)
+        if count:
+            for same in Counter(spec.blocks).values():
+                count //= math.factorial(same)
+            out[spec] = count
+    return out
 
 
 # the oracle tests walk each degree once per statistic and filter

@@ -12,14 +12,13 @@ from orbitstat import charpoly
 from orbitstat.charpoly import (
     EXPANSION_LIMIT,
     CharPoly,
-    _exp_truncated,
     _mul_truncated,
     _stirling2_row,
     binom_eval,
-    g_series_identity_check,
     sn_expectation_closed,
 )
 from orbitstat.errors import CapExceeded, prints
+from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, _series_sum
 from orbitstat.symmetric import MultiIndex, multi_indices_up_to
 
 from coset_walk import sn_expectation_oracle
@@ -269,31 +268,6 @@ def test_difference_of_squares():
     assert nonzero(_mul_truncated(plus, minus, top)) == {(0,): 1, (2,): -1}
 
 
-def test_exp_truncates_at_the_order():
-    assert _exp_truncated(EPS, (2,)) == {(0,): 1, (1,): 1, (2,): Fraction(1, 2)}
-    assert _exp_truncated(EPS, (0,)) == ONE
-    with pytest.raises(ValueError, match="constant term"):
-        _exp_truncated({(0,): Fraction(1), (1,): Fraction(1)}, (2,))
-
-
-def test_exp_of_an_int_series_stays_exact():
-    # the product sums from the int 0, so only the division keeps this exact
-    out = _exp_truncated({(1, 0): 1, (0, 1): 2}, (3, 2))
-    assert all(type(c) is Fraction for c in out.values())
-    assert out[(3, 0)] == Fraction(1, 6)
-    assert out[(1, 2)] == 2  # x * y^2 * 2^2 / 2!
-
-
-@settings(max_examples=30)
-@given(st.integers(-3, 3), st.integers(-3, 3))
-def test_exp_is_a_homomorphism(a, b):
-    top = (3,)
-    x = {(1,): Fraction(a)}
-    y = {(2,): Fraction(b)}
-    product = _mul_truncated(_exp_truncated(x, top), _exp_truncated(y, top), top)
-    assert nonzero(_exp_truncated({**x, **y}, top)) == nonzero(product)
-
-
 def test_two_variable_orders():
     top = (1, 2)  # eps_0^2 = 0, eps_1^3 = 0
     e0 = {(1, 0): Fraction(1)}
@@ -314,32 +288,36 @@ def test_t_weight_cap_truncates():
     assert _mul_truncated(t1, t2, top) == {}  # weight 3 dies
 
 
+def series_identity(d, q, mu, m):
+    """The cycle-index exponential on the ensemble's Euler product: under a
+    bound m >= d, which binds no f of degree d, the series of binom(X, mu)
+    sums to q^d times the S_d mean over the q^d monic f."""
+    count = q ** d
+    got = _series_sum(d, q, CharPoly.binom(mu), m, DEFAULT_ENUM_CAP)
+    return got == (count * sn_expectation_closed(mu, d), count)
+
+
 def test_series_identity_small_cases():
-    assert g_series_identity_check(1, 2, 4)
-    assert g_series_identity_check(2, 3, 6)
-    assert g_series_identity_check(1, 4, 4)
+    assert series_identity(1, 2, mi("1:1"), 1)
+    assert series_identity(3, 2, mi("1:1,2:1"), 3)
+    assert series_identity(4, 3, mi("2:2"), 4)
 
 
 def test_series_identity_on_the_whole_small_grid():
-    # the grid holds caps that cut: t_cap < d*r, t_cap = 0, and r = 0
+    # the grid holds bounds past d, mu past d, and the empty mu
     bad = [
-        (d, r, t_cap)
-        for d in range(1, 5)
-        for r in range(7)
-        for t_cap in range(13)
-        if not g_series_identity_check(d, r, t_cap)
+        (q, d, m, str(mu))
+        for q in (2, 3, 4)
+        for d in range(1, 6)
+        for m in (d, d + 2)
+        for mu in multi_indices_up_to(6)
+        if not series_identity(d, q, mu, m)
     ]
     assert bad == []
 
 
-def test_series_identity_rejects_bad_arguments():
-    for args in [(0, 2, 4), (1, -1, 4), (1, 2, -1)]:
-        with pytest.raises(ValueError):
-            g_series_identity_check(*args)
-
-
 def test_series_identity_fails_on_a_wrong_closed_form(monkeypatch):
-    from orbitstat import charpoly
+    from orbitstat import frobenius_stats, verify
 
     wrong = mi("1:1,2:1")
 
@@ -347,9 +325,9 @@ def test_series_identity_fails_on_a_wrong_closed_form(monkeypatch):
         value = sn_expectation_closed(mu, r)
         return value * 2 if mu == wrong else value
 
-    monkeypatch.setattr(charpoly, "sn_expectation_closed", closed)
-    assert not charpoly.g_series_identity_check(1, 4, 4)
-    assert charpoly.g_series_identity_check(1, 4, 2)  # the cap cuts mu away
+    monkeypatch.setattr(frobenius_stats, "sn_expectation_closed", closed)
+    assert not verify.check_generating_series(qs=(2,), degrees=(4,)).ok
+    assert verify.check_generating_series(qs=(2,), degrees=(4,), nmax=2).ok  # mu is cut away
 
 
 def test_stirling_identity_against_factorial_moments():

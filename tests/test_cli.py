@@ -1008,6 +1008,30 @@ def test_an_integer_flag_too_long_to_read_is_a_usage_error(capsys, argv, flag):
     )
 
 
+@pytest.mark.parametrize("name", list(ONE_OF_EACH))
+def test_a_value_of_double_dash_is_a_missing_value(capsys, name):
+    """--flag=-- is refused as --flag -- is, for every option of the command
+    that takes a value: argparse strips the --, and an empty value is neither
+    read as the flag's default nor handed to its handler."""
+    from test_golden_cli import CASES
+
+    def stderr(argv):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 2
+        return capsys.readouterr().err
+
+    line = CASES[ONE_OF_EACH[name]][1:]
+    options = [o for o, spec in cli._table(name).options.items() if spec[3]]
+    assert options
+    for option in options:
+        err = stderr([name, f"{option}=--", *line])
+        assert err.splitlines()[-1] == (
+            f"orbitstat {name}: error: argument {option}: expected one argument"
+        )
+        assert err == stderr([name, option, "--", *line])
+
+
 def test_an_unprintable_statistic_is_refused_before_it_is_formatted(capsys, monkeypatch):
     # each coefficient is tested by its bit length, so the text of a
     # statistic with one too long is never built

@@ -13,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from orbitstat.charpoly import _mul_truncated
 from orbitstat.errors import CapExceeded
 from orbitstat.finite_field import make_field
-from orbitstat.polynomial import Poly, _gcd, enumerate_monic, monic_from_index, parse_poly
-from orbitstat.verify import (
-    _expectation_epsilon as expectation_epsilon,
-    _expectation_epsilon_oracle as expectation_epsilon_oracle,
+from orbitstat.polynomial import (
+    Poly,
+    _divmod,
+    _gcd,
+    enumerate_monic,
+    monic_from_index,
+    parse_poly,
 )
 
 from poly_oracle import product
@@ -191,6 +194,19 @@ def test_phi_after_lambda_is_the_expectation(g, n):
 
 
 # -- averages ----------------------------------------------------------------
+
+def expectation_epsilon(g: Poly, n: int) -> Fraction:
+    """Closed-form mean of the divisibility symbol of a monic g over monic
+    degree-n polynomials."""
+    return Fraction(1, g.ctx.q ** g.degree) if g.degree <= n else Fraction(0)
+
+
+def expectation_epsilon_oracle(g: Poly, n: int) -> Fraction:
+    """Same mean by enumerating all q^n monic polynomials of degree n."""
+    ctx, gc = g.ctx, g.coeffs
+    hits = sum(1 for f in enumerate_monic(n, ctx) if not _divmod(ctx, f.coeffs, gc)[1])
+    return Fraction(hits, g.ctx.q ** n)
+
 
 def test_expectation_closed_form():
     assert expectation_epsilon(T, 3) == Fraction(1, 2)

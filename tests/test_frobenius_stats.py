@@ -20,9 +20,7 @@ from orbitstat.frobenius_stats import (
     chi_symbolic,
     ensemble_formula,
     ensemble_sum,
-    factorization_types,
     parse_predicate,
-    xk_of_f,
 )
 from orbitstat.polynomial import (
     Poly,
@@ -40,6 +38,7 @@ from coset_walk import (
     ensemble_walk,
     equal_expectation_check,
     expected_k_cycles,
+    factorization_types,
 )
 from poly_oracle import product
 from symbol_sum import SymbolSum
@@ -136,15 +135,18 @@ def test_chi_routes_are_linear():
 
 
 def test_xk_frozen_values():
-    f = parse_poly("t^4+t", F2)
-    assert xk_of_f(f, 1) == 2
-    assert xk_of_f(f, 2) == 1
-    assert xk_of_f(f, 3) == 0
-    t2 = parse_poly("t^2", F2)
-    assert xk_of_f(t2, 1) == 1
-    assert xk_of_f(t2, 2) == Fraction(1, 2)
+    # X_k by the closed form and by the symbol expansion
+    def xk(text, k):
+        f = parse_poly(text, F2)
+        X = CharPoly.parse(f"X{k}")
+        value = chi_formula(block_spec(f), X)
+        assert chi_symbolic(f, X) == value
+        return value
+
+    assert (xk("t^4+t", 1), xk("t^4+t", 2), xk("t^4+t", 3)) == (2, 1, 0)
+    assert (xk("t^2", 1), xk("t^2", 2)) == (1, Fraction(1, 2))
     with pytest.raises(ValueError):
-        xk_of_f(f, 0)
+        CharPoly.parse("X0")
 
 
 def test_xk_equals_the_first_binomial_moment():
@@ -152,7 +154,7 @@ def test_xk_equals_the_first_binomial_moment():
         for f in enumerate_monic(d, F3):
             spec = block_spec(f)
             for k in range(1, d + 1):
-                val = xk_of_f(f, k)
+                val = chi_formula(spec, CharPoly.parse(f"X{k}"))
                 assert val == chi_formula(spec, CharPoly.binom(MultiIndex.from_dict({k: 1})))
                 assert val == expected_k_cycles(spec, k)
 

@@ -34,7 +34,6 @@ PUBLIC = [
     "factor",
     "format_field_spec",
     "format_poly",
-    "g_series_identity_check",
     "make_field",
     "multi_indices_up_to",
     "necklace_count",
@@ -46,7 +45,6 @@ PUBLIC = [
     "prime_power",
     "run_all",
     "sn_expectation_closed",
-    "xk_of_f",
 ]
 
 

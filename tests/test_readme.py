@@ -1,7 +1,8 @@
 """README examples: every `$ orbitstat ...` block prints exactly the lines
 shown under it, the Library block runs and prints what its comments say, the
-module map names exactly the modules of the package, and the list of
-subcommands names exactly the commands of the cli."""
+module map names exactly the modules of the package, the list of
+subcommands names exactly the commands of the cli, and the list of checks
+names exactly the checks of verify."""
 
 import pathlib
 import re
@@ -9,7 +10,7 @@ import shlex
 
 import pytest
 
-from orbitstat import cli
+from orbitstat import cli, verify
 from orbitstat.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -17,6 +18,7 @@ README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
 COMMANDS = [body for lang, body in BLOCKS if body.startswith("$ orbitstat ")]
 LIBRARY = [body for lang, body in BLOCKS if lang == "python"]
+NUMBERS = "zero one two three four five six seven eight nine ten eleven twelve".split()
 
 
 def test_readme_has_the_examples():
@@ -86,6 +88,15 @@ def test_subcommand_lists_name_the_commands_of_the_cli():
     name exactly the commands of cli's table, in its order."""
     count, names = re.search(r"^(\w+) subcommands: (.*?)\.", README, re.M | re.S).groups()
     listed = re.findall(r"`(\w+)`", names)
-    numbers = "zero one two three four five six seven eight nine ten".split()
-    assert numbers.index(count.lower()) == len(listed)
+    assert NUMBERS.index(count.lower()) == len(listed)
     assert listed == re.findall(r"^\* (\w+) ", cli.__doc__, re.M) == list(cli._COMMANDS)
+
+
+def test_check_list_names_the_checks_of_verify():
+    """README's "Check names: ..." sentence names exactly verify's checks, in
+    the order that they run, and its count of them is theirs."""
+    names = re.search(r"Check names: (.*?)\.$", README, re.M | re.S).group(1)
+    count = re.search(r"runs all (\w+) checks", README).group(1)
+    listed = re.findall(r"`([\w-]+)`", names)
+    assert NUMBERS.index(count) == len(listed)
+    assert listed == list(verify.CHECK_NAMES)
