@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded, prints, read_int
+from .errors import CapExceeded, prints, read_int, refusal, unprintable
 from .polynomial import signed_terms
 from .symmetric import MultiIndex, centralizer_order
 
@@ -57,9 +57,9 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> str:
-    """Why the monomial coeff * prod_k X_k^{a_k} is refused before its
-    expansion is built, "" if it is not: it has prod_k a_k binomial terms,
+def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> CapExceeded | None:
+    """The refusal of the monomial coeff * prod_k X_k^{a_k} before its
+    expansion is built, or None: it has prod_k a_k binomial terms,
     and for the largest a_k = a its coefficients a! and coeff * S(a, j) * j!
     must print.  The S(a, j) * j! sum to a!/(2 (ln 2)^(a+1)) within 4% (the
     ordered Bell number), so the largest is at least 1/a of that: refused a
@@ -67,9 +67,8 @@ def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> str:
     text = "*".join(f"X{k}^{a}" for k, a in sorted(powers.items()) if a)
     terms = math.prod(a for a in powers.values() if a)
     if terms > EXPANSION_LIMIT:
-        return (
-            f"the monomial {text} expands into {terms} binomial terms, beyond "
-            f"the limit of {EXPANSION_LIMIT} a monomial, which no flag raises"
+        return refusal(
+            f"the monomial {text} expands into {terms} binomial terms", EXPANSION_LIMIT
         )
     a = max(powers.values(), default=0)
     limit = sys.get_int_max_str_digits()
@@ -79,11 +78,8 @@ def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> str:
     elif limit and ln_bound / math.log(10) - math.log10(coeff.denominator) > limit + 1:
         what = "a coefficient"
     else:
-        return ""
-    return (
-        f"the monomial {text} expands with {what} of more than {limit} digits, "
-        "Python's limit for printing an integer, which no flag raises"
-    )
+        return None
+    return unprintable(f"the monomial {text} expands with {what} of")
 
 
 class CharPoly:
@@ -114,8 +110,8 @@ class CharPoly:
         for k, a in powers.items():
             if a < 0:
                 raise ValueError(f"exponent of X_{k} must be >= 0")
-        if refusal := _expansion_refusal(powers, coeff):
-            raise CapExceeded(refusal)
+        if refused := _expansion_refusal(powers, coeff):
+            raise refused
         # per variable, its terms j = a, ..., 1; every choice of one term per
         # variable is one basis element, built by the validating MultiIndex
         expansions = [

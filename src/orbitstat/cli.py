@@ -40,7 +40,7 @@ import types
 from fractions import Fraction
 
 from .charpoly import CharPoly
-from .errors import CapExceeded, _shown, prints, read_int
+from .errors import CapExceeded, _shown, prints, read_int, unprintable
 from .finite_field import field_from_flags, format_field_spec
 from .frobenius_stats import (
     DEFAULT_ENUM_CAP,
@@ -93,10 +93,7 @@ def _printed(value, subject: str, show=str, ints=()) -> str:
             return show(value)
     except ValueError:
         pass
-    raise ValueError(
-        f"{subject} more than {sys.get_int_max_str_digits()} digits, "
-        "Python's limit for printing an integer, which no flag raises"
-    )
+    raise unprintable(subject)
 
 
 def _stat(args) -> tuple[CharPoly, str]:

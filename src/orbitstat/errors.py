@@ -1,17 +1,39 @@
-"""Shared exception types, the one reader of decimal literals, and the one
-test of whether Python prints an integer."""
+"""Shared exception types, the one reader of decimal literals, the one test
+of whether Python prints an integer, and the words of every refusal."""
 
 import sys
 from functools import lru_cache
+from typing import Callable
 
 
 class CapExceeded(ValueError):
-    """An operation would exceed one of the explicit brute-force guards.
+    """An input would pass a cap or a limit; guards raise this instead of
+    silently truncating.  Caps, each raised by its flag: --cap-group
+    (DEFAULT_GROUP_CAP, elements of a coset or of S_n enumerated), --cap-enum
+    (DEFAULT_ENUM_CAP, the ensemble series' work and the q^d polynomials of
+    the ensemble_sum oracle), --cap-terms (DEFAULT_TERM_CAP, the symbolic
+    route's work).  Limits, which no flag raises: ENUMERATION_LIMIT (sieve
+    slots q^d, the degree of a polynomial term), HISTOGRAM_LIMIT (cycle-type
+    pairs of one block step of the closed-form histogram), EXPANSION_LIMIT
+    (binomial terms of one monomial), and Python's limit on the digits of
+    an integer it reads or prints."""
 
-    Every enumeration in this package is bounded by a named cap (group order,
-    ambient space size, symbolic term count).  Guards raise this instead of
-    silently truncating.
-    """
+
+def refusal(what: str, limit: int, flag: str = "") -> CapExceeded:
+    """The refusal of what, an amount past limit: a cap that flag raises
+    (flag may add advice after it), or with no flag a limit."""
+    if flag:
+        return CapExceeded(f"{what}, beyond the cap {limit}; raise it with {flag}")
+    return CapExceeded(f"{what}, beyond the limit {limit}, which no flag raises")
+
+
+def unprintable(subject: str) -> CapExceeded:
+    """The refusal of a value holding an integer longer than Python prints;
+    subject names it and ends in a word such as "has" or "of"."""
+    return CapExceeded(
+        f"{subject} more than {print_limit()} digits, Python's limit for "
+        "printing an integer, which no flag raises"
+    )
 
 
 def _shown(text: str, width: int = 40) -> str:
@@ -46,6 +68,12 @@ def _power_of_ten(digits: int) -> int:
     return 10 ** digits
 
 
+def print_limit() -> int:
+    """Python's limit on the digits of an integer it prints, or its default
+    limit when none is set: a count estimated past it is never computed."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def prints(value: int) -> bool:
     """Whether str(value) is within Python's limit on the digits of an
     integer it prints.  A b-bit integer has more than (b - 1) log10(2) and
@@ -58,3 +86,19 @@ def prints(value: int) -> bool:
     if (bits - 1) * 0.30102 >= limit:
         return False
     return abs(value) < _power_of_ten(limit)
+
+
+def too_long(log10: float, value: Callable[[], int]) -> bool:
+    """Whether value() has more digits than Python prints.  log10, at most
+    log10(value()) and within a digit of it, decides unless it is within a
+    digit of print_limit, so value is called only there."""
+    limit = print_limit()
+    return log10 >= limit - 1 and (log10 >= limit + 1 or not prints(value()))
+
+
+def count_text(log10: float, value: Callable[[], int], name: str, unit: str) -> str:
+    """A count for a refusal, "{value()} {unit}", or when too_long(log10,
+    value) "{name} {unit}, a number of more than N digits"."""
+    if too_long(log10, value):
+        return f"{name} {unit}, a number of more than {print_limit()} digits"
+    return f"{value()} {unit}"

@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .charpoly import CharPoly, _mul_truncated, sn_expectation_closed
-from .errors import CapExceeded, _power_of_ten, prints, read_int
+from .errors import CapExceeded, _power_of_ten, print_limit, prints, read_int, refusal
+from .errors import too_long, unprintable
 from .polynomial import (
     Poly,
     _divmod,
@@ -85,26 +86,19 @@ def chi_formula(spec: CosetSpec, P: CharPoly) -> Fraction:
 def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
     """Mean of P over the coset of spec, by enumerating all of H: P is
     evaluated once per cycle type of the enumerated histogram."""
-    return histogram_mean(coset_histogram(spec, cap), P, spec.order_h())
-
-
-def histogram_mean(hist: dict, P: CharPoly, order: int) -> Fraction:
-    """Mean of P over a coset of the given order from its cycle-type
-    histogram, so one histogram serves every statistic of one coset."""
-    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / order
+    hist = coset_histogram(spec, cap)
+    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
 
 
 def _spend_terms(work: Optional[int], term_cap: int) -> None:
     """Refuse a work count beyond term_cap; None stands for one with more
     digits than Python prints, or than its default limit when it has none."""
     if work is None or work > term_cap:
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        steps = work if work is not None and prints(work) else f"at least 10^{limit}"
-        raise CapExceeded(
+        steps = work if work is not None and prints(work) else f"at least 10^{print_limit()}"
+        raise refusal(
             f"the symbolic route would reach {steps} steps (candidate symbols "
-            f"tested against f plus term pairs multiplied), beyond the cap "
-            f"{term_cap}; raise it with --cap-terms, or for coset statistics "
-            "use the factored route"
+            "tested against f plus term pairs multiplied)", term_cap,
+            "--cap-terms, or for coset statistics use the factored route"
         )
 
 
@@ -136,7 +130,7 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     # the N_k > q^k / (10k) candidates of the largest k alone may have more
     # digits than Python prints (by default) and the cap: decided by
     # k*log10(q), before divisors(k), O(k) steps, or q^k is computed
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits = print_limit()
     if ks and ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > digits:
         if term_cap < _power_of_ten(digits):
             _spend_terms(None, term_cap)
@@ -236,26 +230,10 @@ def ensemble_sum(
     # q^d >= 2^d > cap once d passes the bit length of cap, so q^d is only
     # built when it has at most about 16 times as many bits as cap
     if d > cap.bit_length() or ctx.q ** d > cap:
-        raise CapExceeded(
-            f"ensemble over {ctx.q}^{d} polynomials exceeds cap {cap}; "
-            "raise it with --cap-enum"
-        )
+        raise refusal(f"ensemble over {ctx.q}^{d} polynomials", cap, "--cap-enum")
     tally = factored_types(d, ctx, maxmult)
     total = sum((n_f * chi_formula(spec, P) for spec, n_f in tally.items()), _F0)
     return total, sum(tally.values())
-
-
-def _check_count(d: int, q: int) -> None:
-    """Refuse a degree whose population q^d has more digits than Python
-    prints, deciding by log10(q^d) unless it is within 1 of the limit."""
-    digits = sys.get_int_max_str_digits()
-    size = d * math.log10(q)
-    if digits and size > digits - 1 and (size > digits + 1 or q ** d >= 10 ** digits):
-        raise CapExceeded(
-            f"the ensemble of degree {d} over F_{q} has q^d = {q}^{d} polynomials, "
-            f"a count of more than {digits} digits, Python's limit for printing "
-            "an integer, which no flag raises"
-        )
 
 
 def _filter_counts(d: int, q: int, m: int) -> list[int]:
@@ -366,10 +344,9 @@ def _series_sum(d: int, q: int, P: CharPoly, m: int, cap: int) -> tuple[Fraction
         nonlocal work
         work += steps
         if work > cap:
-            raise CapExceeded(
+            raise refusal(
                 f"the ensemble series would reach {work} steps (coefficients "
-                f"built plus coefficient pairs multiplied), beyond the cap {cap}; "
-                "raise it with --cap-enum"
+                "built plus coefficient pairs multiplied)", cap, "--cap-enum"
             )
 
     total = sum(
@@ -398,14 +375,18 @@ def ensemble_formula(
     maxmult=m with m >= d) this is 1/(1 - qu) * exp(sum_k z_k (qu)^k / k):
     each mean is the S_d mean 1/z_mu for |mu| <= d, and the sum is q^d
     times it.  Otherwise the product is truncated at u^d and z^mu.  A count
-    q^d too long to print is refused before any work.
+    q^d too long to print (by log10(q^d) a digit past the limit, so that it
+    is not computed; with no limit, none) is refused before any work.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     if maxmult is not None and maxmult < 1:
         raise ValueError("multiplicity bound must be >= 1")
     q = ctx.q
-    _check_count(d, q)
+    if sys.get_int_max_str_digits() and too_long(d * math.log10(q), lambda: q ** d):
+        raise unprintable(
+            f"the ensemble of degree {d} over F_{q} has q^d = {q}^{d} polynomials, a count of"
+        )
     if maxmult is None or maxmult >= d:
         count = q ** d
         return sum(

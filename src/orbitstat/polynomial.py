@@ -55,11 +55,10 @@ import math
 import operator
 import random
 import re
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapExceeded, prints, read_int
+from .errors import CapExceeded, count_text, read_int, refusal
 from .finite_field import FieldCtx, _digit_sum_row, prime_factors
 from .symmetric import CosetSpec
 
@@ -368,10 +367,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         else:
             exp = read_int(m.group("exp"), text, "the polynomial")
             if exp > ENUMERATION_LIMIT:
-                raise CapExceeded(
-                    f"the degree {exp} in {text!r} is beyond the limit "
-                    f"{ENUMERATION_LIMIT}, which no flag raises"
-                )
+                raise refusal(f"the degree {exp} in {text!r}", ENUMERATION_LIMIT)
         acc[exp] = ctx.add(acc.get(exp, 0), coef)
     top = max(acc) if acc else 0
     return Poly(ctx, [acc.get(i, 0) for i in range(top + 1)])
@@ -438,15 +434,8 @@ def check_sieve_size(d: int, ctx: FieldCtx) -> None:
     q = ctx.q
     if d < 24 and q ** d <= ENUMERATION_LIMIT:
         return
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    slots = q ** d if d * math.log10(q) < limit + 1 else 0
-    count = f"{slots} slots" if slots and prints(slots) else (
-        f"{q}^{d} slots, a number of more than {limit} digits"
-    )
-    raise CapExceeded(
-        f"irreducible enumeration needs q^d = {count}, beyond the sieve "
-        f"limit {ENUMERATION_LIMIT}, which no flag raises"
-    )
+    count = count_text(d * math.log10(q), lambda: q ** d, f"{q}^{d}", "slots")
+    raise refusal(f"irreducible enumeration needs q^d = {count}", ENUMERATION_LIMIT)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,12 +23,11 @@ import bisect
 import itertools
 import math
 import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import CapExceeded, prints, read_int
+from .errors import count_text, read_int, refusal
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -217,17 +216,6 @@ def block_multisets(n: int) -> Iterator[CosetSpec]:
     return (CosetSpec(blocks) for blocks in _blocks_from(n, (1, 1)))
 
 
-def _elements_text(n: int) -> str:
-    """The count of a refusal of S_n, n! written out when Python prints it;
-    an n! whose log (by lgamma) is a digit past the limit is not computed."""
-    limit = sys.get_int_max_str_digits()
-    if not limit or math.lgamma(n + 1) < (limit + 1) * math.log(10):
-        order = math.factorial(n)
-        if prints(order):
-            return f"{order} elements,"
-    return f"{n}! elements, a number of more than {limit} digits,"
-
-
 def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple[int, ...]]:
     """All of S_n as image tuples, in lexicographic order; refuses n! > cap,
     found by multiplying 2 * 3 * ... only until the product passes cap."""
@@ -238,10 +226,10 @@ def enumerate_sn(n: int, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple[int, ..
         if order > cap:
             break
         order *= k
-    if order > cap:
-        raise CapExceeded(
-            f"S_{n} has {_elements_text(n)} beyond cap {cap}; raise it with --cap-group"
-        )
+    if order > cap:  # n! is named, not computed, when lgamma puts it past the limit
+        log10 = math.lgamma(n + 1) / math.log(10)
+        count = count_text(log10, lambda: math.factorial(n), f"{n}!", "elements")
+        raise refusal(f"S_{n} has {count}", cap, "--cap-group")
     return itertools.permutations(range(n))
 
 

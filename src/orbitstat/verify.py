@@ -27,10 +27,10 @@ from .frobenius_stats import (
     _series_sum,
     block_spec,
     chi_formula,
+    chi_oracle,
     chi_symbolic,
     ensemble_formula,
     factored_types,
-    histogram_mean,
 )
 from .polynomial import (
     Poly,
@@ -193,8 +193,7 @@ def check_chi_routes(
     == direct coset average, for every monic f and every mu up to its degree.
     Each f is factored once, for the block spec that the factored form and
     the coset average share; the symbolic expansion never factors.  The
-    coset is enumerated once per f, and its histogram averaged for every mu,
-    as chi_oracle does for one."""
+    coset average is chi_oracle, which eval --method oracle runs."""
     bad = []
     n = 0
     for q, dmax in scales:
@@ -202,12 +201,11 @@ def check_chi_routes(
         for d in range(1, dmax + 1):
             for f in enumerate_monic(d, ctx):
                 spec = block_spec(f)
-                hist, order = coset_histogram(spec), spec.order_h()
                 for mu in multi_indices_up_to(d):
                     P = CharPoly.binom(mu)
                     a = chi_formula(spec, P)
                     b = chi_symbolic(f, P)
-                    c = histogram_mean(hist, P, order)
+                    c = chi_oracle(spec, P)
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))

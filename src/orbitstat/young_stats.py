@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +52,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .charpoly import _mul_truncated
-from .errors import CapExceeded, prints
+from .errors import print_limit, prints, refusal
 from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
@@ -95,9 +94,9 @@ def cycle_type_distribution(spec: CosetSpec) -> dict[MultiIndex, int]:
         # p(r), counted no further than the first beyond the limit, before any is listed
         block = next(p for m, p in enumerate(partition_counts()) if m == r or p > HISTOGRAM_LIMIT)
         if have * block > HISTOGRAM_LIMIT:
-            raise CapExceeded(
+            raise refusal(
                 f"the histogram of {spec} pairs at least {have} x {block} cycle types "
-                f"in one step, beyond the limit {HISTOGRAM_LIMIT}, which no flag raises"
+                "in one step", HISTOGRAM_LIMIT
             )
         weight = math.factorial(r) ** d  # (r!)^(d-1) times the class size r!/z
         return {
@@ -243,9 +242,9 @@ def _check_order(spec: CosetSpec, cap: int) -> None:
     order = spec.order_h()
     if order > cap:
         what = f"|H| = {order}" if prints(order) else (
-            f"|H| of {spec}, a number of more than {sys.get_int_max_str_digits()} digits,"
+            f"|H| of {spec}, a number of more than {print_limit()} digits"
         )
-        raise CapExceeded(f"{what} exceeds cap {cap}; raise it with --cap-group")
+        raise refusal(what, cap, "--cap-group")
 
 
 def walk_coset(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple]:

@@ -93,7 +93,7 @@ def test_parse_and_str():
 @pytest.mark.parametrize(
     "text,words",
     [
-        ("X1^999999", ["999999 binomial terms", f"limit of {EXPANSION_LIMIT}"]),
+        ("X1^999999", ["999999 binomial terms", f"limit {EXPANSION_LIMIT}"]),
         ("X1^100*X2^100*X3^100*X4^100", ["X1^100*X2^100*X3^100*X4^100", "100000000"]),
         ("2*X1^40*X2^40*X3^40 + X1", ["X1^40*X2^40*X3^40", "64000"]),
         ("X1^3000", ["3000!", f"{sys.get_int_max_str_digits()} digits"]),

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import time
 
@@ -295,7 +296,7 @@ def test_the_group_cap_bounds_the_order_of_h(capsys):
     argv = ("young", "--blocks", "2^4,3^2", "--mu", "1:1", "--method", "oracle")
     code, out, err = run(capsys, *argv, "--cap-group", "4607")
     assert code == 1 and out == ""
-    assert err == "error: |H| = 4608 exceeds cap 4607; raise it with --cap-group\n"
+    assert err == "error: |H| = 4608, beyond the cap 4607; raise it with --cap-group\n"
     code, out, err = run(capsys, *argv, "--cap-group", "4608")
     assert code == 0 and err == ""
     assert out.endswith("oracle = 0\n")
@@ -701,7 +702,7 @@ def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys, sieve_passes)
     assert code == 1 and out == ""
     assert err == (
         "error: irreducible enumeration needs q^d = 16777216 slots, beyond the "
-        "sieve limit 10000000, which no flag raises\n"
+        "limit 10000000, which no flag raises\n"
     )
     assert sieve_passes == []
 
@@ -710,6 +711,25 @@ def test_necklace_sieves_the_top_degree_and_its_halvings(capsys, sieve_passes):
     code, out, err = run(capsys, "necklace", "--q", "2", "--kmax", "12")
     assert code == 0 and err == "" and out.endswith("identity = ok\n")
     assert sieve_passes == [1, 3, 6, 12]
+
+
+# the two endings of a refusal of a cap or a limit, and the ending of a
+# refusal of an integer too long to print (errors.refusal, errors.unprintable)
+_TAILS = (
+    re.compile(r", beyond the cap \d+; raise it with (--cap-[a-z]+)"
+               r"(, or for coset statistics use the factored route)?\n\Z"),
+    re.compile(r", beyond the limit \d+, which no flag raises\n\Z()"),
+    re.compile(r" of more than \d+ digits, Python's limit for printing an integer, "
+               r"which no flag raises\n\Z()"),
+)
+
+
+def _refusal_flag(err: str):
+    """The flag that the one-line refusal err names, "" when no flag raises
+    its limit, and None when no refusal ending ends it; at most one does."""
+    ends = [m.group(1) for m in (tail.search(err) for tail in _TAILS) if m]
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(ends) <= 1
+    return ends[0] if ends else None
 
 
 # the steps of --mu 2000:1 over F_2, a count of 599 digits, which the
@@ -733,12 +753,12 @@ _SYMBOLIC_2000_STEPS = (
         (
             ("necklace", "--q", "2", "--kmax", "1000000000"),
             "error: irreducible enumeration needs q^d = 16777216 slots, beyond the "
-            "sieve limit 10000000, which no flag raises\n",
+            "limit 10000000, which no flag raises\n",
         ),
         (
             ("necklace", "--q", "65521", "--kmax", "2"),
             "error: irreducible enumeration needs q^d = 4293001441 slots, beyond the "
-            "sieve limit 10000000, which no flag raises\n",
+            "limit 10000000, which no flag raises\n",
         ),
         (
             ("eval", "--q", "2", "t", "--mu", "2000:1", "--method", "symbolic",
@@ -754,7 +774,7 @@ _SYMBOLIC_2000_STEPS = (
             ("eval", "--q", "2", "t", "--mu", "46:1", "--method", "symbolic",
              "--cap-terms", "10000000000000"),
             "error: irreducible enumeration needs q^d = 70368744177664 slots, beyond "
-            "the sieve limit 10000000, which no flag raises\n",
+            "the limit 10000000, which no flag raises\n",
         ),
     ],
     ids=["necklace-huge-kmax", "necklace-q65521", "symbolic-steps", "symbolic-46"],
@@ -764,6 +784,7 @@ def test_refusals_are_whole_and_come_before_any_sieve_pass(capsys, sieve_passes,
     code, out, got = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == "" and got == err
+    assert _refusal_flag(got) == ("--cap-terms" if "the cap" in got else "")
     assert sieve_passes == []
 
 
@@ -889,7 +910,7 @@ def test_mu_and_stat_are_mutually_exclusive(capsys):
             ("eval", "--q", "2", "t^2000", "--mu", "1:1", "--method", "oracle"),
             ["--cap-group", "1^2000", f"{sys.get_int_max_str_digits()} digits"],
         ),
-        (("necklace", "--q", "65521", "--kmax", "2"), ["sieve limit", "no flag"]),
+        (("necklace", "--q", "65521", "--kmax", "2"), ["limit", "no flag"]),
         (("young", "--blocks", "1^30,2^30", "--histogram"), ["limit", "no flag"]),
         (("eval", "--q", "2", "t^2+1", "--stat", "X1^999999"), ["limit", "no flag"]),
         (
@@ -922,6 +943,9 @@ def test_cap_errors_name_their_flag(capsys, argv, words):
     for word in words:
         assert word in err
     assert "set_int_max_str_digits" not in err
+    # a cap names its flag, a limit none, and a bad input is no refusal
+    flag = next((w for w in words if w.startswith("--cap-")), "")
+    assert _refusal_flag(err) == (None if err.startswith("error: bad ") else flag)
 
 
 def test_a_huge_symbolic_cycle_length_is_refused_before_its_divisors(capsys, monkeypatch):

@@ -546,7 +546,7 @@ def test_a_sieve_past_the_limit_is_one_line_naming_q_and_d_when_unprintable(d, c
         count_irreducibles(d, F2)
     assert time.perf_counter() - start < 1
     assert str(refused.value) == (
-        f"irreducible enumeration needs q^d = {count}, beyond the sieve limit "
+        f"irreducible enumeration needs q^d = {count}, beyond the limit "
         "10000000, which no flag raises"
     )
 

@@ -1,8 +1,9 @@
 """README examples: every `$ orbitstat ...` block prints exactly the lines
 shown under it, the Library block runs and prints what its comments say, the
 module map names exactly the modules of the package, the list of
-subcommands names exactly the commands of the cli, and the list of checks
-names exactly the checks of verify."""
+subcommands names exactly the commands of the cli, the list of checks
+names exactly the checks of verify, and the caps table names every cap and
+limit."""
 
 import pathlib
 import re
@@ -100,3 +101,16 @@ def test_check_list_names_the_checks_of_verify():
     listed = re.findall(r"`([\w-]+)`", names)
     assert NUMBERS.index(count) == len(listed)
     assert listed == list(verify.CHECK_NAMES)
+
+
+def test_caps_table_names_every_cap_and_limit():
+    """README's caps table has a row for every --cap-* flag of every
+    command's argument table and for each limit that no flag raises."""
+    table = re.search(r"^\| Flag \| Constant, default \|.*?\n\n", README, re.M | re.S).group()
+    rows = [row.split("|")[1:3] for row in table.strip().splitlines()[2:]]
+    flags = {cell.strip(" `") for cell, _ in rows}
+    constants = {name for _, cell in rows for name in re.findall(r"`(\w+)`", cell)}
+    caps = {option for name in cli._COMMANDS for option in cli._table(name).options
+            if option.startswith("--cap-")}
+    assert caps and caps <= flags
+    assert {"ENUMERATION_LIMIT", "HISTOGRAM_LIMIT", "EXPANSION_LIMIT"} <= constants

@@ -113,7 +113,7 @@ def test_enumerate_sn_refuses_an_unprintable_order_at_once(n):
     assert time.perf_counter() - start < 0.01
     assert str(refused.value) == (
         f"S_{n} has {n}! elements, a number of more than "
-        f"{sys.get_int_max_str_digits()} digits, beyond cap 1000000; "
+        f"{sys.get_int_max_str_digits()} digits, beyond the cap 1000000; "
         "raise it with --cap-group"
     )
 
@@ -122,7 +122,7 @@ def test_enumerate_sn_prints_an_order_within_the_digit_limit():
     with pytest.raises(CapExceeded) as refused:
         enumerate_sn(9, cap=40320)
     assert str(refused.value) == (
-        "S_9 has 362880 elements, beyond cap 40320; raise it with --cap-group"
+        "S_9 has 362880 elements, beyond the cap 40320; raise it with --cap-group"
     )
     assert len(list(enumerate_sn(8, cap=40320))) == 40320
 
