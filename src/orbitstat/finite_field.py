@@ -22,9 +22,10 @@ fewer than 3q ints.
 There is one shared context per field: make_field (and parse_field_spec,
 which calls it) returns the same FieldCtx for every request of one
 normalized (p, e, modulus), so "q=4" and "q=2^2" give one object, and the
-default-modulus search and the tables run at most once per process.  Only
-valid fields are kept, so a refused input is checked again, and refused
-again, on every request.
+tables run at most once per process.  A request without a modulus takes the
+default one from a search cached per (p, e), then the same key as a request
+that names it.  Only valid fields are kept, so a refused input is checked
+again, and refused again, on every request.
 
 Construction enforces q <= 2**16: larger fields are out of scope for the
 exhaustive enumerations this package is built around.
@@ -32,6 +33,7 @@ exhaustive enumerations this package is built around.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -49,21 +51,16 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime; raise ValueError otherwise."""
-    if q < 2:
+    """Decompose q = p^e with p prime, the one prime factor of q; raise
+    ValueError otherwise."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e, m = 0, q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"not a prime power: {q}")
-            return p, e
-        p += 1
-    return q, 1
+    p = primes[0]
+    e = 1
+    while p ** e < q:
+        e += 1
+    return p, e
 
 
 def prime_factors(n: int) -> list[int]:
@@ -305,6 +302,7 @@ def _irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
     return _is_irreducible(make_field(p), coeffs)
 
 
+@functools.lru_cache(maxsize=None)
 def _default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree e over F_p.
 
@@ -320,7 +318,7 @@ def _default_modulus(p: int, e: int) -> tuple[int, ...]:
 
 
 # every valid field made so far, keyed by (p, e, modulus) with the modulus
-# reduced mod p, and by (p, e, None) for the default modulus
+# reduced mod p; a prime field's modulus is None
 _fields: dict[tuple, FieldCtx] = {}
 
 
@@ -354,10 +352,7 @@ def make_field(p: int, e: int = 1, modulus: Optional[Sequence[int]] = None) -> F
             raise ValueError("a modulus is only meaningful for e > 1")
         return _interned(p, 1, None)
     if modulus is None:
-        ctx = _fields.get((p, e, None))
-        if ctx is None:
-            ctx = _fields[p, e, None] = _interned(p, e, _default_modulus(p, e))
-        return ctx
+        return _interned(p, e, _default_modulus(p, e))
     given = [int(c) for c in modulus]
     if len(given) != e + 1:
         raise ValueError(

@@ -39,12 +39,15 @@ per degree.  The multiples of t are the slice [0, q^(K-1)), and they are
 never marked: there a monic g of lower degree d sits as t^(K-d)*g, at its
 own lex position, in [q^(d-1), q^d) when g(0) != 0, and for K/2 < d <= K
 it survives exactly when g is irreducible.  So one bitset of degree K
-yields every degree in (K/2, K], read out already in lex order.  A request
-for degree K first requests K // 2, so the passes run top-down over K,
-K // 2, K // 4, ..., 1, memoized per (field, degree).  Callers name the
-degrees they need to one planner (_plan_sieve), which refuses the first
-uncached degree past ENUMERATION_LIMIT before any pass runs, then asks for
-the rest largest first.
+yields every degree in (K/2, K], read out already in lex order.  The cache
+keeps those lex positions, ascending, which is the order of poly_sort_key,
+and _irreducible_tuples is the one decoder into coefficient tuples, which
+the sieve itself reads its divisors P through.  A request for degree K first
+requests K // 2, so the passes run top-down over K, K // 2, K // 4, ..., 1,
+memoized per (field, degree).  Callers name the degrees they need to one
+planner (_plan_sieve), which refuses the first uncached degree past
+ENUMERATION_LIMIT before any pass runs, then asks for the rest largest
+first.
 """
 
 from __future__ import annotations
@@ -261,24 +264,15 @@ def divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Text format.  Grammar: sum of terms c, t, t^k, c*t^k joined by +/-, with
 # integer coefficients (reduced mod p) or bracketed vectors [a0,a1,...] for
-# extension fields; alternatively one bracketed ascending list [c0,c1,...,cn].
+# extension fields; alternatively one bracketed ascending list [c0,c1,...,cn]
+# of such coefficients, one per comma outside the vectors, [] being zero.
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>\d+|\[[-\d,]*\])\*?)?(?P<var>t(?:\^(?P<exp>\d+))?)?$"
 )
-
-
-def _matching_bracket(s: str, start: int) -> int:
-    depth = 0
-    for i in range(start, len(s)):
-        if s[i] == "[":
-            depth += 1
-        elif s[i] == "]":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ValueError(f"unbalanced brackets in {s!r}")
+_LIST_RE = re.compile(r"\[(?:[^][]|\[[^][]*\])*\]")  # one bracket group, vectors inside
+_OUTER_COMMA = re.compile(r",(?![^[]*\])")  # a comma outside every element vector
 
 
 def signed_terms(s: str) -> list[tuple[int, str]]:
@@ -328,30 +322,17 @@ def _coef_from_text(text: str, ctx: FieldCtx, poly: str) -> int:
 
 
 def parse_poly(text: str, ctx: FieldCtx) -> Poly:
-    """Parse the term grammar or the bracketed coefficient-list form.  A term
-    of degree beyond ENUMERATION_LIMIT is refused before the dense list of
+    """Parse the term grammar or the bracketed coefficient-list form, which
+    is one bracket group with element vectors inside, split at the commas
+    outside them; a malformed element is a bad coefficient.  A term of
+    degree beyond ENUMERATION_LIMIT is refused before the dense list of
     coefficients is allocated."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
-    if s[0] == "[" and _matching_bracket(s, 0) == len(s) - 1:
-        # whole string is one bracket group: ascending coefficient list
-        body = s[1:-1]
-        coeffs = []
-        i = 0
-        while i < len(body):
-            if body[i] == "[":
-                j = _matching_bracket(body, i)
-                coeffs.append(_coef_from_text(body[i : j + 1], ctx, text))
-                i = j + 1
-                if i < len(body) and body[i] == ",":
-                    i += 1
-            else:
-                j = body.find(",", i)
-                part = body[i:] if j < 0 else body[i:j]
-                coeffs.append(_coef_from_text(part, ctx, text))
-                i = len(body) if j < 0 else j + 1
-        return Poly(ctx, coeffs)
+    if _LIST_RE.fullmatch(s):
+        parts = _OUTER_COMMA.split(s[1:-1]) if s != "[]" else []
+        return Poly(ctx, [_coef_from_text(part, ctx, text) for part in parts])
     acc: dict[int, int] = {}
     for sign, chunk in signed_terms(s):
         m = _TERM_RE.match(chunk)
@@ -410,7 +391,9 @@ def monic_from_index(d: int, ctx: FieldCtx, idx: int) -> Poly:
 
 
 def _index_digits(idx: int, d: int, q: int) -> tuple[int, ...]:
-    """Coefficient digits (c0, ..., c_{d-1}) of a monic index."""
+    """The d base-q digits of idx, lowest first: the coefficients
+    (c0, ..., c_{d-1}) of a monic index, or (c_{d-1}, ..., c0) of a lex
+    position."""
     digs = []
     for _ in range(d):
         idx, rem = divmod(idx, q)
@@ -436,17 +419,6 @@ def check_sieve_size(d: int, ctx: FieldCtx) -> None:
         return
     count = count_text(d * math.log10(q), lambda: q ** d, f"{q}^{d}", "slots")
     raise refusal(f"irreducible enumeration needs q^d = {count}", ENUMERATION_LIMIT)
-
-
-@functools.lru_cache(maxsize=None)
-def _lex_to_index(n: int, q: int, w: int = 1) -> list[int]:
-    """w times the index of each lex position: entry c0*q^(n-1) + ... +
-    c_(n-1) is w*(c0 + c1*q + ... + c_(n-1)*q^(n-1))."""
-    table = [0]
-    for _ in range(n):
-        table = [x + c * w for x in table for c in range(q)]
-        w *= q
-    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -537,9 +509,9 @@ def _row_step(rows: list[int], u: int, w: int, p: int, ops) -> list[int]:
     return _scatter(points, [b >> s & mask for b in doubled for s in shifts], len(rows))
 
 
-def _multiple_rows(ctx: FieldCtx, p_idx: int, a: int, d: int) -> list[int]:
-    """The monic multiples of degree d of P, the monic of degree a and index
-    p_idx, as one bitset per low part.
+def _multiple_rows(ctx: FieldCtx, P: tuple, d: int) -> list[int]:
+    """The monic multiples of degree d of P, a monic coefficient tuple of
+    degree a, as one bitset per low part.
 
     Write a monic f of degree d as L + t^a*H, with deg L < a and H monic of
     degree m = d-a.  P divides f exactly when L = -(t^a*H mod P), and with
@@ -554,8 +526,9 @@ def _multiple_rows(ctx: FieldCtx, p_idx: int, a: int, d: int) -> list[int]:
     as single bits.  Every further digit moves whole rows (_row_step).
     """
     q, p = ctx.q, ctx.p
+    a = len(P) - 1
     size = q ** a
-    p_low = list(_index_digits(p_idx, a, q))  # -(t^a mod P)
+    p_low = list(P[:-1])  # -(t^a mod P)
     t_a = [ctx.neg(c) for c in p_low]  # t^a mod P
     minus = []  # -(t^(a+j) mod P) for j = 0..m, each t times the one before
     r = p_low
@@ -598,16 +571,17 @@ def _sieve(d: int, ctx: FieldCtx) -> int:
     marked = 0
     for a in range(1, d // 2 + 1):
         rows = [0] * q ** a
-        for p_idx in _irreducible_indices(a, ctx):
-            if p_idx:  # t: its multiples are the slice [0, q^(d-1)), never read
-                rows = list(map(operator.or_, rows, _multiple_rows(ctx, p_idx, a, d)))
+        for P in _irreducible_tuples(a, ctx):
+            if P[0]:  # else P = t: its multiples are the slice [0, q^(d-1)), never read
+                rows = list(map(operator.or_, rows, _multiple_rows(ctx, P, d)))
         rows += [0] * ((1 << (len(rows) - 1).bit_length()) - len(rows))
         marked |= _join(rows, q ** (d - a))[0]
     return marked
 
 
-def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
-    """Indices of the monic irreducibles of degree d, coefficient-lex order.
+def _irreducible_positions(d: int, ctx: FieldCtx) -> list[int]:
+    """Lex positions (c0 the top digit) of the monic irreducibles of degree
+    d, ascending, which is the order of poly_sort_key.
 
     A miss first requests degree d // 2, which fills every degree <= d/2,
     then sieves degree d once.  A monic g of degree k sits in that bitset as
@@ -615,8 +589,7 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
     for d/2 < k <= d it survives exactly when g is irreducible, since a
     reducible g with g(0) != 0 has a factor P != t of degree <= k/2, and no
     such P divides t^(d-k)*g for an irreducible g.  So every uncached k in
-    (d/2, d] is read off the one bitset, and the survivors turned into
-    indices through two tables of about q^(k/2) entries.
+    (d/2, d] is read off the one bitset.
     """
     key = (ctx, d)
     got = _irr_cache.get(key)
@@ -626,22 +599,16 @@ def _irreducible_indices(d: int, ctx: FieldCtx) -> list[int]:
         raise ValueError("irreducibles have degree >= 1")
     check_sieve_size(d, ctx)
     if d > 1:
-        _irreducible_indices(d // 2, ctx)
+        _irreducible_positions(d // 2, ctx)
     q = ctx.q
     marked = _sieve(d, ctx)
     for k in range(d // 2 + 1, d + 1):
         if (ctx, k) in _irr_cache:
             continue
         start, stop = (q ** (k - 1) if k > 1 else 0), q ** k  # degree 1 keeps t
-        half = q ** (k // 2)
-        head = _lex_to_index(k - k // 2, q)
-        tail = _lex_to_index(k // 2, q, q ** (k - k // 2))
         bits = marked >> start & (1 << stop - start) - 1
-        flags = format(bits, f"0{stop - start}b").encode().translate(_UNMARKED)
-        survivors = itertools.compress(range(stop - 1, start - 1, -1), flags)  # top bit first
-        indices = [head[r // half] + tail[r % half] for r in survivors]
-        indices.reverse()
-        _irr_cache[(ctx, k)] = indices
+        flags = format(bits, f"0{stop - start}b").encode().translate(_UNMARKED)  # top bit first
+        _irr_cache[(ctx, k)] = list(itertools.compress(range(start, stop), flags[::-1]))
     return _irr_cache[key]
 
 
@@ -661,7 +628,7 @@ def _plan_sieve(degrees, ctx: FieldCtx) -> None:
 
 def count_irreducibles(d: int, ctx: FieldCtx) -> int:
     """N_d: the number of monic irreducibles of degree d over F_q."""
-    return len(_irreducible_indices(d, ctx))
+    return len(_irreducible_positions(d, ctx))
 
 
 def necklace_count(k: int, q: int) -> int:
@@ -689,11 +656,11 @@ def necklace_sums(kmax: int, ctx: FieldCtx) -> list[int]:
 
 
 def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
-    """Coefficient tuples of the monic irreducibles of degree d, in the
-    order of the sieve's memoized list."""
+    """Coefficient tuples of the monic irreducibles of degree d, decoded
+    from the sieve's memoized lex positions, in their order."""
     q = ctx.q
-    for idx in _irreducible_indices(d, ctx):
-        yield _index_digits(idx, d, q) + (1,)
+    for r in _irreducible_positions(d, ctx):
+        yield _index_digits(r, d, q)[::-1] + (1,)
 
 
 def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:

@@ -694,6 +694,22 @@ def test_bad_coefficient_names_it_and_the_polynomial(capsys, q, poly, coef):
     )
 
 
+@pytest.mark.parametrize(
+    "poly,coef",
+    [("[1,0,1,]", "''"), ("[1,[0,1]1]", "'[0,1]1'"), ("[[1,0][0,1],1]", "'[1,0][0,1]'")],
+    ids=["trailing-comma", "vector-then-digit", "two-vectors"],
+)
+def test_a_malformed_coefficient_list_names_its_bad_element(capsys, poly, coef):
+    # the elements of a list are the texts between the commas outside its
+    # vectors: a comma too many or too few leaves one that is no coefficient
+    code, out, err = run(capsys, "factor", "--q", "4", poly)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: bad coefficient {coef} in {poly!r}: expected an integer or a "
+        "bracketed vector of integers such as [1,0,1]\n"
+    )
+
+
 def test_necklace_refuses_an_oversized_kmax_before_sieving(capsys, sieve_passes):
     # degrees 1..23 fit the sieve; sieving them first took over a minute
     start = time.perf_counter()

@@ -217,6 +217,11 @@ def test_parse_rejects_garbage():
             parse_poly(bad, F2)
 
 
+def test_an_empty_list_is_zero_and_an_empty_vector_is_the_zero_element():
+    assert parse_poly("[]", F4).is_zero
+    assert parse_poly("[[],1]", F4).coeffs == (0, 1)
+
+
 @given(polys(F3, 6))
 def test_format_parse_round_trip(f):
     assert parse_poly(format_poly(f), F3) == f
@@ -314,23 +319,24 @@ def test_enumeration_guard(sieve_passes):
 
 
 def odometer_sieve(d, ctx, memo):
-    """Indices of the degree-d monic irreducibles in coefficient-lex order,
-    by marking every product of a lower-degree irreducible P with a monic
-    cofactor g, one product at a time.  The cofactors run through their
-    indices like an odometer: when digit j of g steps from v to v+1 (mod q),
-    the product gains ((v+1) - v) * t^j * P, which changes only a+1
-    coefficients of it and of its index.  memo maps degree to result."""
+    """Lex positions (c0 the top digit) of the degree-d monic irreducibles,
+    ascending, by marking every product of a lower-degree irreducible P with
+    a monic cofactor g, one product at a time.  The cofactors run through
+    their coefficients like an odometer: when digit j of g steps from v to
+    v+1 (mod q), the product gains ((v+1) - v) * t^j * P, which changes only
+    a+1 coefficients of it and of its position.  memo maps degree to
+    result."""
     if d in memo:
         return memo[d]
     q = ctx.q
-    digits_of = lambda idx, n: [idx // q ** k % q for k in range(n)]
-    weights = [q ** k for k in range(d)]
+    digits_of = lambda r, n: [r // q ** (n - 1 - k) % q for k in range(n)]
+    weights = [q ** (d - 1 - k) for k in range(d)]
     steps = [ctx.sub((v + 1) % q, v) for v in range(q)]
     marks = bytearray(q ** d)
     for a in range(1, d // 2 + 1):
         m = d - a
-        for p_idx in odometer_sieve(a, ctx, memo):
-            p_co = digits_of(p_idx, a) + [1]
+        for r in odometer_sieve(a, ctx, memo):
+            p_co = digits_of(r, a) + [1]
             rows = [[ctx.mul(s, c) for c in p_co] for s in steps]
             res = [0] * m + p_co[:-1]  # P * t^m below its leading 1
             idx = sum(c * w for c, w in zip(res, weights))
@@ -351,21 +357,20 @@ def odometer_sieve(d, ctx, memo):
                     odometer[j] = 0
                     j += 1
                 marks[idx] = 1
-    found = [i for i in range(q ** d) if not marks[i]]
-    memo[d] = sorted(found, key=lambda i: digits_of(i, d))
+    memo[d] = [r for r in range(q ** d) if not marks[r]]
     return memo[d]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27])
 def test_sieve_matches_the_odometer_sieve(monkeypatch, q):
-    """The span sieve gives the same ordered index lists as marking one
+    """The span sieve gives the same ordered position lists as marking one
     product at a time, for every degree with q^d <= 5*10^4."""
     monkeypatch.setattr(polynomial, "_irr_cache", {})
     ctx = parse_field_spec(f"q={q}")
     memo = {}
     d = 1
     while q ** d <= 5 * 10 ** 4:
-        assert polynomial._irreducible_indices(d, ctx) == odometer_sieve(d, ctx, memo), d
+        assert polynomial._irreducible_positions(d, ctx) == odometer_sieve(d, ctx, memo), d
         d += 1
 
 
@@ -385,11 +390,11 @@ def test_the_row_builder_marks_exactly_the_multiples(q):
         for f in enumerate_monic(d, ctx):
             lex[sum(c * q ** (d - 1 - k) for k, c in enumerate(f.coeffs[:-1]))] = f.coeffs
         for a in range(1, d // 2 + 1):
-            for p_idx in polynomial._irreducible_indices(a, ctx):
-                if p_idx == 0:
+            for r in polynomial._irreducible_positions(a, ctx):
+                if r == 0:
                     continue
-                p_co = monic_from_index(a, ctx, p_idx).coeffs
-                rows = polynomial._multiple_rows(ctx, p_idx, a, d)
+                p_co = tuple(r // q ** (a - 1 - k) % q for k in range(a)) + (1,)
+                rows = polynomial._multiple_rows(ctx, p_co, d)
                 assert len(rows) == q ** a
                 marked = [
                     low * q ** (d - a) + r
@@ -412,13 +417,13 @@ def test_top_degree_first_matches_the_odometer_sieve(sieve_passes, q):
     sieve."""
     ctx = parse_field_spec(f"q={q}")
     top = max(d for d in range(1, 20) if q ** d <= 5 * 10 ** 4)
-    polynomial._irreducible_indices(top, ctx)
+    polynomial._irreducible_positions(top, ctx)
     halvings = [top >> s for s in range(top.bit_length())]
     assert sieve_passes == halvings[::-1]
-    assert polynomial._irreducible_indices(1, ctx) == list(range(q))  # t + c, t included
+    assert polynomial._irreducible_positions(1, ctx) == list(range(q))  # t + c, t included
     memo = {}
     for d in range(1, top + 1):
-        assert polynomial._irreducible_indices(d, ctx) == odometer_sieve(d, ctx, memo), d
+        assert polynomial._irreducible_positions(d, ctx) == odometer_sieve(d, ctx, memo), d
     assert sieve_passes == halvings[::-1]
 
 
@@ -441,10 +446,10 @@ ORDER_FIELDS = [(F2, 18), (F3, 11), (F4, 9), (F5, 7), (F7, 6), (F8, 6), (F9, 5)]
 
 @functools.lru_cache(maxsize=None)
 def bottom_up(ctx, dmax):
-    """The index lists of degrees 1..dmax, asked for in increasing order on
+    """The position lists of degrees 1..dmax, asked for in increasing order on
     a fresh cache."""
     with mock.patch.object(polynomial, "_irr_cache", {}):
-        return {d: polynomial._irreducible_indices(d, ctx) for d in range(1, dmax + 1)}
+        return {d: polynomial._irreducible_positions(d, ctx) for d in range(1, dmax + 1)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -464,7 +469,7 @@ def test_any_request_order_gives_the_bottom_up_lists(field_and_order):
     want = bottom_up(ctx, dmax)
     with mock.patch.object(polynomial, "_irr_cache", {}):
         for d in order:
-            got = polynomial._irreducible_indices(d, ctx)
+            got = polynomial._irreducible_positions(d, ctx)
             assert got == want[d], d
             assert len(got) == necklace_count(d, ctx.q)
 
@@ -486,17 +491,17 @@ F211, F1009 = make_field(211), make_field(1009)
 @example((F1009, 2))
 def test_sieve_counts_match_the_moebius_formula(field_and_degree):
     """The counts are the Moebius counts, and the coefficient vectors
-    (c0, ..., c_(d-1)) of the index list, read off each index digit by
-    digit, increase strictly: the order of poly_sort_key on the monic
-    irreducibles of one degree.  The cache is left as it was found, so the
-    lists of F_211 do not outlive the test."""
+    (c0, ..., c_(d-1)) of the position list, read off each position digit
+    by digit with c0 the top digit, increase strictly: the order of
+    poly_sort_key on the monic irreducibles of one degree.  The cache is
+    left as it was found, so the lists of F_211 do not outlive the test."""
     ctx, d = field_and_degree
     q = ctx.q
     with mock.patch.dict(polynomial._irr_cache):
-        indices = polynomial._irreducible_indices(d, ctx)
-        assert count_irreducibles(d, ctx) == len(indices) == necklace_count(d, q)
-    assert 0 <= min(indices) and max(indices) < q ** d
-    digits = [[i // w % q for i in indices] for w in [q ** k for k in range(d)]]
+        positions = polynomial._irreducible_positions(d, ctx)
+        assert count_irreducibles(d, ctx) == len(positions) == necklace_count(d, q)
+    assert 0 <= min(positions) and max(positions) < q ** d
+    digits = [[r // w % q for r in positions] for w in [q ** (d - 1 - k) for k in range(d)]]
     assert all(map(operator.lt, zip(*digits), zip(*[c[1:] for c in digits])))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import orbitstat
 
 ROOT = Path(__file__).resolve().parent.parent
-OWNED = {"ENUMERATION_LIMIT", "check_sieve_size", "_irr_cache", "_irreducible_indices"}
+OWNED = {"ENUMERATION_LIMIT", "check_sieve_size", "_irr_cache", "_irreducible_positions"}
 
 
 def owned_names(tree: ast.Module) -> set[str]:
@@ -32,9 +32,9 @@ def test_owned_names_sees_every_way_of_naming():
         "from . import polynomial\n"
         "polynomial._irr_cache.clear()\n"
         "x = ENUMERATION_LIMIT\n"
-        "'_irreducible_indices'\n"
+        "'_irreducible_positions'\n"
     )
-    assert owned_names(ast.parse(source)) == OWNED - {"_irreducible_indices"}
+    assert owned_names(ast.parse(source)) == OWNED - {"_irreducible_positions"}
 
 
 def test_only_polynomial_names_the_sieve_limit_and_cache():

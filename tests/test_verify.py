@@ -5,8 +5,9 @@ not verify, each side in a fresh interpreter under sys.setprofile, and
 collects the functions of the package that each side calls.  A function
 outside verify and cli that only verify calls is a formula that no command
 runs: it fails the test unless it is one of the enumeration oracles named
-in ORACLES.  A fresh interpreter per side keeps a cache warmed by another
-test from hiding a call.
+in ORACLES.  The other way round, each route in ROUTES must be called by
+both sides, so that a check dropped from verify shows.  A fresh interpreter
+per side keeps a cache warmed by another test from hiding a call.
 
 The mutation tests break one route at a time, as a command would run it,
 and expect each check that compares that route to fail.
@@ -34,6 +35,21 @@ ORACLES = {
     "symmetric.block_multisets",
     "symmetric.enumerate_sn",
     "symmetric.multi_indices_up_to",
+}
+
+# the routes that verify compares, each run by some command as well
+ROUTES = {
+    "frobenius_stats.chi_formula",
+    "frobenius_stats.chi_symbolic",
+    "frobenius_stats.chi_oracle",
+    "young_stats.cycle_type_distribution",
+    "young_stats.coset_histogram",
+    "frobenius_stats.ensemble_formula",
+    "frobenius_stats._series_sum",
+    "polynomial.factor",
+    "polynomial._squarefree_parts",
+    "polynomial._distinct_degree",
+    "polynomial._equal_degree",
 }
 
 _TRACE = r"""
@@ -80,6 +96,7 @@ def test_verify_reaches_no_formula_that_only_it_runs():
     }
     assert only_verify - ORACLES == set()
     assert ORACLES <= only_verify  # an oracle that a command runs leaves the list
+    assert ROUTES - (commands & checks) == set()  # and verify still checks each route
 
 
 def _shifted(route, when, shift):
