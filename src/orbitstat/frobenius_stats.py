@@ -2,7 +2,10 @@
 
 A monic f over F_q with factorization prod p_i^{r_i} determines blocks
 (d_i, r_i) with d_i = deg p_i, hence a coset spec (block_spec): the cycle
-statistics of f are the averages over that coset.  Three independent routes
+statistics of f are the averages over that coset.  The spec is only the
+decomposition type of f, which the square-free and distinct-degree steps of
+factoring already give, so block_spec stops there and splits no factor out
+of its degree class.  Three independent routes
 compute the value of a whole CharPoly P at f, one function each, named after
 the CLI's --method:
 
@@ -23,7 +26,8 @@ necklace counts N_k as exponents: for all f it is the equal-expectation
 closed form q^d / z_mu per term, and under a bound a series in u truncated
 at u^d, whose work grows polynomially in d.  At a bound m = d, which
 binds no f, the series is the closed form, and verify compares the two
-there.  ensemble_sum factors every f and is kept as its oracle.
+there.  ensemble_sum reads the block spec of every f and is kept as its
+oracle.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from .errors import CapExceeded, _power_of_ten, print_limit, prints, read_int, r
 from .errors import too_long, unprintable
 from .polynomial import (
     Poly,
+    _degree_classes,
     _divmod,
     _irreducible_tuples,
     _mul,
     _plan_sieve,
     divisors,
     enumerate_monic,
-    factor,
     format_poly,
     necklace_count,
 )
@@ -71,10 +75,17 @@ def _check_monic(f: Poly) -> None:
 
 
 def block_spec(f: Poly) -> CosetSpec:
-    """Factor a monic f and read off its coset spec: one block (deg p, r)
-    per factor p^r."""
+    """The coset spec of a monic f, one block (deg p, r) per factor p^r,
+    read off the degree classes of the square-free and distinct-degree
+    steps: a class of product degree n in degree k is n/k blocks (k, r).
+    No factor is split out, so it costs the steps that factor runs before
+    its equal-degree splitting."""
     _check_monic(f)
-    return factor(f).spec
+    return CosetSpec(tuple(
+        (k, r)
+        for prod, k, r in _degree_classes(f.ctx, f.coeffs)
+        for _ in range((len(prod) - 1) // k)
+    ))
 
 
 def chi_formula(spec: CosetSpec, P: CharPoly) -> Fraction:
@@ -206,8 +217,8 @@ def parse_predicate(text: Optional[str]) -> Optional[int]:
 
 def factored_types(d: int, ctx, maxmult: Optional[int] = None) -> Counter:
     """Block spec of every monic f of degree d whose factors have
-    multiplicity at most maxmult (any, for None), tallied by factoring each
-    f."""
+    multiplicity at most maxmult (any, for None), tallied by reading each
+    f's block spec."""
     tally: Counter = Counter()
     for f in enumerate_monic(d, ctx):
         spec = block_spec(f)
@@ -224,7 +235,7 @@ def ensemble_sum(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Fraction, int]:
     """(sum of chi over surviving monic f of degree d, surviving count), by
-    factoring every f: the oracle for ensemble_formula."""
+    the block spec of every f: the oracle for ensemble_formula."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     # q^d >= 2^d > cap once d passes the bit length of cap, so q^d is only

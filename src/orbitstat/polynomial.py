@@ -18,7 +18,10 @@ so output is byte-stable across runs.
 The factorization pipeline is square-free decomposition (with p-th-root
 extraction when the derivative vanishes in characteristic p), splitting into
 distinct-degree parts via gcd with t^(q^k)-t, then Cantor-Zassenhaus
-equal-degree splitting.  The splitting draws from a PRNG seeded with a
+equal-degree splitting.  The first two steps are one stage, _degree_classes,
+whose classes (product, degree, multiplicity) already give the decomposition
+type: frobenius_stats.block_spec reads its blocks off them, and only factor
+splits them.  The splitting draws from a PRNG seeded with a
 constant, and the factors are unique and sorted, so factor() is deterministic
 and never needs the sieve: it works for every field the package supports.
 The pipeline runs on coefficient tuples from end to end, through the one
@@ -833,19 +836,29 @@ def _equal_degree(ctx: FieldCtx, g: tuple, k: int) -> list[tuple]:
     return out
 
 
+def _degree_classes(ctx: FieldCtx, m: tuple) -> Iterator[tuple[tuple, int, int]]:
+    """(product, k, multiplicity) for each class of a monic m: the product of
+    its irreducible factors of degree k and that multiplicity, from the
+    square-free and distinct-degree steps.  The classes alone give the
+    decomposition type of m, deg(product)/k factors (k, multiplicity) each."""
+    if len(m) > 1:
+        for part, mult in _squarefree_parts(ctx, m):
+            for prod, k in _distinct_degree(ctx, part):
+                yield prod, k, mult
+
+
 def factor(f: Poly) -> Factorization:
-    """Deterministic full factorization over F_q.  The pipeline runs on
-    coefficient tuples; only the returned factors become Polys."""
+    """Deterministic full factorization over F_q: each degree class split by
+    _equal_degree.  The pipeline runs on coefficient tuples; only the
+    returned factors become Polys."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     ctx = f.ctx
     unit = f.leading
-    m = _monic(ctx, f._c)
-    found = []
-    if len(m) > 1:
-        for part, mult in _squarefree_parts(ctx, m):
-            for prod, k in _distinct_degree(ctx, part):
-                for irr in _equal_degree(ctx, prod, k):
-                    found.append((_poly(ctx, irr), mult))
+    found = [
+        (_poly(ctx, irr), mult)
+        for prod, k, mult in _degree_classes(ctx, _monic(ctx, f._c))
+        for irr in _equal_degree(ctx, prod, k)
+    ]
     found.sort(key=lambda item: poly_sort_key(item[0]))
     return Factorization(ctx, unit, tuple(found))

@@ -114,19 +114,26 @@ def _block_projections(blocks, entries) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _ensemble_specs(ctx: FieldCtx, d: int) -> Counter:
-    """Block structure of every monic degree-d polynomial, factored once and
+    """Block spec of every monic degree-d polynomial, read once and
     tallied."""
     return factored_types(d, ctx)
 
 
-def _tally_means(ctx: FieldCtx, d: int) -> dict[MultiIndex, Fraction]:
-    """The oracle's ensemble mean of binom(X, mu) for every mu of norm <= d:
-    every monic f of degree d factored once, and one coset_means call per
-    spec of the tally."""
+def _tally_means(
+    ctx: FieldCtx, d: int, means: dict[CosetSpec, dict[MultiIndex, Fraction]]
+) -> dict[MultiIndex, Fraction]:
+    """The oracle's ensemble mean of binom(X, mu) for every mu of norm <= d,
+    from the tally of the block specs of every monic f of degree d.  A
+    spec's coset means do not depend on q, so means, a memo that the calling
+    check owns, holds one coset_means call per spec for the whole check; it
+    lives for that call alone, so means cached before a route was broken
+    never hide it."""
     mus = list(multi_indices_up_to(d))
     total = dict.fromkeys(mus, Fraction(0))
     for spec, c in _ensemble_specs(ctx, d).items():
-        for mu, mean in coset_means(spec, mus).items():
+        if spec not in means:
+            means[spec] = coset_means(spec, mus)
+        for mu, mean in means[spec].items():
             total[mu] += c * mean
     return {mu: value / ctx.q ** d for mu, value in total.items()}
 
@@ -169,11 +176,12 @@ def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> Check
     polynomials must equal it."""
     bad = []
     n = 0
+    means: dict = {}  # spec -> its coset means, for this call only
     for q in qs:
         ctx = _field(q)
         sums = necklace_sums(dmax, ctx)
         for d in range(1, dmax + 1):
-            for mu, tally in _tally_means(ctx, d).items():
+            for mu, tally in _tally_means(ctx, d, means).items():
                 ens = _route_mean(ctx, d, mu)
                 sym = sn_expectation_closed(mu, d)
                 prod_form = sym
@@ -191,11 +199,14 @@ def check_chi_routes(
 ) -> CheckResult:
     """Coset statistics of each f: factored closed form == symbolic expansion
     == direct coset average, for every monic f and every mu up to its degree.
-    Each f is factored once, for the block spec that the factored form and
-    the coset average share; the symbolic expansion never factors.  The
-    coset average is chi_oracle, which eval --method oracle runs."""
+    Each f's block spec is read once; the factored form and the coset
+    average depend on f only through it, so each runs once per distinct
+    (spec, mu) of the call, and every f's symbolic expansion, which never
+    factors, is compared with them.  The coset average is chi_oracle, which
+    eval --method oracle runs."""
     bad = []
     n = 0
+    by_spec: dict = {}  # (spec, mu) -> (closed form, coset average), this call only
     for q, dmax in scales:
         ctx = _field(q)
         for d in range(1, dmax + 1):
@@ -203,9 +214,10 @@ def check_chi_routes(
                 spec = block_spec(f)
                 for mu in multi_indices_up_to(d):
                     P = CharPoly.binom(mu)
-                    a = chi_formula(spec, P)
+                    if (spec, mu) not in by_spec:
+                        by_spec[spec, mu] = chi_formula(spec, P), chi_oracle(spec, P)
+                    a, c = by_spec[spec, mu]
                     b = chi_symbolic(f, P)
-                    c = chi_oracle(spec, P)
                     n += 1
                     if not a == b == c:
                         bad.append((q, str(f), str(mu), a, b, c))
@@ -445,9 +457,10 @@ def check_stabilization(qs: Sequence[int] = (2, 3), dmax: int = 6) -> CheckResul
     factored polynomials."""
     bad = []
     n = 0
+    means: dict = {}  # spec -> its coset means, for this call only
     for q in qs:
         ctx = _field(q)
-        tallies = {d: _tally_means(ctx, d) for d in range(1, dmax + 1)}
+        tallies = {d: _tally_means(ctx, d, means) for d in range(1, dmax + 1)}
         for mu in multi_indices_up_to(dmax):
             if mu.norm == 0:
                 continue

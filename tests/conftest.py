@@ -2,7 +2,7 @@
 
 import pytest
 
-from orbitstat import frobenius_stats, polynomial, young_stats
+from orbitstat import frobenius_stats, polynomial, verify, young_stats
 
 
 @pytest.fixture
@@ -64,3 +64,17 @@ def series_products(monkeypatch):
 
     monkeypatch.setattr(frobenius_stats, "_mul_truncated", counted)
     return products
+
+
+@pytest.fixture
+def cleared_caches():
+    """Empty the process-wide caches that hold what a route computed (the
+    ensemble spec tallies of verify, and the coset block factors and block
+    tallies of young_stats) before and after the test, so that a route the
+    test breaks meets no value cached before it and leaves none behind."""
+    caches = (verify._ensemble_specs, young_stats._block_factor, young_stats._block_tally)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

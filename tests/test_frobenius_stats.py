@@ -2,8 +2,10 @@
 
 import functools
 import math
+import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,11 +22,13 @@ from orbitstat.frobenius_stats import (
     chi_symbolic,
     ensemble_formula,
     ensemble_sum,
+    factored_types,
     parse_predicate,
 )
 from orbitstat.polynomial import (
     Poly,
     _irreducible_tuples,
+    _is_irreducible,
     divisors,
     enumerate_monic,
     factor,
@@ -82,6 +86,56 @@ def test_constant_has_empty_structure():
     s = block_spec(parse_poly("1", F2))
     assert s.blocks == ()
     assert s.n == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_block_spec_is_the_spec_of_the_factorization_for_every_small_f(q):
+    # block_spec counts the degree classes that factor goes on to split
+    ctx = FIELDS.get(q) or make_field(q)
+    d = 0
+    while q ** d <= 3000:
+        for f in enumerate_monic(d, ctx):
+            assert block_spec(f) == factor(f).spec, (q, str(f))
+        d += 1
+
+
+@st.composite
+def irreducible_powers(draw, ctx, dmax):
+    """A monic f of degree 1..dmax built as a product of powers of distinct
+    monic irreducibles, each drawn at random among the polynomials that
+    pass the irreducibility test, and the block spec of that product."""
+    blocks, used, fc = [], set(), (1,)
+    for _ in range(draw(st.integers(1, 8))):
+        room = dmax + 1 - len(fc)
+        if not room:
+            break
+        k = draw(st.integers(1, min(room, 6)))  # so that factors share a class
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        for _ in range(64):  # a degree whose irreducibles are all used is left
+            p = (*(rng.randrange(ctx.q) for _ in range(k)), 1)
+            if p not in used and _is_irreducible(ctx, p):
+                r = draw(st.integers(1, min(3, room // k)))
+                used.add(p)
+                blocks.append((k, r))
+                fc = product(ctx, fc, *[p] * r)
+                break
+    return Poly(ctx, fc), CosetSpec(tuple(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4, 65521, 2 ** 16]), st.data())
+def test_block_spec_reads_the_blocks_of_a_built_product(q, data):
+    # far past enumeration: up to degree 30 over F_65521 and F_2^16
+    f, spec = data.draw(irreducible_powers(FIELDS[q], 30))
+    assert block_spec(f) == spec, str(f)
+
+
+def test_factored_types_tally_the_specs_of_the_factorizations():
+    for q in (2, 3, 4, 5):
+        ctx = FIELDS[q]
+        for d in range(0, 5):
+            want = Counter(factor(f).spec for f in enumerate_monic(d, ctx))
+            assert factored_types(d, ctx) == want, (q, d)
 
 
 # -- single-polynomial statistics --------------------------------------------
@@ -180,11 +234,13 @@ def full_expansion(ctx, mu):
 
 def test_symbolic_route_equals_the_full_expansion(monkeypatch):
     # the reduced expansion against the full one evaluated at f, with factor
-    # refused, so the route is seen never to factor
-    def refuse(f):
-        raise AssertionError(f"the symbolic route factored {f}")
+    # and the degree classes that block_spec reads refused, so the route is
+    # seen never to factor
+    def refuse(*args):
+        raise AssertionError(f"the symbolic route factored {args[-1]}")
 
-    monkeypatch.setattr(frobenius_stats, "factor", refuse)
+    monkeypatch.setattr(frobenius_stats, "_degree_classes", refuse)
+    monkeypatch.setattr(polynomial, "_degree_classes", refuse)
     monkeypatch.setattr(polynomial, "factor", refuse)
     for ctx in (F2, F3, F4):
         for d in range(5):

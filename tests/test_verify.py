@@ -22,7 +22,7 @@ import sys
 import pytest
 
 import orbitstat
-from orbitstat import verify
+from orbitstat import frobenius_stats, verify
 
 from test_golden_cli import CASES
 
@@ -140,10 +140,12 @@ def _mean_plus_one(value, *args):
         ("chi_symbolic", lambda f, P: f.degree <= 3, _plus_one, ["divisor-average", "known-values"]),
         # only the polynomials with a large H
         ("chi_symbolic", lambda f, P: f.degree > 3, _plus_one, ["divisor-average"]),
+        # one spec, which the polynomials of two fields share
+        ("chi_oracle", lambda spec, *_: str(spec) == "1^1,1^1", _plus_one, ["chi-routes"]),
     ],
     ids=[
         "series", "shortcut", "ensemble-means", "constant-means", "symbolic-small",
-        "symbolic-large-h",
+        "symbolic-large-h", "oracle-one-spec",
     ],
 )
 def test_each_retargeted_check_fails_on_a_wrong_route(monkeypatch, route, when, shift, names):
@@ -151,3 +153,48 @@ def test_each_retargeted_check_fails_on_a_wrong_route(monkeypatch, route, when, 
     monkeypatch.setattr(verify, route, _shifted(getattr(verify, route), when, shift))
     results = verify.run_all(quick=True, names=names)
     assert [r.name for r in results if r.ok] == []
+
+
+def test_a_spec_route_that_keeps_a_class_whole_fails_the_spec_checks(monkeypatch, cleared_caches):
+    """block_spec counting a class of two factors of degree k, whose product
+    has degree 2k, as one block (2k, r), as if the product were irreducible:
+    the spec checks fail, through verify's own block_spec and through the
+    tally of factored_types."""
+    names = ["equal-expectation", "chi-routes"]
+    assert all(r.ok for r in verify.run_all(quick=True, names=names))
+    classes = frobenius_stats._degree_classes
+
+    def whole(ctx, m):
+        for prod, k, r in classes(ctx, m):
+            yield prod, len(prod) - 1 if len(prod) - 1 == 2 * k else k, r
+
+    verify._ensemble_specs.cache_clear()  # the passing run above filled it
+    monkeypatch.setattr(frobenius_stats, "_degree_classes", whole)
+    results = verify.run_all(quick=True, names=names)
+    assert [r.name for r in results if r.ok] == []
+
+
+def test_the_spec_routes_run_once_per_spec_within_a_check(monkeypatch):
+    """chi-routes runs chi_formula and chi_oracle once per distinct (spec, mu)
+    and equal-expectation runs coset_means once per distinct spec, however
+    many fields share it; a second call of the check runs them all again."""
+    calls = []
+
+    def spied(name):
+        route = getattr(verify, name)
+
+        def spy(spec, arg, *rest):
+            calls.append((name, spec, str(arg)))
+            return route(spec, arg, *rest)
+
+        return spy
+
+    for name in ("chi_formula", "chi_oracle", "coset_means"):
+        monkeypatch.setattr(verify, name, spied(name))
+    for check in ("chi-routes", "equal-expectation"):
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            assert verify.run_all(quick=True, names=[check])[0].ok
+            runs.append(list(calls))
+        assert runs[0] == runs[1] and len(set(runs[0])) == len(runs[0]) > 0

@@ -253,9 +253,8 @@ def test_a_wrong_block_coefficient_fails_the_coset_checks(monkeypatch):
         factor.cache_clear()
 
 
-def test_blocks_share_one_factor_beyond_their_reach():
+def test_blocks_share_one_factor_beyond_their_reach(cleared_caches):
     # binom(X, 1:2) sees at most 2 points of a linear block, so S_5 and S_9 agree
-    _block_factor.cache_clear()
     assert expected_binom_on_coset(spec("1^5"), mi("1:2")) == Fraction(1, 2)
     assert expected_binom_on_coset(spec("1^9"), mi("1:2")) == Fraction(1, 2)
     assert _block_factor.cache_info().misses == 1
