@@ -5,7 +5,7 @@ binomial coefficients C(X_k, mu_k).  CharPoly stores an exact-rational linear
 combination in that binomial basis (the natural one here, because binom(X, mu)
 with norm(mu) = n is the indicator of a single S_n conjugacy class).  Monomial
 input like X1^2*X2 is converted into the basis via Stirling numbers.  A
-CharPoly is a value, parsed, printed and evaluated, with no operators.
+CharPoly is a value, parsed and printed, with no operators.
 
 A truncated series is a dict from exponent tuples to exact coefficients,
 and _mul_truncated multiplies two of them, dropping every exponent beyond a
@@ -130,9 +130,6 @@ class CharPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def evaluate(self, ct: MultiIndex) -> Fraction:
-        return sum((c * binom_eval(mu, ct) for mu, c in self.terms.items()), _F0)
 
     def __str__(self):
         terms = sorted(self.terms.items(), key=lambda it: it[0].entries)

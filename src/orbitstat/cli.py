@@ -73,10 +73,11 @@ def _decimal6(fr: Fraction) -> str:
     return f"{sign}{whole}.{places:06d}"
 
 
-def _exact_text(fr: Fraction) -> str:
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr} ({_decimal6(fr)})"
+def _exact_text(fr: Fraction) -> tuple[str, str]:
+    """The text of an exact rational, its _decimal6 after it unless it is an
+    integer, and that decimal, made once for the text and the JSON."""
+    decimal = _decimal6(fr)
+    return (str(fr.numerator) if fr.denominator == 1 else f"{fr} ({decimal})"), decimal
 
 
 def _ctx(args):
@@ -120,8 +121,8 @@ def _put_frac(lines: list, payload: dict, key: str, value) -> None:
     JSON, _exact_text in the text, made first, so that a value too long to
     print fails by name."""
     fr = Fraction(value)
-    text = _printed(fr, f"{key} needs an integer of", _exact_text)
-    json_value = {"num": fr.numerator, "den": fr.denominator, "decimal": _decimal6(fr)}
+    text, decimal = _printed(fr, f"{key} needs an integer of", _exact_text)
+    json_value = {"num": fr.numerator, "den": fr.denominator, "decimal": decimal}
     _put(lines, payload, key, json_value, text)
 
 

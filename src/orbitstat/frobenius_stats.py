@@ -38,7 +38,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import CharPoly, _mul_truncated, sn_expectation_closed
+from .charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectation_closed
 from .errors import CapExceeded, _power_of_ten, print_limit, prints, read_int, refusal
 from .errors import too_long, unprintable
 from .polynomial import (
@@ -95,10 +95,17 @@ def chi_formula(spec: CosetSpec, P: CharPoly) -> Fraction:
 
 
 def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fraction:
-    """Mean of P over the coset of spec, by enumerating all of H: P is
-    evaluated once per cycle type of the enumerated histogram."""
-    hist = coset_histogram(spec, cap)
-    return sum((n * P.evaluate(ct) for ct, n in hist.items()), _F0) / spec.order_h()
+    """Mean of P over the coset of spec, by enumerating all of H: each term
+    binom(X, mu) is summed over the enumerated histogram in integers, the
+    terms are added over the least common denominator of their
+    coefficients, and the total is divided once by it and |H|."""
+    hist = coset_histogram(spec, cap).items()
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    total = sum(
+        c.numerator * (den // c.denominator) * sum(n * binom_eval(mu, ct) for ct, n in hist)
+        for mu, c in P.terms.items()
+    )
+    return Fraction(total, den * spec.order_h())
 
 
 def _spend_terms(work: Optional[int], term_cap: int) -> None:

@@ -127,15 +127,20 @@ def _tally_means(
     spec's coset means do not depend on q, so means, a memo that the calling
     check owns, holds one coset_means call per spec for the whole check; it
     lives for that call alone, so means cached before a route was broken
-    never hide it."""
+    never hide it.  Each mu's sum runs in integers over the least common
+    denominator of the specs' means, and is divided once by it and q^d."""
     mus = list(multi_indices_up_to(d))
-    total = dict.fromkeys(mus, Fraction(0))
-    for spec, c in _ensemble_specs(ctx, d).items():
+    tally = _ensemble_specs(ctx, d).items()
+    for spec, _ in tally:
         if spec not in means:
             means[spec] = coset_means(spec, mus)
-        for mu, mean in means[spec].items():
-            total[mu] += c * mean
-    return {mu: value / ctx.q ** d for mu, value in total.items()}
+    out = {}
+    for mu in mus:
+        terms = [(c, means[spec][mu]) for spec, c in tally]
+        den = math.lcm(*(mean.denominator for _, mean in terms))
+        total = sum(c * mean.numerator * (den // mean.denominator) for c, mean in terms)
+        out[mu] = Fraction(total, den * ctx.q ** d)
+    return out
 
 
 def _route_mean(ctx: FieldCtx, d: int, mu: MultiIndex) -> Fraction:
@@ -184,9 +189,10 @@ def check_equal_expectations(qs: Sequence[int] = (2, 3), dmax: int = 6) -> Check
             for mu, tally in _tally_means(ctx, d, means).items():
                 ens = _route_mean(ctx, d, mu)
                 sym = sn_expectation_closed(mu, d)
-                prod_form = sym
-                for k, m in mu.items():
-                    prod_form *= Fraction(sums[k - 1], q ** k) ** m
+                prod_form = Fraction(
+                    sym.numerator * math.prod(sums[k - 1] ** m for k, m in mu.items()),
+                    sym.denominator * q ** mu.norm,
+                )
                 n += 1
                 if not ens == tally == sym == prod_form:
                     bad.append((q, d, str(mu), ens, tally, sym, prod_form))
@@ -207,13 +213,15 @@ def check_chi_routes(
     bad = []
     n = 0
     by_spec: dict = {}  # (spec, mu) -> (closed form, coset average), this call only
+    stats: dict = {}  # d -> [(mu, binom(X, mu)) for mu of norm <= d], this call only
     for q, dmax in scales:
         ctx = _field(q)
         for d in range(1, dmax + 1):
+            if d not in stats:
+                stats[d] = [(mu, CharPoly.binom(mu)) for mu in multi_indices_up_to(d)]
             for f in enumerate_monic(d, ctx):
                 spec = block_spec(f)
-                for mu in multi_indices_up_to(d):
-                    P = CharPoly.binom(mu)
+                for mu, P in stats[d]:
                     if (spec, mu) not in by_spec:
                         by_spec[spec, mu] = chi_formula(spec, P), chi_oracle(spec, P)
                     a, c = by_spec[spec, mu]
@@ -230,27 +238,32 @@ def check_coset_statistics(nmax: int = 8) -> CheckResult:
     one, the closed-form coset means of binom(X, mu), all read off one block
     product per spec, match the enumerated histogram, and for |mu| = n the
     class counts read off the same product are non-negative integers
-    matching the histogram and summing to |H|.
+    matching the histogram and summing to |H|.  Each enumerated mean stays
+    the integer |H| times it, compared with the closed form by
+    cross-multiplication; a Fraction is built only for a failure.  The mu
+    and partitions of each n are listed once per call.
     """
     bad = []
     nspecs = 0
     n = 0
+    lists: dict = {}  # n -> (mu of norm <= n, partitions of n), this call only
     for spec in enumerate_coset_specs(nmax):
+        if spec.n not in lists:
+            lists[spec.n] = tuple(multi_indices_up_to(spec.n)), tuple(partitions(spec.n))
+        mus, parts = lists[spec.n]
         hist = coset_histogram(spec)
         order = spec.order_h()
         nspecs += 1
         if cycle_type_distribution(spec) != hist:
             bad.append(("histogram", str(spec)))
-        means = coset_means(spec, multi_indices_up_to(spec.n))
+        means = coset_means(spec, mus)
         for mu, closed in means.items():
-            brute = Fraction(
-                sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items()), order
-            )
+            brute = sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items())  # |H| x mean
             n += 1
-            if closed != brute:
-                bad.append(("mean", str(spec), str(mu), closed, brute))
+            if closed.numerator * order != brute * closed.denominator:
+                bad.append(("mean", str(spec), str(mu), closed, Fraction(brute, order)))
         total = 0
-        for mu in partitions(spec.n):
+        for mu in parts:
             try:
                 cnt = class_count(spec, mu, means[mu])
             except ArithmeticError as exc:

@@ -70,6 +70,8 @@ from .symmetric import (
 # bounded here: no convolution step may pair more cycle types than this.
 HISTOGRAM_LIMIT = 10 ** 5
 
+_F0 = Fraction(0)
+
 
 def _convolve(spec: CosetSpec, block_tally: Callable) -> dict[MultiIndex, int]:
     """Cycle-type counts of tau*h over all h in H, from each block's counts
@@ -165,7 +167,7 @@ def coset_means(spec: CosetSpec, mus: Iterable[MultiIndex]) -> dict[MultiIndex, 
     by z_box to the number of factors multiplied.  A mu of norm beyond n
     counts more points than tau*h moves, so its mean is 0 and it is left
     out of the box."""
-    means = dict.fromkeys(mus, Fraction(0))
+    means = dict.fromkeys(mus, _F0)
     mus = [mu for mu in means if mu.norm <= spec.n]
     if not mus:
         return means

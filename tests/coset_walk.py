@@ -14,6 +14,9 @@ block's coset on its own and convolves the results.  This walks every h of
 the whole H at once on walk_coset, with no use of block independence beyond
 the slot tables, and counts the cycles of each tau*h on all n points.
 
+evaluate is the value of a CharPoly at one cycle type, a sum of Fractions
+term by term: the oracle for the integer sums of frobenius_stats.chi_oracle.
+
 sn_expectation_oracle is the S_r mean of binom(X, mu) by enumerating S_r,
 and count_cycle_type_in_coset the number of elements of tau*H of one cycle
 type, read off the closed-form mean.
@@ -120,6 +123,12 @@ def structured_to_permutation(spec: CosetSpec, h: tuple) -> tuple:
             for j in range(r):
                 images[base + j * d + k] = base + perm[j] * d + k
     return tuple(images)
+
+
+def evaluate(P: CharPoly, ct: MultiIndex) -> Fraction:
+    """The value of P at the cycle type ct: each coefficient times the
+    product of C(ct_k, mu_k) of its term, added as Fractions."""
+    return sum((c * binom_eval(mu, ct) for mu, c in P.terms.items()), Fraction(0))
 
 
 def sn_expectation_oracle(mu: MultiIndex, r: int, cap: int = DEFAULT_GROUP_CAP) -> Fraction:

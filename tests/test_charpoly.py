@@ -21,7 +21,7 @@ from orbitstat.errors import CapExceeded, prints
 from orbitstat.frobenius_stats import DEFAULT_ENUM_CAP, _series_sum
 from orbitstat.symmetric import MultiIndex, multi_indices_up_to
 
-from coset_walk import sn_expectation_oracle
+from coset_walk import evaluate, sn_expectation_oracle
 
 
 def mi(text):
@@ -53,34 +53,34 @@ def test_power_sums_expand_in_binomials():
     square = CharPoly.from_monomial({2: 2})
     for x in range(7):
         ct = MultiIndex.from_dict({2: x} if x else {})
-        assert square.evaluate(ct) == x * x
+        assert evaluate(square, ct) == x * x
 
 
 @given(st.integers(0, 4), st.integers(0, 9))
 def test_monomial_conversion_matches_powers(a, x):
     P = CharPoly.from_monomial({3: a})
     ct = MultiIndex.from_dict({3: x} if x else {})
-    assert P.evaluate(ct) == Fraction(x) ** a
+    assert evaluate(P, ct) == Fraction(x) ** a
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6), st.integers(0, 6))
 def test_mixed_monomials(a, b, x, y):
     P = CharPoly.from_monomial({1: a, 2: b})
     ct = MultiIndex.from_dict({k: v for k, v in ((1, x), (2, y)) if v})
-    assert P.evaluate(ct) == Fraction(x) ** a * Fraction(y) ** b
+    assert evaluate(P, ct) == Fraction(x) ** a * Fraction(y) ** b
 
 
 def test_linear_structure():
     P = CharPoly.parse("3*binom(2:1) - binom(1:2)")
     assert P.terms == {mi("2:1"): 3, mi("1:2"): -1}
     ct = mi("1:2,2:2")
-    assert P.evaluate(ct) == 3 * 2 - 1
+    assert evaluate(P, ct) == 3 * 2 - 1
 
 
 def test_parse_and_str():
     P = CharPoly.parse("X1 + 2*binom(2:1)")
-    assert P.evaluate(mi("1:3,2:2")) == 3 + 2 * 2
-    assert CharPoly.parse("1/2*X2^2").evaluate(mi("2:3")) == Fraction(9, 2)
+    assert evaluate(P, mi("1:3,2:2")) == 3 + 2 * 2
+    assert evaluate(CharPoly.parse("1/2*X2^2"), mi("2:3")) == Fraction(9, 2)
     assert CharPoly.parse("binom(1:2)") == CharPoly.binom(mi("1:2"))
     assert CharPoly.parse("3") == CharPoly.binom(MultiIndex(), 3)
     round_trip = CharPoly.parse(str(P))
@@ -128,7 +128,7 @@ def test_the_largest_power_that_prints_keeps_its_statistic():
     assert all(prints(c.numerator) and c.denominator == 1 for c in P.terms.values())
     assert str(P).startswith("binom(1:1) + ") and str(P).endswith("*binom(1:1484)")
     for x in range(5):
-        assert P.evaluate(MultiIndex.from_dict({1: x})) == x ** 1484
+        assert evaluate(P, MultiIndex.from_dict({1: x})) == x ** 1484
     assert not all(prints(c.numerator) for c in CharPoly.parse("X1^1485").terms.values())
 
 

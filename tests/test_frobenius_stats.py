@@ -35,12 +35,20 @@ from orbitstat.polynomial import (
     monic_from_index,
     parse_poly,
 )
-from orbitstat.symmetric import CosetSpec, MultiIndex, multi_indices_up_to, partitions
+from orbitstat.symmetric import (
+    CosetSpec,
+    MultiIndex,
+    block_multisets,
+    multi_indices_up_to,
+    partitions,
+)
+from orbitstat.young_stats import coset_histogram
 
 from coset_walk import (
     ensemble_cycle_types,
     ensemble_walk,
     equal_expectation_check,
+    evaluate,
     expected_k_cycles,
     factorization_types,
 )
@@ -186,6 +194,27 @@ def test_chi_routes_are_linear():
         - 3 * formula_at("t^6+t^4+t^2", "2:1")
     )
     assert chi_formula(spec, P) == chi_symbolic(f, P) == chi_oracle(spec, P) == want
+
+
+# every spec of at most 10 points with |H| <= 10^3
+SMALL_H_SPECS = [
+    spec for n in range(1, 11) for spec in block_multisets(n) if spec.order_h() <= 10 ** 3
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_H_SPECS), st.data())
+def test_the_oracle_sums_in_integers_what_evaluate_sums_in_fractions(spec, data):
+    """chi_oracle, which sums each term in integers and divides once,
+    against evaluate's Fractions added term by term over the same
+    histogram, for statistics of up to 5 terms with rational coefficients,
+    a constant and a mu past n among them."""
+    mus = list(multi_indices_up_to(spec.n + 1))
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    P = CharPoly(data.draw(st.dictionaries(st.sampled_from(mus), coeffs, max_size=5)))
+    hist = coset_histogram(spec)
+    want = sum((n * evaluate(P, ct) for ct, n in hist.items()), Fraction(0)) / spec.order_h()
+    assert chi_oracle(spec, P) == want == chi_formula(spec, P)
 
 
 def test_xk_frozen_values():

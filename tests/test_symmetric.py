@@ -197,6 +197,15 @@ def test_partition_counts():
     assert sum(1 for _ in partitions(60)) == ways[60] == 966467
 
 
+def test_the_partition_and_multi_index_lists_are_lazy():
+    # p(200) is about 4 * 10^12, so neither list can be built before the
+    # first entry comes out, and no cache may hold one
+    start = time.perf_counter()
+    assert next(partitions(200)) == MultiIndex.from_dict({200: 1})
+    assert next(multi_indices_up_to(200)) == MultiIndex()
+    assert time.perf_counter() - start < 0.5
+
+
 # -- block specs -------------------------------------------------------------
 
 def test_spec_parse_sorts_blocks():

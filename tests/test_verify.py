@@ -18,11 +18,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import orbitstat
 from orbitstat import frobenius_stats, verify
+from orbitstat.symmetric import MultiIndex
 
 from test_golden_cli import CASES
 
@@ -198,3 +201,42 @@ def test_the_spec_routes_run_once_per_spec_within_a_check(monkeypatch):
             assert verify.run_all(quick=True, names=[check])[0].ok
             runs.append(list(calls))
         assert runs[0] == runs[1] and len(set(runs[0])) == len(runs[0]) > 0
+
+
+def test_a_coset_mean_one_numerator_off_fails_coset_statistics(monkeypatch):
+    """coset_means with the numerator of one mean raised by 1, the mean of
+    binom(X, 1:1) on 1^1,2^2, which no class count reads: the integer
+    cross-multiplication against the enumerated histogram sees it."""
+    assert verify.run_all(quick=True, names=["coset-statistics"])[0].ok
+    means = verify.coset_means
+
+    def wrong(spec, mus):
+        out = means(spec, mus)
+        if str(spec) == "1^1,2^2":
+            mu = MultiIndex.parse("1:1")
+            out[mu] = Fraction(out[mu].numerator + 1, out[mu].denominator)
+        return out
+
+    monkeypatch.setattr(verify, "coset_means", wrong)
+    (res,) = verify.run_all(quick=True, names=["coset-statistics"])
+    assert not res.ok
+    assert res.detail == "mismatches: [('mean', '1^1,2^2', '1:1', Fraction(2, 1), Fraction(1, 1))]"
+
+
+def test_a_tally_count_one_off_fails_equal_expectation(monkeypatch):
+    """One count of the factored tally of F_3 in degree 3 raised by 1: the
+    tally's means, summed in integers, move off the routes' for that (q, d)
+    alone."""
+    assert verify.run_all(quick=True, names=["equal-expectation"])[0].ok
+    specs = verify._ensemble_specs
+
+    def wrong(ctx, d):
+        tally = Counter(specs(ctx, d))  # a copy: the cached tally stays right
+        if (ctx.q, d) == (3, 3):
+            tally[next(iter(tally))] += 1
+        return tally
+
+    monkeypatch.setattr(verify, "_ensemble_specs", wrong)
+    (res,) = verify.run_all(quick=True, names=["equal-expectation"])
+    assert not res.ok
+    assert res.detail.startswith("mismatches: [(3, 3, ")
