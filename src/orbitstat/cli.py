@@ -228,12 +228,12 @@ def cmd_ensemble(args):
 
 def cmd_young(args):
     spec = CosetSpec.parse(args.blocks)
-    order_h = spec.order_h()
-    order_text = _printed(order_h, "order_h has")
+    if not spec.order_h_prints():
+        raise unprintable("order_h has")
     lines, payload = [], {}
     _put(lines, payload, "blocks", str(spec))
     _put(lines, payload, "n", spec.n)
-    _put(lines, payload, "order_h", order_h, order_text)
+    _put(lines, payload, "order_h", spec.order_h())
     if args.histogram:
         if args.method == "oracle":
             hist = coset_histogram(spec, args.cap_group)

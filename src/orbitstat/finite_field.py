@@ -78,6 +78,17 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def _index_digits(idx: int, d: int, q: int) -> tuple[int, ...]:
+    """The d base-q digits of idx, lowest first: the residues of an element
+    index (q = p, d = e), the coefficients (c0, ..., c_{d-1}) of a monic
+    polynomial's index, or (c_{d-1}, ..., c0) of its lex position."""
+    digs = []
+    for _ in range(d):
+        idx, rem = divmod(idx, q)
+        digs.append(rem)
+    return tuple(digs)
+
+
 # ---------------------------------------------------------------------------
 # Field contexts
 # ---------------------------------------------------------------------------
@@ -123,11 +134,7 @@ class FieldCtx:
         field, as 3, and else its digit vector, as [1,1]."""
         if idx < self.p:
             return str(idx)
-        digits = []
-        for _ in range(self.e):
-            idx, rem = divmod(idx, self.p)
-            digits.append(str(rem))
-        return "[" + ",".join(digits) + "]"
+        return "[" + ",".join(map(str, _index_digits(idx, self.e, self.p))) + "]"
 
     # -- arithmetic on element indices --------------------------------------
 

@@ -5,9 +5,9 @@ A Poly is a value: its field and an ascending tuple of element indices (see
 finite_field) with no trailing zeros; the zero polynomial is the empty tuple
 (degree -1).  Poly(ctx, coeffs) takes indices, and Poly.coeffs and leading
 give them back.  The arithmetic is one set of functions on those int tuples
-(_mul, _divmod, _gcd, _powmod, _is_irreducible): over a prime field with
-native integer arithmetic and one reduction mod p per coefficient, over an
-extension through the field's exp/log tables.
+(_mul, _divmod, _gcd, _powmod): over a prime field with native integer
+arithmetic and one reduction mod p per coefficient, over an extension
+through the field's exp/log tables.
 
 Monic polynomials of degree d are enumerated by counting their lower
 coefficient vector in base q with the constant coefficient as the fastest
@@ -21,9 +21,13 @@ distinct-degree parts via gcd with t^(q^k)-t, then Cantor-Zassenhaus
 equal-degree splitting.  The first two steps are one stage, _degree_classes,
 whose classes (product, degree, multiplicity) already give the decomposition
 type: frobenius_stats.block_spec reads its blocks off them, and only factor
-splits them.  The splitting draws from a PRNG seeded with a
-constant, and the factors are unique and sorted, so factor() is deterministic
-and never needs the sieve: it works for every field the package supports.
+splits them.  The distinct-degree step yields each class as soon as it
+finds it, and Ben-Or's irreducibility test (_is_irreducible) is that step
+stopped at its first class, which is the whole polynomial exactly when it
+is irreducible; so the Frobenius step s <- s^q mod h has one loop.  The
+splitting draws from a PRNG seeded with a constant, and the factors are
+unique and sorted, so factor() is deterministic and never needs the sieve:
+it works for every field the package supports.
 The pipeline runs on coefficient tuples from end to end, through the one
 tuple-level gcd and powering modulo a polynomial, and makes Polys only of
 the factors it returns.
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapExceeded, count_text, read_int, refusal
-from .finite_field import FieldCtx, _digit_sum_row, prime_factors
+from .finite_field import FieldCtx, _digit_sum_row, _index_digits, prime_factors
 from .symmetric import CosetSpec
 
 ENUMERATION_LIMIT = 10 ** 7
@@ -393,17 +397,6 @@ def monic_from_index(d: int, ctx: FieldCtx, idx: int) -> Poly:
     return _poly(ctx, _index_digits(idx, d, ctx.q) + (1,))
 
 
-def _index_digits(idx: int, d: int, q: int) -> tuple[int, ...]:
-    """The d base-q digits of idx, lowest first: the coefficients
-    (c0, ..., c_{d-1}) of a monic index, or (c_{d-1}, ..., c0) of a lex
-    position."""
-    digs = []
-    for _ in range(d):
-        idx, rem = divmod(idx, q)
-        digs.append(rem)
-    return tuple(digs)
-
-
 def enumerate_monic(d: int, ctx: FieldCtx) -> Iterator[Poly]:
     """All q^d monic polynomials of degree d, deterministic order."""
     for idx in range(ctx.q ** d):
@@ -667,23 +660,14 @@ def _irreducible_tuples(d: int, ctx: FieldCtx) -> Iterator[tuple[int, ...]]:
 
 
 def _is_irreducible(ctx: FieldCtx, c: tuple) -> bool:
-    """Deterministic irreducibility test of a trimmed tuple (Ben-Or).
+    """Ben-Or's deterministic irreducibility test of a trimmed tuple: the
+    distinct-degree stage stopped at its first class.
 
-    c of degree d >= 1 is irreducible iff gcd(t^(q^k) - t, c) = 1 for
-    k = 1..d//2: a reducible c has an irreducible factor of degree k <= d/2,
-    which divides t^(q^k) - t.  The powers are stepped s <- s^q mod c, and
-    the test stops at the first k that finds a factor.  Every linear
-    polynomial is irreducible; constants and zero are units or zero, never.
-    """
-    d = len(c) - 1
-    if d < 2:
-        return d == 1
-    s = (0, 1)  # t^(q^k) mod c
-    for _ in range(d // 2):
-        s = _powmod(ctx, s, ctx.q, c)
-        if len(_gcd(ctx, _minus_t(ctx, s), c)) != 1:
-            return False
-    return True
+    A reducible c of degree d, repeated factors included, has an irreducible
+    factor of degree k <= d/2, which divides gcd(t^(q^k) - t, c).  So the
+    first class is c itself, of degree d, exactly when c is irreducible.
+    Constants and zero never are."""
+    return len(c) > 1 and next(_distinct_degree(ctx, c))[1] == len(c) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -737,13 +721,13 @@ def _pth_root(ctx: FieldCtx, c: tuple) -> tuple[int, ...]:
 def _squarefree_parts(ctx: FieldCtx, f: tuple) -> list[tuple[tuple, int]]:
     """Split a monic f into square-free parts keyed by multiplicity.
 
-    Classic derivative/gcd refinement; whenever the leftover is a p-th power
-    (zero derivative in characteristic p) its root is extracted and the
+    Classic derivative/gcd refinement; each pass leaves a p-th power, whose
+    zero derivative the next pass meets: its root is extracted and the
     multiplicity scale goes up by p.  A gcd of 1 divides nothing.
     """
     parts: dict[int, tuple] = {}
     scale = 1
-    while True:
+    while len(f) > 1:
         der = _derivative(ctx, f)
         if not der:
             f = _pth_root(ctx, f)
@@ -764,34 +748,30 @@ def _squarefree_parts(ctx: FieldCtx, f: tuple) -> list[tuple[tuple, int]]:
                 parts[key] = _mul(ctx, parts[key], part) if key in parts else part
             h = gg
             i += 1
-        if len(g) == 1:
-            break
-        f = _pth_root(ctx, g)
-        scale *= ctx.p
+        f = g
     return [(part, mult) for mult, part in sorted(parts.items())]
 
 
-def _distinct_degree(ctx: FieldCtx, h: tuple) -> list[tuple[tuple, int]]:
-    """Split a monic square-free h into (product, degree-class) pairs.
+def _distinct_degree(ctx: FieldCtx, h: tuple) -> Iterator[tuple[tuple, int]]:
+    """The (product, degree-class) pairs of a monic square-free h, each
+    yielded before h is divided by it, so _is_irreducible stops at the first.
 
     s runs through t^(q^k) mod h; t itself is reduced already, since it is
     only used while deg h >= 2k >= 2."""
-    out = []
     k = 0
     s = (0, 1)
     while len(h) > 1:
         k += 1
         if 2 * k > len(h) - 1:
-            out.append((h, len(h) - 1))
-            break
+            yield h, len(h) - 1
+            return
         s = _powmod(ctx, s, ctx.q, h)
         g = _gcd(ctx, _minus_t(ctx, s), h)
         if len(g) > 1:
-            out.append((g, k))
+            yield g, k
             h = _divmod(ctx, h, g)[0]
             if len(h) > 1:
                 s = _divmod(ctx, s, h)[1]
-    return out
 
 
 def _equal_degree(ctx: FieldCtx, g: tuple, k: int) -> list[tuple]:
@@ -806,8 +786,6 @@ def _equal_degree(ctx: FieldCtx, g: tuple, k: int) -> list[tuple]:
     from a PRNG seeded with a constant on every call, so the result does not
     depend on earlier calls.
     """
-    if len(g) - 1 == k:
-        return [g]
     rng = random.Random(0)
     half = (ctx.q ** k - 1) // 2
     out = []
@@ -841,10 +819,9 @@ def _degree_classes(ctx: FieldCtx, m: tuple) -> Iterator[tuple[tuple, int, int]]
     its irreducible factors of degree k and that multiplicity, from the
     square-free and distinct-degree steps.  The classes alone give the
     decomposition type of m, deg(product)/k factors (k, multiplicity) each."""
-    if len(m) > 1:
-        for part, mult in _squarefree_parts(ctx, m):
-            for prod, k in _distinct_degree(ctx, part):
-                yield prod, k, mult
+    for part, mult in _squarefree_parts(ctx, m):
+        for prod, k in _distinct_degree(ctx, part):
+            yield prod, k, mult
 
 
 def factor(f: Poly) -> Factorization:

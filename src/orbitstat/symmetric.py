@@ -23,11 +23,12 @@ import bisect
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import count_text, read_int, refusal
+from .errors import count_text, read_int, refusal, too_long
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -194,6 +195,14 @@ class CosetSpec:
         for d, r in self.blocks:
             out *= math.factorial(r) ** d
         return out
+
+    def order_h_prints(self) -> bool:
+        """Whether |H| is within Python's limit on the digits of a printed
+        integer, decided by log10 |H| = sum of d * lgamma(r + 1) / ln 10, so
+        that an |H| past it is never computed.  With no limit, every |H|
+        prints."""
+        log10 = sum(d * math.lgamma(r + 1) for d, r in self.blocks) / math.log(10)
+        return not (sys.get_int_max_str_digits() and too_long(log10, self.order_h))
 
 
 def _blocks_from(remaining: int, lowest: tuple[int, int]) -> Iterator[tuple]:

@@ -52,7 +52,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .charpoly import _mul_truncated
-from .errors import print_limit, prints, refusal
+from .errors import print_limit, refusal
 from .symmetric import (
     DEFAULT_GROUP_CAP,
     CosetSpec,
@@ -239,14 +239,17 @@ def slot_tables(spec: CosetSpec) -> list[tuple[slice, dict]]:
 
 
 def _check_order(spec: CosetSpec, cap: int) -> None:
-    """Refuse |H| > cap, naming --cap-group, and an |H| too long to print by
-    its spec."""
-    order = spec.order_h()
-    if order > cap:
-        what = f"|H| = {order}" if prints(order) else (
-            f"|H| of {spec}, a number of more than {print_limit()} digits"
-        )
-        raise refusal(what, cap, "--cap-group")
+    """Refuse |H| > cap, naming --cap-group.  An |H| too long to print is
+    past every cap that can be read: it is named by its spec and refused
+    without being computed."""
+    if spec.order_h_prints():
+        order = spec.order_h()
+        if order <= cap:
+            return
+        what = f"|H| = {order}"
+    else:
+        what = f"|H| of {spec}, a number of more than {print_limit()} digits"
+    raise refusal(what, cap, "--cap-group")
 
 
 def walk_coset(spec: CosetSpec, cap: int = DEFAULT_GROUP_CAP) -> Iterator[tuple]:

@@ -894,6 +894,28 @@ def test_young_refuses_an_order_too_long_to_print(capsys):
     assert "order_h" in err and "no flag" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--blocks", "1^1000000", "--mu", "1:1"),
+        ("--blocks", "1^2,2^300000", "--mu", "1:1"),
+        ("--blocks", "1^300000", "--mu", "1:1"),
+        ("--blocks", "1^1000000", "--mu", "1:1", "--method", "oracle"),
+    ],
+)
+def test_young_refuses_an_order_too_long_to_print_without_computing_it(capsys, argv):
+    """|H| = (10^6)! has 5565709 digits and takes seconds to compute; its
+    logarithm refuses it at once, with the line of the exact test."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "young", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: order_h has more than 4300 digits, Python's limit for printing "
+        "an integer, which no flag raises\n"
+    )
+
+
 def test_mu_and_stat_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit):
         main(["eval", "--q", "2", "t", "--mu", "1:1", "--stat", "X1"])

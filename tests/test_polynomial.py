@@ -312,6 +312,28 @@ def test_frobenius_test_reaches_beyond_the_sieve():
     assert not _is_irreducible(F2, _mul(F2, f, (1, 1)))
 
 
+def test_the_irreducibility_test_stops_at_its_first_class(monkeypatch):
+    """Ben-Or's test takes Frobenius steps s <- s^q mod c only up to the
+    first class: one for (t+1)*(t^31+t^3+1), whose linear factor the first
+    gcd finds, and 31 // 2 = 15 for the irreducible alone.  A distinct-degree
+    stage that built its whole list first would take 15 on the product too."""
+    steps = []
+    powmod = polynomial._powmod
+
+    def counted(ctx, base, k, m):
+        if k == ctx.q:
+            steps.append(m)
+        return powmod(ctx, base, k, m)
+
+    monkeypatch.setattr(polynomial, "_powmod", counted)
+    f = parse_poly("t^31+t^3+1", F2).coeffs
+    assert not _is_irreducible(F2, _mul(F2, f, (1, 1)))
+    assert len(steps) == 1
+    steps.clear()
+    assert _is_irreducible(F2, f)
+    assert len(steps) == 15
+
+
 def test_enumeration_guard(sieve_passes):
     with pytest.raises(CapExceeded, match="q\\^d = 16777216 slots"):
         list(_irreducible_tuples(24, F2))  # 2^24 > the sieve budget

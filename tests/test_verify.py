@@ -137,8 +137,14 @@ def _mean_plus_one(value, *args):
             _plus_one,
             ["equal-expectation", "divisor-average", "stabilization"],
         ),
-        # constant in d, so only the factored oracle tells it from the route
-        ("ensemble_formula", lambda *_: True, _mean_plus_one, ["stabilization"]),
+        # constant in d, yet the factored tally, the series and the divisor
+        # sums each tell it from the route
+        (
+            "ensemble_formula",
+            lambda *_: True,
+            _mean_plus_one,
+            ["equal-expectation", "generating-series", "divisor-average", "stabilization"],
+        ),
         # the ensemble tier and the t^2 anchors
         ("chi_symbolic", lambda f, P: f.degree <= 3, _plus_one, ["divisor-average", "known-values"]),
         # only the polynomials with a large H

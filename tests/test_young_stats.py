@@ -148,6 +148,19 @@ def test_histogram_cap_and_repeated_calls_agree():
     assert h1 == h3
 
 
+def test_an_order_too_long_to_print_is_refused_without_computing_it():
+    """(10^6)! takes seconds to compute; the oracle refuses it by its
+    logarithm, naming it by its spec."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as refused:
+        coset_histogram(CosetSpec.parse("1^1000000"))
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == (
+        "|H| of 1^1000000, a number of more than 4300 digits, beyond the cap "
+        "1000000; raise it with --cap-group"
+    )
+
+
 # -- closed forms as products over blocks -----------------------------------
 
 def test_histogram_limit_counts_no_further_than_it_needs():
