@@ -132,7 +132,7 @@ class CharPoly:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        terms = sorted(self.terms.items(), key=lambda it: it[0].entries)
+        terms = sorted(self.terms.items())
         parts = [f"binom({mu})" if c == 1 else f"{c}*binom({mu})" for mu, c in terms]
         return " + ".join(parts) or "0"
 
@@ -172,8 +172,8 @@ class CharPoly:
     @classmethod
     def _parse_term(cls, chunk: str, text: str) -> tuple[object, Fraction]:
         """(key, coefficient): a binom's or constant's MultiIndex, or a
-        monomial's powers; an error names the term and text, the statistic
-        as typed."""
+        monomial's (k, a) pairs as a frozenset, which equals no MultiIndex;
+        an error names the term and text, the statistic as typed."""
         coeff = _F1
         body = chunk
         if chunk[0].isdigit():
@@ -201,7 +201,7 @@ class CharPoly:
             k = read_int(m.group(1), chunk, "the term")
             a = read_int(m.group(2), chunk, "the term") if m.group(2) else 1
             powers[k] = powers.get(k, 0) + a
-        return tuple(sorted((k, a) for k, a in powers.items() if a)), coeff
+        return frozenset((k, a) for k, a in powers.items() if a), coeff
 
 
 def sn_expectation_closed(mu: MultiIndex, r: int) -> Fraction:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import sys
 import time
 import types
@@ -240,8 +239,7 @@ def cmd_young(args):
         else:
             hist = cycle_type_distribution(spec)
         payload["histogram"] = []
-        # the same order as MultiIndex's generated comparison, which is slow
-        for ct in sorted(hist, key=operator.attrgetter("entries")):
+        for ct in sorted(hist):
             text, count = str(ct), hist[ct]
             lines.append(f"{text}  {count}")
             payload["histogram"].append({"cycle_type": text, "count": count})

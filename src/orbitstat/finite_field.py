@@ -4,7 +4,7 @@ A FieldCtx describes F_q with q = p^e: the prime p, the extension degree e
 and, for e > 1, a monic irreducible modulus of degree e over F_p.  When no
 modulus is supplied, the lexicographically smallest irreducible one is chosen
 (coefficient vectors compared constant term first), so identical parameters
-always produce identical fields.
+always produce identical fields.  A FieldCtx hashes as (p, e, q, modulus).
 
 The element c0 + c1*t + ... is coded as its index c0 + c1*p + c2*p^2 + ...
 in 0..q-1 (constant digit fastest), and that index is the one element type:
@@ -103,14 +103,6 @@ class FieldCtx:
     modulus: Optional[tuple[int, ...]]
     # (exp, log, zech) of an extension field, filled in by tables()
     _tables: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # the hash of (p, e, q, modulus), taken once: every sieve-cache lookup keys on it
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.p, self.e, self.q, self.modulus)))
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.e == 1:

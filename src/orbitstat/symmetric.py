@@ -13,6 +13,10 @@ which normalizes H.  The statistics downstream live on the coset tau*H,
 which young_stats.walk_coset walks slot by slot on the points laid out by
 young_stats.slot_tables; no element of H is built here.
 
+A MultiIndex is the tuple of its entries (k, mu_k) and a CosetSpec the tuple
+of its sorted blocks, each validated once: they hash and compare as tuples,
+and no dict mixes them as keys.
+
 cycle_lengths is the one cycle counter, and sorted cycle lengths the working
 form of a cycle type: _lengths_type makes each tallied class a MultiIndex.
 """
@@ -24,7 +28,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -52,33 +55,28 @@ def cycle_lengths(images) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-@dataclass(frozen=True, order=True)
-class MultiIndex:
-    """Sparse exponent vector {k: m_k}, entries sorted by k, all m_k >= 1.
+class MultiIndex(tuple):
+    """Sparse exponent vector {k: m_k}: the tuple of its entries (k, m_k),
+    sorted by k, all m_k >= 1."""
 
-    The hash is the one the dataclass would generate, computed once per
-    instance: a MultiIndex is a key of memo tables looked up in inner loops."""
+    __slots__ = ()
 
-    entries: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
+    def __new__(cls, entries=()):
+        mu = tuple.__new__(cls, entries)
         last = 0
-        for k, m in self.entries:
+        for k, m in mu:
             if k < 1:
-                raise ValueError(f"cycle lengths must be >= 1: {self.entries}")
+                raise ValueError(f"cycle lengths must be >= 1: {mu!r}")
             if k <= last:
-                raise ValueError(f"entries must be sorted by k: {self.entries}")
+                raise ValueError(f"entries must be sorted by k: {mu!r}")
             if m < 1:
-                raise ValueError(f"counts must be >= 1: {self.entries}")
+                raise ValueError(f"counts must be >= 1: {mu!r}")
             last = k
-        object.__setattr__(self, "_hash", hash((self.entries,)))
-
-    def __hash__(self):
-        return self._hash
+        return mu
 
     @classmethod
     def from_dict(cls, d: dict[int, int]) -> "MultiIndex":
-        return cls(tuple(sorted((k, m) for k, m in d.items() if m)))
+        return cls(sorted((k, m) for k, m in d.items() if m))
 
     @classmethod
     def parse(cls, text: str) -> "MultiIndex":
@@ -103,28 +101,25 @@ class MultiIndex:
     @property
     def norm(self) -> int:
         """The weighted size sum(k * m_k)."""
-        return sum(k * m for k, m in self.entries)
+        return sum(k * m for k, m in self)
 
     def get(self, k: int) -> int:
-        for kk, m in self.entries:
+        for kk, m in self:
             if kk == k:
                 return m
         return 0
 
     def items(self):
-        return self.entries
+        return self
 
     def __str__(self):
-        return ",".join(f"{k}:{m}" for k, m in self.entries)
+        return ",".join(f"{k}:{m}" for k, m in self)
 
 
 def _multi_index(entries: tuple[tuple[int, int], ...]) -> MultiIndex:
     """MultiIndex from entries already sorted by k >= 1 with counts >= 1,
     without validating them again."""
-    mu = object.__new__(MultiIndex)
-    object.__setattr__(mu, "entries", entries)
-    object.__setattr__(mu, "_hash", hash((entries,)))
-    return mu
+    return tuple.__new__(MultiIndex, entries)
 
 
 def _lengths_type(lengths: tuple[int, ...]) -> MultiIndex:
@@ -146,19 +141,22 @@ def cycle_type(images) -> MultiIndex:
     return _lengths_type(cycle_lengths(images))
 
 
-@dataclass(frozen=True)
-class CosetSpec:
-    """Canonical multiset of blocks (d, r); stored sorted."""
+class CosetSpec(tuple):
+    """Canonical multiset of blocks (d, r): the tuple of its blocks, sorted."""
 
-    blocks: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, blocks=()):
         norm = []
-        for d, r in self.blocks:
+        for d, r in blocks:
             if not (isinstance(d, int) and isinstance(r, int) and d >= 1 and r >= 1):
                 raise ValueError(f"bad block ({d}, {r})")
             norm.append((d, r))
-        object.__setattr__(self, "blocks", tuple(sorted(norm)))
+        return tuple.__new__(cls, sorted(norm))
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "CosetSpec":
@@ -176,7 +174,7 @@ class CosetSpec:
             d, r = part.split("^")
             what = "the block spec"
             blocks.append((read_int(d, text, what), read_int(r, text, what)))
-        return cls(tuple(blocks))
+        return cls(blocks)
 
     def __str__(self):
         return ",".join(f"{d}^{r}" for d, r in self.blocks)

@@ -155,7 +155,7 @@ def _join_box(mus: list[MultiIndex]) -> tuple[MultiIndex, list[tuple[int, ...]]]
                 join[k] = m
     ks = sorted(join)
     zeros = (0,) * len(ks)
-    at = [tuple(map(dict(mu.items()).get, ks, zeros)) for mu in mus]
+    at = [tuple(map(dict(mu).get, ks, zeros)) for mu in mus]
     return _multi_index(tuple((k, join[k]) for k in ks)), at
 
 

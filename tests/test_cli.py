@@ -1189,3 +1189,42 @@ def test_a_reducible_modulus_is_refused_on_every_call(capsys):
         code, out, err = run(capsys, "factor", "--q", "4", "--mod", "[1,0,1]", "t")
         assert (code, out) == (1, "")
         assert err == "error: modulus [1, 0, 1] is reducible over F_2\n"
+
+
+def test_a_monomial_and_a_binomial_of_the_same_entries_stay_apart(capsys):
+    """X1^a and binom(1:a) are two terms: the monomial's expansion is refused
+    on its own even though binom(1:1486) cancels its sign, and X1^2 less
+    binom(1:2) keeps the binom(1:1) of the expansion."""
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", "X1^1486-binom(1:1486)")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the monomial X1^1486 expands with a coefficient of more than 4300 "
+        "digits, Python's limit for printing an integer, which no flag raises\n"
+    )
+    code, out, _ = run(capsys, "eval", "--q", "3", "t^2+1", "--stat", "X1^2-binom(1:2)")
+    assert code == 0
+    assert "stat = binom(1:1) + binom(1:2)\n" in out
+
+
+@pytest.mark.parametrize(
+    "q, template",
+    [("2", "{}*t+1"), ("3", "[{},1]"), ("4", "[[1,{}],1]")],
+    ids=["term", "list", "vector"],
+)
+def test_a_coefficient_too_long_to_read_is_one_error_line(capsys, q, template):
+    limit = sys.get_int_max_str_digits()
+    text = template.format("1" + "0" * limit)
+    code, out, err = run(capsys, "factor", "--q", q, text)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: the polynomial '{text[:20]}...{text[-10:]}' holds an integer of "
+        f"{limit + 1} digits, more than {limit}, Python's limit for reading an "
+        "integer, which no flag raises\n"
+    )
+
+
+@pytest.mark.parametrize("stat", ["2X1", "1/2/3*X1", "3/"])
+def test_a_statistic_term_with_a_bad_coefficient_is_refused(capsys, stat):
+    code, out, err = run(capsys, "eval", "--q", "2", "t", "--stat", stat)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad term {stat!r} in {stat!r}\n"

@@ -7,6 +7,7 @@ histogram of tau*H can be computed by filtering the whole symmetric group.
 """
 
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -154,6 +155,35 @@ def test_multi_index_parse_and_str():
         MultiIndex.parse("0:1")
 
 
+def test_multi_index_refuses_unsorted_entries_and_zero_counts():
+    with pytest.raises(ValueError, match=re.escape("entries must be sorted by k: ((2, 1), (1, 1))")):
+        MultiIndex(((2, 1), (1, 1)))
+    with pytest.raises(ValueError, match=re.escape("counts must be >= 1: ((1, 0),)")):
+        MultiIndex(((1, 0),))
+
+
+@given(st.dictionaries(st.integers(1, 9), st.integers(1, 4), max_size=4),
+       st.dictionaries(st.integers(1, 9), st.integers(1, 4), max_size=4))
+def test_a_multi_index_hashes_compares_and_sorts_as_its_entries(a, b):
+    mu, nu = MultiIndex.from_dict(a), MultiIndex.from_dict(b)
+    ea, eb = tuple(sorted(a.items())), tuple(sorted(b.items()))
+    assert isinstance(mu, tuple) and tuple(mu) == ea and mu.items() == ea
+    assert hash(mu) == hash(ea)
+    assert (mu == nu) == (ea == eb) and (mu < nu) == (ea < eb) and (mu <= nu) == (ea <= eb)
+    assert bool(mu) == bool(a)
+    assert not hasattr(mu, "__dict__")  # a tuple and nothing else
+
+
+def test_multi_indices_sort_by_their_entries():
+    # the order of the entry tuples, which young --histogram prints in
+    assert [str(mu) for mu in sorted(multi_indices_up_to(3))] == [
+        "", "1:1", "1:1,2:1", "1:2", "1:3", "2:1", "3:1",
+    ]
+    mus = list(multi_indices_up_to(8))
+    as_lists = sorted(mus, key=lambda mu: [list(entry) for entry in mu.items()])
+    assert sorted(mus) == as_lists and len(as_lists) == sum(P_COUNTS.values())
+
+
 def test_partition_counts_up_to_8():
     for n, want in P_COUNTS.items():
         assert sum(1 for _ in partitions(n)) == want
@@ -215,6 +245,19 @@ def test_spec_parse_sorts_blocks():
     assert spec.n == 4
     assert spec.order_h() == 2  # 2!^1 * 1!^2
     assert CosetSpec.parse("blocks=3^2").order_h() == 2 ** 3
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=5),
+       st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=5))
+def test_a_spec_hashes_and_compares_as_its_sorted_blocks(a, b):
+    spec, other = CosetSpec(a), CosetSpec(b)
+    ta, tb = tuple(sorted(a)), tuple(sorted(b))
+    assert isinstance(spec, tuple) and spec == ta and spec.blocks == ta
+    assert hash(spec) == hash(ta)
+    assert (spec == other) == (ta == tb) and (spec < other) == (ta < tb)
+    assert CosetSpec(reversed(a)) == spec  # a multiset: the order given is lost
+    assert bool(spec) == bool(a)
+    assert not hasattr(spec, "__dict__")
 
 
 def test_spec_rejects_bad_blocks():

@@ -13,6 +13,7 @@ The mutation tests break one route at a time, as a command would run it,
 and expect each check that compares that route to fail.
 """
 
+import itertools
 import json
 import os
 import pathlib
@@ -162,6 +163,85 @@ def test_each_retargeted_check_fails_on_a_wrong_route(monkeypatch, route, when, 
     monkeypatch.setattr(verify, route, _shifted(getattr(verify, route), when, shift))
     results = verify.run_all(quick=True, names=names)
     assert [r.name for r in results if r.ok] == []
+
+
+def _sum_at_3_plus_one(sums, *args):
+    """The necklace sums with the one at k = 3 raised by 1."""
+    return [s + (k == 3) for k, s in enumerate(sums, 1)]
+
+
+def _one_count_moved(hist, *args):
+    """A copy of a histogram with one count moved from its first cycle type
+    to its last: the same total, another histogram."""
+    hist = dict(hist)
+    first, *_, last = hist
+    hist[first] -= 1
+    hist[last] += 1
+    return hist
+
+
+def _first_transposed(walk, *args):
+    """A coset walk whose first images are composed with a transposition,
+    which changes their cycle count but not their block projections."""
+    entries, images = next(walk)
+    images = list(images)  # walk_coset refills one list in place
+    images[0], images[1] = images[1], images[0]
+    return itertools.chain([(entries, images)], walk)
+
+
+def _first_dropped(walk, *args):
+    """A coset walk without its first element."""
+    next(walk)
+    return walk
+
+
+@pytest.mark.parametrize(
+    "route, when, shift, name, detail",
+    [
+        (
+            "necklace_sums", lambda *_: True, _sum_at_3_plus_one, "necklace-count",
+            "failed at [(2, 3, 9, 8), (3, 3, 28, 27)]",
+        ),
+        (
+            "count_irreducibles", lambda d, ctx: d == 3, _plus_one, "necklace-count",
+            "failed at [(2, 3, 'N_k', 3, 2), (3, 3, 'N_k', 9, 8)]",
+        ),
+        (
+            "cycle_type_distribution", lambda spec: str(spec) == "1^1,2^2", _one_count_moved,
+            "coset-statistics", "mismatches: [('histogram', '1^1,2^2')]",
+        ),
+        (
+            "sn_expectation_closed", lambda mu, r: (str(mu), r) == ("1:2", 3), _plus_one,
+            "sym-expectation", "mismatches: [(3, '1:2', Fraction(3, 2), Fraction(1, 2))]",
+        ),
+        (
+            "walk_coset", lambda spec: str(spec) == "1^2", _first_transposed, "projection-measure",
+            "mismatches: [('cycles', '1^2', 1, 0, 2), ('cycles', '1^2', 2, 1, 0)]",
+        ),
+        (
+            "walk_coset", lambda spec: str(spec) == "1^2", _first_dropped, "projection-measure",
+            "mismatches: [('fibers', '1^2', 1, [1])]",
+        ),
+        # t^2+t over F_2, the first square-free f of degree 2; the t^2
+        # anchors have the spec 1^2
+        (
+            "chi_formula", lambda spec, P: str(spec) == "1^1,1^1", _plus_one, "known-values",
+            "mismatches: [(2, 't^2+t', '', Fraction(2, 1), 1), "
+            "(2, 't^2+t', '1:1', Fraction(3, 1), 2), (2, 't^2+t', '2:1', Fraction(1, 1), 0)]",
+        ),
+    ],
+    ids=[
+        "necklace-sums", "sieve-counts", "histogram", "sym-mean", "projection-cycles",
+        "projection-fibers", "square-free",
+    ],
+)
+def test_each_failure_entry_of_a_check_is_reached(monkeypatch, route, when, shift, name, detail):
+    """One wrong route per failure entry of a check that no other mutation
+    reaches: the check fails with that entry's tag and values."""
+    assert verify.run_all(quick=True, names=[name])[0].ok
+    monkeypatch.setattr(verify, route, _shifted(getattr(verify, route), when, shift))
+    (res,) = verify.run_all(quick=True, names=[name])
+    assert str(res) == f"[FAIL] {name}: {detail}"
 
 
 def test_a_spec_route_that_keeps_a_class_whole_fails_the_spec_checks(monkeypatch, cleared_caches):
