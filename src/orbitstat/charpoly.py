@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded, prints, read_int, refusal, unprintable
+from .errors import CapExceeded, past_print_limit, prints, read_int, refusal, unprintable
 from .polynomial import signed_terms
 from .symmetric import MultiIndex, centralizer_order
 
@@ -37,11 +36,12 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def binom_eval(mu: MultiIndex, ct: MultiIndex) -> int:
-    """Product of C(ct_k, mu_k); automatically 0 once any mu_k > ct_k."""
+def binom_eval(mu: MultiIndex, ct) -> int:
+    """Product of C(ct_k, mu_k); automatically 0 once any mu_k > ct_k.  The
+    cycle type ct is a MultiIndex or a dict {k: ct_k}, read by ct.get(k, 0)."""
     out = 1
     for k, m in mu.items():
-        out *= math.comb(ct.get(k), m)
+        out *= math.comb(ct.get(k, 0), m)
         if out == 0:
             break
     return out
@@ -71,11 +71,10 @@ def _expansion_refusal(powers: dict[int, int], coeff: Fraction) -> CapExceeded |
             f"the monomial {text} expands into {terms} binomial terms", EXPANSION_LIMIT
         )
     a = max(powers.values(), default=0)
-    limit = sys.get_int_max_str_digits()
     ln_bound = math.lgamma(a + 1) - math.log(max(2 * a, 1)) - (a + 1) * math.log(math.log(2))
     if not prints(math.factorial(a)):
         what = f"the coefficient {a}!"
-    elif limit and ln_bound / math.log(10) - math.log10(coeff.denominator) > limit + 1:
+    elif past_print_limit(ln_bound / math.log(10) - math.log10(coeff.denominator)):
         what = "a coefficient"
     else:
         return None

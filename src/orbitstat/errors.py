@@ -1,9 +1,9 @@
-"""Shared exception types, the one reader of decimal literals, the one test
-of whether Python prints an integer, and the words of every refusal."""
+"""Shared exception types, the one reader of decimal literals, the words of
+every refusal, and the one owner of Python's digit limit (past_print_limit,
+print_limit, prints) and of a work cap's running count (Budget)."""
 
 import sys
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 
 class CapExceeded(ValueError):
@@ -62,12 +62,6 @@ def read_int(digits: str, source: str, what: str) -> int:
         ) from None
 
 
-@lru_cache(maxsize=None)
-def _power_of_ten(digits: int) -> int:
-    """10^digits, the least integer with more than that many digits."""
-    return 10 ** digits
-
-
 def print_limit() -> int:
     """Python's limit on the digits of an integer it prints, or its default
     limit when none is set: a count estimated past it is never computed."""
@@ -85,20 +79,44 @@ def prints(value: int) -> bool:
         return True
     if (bits - 1) * 0.30102 >= limit:
         return False
-    return abs(value) < _power_of_ten(limit)
+    return abs(value) < 10 ** limit
 
 
-def too_long(log10: float, value: Callable[[], int]) -> bool:
-    """Whether value() has more digits than Python prints.  log10, at most
-    log10(value()) and within a digit of it, decides unless it is within a
-    digit of print_limit, so value is called only there."""
-    limit = print_limit()
+def past_print_limit(log10: float, value: Optional[Callable[[], int]] = None) -> bool:
+    """Whether Python has a digit limit and value() has more digits.  log10,
+    within a digit below log10(value()), decides unless it is within a digit
+    of the limit; with no value it is a lower bound, past a digit beyond."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return False
+    if value is None:
+        return log10 > limit + 1
     return log10 >= limit - 1 and (log10 >= limit + 1 or not prints(value()))
 
 
 def count_text(log10: float, value: Callable[[], int], name: str, unit: str) -> str:
-    """A count for a refusal, "{value()} {unit}", or when too_long(log10,
-    value) "{name} {unit}, a number of more than N digits"."""
-    if too_long(log10, value):
+    """A count for a refusal, "{value()} {unit}", or "{name} {unit}, a
+    number of more than N digits" when past_print_limit(log10, value), or
+    with no limit when log10 is a digit past print_limit()."""
+    if log10 >= print_limit() + 1 or past_print_limit(log10, value):
         return f"{name} {unit}, a number of more than {print_limit()} digits"
     return f"{value()} {unit}"
+
+
+class Budget:
+    """A work cap's running count of steps.  spend adds steps before they
+    run and refuses once the count passes cap: "{what} would reach N steps
+    ({counted})", with a count too long to print named "at least 10^D"."""
+
+    def __init__(self, what: str, counted: str, cap: int, flag: str):
+        self.what, self.counted, self.cap, self.flag = what, counted, cap, flag
+        self.count = 0
+
+    def spend(self, steps: Optional[int]) -> None:
+        """Add steps, None for more than print_limit() digits of them."""
+        count = self.count = None if steps is None else self.count + steps
+        if count is None or count > self.cap:
+            shown = count if count is not None and prints(count) else f"at least 10^{print_limit()}"
+            raise refusal(
+                f"{self.what} would reach {shown} steps ({self.counted})", self.cap, self.flag
+            )

@@ -27,20 +27,20 @@ closed form q^d / z_mu per term, and under a bound a series in u truncated
 at u^d, whose work grows polynomially in d.  At a bound m = d, which
 binds no f, the series is the closed form, and verify compares the two
 there.  ensemble_sum reads the block spec of every f and is kept as its
-oracle.
+oracle.  The symbolic route and the series each count their steps in one
+errors.Budget, against --cap-terms and --cap-enum.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
 from .charpoly import CharPoly, _mul_truncated, binom_eval, sn_expectation_closed
-from .errors import CapExceeded, _power_of_ten, print_limit, prints, read_int, refusal
-from .errors import too_long, unprintable
+from .errors import Budget, CapExceeded, past_print_limit, print_limit, read_int, refusal
+from .errors import unprintable
 from .polynomial import (
     Poly,
     _degree_classes,
@@ -108,18 +108,6 @@ def chi_oracle(spec: CosetSpec, P: CharPoly, cap: int = DEFAULT_GROUP_CAP) -> Fr
     return Fraction(total, den * spec.order_h())
 
 
-def _spend_terms(work: Optional[int], term_cap: int) -> None:
-    """Refuse a work count beyond term_cap; None stands for one with more
-    digits than Python prints, or than its default limit when it has none."""
-    if work is None or work > term_cap:
-        steps = work if work is not None and prints(work) else f"at least 10^{print_limit()}"
-        raise refusal(
-            f"the symbolic route would reach {steps} steps (candidate symbols "
-            "tested against f plus term pairs multiplied)", term_cap,
-            "--cap-terms, or for coset statistics use the factored route"
-        )
-
-
 def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Fraction:
     """Value of P at a monic f by the divisibility-symbol expansion; it never
     factors f.  Each term binom(X, mu) of P is prod_k S_k^(m_k) / (k^(m_k) m_k!)
@@ -145,15 +133,17 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
     _check_monic(f)
     ctx, fc = f.ctx, f.coeffs
     ks = sorted({k for mu in P.terms for k, _ in mu.items()})
+    spend = Budget(
+        "the symbolic route", "candidate symbols tested against f plus term pairs multiplied",
+        term_cap, "--cap-terms, or for coset statistics use the factored route",
+    ).spend
     # the N_k > q^k / (10k) candidates of the largest k alone may have more
     # digits than Python prints (by default) and the cap: decided by
     # k*log10(q), before divisors(k), O(k) steps, or q^k is computed
-    digits = print_limit()
-    if ks and ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > digits:
-        if term_cap < _power_of_ten(digits):
-            _spend_terms(None, term_cap)
-    work = sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k))
-    _spend_terms(work, term_cap)
+    if ks and ks[-1] * math.log10(ctx.q) - math.log10(10 * ks[-1]) > print_limit():
+        if term_cap < 10 ** print_limit():
+            spend(None)
+    spend(sum(necklace_count(d, ctx.q) for k in ks for d in divisors(k)))
     # the irreducibles of each degree that divide f, each tested once, as
     # coefficient tuples, from the sieve passes the planner runs
     degrees = sorted({d for k in ks for d in divisors(k)})
@@ -179,8 +169,7 @@ def chi_symbolic(f: Poly, P: CharPoly, term_cap: int = DEFAULT_TERM_CAP) -> Frac
             for _ in range(m):
                 if not terms:  # no key left for a further factor to keep
                     break
-                work += len(terms) * len(symbols[k])
-                _spend_terms(work, term_cap)
+                spend(len(terms) * len(symbols[k]))
                 out: dict[tuple, int] = {}
                 for c, x in terms.items():
                     for h, y in symbols[k]:
@@ -356,17 +345,10 @@ def _series_sum(d: int, q: int, P: CharPoly, m: int, cap: int) -> tuple[Fraction
     truncated at u^d; cap bounds the coefficients built plus the coefficient pairs
     multiplied, over the whole statistic, checked before each step."""
     counts = _filter_counts(d, q, m)
-    work = 0
-
-    def spend(steps: int) -> None:
-        nonlocal work
-        work += steps
-        if work > cap:
-            raise refusal(
-                f"the ensemble series would reach {work} steps (coefficients "
-                "built plus coefficient pairs multiplied)", cap, "--cap-enum"
-            )
-
+    spend = Budget(
+        "the ensemble series", "coefficients built plus coefficient pairs multiplied",
+        cap, "--cap-enum",
+    ).spend
     total = sum(
         (c * _series_mean_sum(d, q, mu, counts, m, spend)
          for mu, c in P.terms.items() if mu.norm <= d),
@@ -401,7 +383,7 @@ def ensemble_formula(
     if maxmult is not None and maxmult < 1:
         raise ValueError("multiplicity bound must be >= 1")
     q = ctx.q
-    if sys.get_int_max_str_digits() and too_long(d * math.log10(q), lambda: q ** d):
+    if past_print_limit(d * math.log10(q), lambda: q ** d):
         raise unprintable(
             f"the ensemble of degree {d} over F_{q} has q^d = {q}^{d} polynomials, a count of"
         )

@@ -27,11 +27,10 @@ import bisect
 import itertools
 import math
 import re
-import sys
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import count_text, read_int, refusal, too_long
+from .errors import count_text, past_print_limit, read_int, refusal
 
 DEFAULT_GROUP_CAP = 10 ** 6
 
@@ -103,11 +102,11 @@ class MultiIndex(tuple):
         """The weighted size sum(k * m_k)."""
         return sum(k * m for k, m in self)
 
-    def get(self, k: int) -> int:
+    def get(self, k: int, default: int = 0) -> int:
         for kk, m in self:
             if kk == k:
                 return m
-        return 0
+        return default
 
     def items(self):
         return self
@@ -200,7 +199,7 @@ class CosetSpec(tuple):
         that an |H| past it is never computed.  With no limit, every |H|
         prints."""
         log10 = sum(d * math.lgamma(r + 1) for d, r in self.blocks) / math.log(10)
-        return not (sys.get_int_max_str_digits() and too_long(log10, self.order_h))
+        return not past_print_limit(log10, self.order_h)
 
 
 def _blocks_from(remaining: int, lowest: tuple[int, int]) -> Iterator[tuple]:

@@ -46,7 +46,6 @@ from .symmetric import (
     CosetSpec,
     MultiIndex,
     block_multisets,
-    _lengths_type,
     cycle_lengths,
     enumerate_sn,
     multi_indices_up_to,
@@ -241,8 +240,8 @@ def check_coset_statistics(nmax: int = 8) -> CheckResult:
     matching the histogram and summing to |H|.  Each enumerated mean stays
     the integer |H| times it, compared with the closed form by
     cross-multiplication; a Fraction is built only for a failure.  The mu
-    and partitions of each n are listed once per call.
-    """
+    and partitions of each n are listed once per call, and every mu reads
+    each enumerated cycle type as one dict."""
     bad = []
     nspecs = 0
     n = 0
@@ -257,8 +256,9 @@ def check_coset_statistics(nmax: int = 8) -> CheckResult:
         if cycle_type_distribution(spec) != hist:
             bad.append(("histogram", str(spec)))
         means = coset_means(spec, mus)
+        rows = [(dict(ct), cnt) for ct, cnt in hist.items()]
         for mu, closed in means.items():
-            brute = sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items())  # |H| x mean
+            brute = sum(cnt * binom_eval(mu, ct) for ct, cnt in rows)  # |H| x mean
             n += 1
             if closed.numerator * order != brute * closed.denominator:
                 bad.append(("mean", str(spec), str(mu), closed, Fraction(brute, order)))
@@ -281,17 +281,18 @@ def check_coset_statistics(nmax: int = 8) -> CheckResult:
 
 def check_sym_expectation(rmax: int = 8) -> CheckResult:
     """Closed S_r mean of binom(X, mu) against a one-pass group enumeration,
-    including mu just past r where both sides must vanish."""
+    including mu just past r where both sides must vanish; every mu reads
+    each enumerated cycle type as one Counter."""
     bad = []
     n = 0
     for r in range(1, rmax + 1):
         tally = Counter(map(cycle_lengths, enumerate_sn(r)))
-        hist = {_lengths_type(lengths): cnt for lengths, cnt in tally.items()}
+        rows = [(Counter(lengths), cnt) for lengths, cnt in tally.items()]
         order = math.factorial(r)
         for mu in multi_indices_up_to(r + 1):
             closed = sn_expectation_closed(mu, r)
             brute = Fraction(
-                sum(cnt * binom_eval(mu, ct) for ct, cnt in hist.items()), order
+                sum(cnt * binom_eval(mu, ct) for ct, cnt in rows), order
             )
             n += 1
             if closed != brute:

@@ -1,4 +1,5 @@
-"""Compare what two source trees print for every benchmark command.
+"""Compare what two source trees print for every benchmark command, for
+`verify --quick` and for a fixed list of refusals.
 
     python tests/same_output.py PARENT CHANGE [--seeds 1 2 3]
 
@@ -6,7 +7,11 @@ PARENT and CHANGE are checkouts of this repository.  For each tree, one
 subprocess with the tree's src and perfbench directories on its path draws
 the command lists of every workload in perfbench/workloads.py for each seed
 and runs each command in-process through orbitstat.cli.main, recording its
-exit code, stdout and stderr.  The first difference between the trees is
+exit code, stdout and stderr.  It then runs `verify --quick` and the lines
+of REFUSALS twice: at Python's default digit limit, and with no limit
+(sys.set_int_max_str_digits(0)), where a count past the default limit is
+still named, not computed; the lines of LIMITED run at the default limit
+only.  The first difference between the trees is
 printed, with the command line and the first differing line of the output;
 the exit status is 1 when any command differs and 0 when none does.
 Bytecode is not written into either tree.
@@ -18,6 +23,23 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+# The example refusals of README's caps table, the --cap-enum one at a small
+# cap, and refusals of a count or coefficient too long to print.
+REFUSALS = [
+    "young --blocks 2^4,3^2 --mu 1:1 --method oracle --cap-group 4607",
+    "ensemble --q 2 --d 999 --filter squarefree --mu 1:2 --cap-enum 1000",
+    "eval --q 2 t^3 --mu 1:2 --method symbolic --cap-terms 1",
+    "necklace --q 65521 --kmax 2",
+    "young --blocks 1^6,1^35 --histogram",
+    "eval --q 2 t --stat X1^40*X2^40*X3^40",
+    "ensemble --q 3 --d 9013 --mu 1:1",
+    "eval --q 2 t --mu 1000000000:1 --method symbolic",
+    "young --blocks 1^2000 --mu 1:1",
+]
+# Refused at the default digit limit only: with no limit it answers, and
+# prints a statistic of 6 MB in over a second.
+LIMITED = ["eval --q 2 t --stat X1^1500"]
 
 _RUN = r"""
 import contextlib, io, json, random, sys
@@ -35,11 +57,17 @@ def run(argv):
         code = f"{type(exc).__name__}: {exc}"
     return [argv, code, out.getvalue(), err.getvalue()]
 
+seeds, refusals, limited = map(json.loads, sys.argv[1:])
 rows = []
-for seed in json.loads(sys.argv[1]):
+for seed in seeds:
     for name, workload in workloads.WORKLOADS.items():
         commands, _ = workload(random.Random(seed))
         rows += [[f"seed {seed} {name} #{i}", *run(c.argv)] for i, c in enumerate(commands)]
+for mode, lines in (("default digit limit", refusals + limited), ("no digit limit", refusals)):
+    if mode == "no digit limit":
+        sys.set_int_max_str_digits(0)
+    lines = ["verify --quick"] + lines
+    rows += [[f"{mode} #{i}", *run(line.split())] for i, line in enumerate(lines)]
 json.dump([orbitstat.__file__, rows], sys.stdout)
 """
 
@@ -53,7 +81,7 @@ def outputs(tree: Path, seeds: list[int]) -> list[list]:
         PYTHONDONTWRITEBYTECODE="1",
     )
     run = subprocess.run(
-        [sys.executable, "-c", _RUN, json.dumps(seeds)],
+        [sys.executable, "-c", _RUN, *map(json.dumps, (seeds, REFUSALS, LIMITED))],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if run.returncode:

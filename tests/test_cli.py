@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -599,6 +600,12 @@ def test_a_field_beyond_the_bound_is_refused_before_any_prime_test(capsys, q):
     assert err == f"error: q = {q} exceeds the supported bound 65536\n"
 
 
+def test_a_zero_extension_degree_is_one_error_line(capsys):
+    code, out, err = run(capsys, "factor", "--q", "2^0", "t")
+    assert (code, out) == (1, "")
+    assert err == "error: extension degree must be a positive integer, got 0\n"
+
+
 def test_printed_statistic_parses_back(capsys):
     code, first, _ = run(capsys, "eval", "--q", "2", "t^2", "--stat=X1-X2")
     assert code == 0
@@ -1030,6 +1037,21 @@ def test_a_huge_symbolic_cycle_length_is_refused_with_no_digit_limit(capsys, mon
         "against f plus term pairs multiplied), beyond the cap 1000000; raise it "
         "with --cap-terms, or for coset statistics use the factored route\n"
     )
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["young", "--blocks", "1^2000", "--mu", "1:1"], "order_h", math.factorial(2000)),
+    (["ensemble", "--q", "3", "--d", "9013", "--mu", "1:1"], "count", 3 ** 9013),
+], ids=["young", "ensemble"])
+def test_a_number_refused_at_the_digit_limit_is_printed_with_none(capsys, argv, key, value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run(capsys, *argv)
+        assert f"{key} = {value}" in out.splitlines()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

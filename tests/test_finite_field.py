@@ -150,6 +150,11 @@ def test_parse_field_spec_forms():
         parse_field_spec("q=6")
 
 
+def test_a_field_spec_part_other_than_mod_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^unrecognized field spec part 'foo=1'$"):
+        parse_field_spec("q=2;foo=1")
+
+
 @given(st.sampled_from(SMALL_FIELDS))
 def test_format_round_trips(ctx):
     assert parse_field_spec(format_field_spec(ctx)) == ctx
